@@ -174,6 +174,9 @@ def compute_inb(model: DecisionModel, psa: PsaSamples) -> InbSamples:
             f"net_benefit returned shape {nb.shape}, "
             f"expected {(psa.n_draws, model.n_treatments)}"
         )
+    finite = np.isfinite(nb)
+    if not np.all(finite):
+        raise SchemaError(f"net_benefit returned {int(nb.size - finite.sum())} non-finite value(s)")
     r, s = model.comparison
     return InbSamples(inb_theta=nb[:, r] - nb[:, s], source_psa=psa, net_benefits=nb)
 

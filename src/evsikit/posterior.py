@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class MetropolisUpdate:
     base_scales: tuple[float, ...]
     transform: Callable[[np.ndarray], dict[str, np.ndarray]]
 
-    def draw(self, dataset, M, gen=None, burn_in=1000, seed=None) -> dict[str, np.ndarray]:
+    def draw(self, dataset, M, burn_in=1000, seed=None, *, seeds=None) -> dict[str, np.ndarray]:
         chains, info = metropolis_ensemble(
             lambda states, idx: self.log_posterior(states, dataset, idx),
             n_chains=len(next(iter(dataset.values()))),
@@ -140,6 +140,7 @@ class MetropolisUpdate:
             n_keep=M,
             burn_in=burn_in,
             seed=seed,
+            seeds=seeds,
         )
         out = self.transform(chains)
         out["_info"] = info
@@ -153,19 +154,28 @@ def metropolis_ensemble(
     scales: np.ndarray,
     n_keep: int,
     burn_in: int,
-    seed: SeedSpec,
+    seed: SeedSpec | None = None,
     stat_fn: Callable | None = None,
     block_size: int | None = None,
+    *,
+    seeds: Sequence[SeedSpec] | None = None,
 ):
     """Run `n_chains` independent random-walk chains, one per dataset row.
 
     Returns (draws, info) where draws is (n_chains, n_keep, d), or, when
     `stat_fn` is given, the per-chain post-burn-in means of stat_fn(states)
     with nothing retained (constant memory for large ensembles).  info holds
-    per-chain acceptance rates and split-half variance ratios.  Each chain
-    draws from its own derived stream, so results do not depend on how the
-    ensemble is split into processing blocks.
+    per-chain acceptance rates and split-half variance ratios.  Chain i draws
+    from its own stream, `seed.derive(i)`, or `seeds[i]` when an explicit
+    per-chain seed list is given instead, so results do not depend on how
+    the ensemble is split into processing blocks or which chains share it.
     """
+    if (seed is None) == (seeds is None):
+        raise ValueError("give exactly one of seed and seeds")
+    if seeds is None:
+        seeds = [seed.derive(i) for i in range(n_chains)]
+    elif len(seeds) != n_chains:
+        raise ValueError(f"{len(seeds)} seeds for {n_chains} chains")
     d = init.shape[0]
     steps = burn_in + n_keep
     block = block_size or max(1, min(n_chains, int(3e7 // (steps * (d + 1) + 1))))
@@ -182,7 +192,7 @@ def metropolis_ensemble(
         normals = np.empty((nb, steps, d))
         logu = np.empty((nb, steps))
         for i in range(nb):
-            gen = seed.derive(lo + i).generator()
+            gen = seeds[lo + i].generator()
             normals[i] = gen.standard_normal((steps, d))
             logu[i] = np.log(gen.random(steps))
 

@@ -3,16 +3,22 @@
 Q focal values are taken from the existing PSA draws at the q/(Q+1)
 empirical quantiles (for multidimensional focal sets, at quantiles of the
 first principal direction of the standardized focal columns).  One future
-dataset is simulated at each point, one posterior is run per dataset, and
+dataset is simulated at each point and a posterior is run for each dataset;
 the posterior variances of the INB are averaged.  The difference between the
 prior INB variance and that average is the variance of the preposterior
 mean, the engine's sigma-squared.
+
+Metropolis posteriors of all Q points run together as one ensemble of Q
+chains, so the per-step Python overhead is paid once rather than Q times.
+Each chain keeps the stream it would have on its own, so the per-point
+results equal those of `run_posterior` called point by point.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -120,45 +126,74 @@ def run_posterior(design, dataset, model: DecisionModel, M: int, burn_in: int,
                   seed: SeedSpec) -> PosteriorRun:
     """One posterior for one simulated dataset, plus the INB variance under it.
 
-    Untouched parameters are re-drawn from their priors alongside the
-    posterior draws of the updated ones, mirroring a full re-declaration of
-    the model in the posterior program.
+    This is the one-dataset case of the batch that `expected_posterior_variance`
+    runs over all quadrature points, and gives the same result as that batch
+    gives for this dataset and seed.
+    """
+    return _run_posteriors(design, [dataset], model, M, burn_in, [seed])[0]
+
+
+def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
+                    burn_in: int, seeds: Sequence[SeedSpec]) -> list[PosteriorRun]:
+    """Posteriors for several simulated datasets, one per quadrature point.
+
+    A Metropolis recipe runs every dataset as one chain of a single ensemble.
+    Chain q draws from `seeds[q].derive(_POSTERIOR_SUB).derive(0)`, the stream
+    of a one-chain ensemble seeded with `seeds[q].derive(_POSTERIOR_SUB)`, so
+    each point's draws do not depend on which other points share the batch.
+    Conjugate recipes draw each point from its own generator.
+
+    Untouched parameters are re-drawn per point from their priors alongside
+    the posterior draws of the updated ones, mirroring a full re-declaration
+    of the model in the posterior program.
     """
     recipe = design.recipe
     retained = _retained(recipe, M, burn_in)
     if retained < 1000:
         raise ValueError("need at least 1000 retained posterior draws")
 
-    acceptance = None
-    split_ratio = None
-    if isinstance(recipe, MetropolisUpdate):
-        out = recipe.draw(dataset, retained, burn_in=burn_in, seed=seed.derive(_POSTERIOR_SUB))
+    posterior_seeds = [s.derive(_POSTERIOR_SUB) for s in seeds]
+    metropolis = isinstance(recipe, MetropolisUpdate)
+    if metropolis:
+        stacked = {k: np.concatenate([ds[k] for ds in datasets]) for k in datasets[0]}
+        out = recipe.draw(stacked, retained, burn_in=burn_in,
+                          seeds=[s.derive(0) for s in posterior_seeds])
         info = out.pop("_info")
-        acceptance = float(info["acceptance_rate"][0])
-        split_ratio = float(info["split_variance_ratio"][0])
-        draws = {k: v[0] for k, v in out.items()}
+        draws = [{k: v[q] for k, v in out.items()} for q in range(len(datasets))]
+        accept = [float(r) for r in info["acceptance_rate"]]
+        split = [float(r) for r in info["split_variance_ratio"]]
     else:
-        gen = seed.derive(_POSTERIOR_SUB).generator()
-        out = recipe.draw(dataset, retained, gen)
-        draws = {k: np.asarray(v)[0] for k, v in out.items()}
+        draws = [
+            {k: np.asarray(v)[0] for k, v in recipe.draw(ds, retained, s.generator()).items()}
+            for ds, s in zip(datasets, posterior_seeds)
+        ]
+        accept = split = [None] * len(datasets)
 
-    cols = dict(draws)
-    untouched_seed = seed.derive(_UNTOUCHED_SUB)
-    for j, name in enumerate(model.param_names):
-        if name in cols:
-            continue
-        cols[name] = model.priors[name].sample_with(untouched_seed.derive(j).generator(), retained)
-
-    inb_post = _inb_on(model, cols)
-    return PosteriorRun(
-        dataset=dataset,
-        recipe=type(recipe).__name__,
-        draws=draws,
-        burn_in=burn_in if isinstance(recipe, MetropolisUpdate) else 0,
-        inb_posterior_variance=float(np.var(inb_post, ddof=1)),
-        acceptance_rate=acceptance,
-        split_variance_ratio=split_ratio,
-    )
+    runs = []
+    for q, (dataset, point_draws, seed) in enumerate(zip(datasets, draws, seeds)):
+        cols = dict(point_draws)
+        untouched_seed = seed.derive(_UNTOUCHED_SUB)
+        for j, name in enumerate(model.param_names):
+            if name in cols:
+                continue
+            cols[name] = model.priors[name].sample_with(untouched_seed.derive(j).generator(),
+                                                        retained)
+        inb_post = _inb_on(model, cols)
+        if not np.all(np.isfinite(inb_post)):
+            raise ComputationError(
+                "posterior_variance",
+                f"non-finite posterior INB at quadrature point {q + 1}/{len(datasets)}",
+            )
+        runs.append(PosteriorRun(
+            dataset=dataset,
+            recipe=type(recipe).__name__,
+            draws=point_draws,
+            burn_in=burn_in if metropolis else 0,
+            inb_posterior_variance=float(np.var(inb_post, ddof=1)),
+            acceptance_rate=accept[q],
+            split_variance_ratio=split[q],
+        ))
+    return runs
 
 
 def _inb_on(model: DecisionModel, prior_cols: dict[str, np.ndarray]) -> np.ndarray:
@@ -181,23 +216,23 @@ def expected_posterior_variance(
         inb = compute_inb(model, plan.psa)
     prior_var = float(np.var(inb.inb_theta, ddof=1))
 
-    per_point = np.empty(plan.Q)
-    rates, summaries = [], []
     row_cols = plan.rows()
-    for q in range(plan.Q):
-        point = {k: v[q : q + 1] for k, v in row_cols.items()}
-        try:
-            dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
-            run = run_posterior(design, dataset, model, M, burn_in, plan.seeds[q])
-        except Exception as exc:
-            if isinstance(exc, ComputationError):
-                raise
-            raise ComputationError(
-                "posterior_variance", f"quadrature point {q + 1}/{plan.Q} failed: {exc}"
-            ) from exc
-        per_point[q] = run.inb_posterior_variance
-        rates.append(run.acceptance_rate)
-        summaries.append(design.describe_dataset(dataset))
+    datasets = []
+    try:
+        for q in range(plan.Q):
+            point = {k: v[q : q + 1] for k, v in row_cols.items()}
+            datasets.append(design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB)))
+        runs = _run_posteriors(design, datasets, model, M, burn_in, plan.seeds)
+    except ComputationError:
+        raise
+    except Exception as exc:
+        # every dataset was simulated when the batched posterior step fails
+        where = (f"quadrature point {len(datasets) + 1}/{plan.Q}" if len(datasets) < plan.Q
+                 else f"the posteriors of the {plan.Q} quadrature points")
+        raise ComputationError("posterior_variance", f"{where} failed: {exc}") from exc
+    per_point = np.array([run.inb_posterior_variance for run in runs])
+    rates = [run.acceptance_rate for run in runs]
+    summaries = [design.describe_dataset(ds) for ds in datasets]
 
     expected = float(np.mean(per_point))
     raw = prior_var - expected

@@ -1,5 +1,6 @@
 """Rescaling constants and the end-to-end EVSI estimator."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -20,8 +21,21 @@ from evsikit.momentmatch import (
     evsi_from_rescaled,
 )
 from evsikit.oracles import closed_form_normal_evsi, enumeration_evsi
+from evsikit.preposterior import run_posterior
 from evsikit.rng import DistSpec, SeedSpec
-from evsikit.util import ComputationError, DegenerateModelError
+from evsikit.util import ComputationError, DegenerateModelError, SchemaError
+
+
+def _nan_every_1000th(model):
+    """The same model with every 1000th treatment net benefit set to NaN."""
+    base = model.net_benefit
+
+    def net_benefit(cols):
+        nb = np.array(base(cols), dtype=float)
+        nb[::1000, 1] = np.nan
+        return nb
+
+    return dataclasses.replace(model, net_benefit=net_benefit)
 
 
 def _standardised_inb(k=10000.0, n=50000, seed=0):
@@ -150,6 +164,23 @@ class TestEstimateEvsi:
         psa.param_names = ("x",)
         with pytest.raises(ComputationError, match="net_benefit"):
             estimate_evsi(model, design, psa, EvsiOptions(Q=2, M=1000, seed=SeedSpec(29)))
+
+    def test_nonfinite_net_benefit_fails_loudly(self):
+        # max(0, nan) is 0, so NaN net benefits used to read as evsi=0.0
+        model = _nan_every_1000th(get_model("normal_normal"))
+        design = get_design(model, "trial", n=4)
+        psa = run_psa(model, 10000, SeedSpec(30))
+        with pytest.raises(SchemaError, match="non-finite"):
+            compute_inb(model, psa)
+        with pytest.raises(ComputationError, match=r"\[net_benefit\].*non-finite"):
+            estimate_evsi(model, design, psa, EvsiOptions(Q=10, M=2000, seed=SeedSpec(31)))
+
+    def test_nonfinite_posterior_inb_fails_loudly(self):
+        model = _nan_every_1000th(get_model("normal_normal"))
+        design = get_design(model, "trial", n=4)
+        dataset = {"obs": np.zeros((1, 4))}
+        with pytest.raises(ComputationError, match=r"\[posterior_variance\].*non-finite"):
+            run_posterior(design, dataset, model, 2000, 0, SeedSpec(32))
 
 
 class TestInvariance:

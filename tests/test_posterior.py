@@ -65,6 +65,23 @@ def _beta48_logpost(states, dataset, idx):
     return lp
 
 
+def _binomial10_logpost(counts):
+    """Beta(1, 1) prior with counts[idx] successes in 10 trials, per chain."""
+
+    def logpost(states, idx):
+        x = states[:, 0]
+        c = counts[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(
+                (x > 0) & (x < 1),
+                c * np.log(np.clip(x, 1e-300, None))
+                + (10.0 - c) * np.log(np.clip(1 - x, 1e-300, None)),
+                -np.inf,
+            )
+
+    return logpost
+
+
 class TestMetropolis:
     def test_targets_beta_4_8(self):
         draws, info = metropolis_ensemble(
@@ -112,6 +129,37 @@ class TestMetropolis:
             lambda s, i: _beta48_logpost(s, None, i), block_size=2, **kwargs
         )
         assert np.array_equal(whole, split)
+
+    def test_per_chain_seeds_match_single_chain_runs(self):
+        # chain i seeded with t_i.derive(0) must reproduce a one-chain
+        # ensemble seeded with t_i, whatever the block size
+        counts = np.array([2.0, 5.0, 8.0])
+        parents = [SeedSpec(61).derive(i) for i in range(3)]
+        common = dict(init=np.array([0.5]), scales=np.array([0.2]), n_keep=1500, burn_in=300)
+        singles = [
+            metropolis_ensemble(_binomial10_logpost(counts[i : i + 1]), n_chains=1, seed=t, **common)
+            for i, t in enumerate(parents)
+        ]
+        for block_size in (None, 1, 2):
+            draws, info = metropolis_ensemble(
+                _binomial10_logpost(counts), n_chains=3, block_size=block_size,
+                seeds=[t.derive(0) for t in parents], **common,
+            )
+            for i, (single, single_info) in enumerate(singles):
+                assert np.array_equal(draws[i], single[0])
+                assert info["acceptance_rate"][i] == single_info["acceptance_rate"][0]
+                assert info["split_variance_ratio"][i] == single_info["split_variance_ratio"][0]
+
+    def test_seed_and_seeds_are_exclusive(self):
+        common = dict(n_chains=2, init=np.array([0.3]), scales=np.array([0.1]),
+                      n_keep=100, burn_in=0)
+        logpost = lambda s, i: _beta48_logpost(s, None, i)  # noqa: E731
+        with pytest.raises(ValueError, match="exactly one"):
+            metropolis_ensemble(logpost, **common)
+        with pytest.raises(ValueError, match="exactly one"):
+            metropolis_ensemble(logpost, seed=SeedSpec(1), seeds=[SeedSpec(2)] * 2, **common)
+        with pytest.raises(ValueError, match="1 seeds for 2 chains"):
+            metropolis_ensemble(logpost, seeds=[SeedSpec(2)], **common)
 
     def test_stat_mode_matches_kept_draws(self):
         common = dict(

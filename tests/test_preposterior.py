@@ -10,7 +10,12 @@ from evsikit.casemodels import (
     quadratic_preposterior_variance,
 )
 from evsikit.model import compute_inb, run_psa
-from evsikit.preposterior import build_plan, expected_posterior_variance, run_posterior
+from evsikit.preposterior import (
+    _DATASET_SUB,
+    build_plan,
+    expected_posterior_variance,
+    run_posterior,
+)
 from evsikit.rng import SeedSpec
 
 
@@ -174,3 +179,21 @@ class TestExpectedPosteriorVariance:
         assert len(ve.dataset_summaries) == 5
         assert ve.phi_points.shape == (5, 1)
         assert ve.phi_names == ("effect",)
+
+    @pytest.mark.parametrize("design_name", ["study3", "study4"])
+    def test_batched_posteriors_equal_point_by_point_runs(self, design_name):
+        # one ensemble over all points must give each point exactly what
+        # run_posterior gives it alone
+        model = get_model("ades")
+        design = get_design(model, design_name)
+        psa = run_psa(model, 5000, SeedSpec(20))
+        plan = build_plan(psa, design.focal_params, 5, SeedSpec(21))
+        ve = expected_posterior_variance(plan, design, model, 1500, 500)
+        rows = plan.rows()
+        runs = []
+        for q in range(plan.Q):
+            point = {k: v[q : q + 1] for k, v in rows.items()}
+            dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
+            runs.append(run_posterior(design, dataset, model, 1500, 500, plan.seeds[q]))
+        assert np.array_equal(ve.per_point, [r.inb_posterior_variance for r in runs])
+        assert np.array_equal(ve.acceptance_rates, [r.acceptance_rate for r in runs])
