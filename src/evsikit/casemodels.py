@@ -7,7 +7,12 @@
   Beta-Binomial with a flat prior, Exponential-Gamma, Normal-Normal, and a
   quadratic-INB Normal model used for variance-convergence experiments.
 
-All models are registered by name; parameters can be overridden per run.
+Each model is registered by name with everything the engine needs beyond the
+`DecisionModel` itself: its prior-mean INB, its study-design factories with
+their default sample sizes, and the conjugate toy that has its closed forms.
+Designs are looked up by `model.name`, so a model rebuilt by hand under a
+registered name gets the registered designs.  Parameters can be overridden
+per run.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ class StudyDesign:
     """
 
     name: str
-    model_name: str
     focal_params: tuple[str, ...]
     sample_size: int
     recipe: object
@@ -67,6 +71,34 @@ def generate_future_data(design: StudyDesign, phi_row: dict, seed: SeedSpec) -> 
     """One simulated future dataset conditional on a single parameter draw."""
     point = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in phi_row.items()}
     return design.simulate_batch(point, seed)
+
+
+def _binomial_counts(n: int, **params) -> dict:
+    """StudyDesign data fields for Binomial(n, p) counts, one key per parameter.
+
+    The counts are drawn in keyword order from one generator.
+    """
+    keys = tuple(params)
+
+    def simulate(cols, seed):
+        gen = seed.generator()
+        return {key: gen.binomial(n, cols[param]).astype(float) for key, param in params.items()}
+
+    return dict(simulate_batch=simulate, summary_names=keys, is_discrete_data=True,
+                summarize_batch=lambda ds: np.column_stack([ds[key] for key in keys]))
+
+
+def _normal_observations(n: int, param: str, obs_var: float, key: str = "obs",
+                         summary: str = "mean_obs") -> dict:
+    """StudyDesign data fields for n Normal(param, obs_var) observations, summarised by their mean."""
+
+    def simulate(cols, seed):
+        gen = seed.generator()
+        loc = np.asarray(cols[param], dtype=float)[:, None]
+        return {key: gen.normal(loc, np.sqrt(obs_var), (loc.shape[0], n))}
+
+    return dict(simulate_batch=simulate, summary_names=(summary,),
+                summarize_batch=lambda ds: ds[key].mean(axis=1)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +213,6 @@ def _ades_prior_means(p) -> dict:
 def _ades_study1(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
     means = _ades_prior_means(p)
-
-    def simulate(cols, seed):
-        gen = seed.generator()
-        return {"x": gen.binomial(n, cols["Pse"]).astype(float)}
-
-    def summarize(ds):
-        return ds["x"][:, None]
-
     recipe = BetaBinomialUpdate("Pse", p["pse_alpha"], p["pse_beta"], n, "x")
 
     def inner_means(ds, seed=None, n_inner=0, burn_in=0):
@@ -196,10 +220,8 @@ def _ades_study1(model: DecisionModel, n: int) -> StudyDesign:
         return _ades_inb_at_means(means["Pc"], pse_post, means["Pt"], means["Qe"], p)
 
     return StudyDesign(
-        name="study1", model_name="ades", focal_params=("Pse",), sample_size=n,
-        recipe=recipe, simulate_batch=simulate, summary_names=("x",),
-        summarize_batch=summarize, batch_inner_means=inner_means,
-        is_discrete_data=True,
+        name="study1", focal_params=("Pse",), sample_size=n, recipe=recipe,
+        batch_inner_means=inner_means, **_binomial_counts(n, x="Pse"),
     )
 
 
@@ -209,39 +231,16 @@ def _ades_study2(model: DecisionModel, n: int, obs_var: float) -> StudyDesign:
     recipe = NormalNormalUpdate("logit_qe", p["logit_qe_mean"], p["logit_qe_var"],
                                 obs_var, "responses")
 
-    def simulate(cols, seed):
-        gen = seed.generator()
-        loc = np.asarray(cols["logit_qe"], dtype=float)[:, None]
-        return {"responses": gen.normal(loc, np.sqrt(obs_var), (loc.shape[0], n))}
-
-    def summarize(ds):
-        return ds["responses"].mean(axis=1)[:, None]
-
     def inner_means(ds, seed=None, n_inner=0, burn_in=0):
         mean, var = recipe.posterior_params(ds)
         e_qe = gauss_hermite_expectation(expit, np.atleast_1d(mean), np.full_like(np.atleast_1d(mean), var))
         return _ades_inb_at_means(means["Pc"], means["Pse"], means["Pt"], e_qe, p)
 
     return StudyDesign(
-        name="study2", model_name="ades", focal_params=("logit_qe",), sample_size=n,
-        recipe=recipe, simulate_batch=simulate, summary_names=("mean_response",),
-        summarize_batch=summarize, batch_inner_means=inner_means,
+        name="study2", focal_params=("logit_qe",), sample_size=n, recipe=recipe,
+        batch_inner_means=inner_means,
+        **_normal_observations(n, "logit_qe", obs_var, key="responses", summary="mean_response"),
     )
-
-
-def _two_arm_simulate(n):
-    def simulate(cols, seed):
-        gen = seed.generator()
-        return {
-            "dc": gen.binomial(n, cols["Pc"]).astype(float),
-            "dt": gen.binomial(n, cols["Pt"]).astype(float),
-        }
-
-    return simulate
-
-
-def _two_arm_summarize(ds):
-    return np.column_stack([ds["dc"], ds["dt"]])
 
 
 def _ades_two_arm_machinery(model: DecisionModel, n: int):
@@ -301,10 +300,9 @@ def _ades_study3(model: DecisionModel, n: int) -> StudyDesign:
     # data and the conditional-INB variance is not an upper bound
     recipe, inner_means = _ades_two_arm_machinery(model, n)
     return StudyDesign(
-        name="study3", model_name="ades", focal_params=("log_or",), sample_size=n,
-        recipe=recipe, simulate_batch=_two_arm_simulate(n), summary_names=("dc", "dt"),
-        summarize_batch=_two_arm_summarize, batch_inner_means=inner_means,
-        is_discrete_data=True, focal_sufficient=False,
+        name="study3", focal_params=("log_or",), sample_size=n, recipe=recipe,
+        batch_inner_means=inner_means, focal_sufficient=False,
+        **_binomial_counts(n, dc="Pc", dt="Pt"),
     )
 
 
@@ -313,11 +311,14 @@ def _ades_study4(model: DecisionModel, n: int) -> StudyDesign:
     # focal set, exercising the two-dimensional conditional-INB machinery.
     recipe, inner_means = _ades_two_arm_machinery(model, n)
     return StudyDesign(
-        name="study4", model_name="ades", focal_params=("Pc", "Pt"), sample_size=n,
-        recipe=recipe, simulate_batch=_two_arm_simulate(n), summary_names=("dc", "dt"),
-        summarize_batch=_two_arm_summarize, batch_inner_means=inner_means,
-        is_discrete_data=True,
+        name="study4", focal_params=("Pc", "Pt"), sample_size=n, recipe=recipe,
+        batch_inner_means=inner_means, **_binomial_counts(n, dc="Pc", dt="Pt"),
     )
+
+
+def _ades_prior_mean_inb(model: DecisionModel) -> float:
+    m = _ades_prior_means(model.params)
+    return float(_ades_inb_at_means(m["Pc"], m["Pse"], m["Pt"], m["Qe"], model.params))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +333,10 @@ class ConjugateToy:
     N: int
     params: dict = field(default_factory=dict)
 
-    VARIANTS = ("beta_binomial_uniform", "exp_gamma", "normal_normal")
-
     def __post_init__(self):
-        if self.variant not in self.VARIANTS:
-            raise ConfigError(f"unknown toy variant {self.variant!r}; choose {self.VARIANTS}")
+        defaults = get_model(self.model_name).params
         if self.N < 0:
             raise ValueError("future sample size must be >= 0")
-        defaults = _TOY_DEFAULTS[self.variant]
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown {self.variant} parameters {sorted(unknown)}")
@@ -347,12 +344,13 @@ class ConjugateToy:
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
 
-
-_TOY_DEFAULTS = {
-    "beta_binomial_uniform": {"k": 20000.0, "c": 10000.0},
-    "exp_gamma": {"alpha": 5.0, "beta": 1.0, "k": 200.0, "c0": 900.0, "c1": 100.0},
-    "normal_normal": {"theta0": 0.0, "prior_var": 1.0, "obs_var": 1.0, "k": 10000.0, "c": 0.0},
-}
+    @property
+    def model_name(self) -> str:
+        """The registered model whose closed forms this toy gives."""
+        names = {entry.toy_variant: name for name, entry in _REGISTRY.items() if entry.toy_variant}
+        if self.variant not in names:
+            raise ConfigError(f"unknown toy variant {self.variant!r}; choose {tuple(names)}")
+        return names[self.variant]
 
 
 @dataclass(frozen=True)
@@ -512,12 +510,16 @@ def quadratic_exact_evsi(model: DecisionModel, N: int) -> float:
     return float(tau2 * 2.0 * stats.norm.pdf(1.0))
 
 
+# per-patient costs of the comparator and of the new treatment
+_TWO_PARAM_COSTS = (4000.0, 6500.0)
+
+
 def build_two_param_linear(k=10000.0) -> DecisionModel:
     """Two-parameter model whose conditional INB is linear in the focal input."""
 
     def net_benefit(cols):
-        nb0 = k * cols["background"] - 4000.0
-        nb1 = k * cols["response_rate"] - 6500.0
+        nb0 = k * cols["background"] - _TWO_PARAM_COSTS[0]
+        nb1 = k * cols["response_rate"] - _TWO_PARAM_COSTS[1]
         return np.column_stack([nb0, nb1])
 
     return DecisionModel(
@@ -533,113 +535,99 @@ def build_two_param_linear(k=10000.0) -> DecisionModel:
     )
 
 
+def _two_param_prior_mean_inb(model: DecisionModel) -> float:
+    e_response, e_background = (model.priors[n].mean() for n in ("response_rate", "background"))
+    return model.params["k"] * (e_response - e_background) - (
+        _TWO_PARAM_COSTS[1] - _TWO_PARAM_COSTS[0])
+
+
 # -- toy study designs ---------------------------------------------------------
 
 
-def _toy_trial_design(model: DecisionModel, n: int) -> StudyDesign:
-    name = model.name
-    if name == "beta_binomial":
-        recipe = BetaBinomialUpdate("p_success", 1.0, 1.0, n, "x")
-        k, c = model.params["k"], model.params["c"]
+def _beta_binomial_trial(model: DecisionModel, n: int) -> StudyDesign:
+    recipe = BetaBinomialUpdate("p_success", 1.0, 1.0, n, "x")
+    k, c = model.params["k"], model.params["c"]
 
-        def simulate(cols, seed):
-            return {"x": seed.generator().binomial(n, cols["p_success"]).astype(float)}
+    def inner(ds, seed=None, n_inner=0, burn_in=0):
+        return k * recipe.exact_means(ds) - c
 
-        def inner(ds, seed=None, n_inner=0, burn_in=0):
-            return k * recipe.exact_means(ds) - c
-
-        return StudyDesign(
-            name="trial", model_name=name, focal_params=("p_success",), sample_size=n,
-            recipe=recipe, simulate_batch=simulate, summary_names=("x",),
-            summarize_batch=lambda ds: ds["x"][:, None], batch_inner_means=inner,
-            informs_all=True, is_discrete_data=True,
-        )
-
-    if name == "exp_gamma":
-        p = model.params
-        recipe = GammaExponentialUpdate("event_rate", p["alpha"], p["beta"], "obs")
-
-        def simulate(cols, seed):
-            gen = seed.generator()
-            scale = 1.0 / np.asarray(cols["event_rate"], dtype=float)[:, None]
-            return {"obs": gen.exponential(1.0, (scale.shape[0], n)) * scale}
-
-        def inner(ds, seed=None, n_inner=0, burn_in=0):
-            return p["k"] * recipe.exact_means(ds) - p["c1"] - p["c0"]
-
-        return StudyDesign(
-            name="trial", model_name=name, focal_params=("event_rate",), sample_size=n,
-            recipe=recipe, simulate_batch=simulate, summary_names=("mean_obs",),
-            summarize_batch=lambda ds: ds["obs"].mean(axis=1)[:, None],
-            batch_inner_means=inner, informs_all=True,
-        )
-
-    if name == "normal_normal":
-        p = model.params
-        recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], "obs")
-
-        def simulate(cols, seed):
-            gen = seed.generator()
-            loc = np.asarray(cols["effect"], dtype=float)[:, None]
-            return {"obs": gen.normal(loc, np.sqrt(p["obs_var"]), (loc.shape[0], n))}
-
-        def inner(ds, seed=None, n_inner=0, burn_in=0):
-            return p["k"] * recipe.exact_means(ds) - p["c"]
-
-        return StudyDesign(
-            name="trial", model_name=name, focal_params=("effect",), sample_size=n,
-            recipe=recipe, simulate_batch=simulate, summary_names=("mean_obs",),
-            summarize_batch=lambda ds: ds["obs"].mean(axis=1)[:, None],
-            batch_inner_means=inner, informs_all=True,
-        )
-
-    if name == "quadratic_normal":
-        p = model.params
-        recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], "obs")
-        post_var = quadratic_posterior_var(model, n)
-
-        def simulate(cols, seed):
-            gen = seed.generator()
-            loc = np.asarray(cols["effect"], dtype=float)[:, None]
-            return {"obs": gen.normal(loc, np.sqrt(p["obs_var"]), (loc.shape[0], n))}
-
-        def inner(ds, seed=None, n_inner=0, burn_in=0):
-            mean, _ = recipe.posterior_params(ds)
-            return np.atleast_1d(mean) ** 2 + post_var - p["prior_var"]
-
-        return StudyDesign(
-            name="trial", model_name=name, focal_params=("effect",), sample_size=n,
-            recipe=recipe, simulate_batch=simulate, summary_names=("mean_obs",),
-            summarize_batch=lambda ds: ds["obs"].mean(axis=1)[:, None],
-            batch_inner_means=inner, informs_all=True,
-        )
-
-    if name == "two_param_linear":
-        k = model.params["k"]
-        recipe = BetaBinomialUpdate("response_rate", 1.0, 4.0, n, "x")
-
-        def simulate(cols, seed):
-            return {"x": seed.generator().binomial(n, cols["response_rate"]).astype(float)}
-
-        def inner(ds, seed=None, n_inner=0, burn_in=0):
-            # background has prior mean -0.5, so E[INB | x] = k * post + 2500
-            return k * recipe.exact_means(ds) - 6500.0 - (k * -0.5 - 4000.0)
-
-        return StudyDesign(
-            name="trial", model_name=name, focal_params=("response_rate",), sample_size=n,
-            recipe=recipe, simulate_batch=simulate, summary_names=("x",),
-            summarize_batch=lambda ds: ds["x"][:, None], batch_inner_means=inner,
-            is_discrete_data=True,
-        )
-
-    raise ConfigError(f"model {name!r} has no trial design")
+    return StudyDesign(
+        name="trial", focal_params=("p_success",), sample_size=n, recipe=recipe,
+        batch_inner_means=inner, informs_all=True, **_binomial_counts(n, x="p_success"),
+    )
 
 
-def _null_design(model: DecisionModel, n: int = 10) -> StudyDesign:
+def _exp_gamma_trial(model: DecisionModel, n: int) -> StudyDesign:
+    p = model.params
+    recipe = GammaExponentialUpdate("event_rate", p["alpha"], p["beta"], "obs")
+
+    def simulate(cols, seed):
+        gen = seed.generator()
+        scale = 1.0 / np.asarray(cols["event_rate"], dtype=float)[:, None]
+        return {"obs": gen.exponential(1.0, (scale.shape[0], n)) * scale}
+
+    def inner(ds, seed=None, n_inner=0, burn_in=0):
+        return p["k"] * recipe.exact_means(ds) - p["c1"] - p["c0"]
+
+    return StudyDesign(
+        name="trial", focal_params=("event_rate",), sample_size=n,
+        recipe=recipe, simulate_batch=simulate, summary_names=("mean_obs",),
+        summarize_batch=lambda ds: ds["obs"].mean(axis=1)[:, None],
+        batch_inner_means=inner, informs_all=True,
+    )
+
+
+def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
+    p = model.params
+    recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], "obs")
+
+    def inner(ds, seed=None, n_inner=0, burn_in=0):
+        return p["k"] * recipe.exact_means(ds) - p["c"]
+
+    return StudyDesign(
+        name="trial", focal_params=("effect",), sample_size=n, recipe=recipe,
+        batch_inner_means=inner, informs_all=True,
+        **_normal_observations(n, "effect", p["obs_var"]),
+    )
+
+
+def _quadratic_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
+    p = model.params
+    recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], "obs")
+    post_var = quadratic_posterior_var(model, n)
+
+    def inner(ds, seed=None, n_inner=0, burn_in=0):
+        mean, _ = recipe.posterior_params(ds)
+        return np.atleast_1d(mean) ** 2 + post_var - p["prior_var"]
+
+    return StudyDesign(
+        name="trial", focal_params=("effect",), sample_size=n, recipe=recipe,
+        batch_inner_means=inner, informs_all=True,
+        **_normal_observations(n, "effect", p["obs_var"]),
+    )
+
+
+def _two_param_trial(model: DecisionModel, n: int) -> StudyDesign:
+    k = model.params["k"]
+    recipe = BetaBinomialUpdate("response_rate", *model.priors["response_rate"].params, n, "x")
+    e_background = model.priors["background"].mean()
+
+    def inner(ds, seed=None, n_inner=0, burn_in=0):
+        # the data leave the background input at its prior mean
+        return (k * recipe.exact_means(ds) - _TWO_PARAM_COSTS[1]
+                - (k * e_background - _TWO_PARAM_COSTS[0]))
+
+    return StudyDesign(
+        name="trial", focal_params=("response_rate",), sample_size=n, recipe=recipe,
+        batch_inner_means=inner, **_binomial_counts(n, x="response_rate"),
+    )
+
+
+def _null_design(model: DecisionModel, n: int) -> StudyDesign:
     """Data independent of every parameter; the posterior equals the prior."""
     first = model.param_names[0]
     recipe = NullUpdate(first, model.priors[first])
-    prior_mean_inb = _prior_mean_inb(model)
+    prior_mean_inb = _entry(model.name).prior_mean_inb(model)
 
     def simulate(cols, seed):
         k = len(next(iter(cols.values())))
@@ -649,99 +637,110 @@ def _null_design(model: DecisionModel, n: int = 10) -> StudyDesign:
         return np.full(len(ds["x"]), prior_mean_inb)
 
     return StudyDesign(
-        name="null", model_name=model.name, focal_params=(first,), sample_size=n,
+        name="null", focal_params=(first,), sample_size=n,
         recipe=recipe, simulate_batch=simulate, summary_names=("x",),
         summarize_batch=lambda ds: ds["x"][:, None], batch_inner_means=inner,
         informs_all=len(model.param_names) == 1, is_discrete_data=True,
     )
 
 
-def _prior_mean_inb(model: DecisionModel) -> float:
-    name, p = model.name, model.params
-    if name == "beta_binomial":
-        return p["k"] / 2.0 - p["c"]
-    if name == "exp_gamma":
-        return p["k"] * p["alpha"] / p["beta"] - p["c0"] - p["c1"]
-    if name == "normal_normal":
-        return p["k"] * p["theta0"] - p["c"]
-    if name == "quadratic_normal":
-        return 0.0
-    if name == "two_param_linear":
-        return p["k"] * (0.2 + 0.5) - 2500.0
-    if name == "ades":
-        m = _ades_prior_means(p)
-        return float(_ades_inb_at_means(m["Pc"], m["Pse"], m["Pt"], m["Qe"], p))
-    raise ConfigError(f"no prior INB mean for {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # registry
 
-_MODEL_BUILDERS = {
-    "ades": build_ades,
-    "beta_binomial": build_beta_binomial,
-    "exp_gamma": build_exp_gamma,
-    "normal_normal": build_normal_normal,
-    "quadratic_normal": build_quadratic_normal,
-    "two_param_linear": build_two_param_linear,
+
+@dataclass(frozen=True)
+class DesignEntry:
+    """A study-design factory and its default future sample size.
+
+    The factory is called as `build(model, n)`, or as `build(model, n, obs_var)`
+    when the design's observation variance may be overridden; `obs_var` then
+    holds its default.
+    """
+
+    build: Callable[..., StudyDesign]
+    size: int
+    obs_var: float | None = None
+
+
+@dataclass(frozen=True)
+class ModelEntry:
+    """What is registered under a model name; the first design is the default.
+
+    `toy_variant` names the `ConjugateToy` that gives this model's closed forms.
+    """
+
+    build: Callable[..., DecisionModel]
+    prior_mean_inb: Callable[[DecisionModel], float]
+    designs: dict[str, DesignEntry]
+    toy_variant: str | None = None
+
+
+def _toy_designs(trial, n: int) -> dict[str, DesignEntry]:
+    return {"trial": DesignEntry(trial, n), "null": DesignEntry(_null_design, n)}
+
+
+_REGISTRY = {
+    "ades": ModelEntry(build_ades, _ades_prior_mean_inb, {
+        "study1": DesignEntry(_ades_study1, 60),
+        "study2": DesignEntry(_ades_study2, 100, obs_var=2.0),
+        "study3": DesignEntry(_ades_study3, 200),
+        "study4": DesignEntry(_ades_study4, 200),
+    }),
+    "beta_binomial": ModelEntry(
+        build_beta_binomial, lambda m: m.params["k"] / 2.0 - m.params["c"],
+        _toy_designs(_beta_binomial_trial, 10), toy_variant="beta_binomial_uniform"),
+    "exp_gamma": ModelEntry(
+        build_exp_gamma,
+        lambda m: (m.params["k"] * m.params["alpha"] / m.params["beta"]
+                   - m.params["c0"] - m.params["c1"]),
+        _toy_designs(_exp_gamma_trial, 10), toy_variant="exp_gamma"),
+    "normal_normal": ModelEntry(
+        build_normal_normal, lambda m: m.params["k"] * m.params["theta0"] - m.params["c"],
+        _toy_designs(_normal_normal_trial, 9), toy_variant="normal_normal"),
+    "quadratic_normal": ModelEntry(
+        build_quadratic_normal, lambda m: 0.0, _toy_designs(_quadratic_normal_trial, 10)),
+    "two_param_linear": ModelEntry(
+        build_two_param_linear, _two_param_prior_mean_inb, _toy_designs(_two_param_trial, 30)),
 }
 
-_DEFAULT_TRIAL_SIZE = {
-    "beta_binomial": 10,
-    "exp_gamma": 10,
-    "normal_normal": 9,
-    "quadratic_normal": 10,
-    "two_param_linear": 30,
-}
 
-_ADES_DESIGN_SIZE = {"study1": 60, "study2": 100, "study3": 200, "study4": 200}
+def _entry(name: str) -> ModelEntry:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ConfigError(f"unknown model {name!r}; registered models: {list_models()}") from None
 
 
 def list_models() -> list[str]:
-    return sorted(_MODEL_BUILDERS)
+    return sorted(_REGISTRY)
 
 
 def get_model(name: str, **overrides) -> DecisionModel:
-    try:
-        builder = _MODEL_BUILDERS[name]
-    except KeyError:
-        raise ConfigError(f"unknown model {name!r}; registered models: {list_models()}") from None
-    return builder(**overrides)
+    return _entry(name).build(**overrides)
 
 
 def list_designs(model_name: str) -> list[str]:
-    if model_name == "ades":
-        return ["study1", "study2", "study3", "study4"]
-    return ["trial", "null"]
+    return list(_entry(model_name).designs)
 
 
 def get_design(model: DecisionModel, name: str | None = None, n: int | None = None,
                obs_var: float | None = None) -> StudyDesign:
-    """Build a study design for `model`; `n` overrides the future sample size."""
-    if model.name == "ades":
-        name = name or "study1"
-        if name not in _ADES_DESIGN_SIZE:
-            raise ConfigError(
-                f"unknown ades design {name!r}; available: {list_designs('ades')}"
-            )
-        size = n if n is not None else _ADES_DESIGN_SIZE[name]
-        if name == "study1":
-            return _ades_study1(model, size)
-        if name == "study2":
-            return _ades_study2(model, size, obs_var if obs_var is not None else 2.0)
-        if name == "study3":
-            return _ades_study3(model, size)
-        return _ades_study4(model, size)
+    """Build a study design registered under `model.name`.
 
-    name = name or "trial"
-    size = n if n is not None else _DEFAULT_TRIAL_SIZE.get(model.name, 10)
-    if name == "trial":
-        if model.name == "quadratic_normal" and obs_var is not None:
-            raise ConfigError("override obs_var on the model, not the design")
-        return _toy_trial_design(model, size)
-    if name == "null":
-        return _null_design(model, size)
-    raise ConfigError(
-        f"unknown design {name!r} for model {model.name!r}; "
-        f"available: {list_designs(model.name)}"
-    )
+    `n` overrides the future sample size, and `obs_var` the observation
+    variance of a design that has one.
+    """
+    designs = _entry(model.name).designs
+    name = name or next(iter(designs))
+    if name not in designs:
+        raise ConfigError(
+            f"unknown design {name!r} for model {model.name!r}; available: {list(designs)}"
+        )
+    entry = designs[name]
+    size = entry.size if n is None else n
+    if entry.obs_var is None:
+        if obs_var is not None:
+            raise ConfigError(f"design {name!r} of model {model.name!r} takes no obs_var; "
+                              "override the model's parameters instead")
+        return entry.build(model, size)
+    return entry.build(model, size, entry.obs_var if obs_var is None else obs_var)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -25,14 +26,14 @@ import scipy
 
 from . import __version__
 from .casemodels import ConjugateToy, get_design, get_model, list_models
-from .model import compute_inb, evpi, run_psa, write_psa_csv
+from .model import compute_inb, evpi, run_psa, voi, write_psa_csv
 from .momentmatch import EvsiOptions, estimate_evsi
 from .oracles import enumeration_evsi, closed_form_normal_evsi, nested_mc_evsi
 from .regression import evppi as evppi_of_fit
 from .regression import fit_conditional_mean
-from .experiments import run_experiment
+from .experiments import EXPERIMENTS, run_experiment
 from .rng import SeedSpec
-from .util import ConfigError, EvsiKitError
+from .util import ComputationError, ConfigError, EvsiKitError
 
 _ENV_OUT = "EVSIKIT_OUTPUT_DIR"
 
@@ -76,6 +77,11 @@ class RunConfig:
             raise ConfigError("replicates must be a positive count")
         if self.design_n is not None and self.design_n < 0:
             raise ConfigError("design_n must be >= 0")
+        numbers = {"obs_var": self.obs_var, "budget_seconds": self.budget_seconds,
+                   **(self.model_params or {})}
+        for name, value in numbers.items():
+            if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -100,8 +106,12 @@ def load_config_file(path: str) -> dict:
 
 
 def _write_json(path: str, obj):
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ComputationError("output", f"{os.path.basename(path)}: {exc}") from exc
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=True))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -213,11 +223,12 @@ def cmd_evsi(cfg: RunConfig) -> int:
     model, design = _model_and_design(cfg)
     seed = SeedSpec(cfg.master_seed)
     psa = run_psa(model, cfg.S, seed.derive(0), workers=cfg.workers)
+    inb = compute_inb(model, psa)
     result = estimate_evsi(
         model, design, psa,
         EvsiOptions(Q=cfg.Q, M=cfg.M, burn_in=cfg.burn_in, seed=seed.derive(1)),
+        inb=inb,
     )
-    inb = compute_inb(model, psa)
     payload = result.to_json_dict()
     payload["evpi"] = evpi(inb)
     _write_json(os.path.join(out, "result.json"), payload)
@@ -348,10 +359,8 @@ def cmd_selftest(cfg: RunConfig) -> int:
             evppi_val = evpi_val
             diff_se = 0.0
         else:
-            fitted = inb.inb_phi
-            evppi_val = max(0.0, float(np.mean(np.maximum(fitted, 0.0))
-                                       - max(0.0, np.mean(fitted))))
-            paired = np.maximum(fitted, 0.0) - np.maximum(inb.inb_theta, 0.0)
+            evppi_val = voi(inb.inb_phi).value
+            paired = np.maximum(inb.inb_phi, 0.0) - np.maximum(inb.inb_theta, 0.0)
             diff_se = float(np.std(paired, ddof=1)) / np.sqrt(paired.size)
 
         label = f"{model_name}/{design_name}"
@@ -378,10 +387,11 @@ def cmd_selftest(cfg: RunConfig) -> int:
                      f"sigma2={result.variance_estimate.sigma2:.6g}")
 
     # oracle cross-checks (exit 4 on disagreement)
-    for toy, oracle_fn, model_name in (
-        (ConjugateToy("beta_binomial_uniform", 10), enumeration_evsi, "beta_binomial"),
-        (ConjugateToy("normal_normal", 9), closed_form_normal_evsi, "normal_normal"),
+    for toy, oracle_fn in (
+        (ConjugateToy("beta_binomial_uniform", 10), enumeration_evsi),
+        (ConjugateToy("normal_normal", 9), closed_form_normal_evsi),
     ):
+        model_name = toy.model_name
         model = get_model(model_name, **toy.params)
         design = get_design(model, "trial", n=toy.N)
         case_seed = seed.derive(100 + toy.N)
@@ -547,9 +557,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         if cfg.command == "benchmark" and not cfg.experiment:
             raise ConfigError(
-                "benchmark requires an experiment name; available: "
-                "['ades_crosscheck', 'beta_binomial_bias', 'exp_gamma_bias', "
-                "'table1', 'variance_convergence']"
+                f"benchmark requires an experiment name; available: {sorted(EXPERIMENTS)}"
             )
         if cfg.command in ("psa", "evppi", "evsi", "nested") and not cfg.model:
             raise ConfigError(f"{cfg.command} requires --model; registered: {list_models()}")

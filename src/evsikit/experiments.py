@@ -28,16 +28,6 @@ from .util import ConfigError
 TABLE1_Q_COLUMNS = (1, 2, 3, 5, 8, 10, 20, 30, 40, 50, 75, 100)
 
 
-def _toy_model_design(toy: ConjugateToy):
-    if toy.variant == "beta_binomial_uniform":
-        model = get_model("beta_binomial", **toy.params)
-    elif toy.variant == "exp_gamma":
-        model = get_model("exp_gamma", **toy.params)
-    else:
-        model = get_model("normal_normal", **toy.params)
-    return model, get_design(model, "trial", n=toy.N)
-
-
 def replicate_table1(
     Q_values=TABLE1_Q_COLUMNS,
     replicates: int = 50,
@@ -110,7 +100,7 @@ def bias_sweep(
     summary = []
     for ni, N in enumerate(N_values):
         toy_n = ConjugateToy(toy.variant, N, params=dict(toy.params))
-        model, _ = _toy_model_design(toy_n)
+        model = get_model(toy_n.model_name, **toy_n.params)
         ana = analytic_preposterior(toy_n)
         ests = np.empty(replicates)
         for r in range(replicates):

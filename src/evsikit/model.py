@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -181,15 +181,39 @@ def compute_inb(model: DecisionModel, psa: PsaSamples) -> InbSamples:
     return InbSamples(inb_theta=nb[:, r] - nb[:, s], source_psa=psa, net_benefits=nb)
 
 
+class Voi(NamedTuple):
+    """A value-of-information estimate: `value` is `raw` floored at zero."""
+
+    value: float
+    se: float
+    raw: float
+
+
+def voi(x) -> Voi:
+    """mean(max(0, x)) - max(0, mean(x)) for a sample of (conditional) INB values.
+
+    The EVPI, EVPPI and EVSI are all this functional of a different sample.
+    `value` is floored at zero against roundoff; `se` is the Monte Carlo
+    standard error of the sample average of max(0, x) - max(0, mean(x)),
+    taken with the sign of the mean as known.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise ValueError("value of information requires a nonempty sample")
+    grand = float(np.mean(x))
+    positive = np.maximum(x, 0.0)
+    raw = float(np.mean(positive)) - max(0.0, grand)
+    integrand = positive - x if grand > 0 else positive
+    se = float(np.std(integrand, ddof=1)) / np.sqrt(x.size) if x.size > 1 else float("nan")
+    return Voi(max(0.0, raw), se, raw)
+
+
 def evpi(inb) -> float:
     """Expected value of perfect information for a two-option comparison.
 
     mean(max(0, INB)) - max(0, mean(INB)); zero when the INB sign is certain.
     """
-    x = inb.inb_theta if isinstance(inb, InbSamples) else np.asarray(inb, dtype=float)
-    if x.size == 0:
-        raise ValueError("evpi requires nonempty INB samples")
-    return max(0.0, float(np.mean(np.maximum(x, 0.0)) - max(0.0, np.mean(x))))
+    return voi(inb.inb_theta if isinstance(inb, InbSamples) else inb).value
 
 
 def write_psa_csv(path, psa: PsaSamples, inb: InbSamples | None = None):

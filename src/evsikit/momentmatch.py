@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DecisionModel, InbSamples, PsaSamples, compute_inb
+from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, voi
 from .preposterior import VarianceEstimate, build_plan, expected_posterior_variance
 from .regression import SplineSpec, fit_conditional_mean
 from .rng import SeedSpec
@@ -112,39 +112,28 @@ def compute_constants(sigma2: float, inb: InbSamples) -> tuple[float, float]:
 
 def evsi_from_rescaled(rescaled: np.ndarray) -> float:
     """mean(max(0, .)) - max(0, mean(.)), floored at zero against roundoff."""
-    x = np.asarray(rescaled, dtype=float)
-    if x.size == 0:
-        raise ValueError("rescaled sample is empty")
-    return max(0.0, float(np.mean(np.maximum(x, 0.0)) - max(0.0, np.mean(x))))
+    return voi(rescaled).value
 
 
-def _evsi_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
-                         ve: VarianceEstimate) -> float:
-    """Approximate MC standard error: sampling noise plus sigma2 noise via a."""
-    S = rescaled.size
-    if float(np.mean(rescaled)) > 0:
-        integrand = np.maximum(rescaled, 0.0) - rescaled
+def _sigma2_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
+                           ve: VarianceEstimate) -> float:
+    """The part of the EVSI's MC standard error that sigma2 noise adds via `a`."""
+    if not (a > 0.0 and a != 1.0 and ve.sigma2 > 0):
+        return 0.0
+    theta = inb.inb_theta
+    centered4 = float(np.mean((theta - np.mean(theta)) ** 4))
+    var_prior_hat = max(centered4 - ve.prior_variance**2, 0.0) / theta.size
+    if ve.per_point.size > 1:
+        var_pv_mean = float(np.var(ve.per_point, ddof=1)) / ve.per_point.size
     else:
-        integrand = np.maximum(rescaled, 0.0)
-    se_psa = float(np.std(integrand, ddof=1)) / np.sqrt(S)
-
-    se_a = 0.0
-    if a > 0.0 and a != 1.0 and ve.sigma2 > 0:
-        theta = inb.inb_theta
-        centered4 = float(np.mean((theta - np.mean(theta)) ** 4))
-        var_prior_hat = max(centered4 - ve.prior_variance**2, 0.0) / theta.size
-        if ve.per_point.size > 1:
-            var_pv_mean = float(np.var(ve.per_point, ddof=1)) / ve.per_point.size
-        else:
-            var_pv_mean = 2.0 * float(ve.per_point[0]) ** 2 / max(theta.size - 1, 1)
-        var_sigma2 = var_prior_hat + var_pv_mean
-        phi = inb.inb_phi if inb.inb_phi is not None else inb.inb_theta
-        var_phi = float(np.var(phi, ddof=1))
-        var_a = var_sigma2 / (4.0 * ve.sigma2 * var_phi)
-        centered = phi - np.mean(phi)
-        d_evsi_da = float(np.mean(centered * (rescaled > 0)))
-        se_a = abs(d_evsi_da) * np.sqrt(var_a)
-    return float(np.hypot(se_psa, se_a))
+        var_pv_mean = 2.0 * float(ve.per_point[0]) ** 2 / max(theta.size - 1, 1)
+    var_sigma2 = var_prior_hat + var_pv_mean
+    phi = inb.inb_phi if inb.inb_phi is not None else inb.inb_theta
+    var_phi = float(np.var(phi, ddof=1))
+    var_a = var_sigma2 / (4.0 * ve.sigma2 * var_phi)
+    centered = phi - np.mean(phi)
+    d_evsi_da = float(np.mean(centered * (rescaled > 0)))
+    return abs(d_evsi_da) * np.sqrt(var_a)
 
 
 def estimate_evsi(
@@ -219,9 +208,7 @@ def estimate_evsi(
     var_phi = float(np.var(inb.inb_phi, ddof=1))
     a_clamped = a == 1.0 and ve.sigma2 > var_phi
     rescaled = a * inb.inb_phi + b
-    raw = float(np.mean(np.maximum(rescaled, 0.0)) - max(0.0, np.mean(rescaled)))
-    evsi = max(0.0, raw)
-    se = _evsi_standard_error(a, inb, rescaled, ve)
+    evsi, se_psa, raw = voi(rescaled)
 
     return MomentMatchResult(
         a=a,
@@ -241,7 +228,7 @@ def estimate_evsi(
             "quadrature_spacing": plan.spacing,
         },
         evsi_raw=raw,
-        evsi_se=se,
+        evsi_se=float(np.hypot(se_psa, _sigma2_standard_error(a, inb, rescaled, ve))),
         a_clamped=a_clamped,
         fit_diagnostics=fit_diag,
     )

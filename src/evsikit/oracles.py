@@ -15,10 +15,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .casemodels import ConjugateToy, StudyDesign, _bb_enumeration_evsi
-from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, run_psa
+from .casemodels import ConjugateToy, StudyDesign, analytic_preposterior
+from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, run_psa, voi
 from .regression import SplineSpec, fit_conditional_mean
 from .rng import SeedSpec
 from .util import BudgetExceededError, UnsupportedDimensionError
@@ -38,18 +37,6 @@ class OracleResult:
     def __post_init__(self):
         if self.standard_error < 0:
             raise ValueError("standard_error must be nonnegative")
-
-
-def _evsi_and_se(mu: np.ndarray) -> tuple[float, float]:
-    """EVSI from preposterior means plus an outer-loop standard error."""
-    grand = float(np.mean(mu))
-    if grand > 0:
-        integrand = np.maximum(mu, 0.0) - mu
-    else:
-        integrand = np.maximum(mu, 0.0)
-    evsi_val = max(0.0, float(np.mean(np.maximum(mu, 0.0)) - max(0.0, grand)))
-    se = float(np.std(integrand, ddof=1)) / np.sqrt(mu.size)
-    return evsi_val, se
 
 
 def nested_mc_evsi(
@@ -94,11 +81,10 @@ def nested_mc_evsi(
             if done < n_outer:
                 raise BudgetExceededError(completed=done, total=n_outer)
 
-    mu = np.concatenate(mus)
-    evsi_val, se = _evsi_and_se(mu)
+    value, se, _ = voi(np.concatenate(mus))
     return OracleResult(
         method="nested_mc",
-        evsi=evsi_val,
+        evsi=value,
         standard_error=se,
         n_outer=n_outer,
         n_inner=n_inner,
@@ -115,10 +101,9 @@ def enumeration_evsi(toy: ConjugateToy) -> OracleResult:
     if toy.N > 10**6:
         raise ValueError("enumeration limited to N <= 1e6")
     start = time.perf_counter()
-    value = _bb_enumeration_evsi(toy.params["k"], toy.params["c"], toy.N)
     return OracleResult(
         method="analytic_enumeration",
-        evsi=value,
+        evsi=analytic_preposterior(toy).evsi,
         standard_error=0.0,
         n_outer=toy.N + 1,
         wall_time=time.perf_counter() - start,
@@ -129,14 +114,8 @@ def closed_form_normal_evsi(toy: ConjugateToy) -> OracleResult:
     """Exact EVSI for the Normal-Normal toy via the unit normal loss function."""
     if toy.variant != "normal_normal":
         raise UnsupportedDimensionError("closed form applies to the normal_normal toy")
-    p, N = toy.params, toy.N
-    m = p["k"] * p["theta0"] - p["c"]
-    if N == 0:
-        value = 0.0
-    else:
-        s = np.sqrt(p["k"] ** 2 * p["prior_var"] ** 2 / (p["obs_var"] / N + p["prior_var"]))
-        value = max(0.0, float(s * stats.norm.pdf(m / s) + m * stats.norm.cdf(m / s)) - max(0.0, m))
-    return OracleResult(method="closed_form_normal", evsi=value, standard_error=0.0)
+    return OracleResult(method="closed_form_normal", evsi=analytic_preposterior(toy).evsi,
+                        standard_error=0.0)
 
 
 def regression_on_summaries_evsi(
@@ -162,9 +141,7 @@ def regression_on_summaries_evsi(
 
     work = InbSamples(inb_theta=inb.inb_theta.copy())
     fit = fit_conditional_mean(work, summaries, spec=spline, names=design.summary_names)
-    evsi_val = max(
-        0.0, float(np.mean(np.maximum(fit.fitted, 0.0)) - max(0.0, np.mean(fit.fitted)))
-    )
+    evsi_val = voi(fit.fitted).value
 
     se = 0.0
     if n_bootstrap > 1:
@@ -178,7 +155,7 @@ def regression_on_summaries_evsi(
                 boot, summaries, spec=spline, names=design.summary_names,
                 sample_weight=w, penalty_weight=fit.penalty_weight,
             )
-            reps[b] = np.mean(np.maximum(bfit.fitted, 0.0)) - max(0.0, np.mean(bfit.fitted))
+            reps[b] = voi(bfit.fitted).raw
         se = float(np.std(reps, ddof=1))
 
     return OracleResult(

@@ -131,7 +131,8 @@ class MetropolisUpdate:
     base_scales: tuple[float, ...]
     transform: Callable[[np.ndarray], dict[str, np.ndarray]]
 
-    def draw(self, dataset, M, burn_in=1000, seed=None, *, seeds=None) -> dict[str, np.ndarray]:
+    def draw(self, dataset, M, burn_in=1000, seed=None, *, seeds=None):
+        """(model columns of the retained draws, ensemble info), one chain per dataset row."""
         chains, info = metropolis_ensemble(
             lambda states, idx: self.log_posterior(states, dataset, idx),
             n_chains=len(next(iter(dataset.values()))),
@@ -142,9 +143,7 @@ class MetropolisUpdate:
             seed=seed,
             seeds=seeds,
         )
-        out = self.transform(chains)
-        out["_info"] = info
-        return out
+        return self.transform(chains), info
 
 
 def metropolis_ensemble(

@@ -156,9 +156,8 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
     metropolis = isinstance(recipe, MetropolisUpdate)
     if metropolis:
         stacked = {k: np.concatenate([ds[k] for ds in datasets]) for k in datasets[0]}
-        out = recipe.draw(stacked, retained, burn_in=burn_in,
-                          seeds=[s.derive(0) for s in posterior_seeds])
-        info = out.pop("_info")
+        out, info = recipe.draw(stacked, retained, burn_in=burn_in,
+                                seeds=[s.derive(0) for s in posterior_seeds])
         draws = [{k: v[q] for k, v in out.items()} for q in range(len(datasets))]
         accept = [float(r) for r in info["acceptance_rate"]]
         split = [float(r) for r in info["split_variance_ratio"]]

@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
 
-from .model import InbSamples
+from .model import InbSamples, voi
 from .util import SchemaError, UnsupportedDimensionError
 
 _ROW_CHUNK = 1 << 17
@@ -255,5 +255,4 @@ def fit_conditional_mean(
 
 def evppi(fit: RegressionFit) -> float:
     """Expected value of resolving the focal parameters exactly."""
-    f = fit.fitted
-    return max(0.0, float(np.mean(np.maximum(f, 0.0)) - max(0.0, np.mean(f))))
+    return voi(fit.fitted).value

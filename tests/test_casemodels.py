@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from evsikit.casemodels import (
@@ -16,7 +17,7 @@ from evsikit.casemodels import (
     list_models,
     quadratic_exact_evsi,
 )
-from evsikit.model import compute_inb, run_psa
+from evsikit.model import DecisionModel, compute_inb, run_psa
 from evsikit.rng import SeedSpec
 from evsikit.util import ConfigError
 
@@ -123,6 +124,18 @@ class TestAnalyticPreposterior:
         ]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(variant=st.sampled_from(["beta_binomial_uniform", "exp_gamma", "normal_normal"]),
+           shift=st.floats(-1.0, 1.0))
+    def test_evsi_nondecreasing_in_sample_size_for_every_toy(self, variant, shift):
+        # `shift` moves the cost across the decision threshold of each toy
+        params = {"beta_binomial_uniform": {"c": 10000.0 * (1.0 + shift)},
+                  "exp_gamma": {"c0": 900.0 + 1000.0 * shift},
+                  "normal_normal": {"c": 10000.0 * shift}}[variant]
+        values = [analytic_preposterior(ConjugateToy(variant, n, params=params)).evsi
+                  for n in (*range(0, 41), 100, 1000, 10000)]
+        assert all(b >= a - 1e-9 * (1.0 + a) for a, b in zip(values, values[1:]))
+
     def test_normal_normal_variance_converges_to_prior_inb_variance(self):
         k, prior_var = 10000.0, 1.0
         values = [
@@ -194,6 +207,29 @@ class TestRegistry:
     def test_unknown_design_rejected(self):
         with pytest.raises(ConfigError, match="study"):
             get_design(get_model("ades"), "study9")
+
+    def test_obs_var_only_for_designs_that_observe_one(self):
+        model = get_model("ades")
+        assert get_design(model, "study2").recipe.obs_var == 2.0
+        assert get_design(model, "study2", obs_var=50.0).recipe.obs_var == 50.0
+        for name, design in (("ades", "study1"), ("normal_normal", "trial"),
+                             ("quadratic_normal", "trial"), ("beta_binomial", "null")):
+            with pytest.raises(ConfigError, match="obs_var"):
+                get_design(get_model(name), design, obs_var=50.0)
+
+    def test_designs_follow_the_model_name(self):
+        # a model rebuilt by hand under a registered name gets that name's designs
+        base = get_model("two_param_linear")
+        rebuilt = DecisionModel(name="two_param_linear", priors=base.priors, n_treatments=2,
+                                net_benefit=base.net_benefit, params=base.params)
+        assert list_designs("two_param_linear") == ["trial", "null"]
+        null = get_design(rebuilt, "null")
+        assert null.sample_size == 30
+        # prior-mean INB: k * (E[response_rate] - E[background]) - 2500
+        assert null.batch_inner_means({"x": np.zeros(2)}) == pytest.approx([4500.0, 4500.0])
+        with pytest.raises(ConfigError, match="unknown model"):
+            get_design(DecisionModel(name="nosuch", priors=base.priors, n_treatments=2,
+                                     net_benefit=base.net_benefit), "trial")
 
     def test_sample_size_override(self):
         design = get_design(get_model("ades"), "study1", n=120)

@@ -2,9 +2,12 @@
 
 import json
 
-from evsikit.cli import main
+import pytest
+
+from evsikit.cli import _write_json, main
 from evsikit.oracles import closed_form_normal_evsi
 from evsikit.casemodels import ConjugateToy
+from evsikit.util import ComputationError
 
 
 def _read(path):
@@ -198,3 +201,27 @@ class TestConfigHandling:
         assert main(base + ["--workers", "1", "--out", str(a)]) == 0
         assert main(base + ["--workers", "4", "--out", str(b)]) == 0
         assert _read(a / "psa.csv") == _read(b / "psa.csv")
+
+
+class TestNumericInputs:
+    _EVSI = ["evsi", "--S", "5000", "--Q", "5", "--M", "1000", "--burn-in", "0", "--seed", "3"]
+
+    def test_obs_var_on_a_design_without_one_is_config_error(self, tmp_path, capsys):
+        code = main([*self._EVSI, "--model", "normal_normal", "--obs-var", "50",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "obs_var" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--param", "k=nan"), ("--param", "k=inf"),
+                                      ("--obs-var", "nan")])
+    def test_non_finite_values_rejected_at_parse_time(self, tmp_path, capsys, flag):
+        model = ["--model", "ades", "--design", "study2"] if flag[0] == "--obs-var" \
+            else ["--model", "normal_normal"]
+        code = main([*self._EVSI, *model, *flag, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_json_output_refuses_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ComputationError, match=r"\[output\]"):
+            _write_json(str(tmp_path / "x.json"), {"evsi": float("nan")})

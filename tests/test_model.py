@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evsikit.model import (
     DecisionModel,
@@ -10,6 +11,7 @@ from evsikit.model import (
     compute_inb,
     evpi,
     run_psa,
+    voi,
     write_psa_csv,
 )
 from evsikit.casemodels import get_model
@@ -165,6 +167,44 @@ class TestEvpi:
 
     def test_single_sign_is_zero(self):
         assert evpi(InbSamples.from_values([-3.0, -1.0, -2.0])) == 0.0
+
+
+# exact binary fractions keep subnormal products out of the scaling property
+_draws = st.lists(st.integers(-10**6, 10**6).map(lambda i: i / 64.0), min_size=2, max_size=200)
+
+
+class TestVoiKernel:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_draws, st.booleans())
+    def test_zero_when_every_draw_has_one_sign(self, values, negative):
+        x = -np.abs(values) if negative else np.abs(values)
+        assert voi(x).value == 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_draws)
+    def test_never_negative(self, values):
+        assert voi(values).value >= 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_draws, st.floats(1e-3, 1e3))
+    def test_scales_with_a_positive_factor(self, values, c):
+        # relative to the sample's scale: the value is a difference of two
+        # means and keeps no relative precision when they nearly cancel
+        x = np.asarray(values)
+        assert abs(voi(c * x).value - c * voi(x).value) <= 1e-12 * c * np.max(np.abs(x))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_draws)
+    def test_se_is_the_integrand_standard_error(self, values):
+        x = np.asarray(values)
+        integrand = np.maximum(x, 0.0) - x if float(np.mean(x)) > 0 else np.maximum(x, 0.0)
+        assert voi(x).se == float(np.std(integrand, ddof=1)) / np.sqrt(x.size)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            voi(np.array([]))
+        with pytest.raises(ValueError):
+            evpi(np.array([]))
 
 
 class TestCsvExport:

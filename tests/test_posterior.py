@@ -232,7 +232,6 @@ class TestMetropolisRecipe:
             base_scales=(0.12,),
             transform=lambda chains: {"p": chains[..., 0]},
         )
-        out = recipe.draw({"x": np.array([1.0])}, 3000, burn_in=300, seed=SeedSpec(10))
-        info = out.pop("_info")
+        out, info = recipe.draw({"x": np.array([1.0])}, 3000, burn_in=300, seed=SeedSpec(10))
         assert out["p"].shape == (1, 3000)
         assert "acceptance_rate" in info
