@@ -66,6 +66,13 @@ class RunConfig:
     budget_seconds: float | None = None
 
     def validate(self):
+        counts = ("S", "Q", "M", "n_outer", "n_inner", "oracle_n_outer", "workers",
+                  "burn_in", "master_seed", "replicates", "design_n")
+        for name in counts:
+            value = getattr(self, name)
+            # config files can hold floats, NaN and booleans (bool subclasses int)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("S", "Q", "M", "n_outer", "n_inner", "oracle_n_outer", "workers"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive count")

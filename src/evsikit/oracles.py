@@ -6,7 +6,10 @@
 * Exact enumeration for the flat-prior Binomial toy.
 * Closed-form preposterior law for the Normal-Normal toy.
 * Regression on data summaries: simulate one dataset per PSA draw and smooth
-  the INB against the dataset's low-dimensional summary statistics.
+  the INB against the dataset's low-dimensional summary statistics.  One
+  spline design, built over the distinct summary rows, serves the GCV fit and
+  every bootstrap refit; discrete summaries collapse 1e5 rows to tens or a
+  few thousand design rows, and no refit rebuilds the design.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .casemodels import ConjugateToy, StudyDesign, analytic_preposterior
-from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, run_psa, voi
-from .regression import SplineSpec, fit_conditional_mean
+from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi
+from .regression import SplineDesign, SplineSpec
 from .rng import SeedSpec
 from .util import BudgetExceededError, UnsupportedDimensionError
 
@@ -139,8 +142,9 @@ def regression_on_summaries_evsi(
     datasets = design.simulate_batch(psa.columns, seed.derive(0))
     summaries = np.asarray(design.summarize_batch(datasets), dtype=float)
 
-    work = InbSamples(inb_theta=inb.inb_theta.copy())
-    fit = fit_conditional_mean(work, summaries, spec=spline, names=design.summary_names)
+    spline_design = SplineDesign(summaries, spline, design.summary_names)
+    fit = spline_design.fit(inb.inb_theta)
+    inb.attach_phi(fit.fitted, names=design.summary_names)  # mean and variance checks
     evsi_val = voi(fit.fitted).value
 
     se = 0.0
@@ -150,11 +154,7 @@ def regression_on_summaries_evsi(
         reps = np.empty(n_bootstrap)
         for b in range(n_bootstrap):
             w = gen.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-            boot = InbSamples(inb_theta=inb.inb_theta.copy())
-            bfit = fit_conditional_mean(
-                boot, summaries, spec=spline, names=design.summary_names,
-                sample_weight=w, penalty_weight=fit.penalty_weight,
-            )
+            bfit = spline_design.fit(inb.inb_theta, weights=w, penalty=fit.penalty_weight)
             reps[b] = voi(bfit.fitted).raw
         se = float(np.std(reps, ddof=1))
 

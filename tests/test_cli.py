@@ -189,6 +189,17 @@ class TestConfigHandling:
         assert code == 2
         assert "banana" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [{"S": float("nan")}, {"S": 1.5}, {"S": 1e5},
+                                       {"S": True}, {"burn_in": 0.5},
+                                       {"master_seed": float("nan")}, {"design_n": 2.5}])
+    def test_non_integer_counts_in_config_rejected(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "beta_binomial", **entry}))
+        code = main(["psa", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{next(iter(entry))} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EVSIKIT_OUTPUT_DIR", str(tmp_path / "envout"))
         code = main(["psa", "--model", "beta_binomial", "--S", "10", "--seed", "1"])

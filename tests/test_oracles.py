@@ -1,11 +1,15 @@
 """Nested Monte Carlo, enumeration, and summary-regression oracle tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evsikit.oracles as oracles
 from evsikit.casemodels import ConjugateToy, get_design, get_model
-from evsikit.model import compute_inb, evpi, run_psa
+from evsikit.model import compute_inb, evpi, run_psa, voi
+from evsikit.momentmatch import EvsiOptions, estimate_evsi
 from evsikit.oracles import (
     OracleResult,
     closed_form_normal_evsi,
@@ -14,7 +18,7 @@ from evsikit.oracles import (
     regression_on_summaries_evsi,
 )
 from evsikit.rng import SeedSpec
-from evsikit.util import BudgetExceededError, UnsupportedDimensionError
+from evsikit.util import BudgetExceededError, SchemaError, UnsupportedDimensionError
 
 
 class TestEnumeration:
@@ -128,6 +132,48 @@ class TestRegressionOnSummaries:
         result = regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(11),
                                               n_bootstrap=10)
         assert result.standard_error > 0.0
+
+    def test_non_finite_summaries_rejected(self):
+        model = get_model("beta_binomial")
+        trial = get_design(model, "trial", n=20)
+
+        def summarize_with_nan(datasets):
+            summaries = np.array(trial.summarize_batch(datasets), dtype=float)
+            summaries[::500] = np.nan
+            return summaries
+
+        design = dataclasses.replace(trial, summarize_batch=summarize_with_nan)
+        psa = run_psa(model, 5000, SeedSpec(10))
+        name = trial.summary_names[0]
+        with pytest.raises(SchemaError, match=f"{name} has 10 non-finite values"):
+            regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(11))
+
+
+def _scaled_values(scale):
+    """ROS estimate and SE, and moment-matching EVSI, EVPPI and EVPI, for the
+    beta-binomial model with k and c multiplied by `scale`; draws fixed."""
+    base = get_model("beta_binomial")
+    model = get_model("beta_binomial", **{k: scale * v for k, v in base.params.items()})
+    design = get_design(model, "trial", n=20)
+    psa = run_psa(model, 5000, SeedSpec(12))
+    ros = regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(13), n_bootstrap=5)
+    inb = compute_inb(model, psa)
+    mm = estimate_evsi(model, design, psa, EvsiOptions(Q=5, M=1000, seed=SeedSpec(14)), inb=inb)
+    return np.array([ros.evsi, ros.standard_error, mm.evsi, voi(inb.inb_phi).value, evpi(inb)])
+
+
+@pytest.fixture(scope="module")
+def unit_scale_values():
+    values = _scaled_values(1.0)
+    assert np.all(values > 0)
+    return values
+
+
+class TestMonetaryScale:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(scale=st.floats(1e-3, 1e3))
+    def test_values_scale_with_k_and_c(self, unit_scale_values, scale):
+        np.testing.assert_allclose(_scaled_values(scale), scale * unit_scale_values, rtol=1e-9)
 
 
 class TestOracleResult:

@@ -7,10 +7,23 @@ independent Normal(-0.5, 1) nuisance, E[INB | focal] = 10000 * focal + 2500.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from evsikit import regression
 from evsikit.casemodels import get_model
 from evsikit.model import InbSamples, compute_inb, run_psa
-from evsikit.regression import RegressionFit, evppi, fit_conditional_mean
+from evsikit.regression import (
+    RegressionFit,
+    SplineDesign,
+    SplineSpec,
+    _design_1d,
+    _interior_knots,
+    _knot_vector,
+    _solve_gcv,
+    _tensor_penalty,
+    evppi,
+    fit_conditional_mean,
+)
 from evsikit.rng import SeedSpec
 from evsikit.util import SchemaError, UnsupportedDimensionError
 
@@ -98,6 +111,95 @@ class TestFitInvariants:
         assert np.sqrt(np.mean((fit.fitted - truth) ** 2)) <= 0.05 * np.std(truth)
 
 
+def _row_by_row_fit(phi, y, weights=None, penalty=None, spec=SplineSpec()):
+    """Reference: the fit accumulated over every row, one design row per draw."""
+    n, d = phi.shape
+    vals, idx, sizes = np.ones((n, 1)), np.zeros((n, 1), dtype=int), []
+    for col in phi.T:
+        t = _knot_vector(col, _interior_knots(col, spec.knots_for_dim(d), "x"), spec.degree)
+        v, i, p = _design_1d(col, t, spec.degree)
+        vals = (vals[:, :, None] * v[:, None, :]).reshape(n, -1)
+        idx = (idx[:, :, None] * p + i[:, None, :]).reshape(n, -1)
+        sizes.append(p)
+    p = int(np.prod(sizes))
+    x = sparse.csr_matrix((vals.ravel(), idx.ravel(), np.arange(n + 1) * vals.shape[1]),
+                          shape=(n, p))
+    if weights is None:
+        xtx, xty, yty, n_eff = (x.T @ x).toarray(), x.T @ y, float(np.dot(y, y)), n
+    else:
+        xtx = (x.T @ x.multiply(weights[:, None]).tocsr()).toarray()
+        xty, yty, n_eff = x.T @ (weights * y), float(np.dot(weights * y, y)), float(weights.sum())
+    penalty_matrix = _tensor_penalty(sizes)
+    if penalty is None:
+        beta, penalty, _, _ = _solve_gcv(xtx, xty, yty, n_eff, penalty_matrix, spec.lambda_grid)
+    else:
+        ridge = 1e-10 * np.trace(xtx) / p * np.eye(p)
+        beta = np.linalg.solve(xtx + ridge + penalty * penalty_matrix, xty)
+    return x @ beta, penalty
+
+
+def _phi_and_response(kind, d, n=6000):
+    gen = np.random.default_rng(11 + d)
+    if kind == "discrete":
+        phi = gen.binomial(12, 0.4, (n, d)).astype(float)
+    else:
+        phi = gen.beta(2.0, 3.0, (n, d))
+    y = 300.0 * np.sin(2.0 * phi.sum(axis=1) / phi.max()) + gen.normal(0.0, 50.0, n)
+    return phi, y
+
+
+class TestGroupedDesign:
+    """The design over distinct rows against the row-by-row accumulation.
+
+    The discrete cases have 13 levels per column and no more basis functions
+    than those levels identify (4 knots per dimension in 2-D).  With more
+    knots than levels X'WX is singular but for the 1e-10 ridge, and the two
+    summation orders then move the GCV fit by up to 1e-6 relative.
+    """
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_row_by_row_fit(self, kind, d):
+        phi, y = _phi_and_response(kind, d)
+        spec = SplineSpec(n_knots=4 if d == 2 else None)
+        design = SplineDesign(phi, spec)
+        assert (design._inverse is not None) == (kind == "discrete")
+        fit = design.fit(y)
+        ref_fitted, ref_penalty = _row_by_row_fit(phi, y, spec=spec)
+        weights = np.random.default_rng(5).multinomial(y.size, np.full(y.size, 1.0 / y.size))
+        weights = weights.astype(float)
+        boot = design.fit(y, weights=weights, penalty=fit.penalty_weight)
+        ref_boot, _ = _row_by_row_fit(phi, y, weights, fit.penalty_weight, spec)
+        if kind == "continuous":
+            assert fit.penalty_weight == ref_penalty
+            assert np.array_equal(fit.fitted, ref_fitted)
+            assert np.array_equal(boot.fitted, ref_boot)
+        else:
+            assert fit.penalty_weight == pytest.approx(ref_penalty, rel=1e-8)
+            for got, ref in ((fit.fitted, ref_fitted), (boot.fitted, ref_boot)):
+                assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind, chunk", [("discrete", 5), ("continuous", 1000)])
+    def test_design_longer_than_a_chunk_is_rebuilt_per_pass(self, monkeypatch, kind, chunk):
+        phi, y = _phi_and_response(kind, 1)
+        weights = np.random.default_rng(6).multinomial(y.size, np.full(y.size, 1.0 / y.size))
+        kept = SplineDesign(phi)
+        monkeypatch.setattr(regression, "_ROW_CHUNK", chunk)
+        rebuilt = SplineDesign(phi)
+        assert kept._kept is not None and rebuilt._kept is None
+        for args in ((y,), (y, weights.astype(float), 0.5)):
+            ref, got = kept.fit(*args).fitted, rebuilt.fit(*args).fitted
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_refits_reuse_one_design(self):
+        phi, y = _phi_and_response("discrete", 2)
+        design = SplineDesign(phi)
+        first = design.fit(y)
+        assert np.array_equal(design.fit(y).fitted, first.fitted)
+        assert np.array_equal(fit_conditional_mean(InbSamples.from_values(y), phi).fitted,
+                              first.fitted)
+
+
 class TestEvppi:
     def test_all_negative_fitted(self):
         fit = RegressionFit("polynomial_spline", [], 3, 0.0,
@@ -144,6 +246,21 @@ class TestErrors:
         y = InbSamples.from_values(np.random.default_rng(2).normal(size=60))
         with pytest.raises(SchemaError, match="draws"):
             fit_conditional_mean(y, np.random.default_rng(3).uniform(size=60))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_focal_column_named_with_count(self, bad):
+        phi = np.random.default_rng(3).uniform(size=(1000, 2))
+        phi[[4, 70], 1] = bad
+        y = InbSamples.from_values(np.random.default_rng(1).normal(size=1000))
+        with pytest.raises(SchemaError, match="rate has 2 non-finite"):
+            fit_conditional_mean(y, phi, names=("cost", "rate"))
+
+    def test_non_finite_inb_counted(self):
+        values = np.random.default_rng(1).normal(size=1000)
+        values[9] = np.nan
+        with pytest.raises(SchemaError, match="INB has 1 non-finite"):
+            fit_conditional_mean(InbSamples.from_values(values),
+                                 np.random.default_rng(3).uniform(size=1000))
 
     def test_row_count_mismatch(self):
         y = InbSamples.from_values(np.zeros(100))
