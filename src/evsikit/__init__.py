@@ -7,11 +7,6 @@ from .rng import (  # noqa: F401
     DistSpec,
     Family,
     SeedSpec,
-    SummaryStats,
-    empirical_quantile,
-    quantile,
-    sample,
-    summarize,
 )
 from .model import (  # noqa: F401
     DecisionModel,
@@ -20,12 +15,12 @@ from .model import (  # noqa: F401
     compute_inb,
     evpi,
     run_psa,
+    voi,
     write_psa_csv,
 )
 from .regression import (  # noqa: F401
     RegressionFit,
     SplineSpec,
-    evppi,
     fit_conditional_mean,
 )
 from .preposterior import (  # noqa: F401
@@ -41,7 +36,6 @@ from .momentmatch import (  # noqa: F401
     MomentMatchResult,
     compute_constants,
     estimate_evsi,
-    evsi_from_rescaled,
 )
 from .casemodels import (  # noqa: F401
     ConjugateToy,
@@ -49,7 +43,6 @@ from .casemodels import (  # noqa: F401
     StudyDesign,
     ades_net_benefit,
     analytic_preposterior,
-    generate_future_data,
     get_design,
     get_model,
     list_designs,
@@ -63,8 +56,8 @@ from .oracles import (  # noqa: F401
     regression_on_summaries_evsi,
 )
 from .experiments import (  # noqa: F401
+    EXPERIMENTS,
     bias_sweep,
     replicate_table1,
-    run_experiment,
     variance_convergence,
 )

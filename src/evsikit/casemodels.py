@@ -67,12 +67,6 @@ class StudyDesign:
         return " ".join(f"{n}={v:g}" for n, v in zip(self.summary_names, values))
 
 
-def generate_future_data(design: StudyDesign, phi_row: dict, seed: SeedSpec) -> dict:
-    """One simulated future dataset conditional on a single parameter draw."""
-    point = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in phi_row.items()}
-    return design.simulate_batch(point, seed)
-
-
 def _binomial_counts(n: int, **params) -> dict:
     """StudyDesign data fields for Binomial(n, p) counts, one key per parameter.
 

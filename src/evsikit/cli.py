@@ -29,9 +29,8 @@ from .casemodels import ConjugateToy, get_design, get_model, list_models
 from .model import compute_inb, evpi, run_psa, voi, write_psa_csv
 from .momentmatch import EvsiOptions, estimate_evsi
 from .oracles import enumeration_evsi, closed_form_normal_evsi, nested_mc_evsi
-from .regression import evppi as evppi_of_fit
 from .regression import fit_conditional_mean
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, ROW_FIELDS
 from .rng import SeedSpec
 from .util import ComputationError, ConfigError, EvsiKitError
 
@@ -62,18 +61,17 @@ class RunConfig:
     n_outer: int = 10000
     n_inner: int = 2000
     inner_burn_in: int = 500
-    oracle_n_outer: int = 100000
     budget_seconds: float | None = None
 
     def validate(self):
-        counts = ("S", "Q", "M", "n_outer", "n_inner", "oracle_n_outer", "workers",
-                  "burn_in", "master_seed", "replicates", "design_n")
+        counts = ("S", "Q", "M", "n_outer", "n_inner", "workers", "burn_in", "master_seed",
+                  "replicates", "design_n")
         for name in counts:
             value = getattr(self, name)
             # config files can hold floats, NaN and booleans (bool subclasses int)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("S", "Q", "M", "n_outer", "n_inner", "oracle_n_outer", "workers"):
+        for name in ("S", "Q", "M", "n_outer", "n_inner", "workers"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive count")
         if self.burn_in < 0:
@@ -208,7 +206,7 @@ def cmd_evppi(cfg: RunConfig) -> int:
     else:
         fit = fit_conditional_mean(inb, psa.matrix(design.focal_params),
                                    names=design.focal_params)
-        evppi_val = evppi_of_fit(fit)
+        evppi_val = voi(fit.fitted).value
         diagnostics = fit.diagnostics()
     _write_json(
         os.path.join(out, "evppi.json"),
@@ -283,39 +281,21 @@ def cmd_nested(cfg: RunConfig) -> int:
     return 0
 
 
-_CSV_FIELDS = ["experiment", "parameter", "replicate", "estimate", "oracle", "se"]
-
-
 def cmd_benchmark(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     name = cfg.experiment
-    seed = SeedSpec(cfg.master_seed)
-    kwargs: dict = {"seed": seed}
-    if name in ("table1", "variance_convergence"):
-        kwargs["S"] = cfg.S
-        kwargs["M"] = cfg.M
-        if cfg.Q_values:
-            kwargs["Q_values"] = tuple(cfg.Q_values)
-        if cfg.replicates:
-            kwargs["replicates"] = cfg.replicates
-        if name == "table1":
-            kwargs["oracle_n_outer"] = cfg.oracle_n_outer
-    elif name in ("beta_binomial_bias", "exp_gamma_bias"):
-        kwargs["S"] = cfg.S
-        if cfg.N_values:
-            kwargs["N_values"] = tuple(cfg.N_values)
-        if cfg.replicates:
-            kwargs["replicates"] = cfg.replicates
-    elif name == "ades_crosscheck":
-        kwargs.update(S=cfg.S, Q=cfg.Q, M=cfg.M, burn_in=cfg.burn_in, n_outer=cfg.n_outer)
-        if cfg.studies:
-            kwargs["studies"] = tuple(cfg.studies)
+    experiment = EXPERIMENTS[name]
+    kwargs: dict = {"seed": SeedSpec(cfg.master_seed)}
+    for key in experiment.fields:
+        value = getattr(cfg, key)
+        if value is not None and value != []:
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
 
     start = time.perf_counter()
-    result = run_experiment(name, **kwargs)
+    result = experiment.run(**kwargs)
     wall = time.perf_counter() - start
 
-    _write_csv(os.path.join(out, f"{name}_long.csv"), _CSV_FIELDS, result["rows"])
+    _write_csv(os.path.join(out, f"{name}_long.csv"), ROW_FIELDS, result["rows"])
     _write_json(os.path.join(out, f"{name}_summary.json"), result["summary"])
     _write_json(os.path.join(out, "timings.json"), {"wall_time": wall})
     _write_manifest(out, cfg)
@@ -519,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--N-values", type=_int_list, dest="N_values")
     bench.add_argument("--studies", type=lambda s: s.split(","), dest="studies")
     bench.add_argument("--n-outer", type=int, dest="n_outer")
-    bench.add_argument("--oracle-n-outer", type=int, dest="oracle_n_outer")
 
     self_p = sub.add_parser("selftest", help="fast acceptance subset for CI")
     self_p.add_argument("--seed", type=int, dest="master_seed")
@@ -562,10 +541,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if cfg.command == "benchmark" and not cfg.experiment:
-            raise ConfigError(
-                f"benchmark requires an experiment name; available: {sorted(EXPERIMENTS)}"
-            )
+        if cfg.command == "benchmark" and cfg.experiment not in EXPERIMENTS:
+            raise ConfigError(f"benchmark requires an experiment name, got "
+                              f"{cfg.experiment!r}; available: {sorted(EXPERIMENTS)}")
         if cfg.command in ("psa", "evppi", "evsi", "nested") and not cfg.model:
             raise ConfigError(f"{cfg.command} requires --model; registered: {list_models()}")
         return _COMMANDS[cfg.command](cfg)

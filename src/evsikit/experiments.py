@@ -5,9 +5,14 @@ the decision-tree case study.
 
 Each experiment returns plain row dicts (long format, one row per replicate
 measurement) plus a summary, so the CLI can serialise them unchanged.
+`EXPERIMENTS` lists every experiment with the run-configuration fields it
+takes, so the benchmark command needs no per-experiment code.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,15 +22,49 @@ from .casemodels import (
     build_quadratic_normal,
     get_design,
     get_model,
+    quadratic_exact_evsi,
 )
-from .model import compute_inb, run_psa
-from .momentmatch import EvsiOptions, compute_constants, estimate_evsi, evsi_from_rescaled
+from .model import compute_inb, run_psa, voi
+from .momentmatch import EvsiOptions, compute_constants, estimate_evsi
 from .oracles import nested_mc_evsi, regression_on_summaries_evsi
 from .preposterior import build_plan, expected_posterior_variance
 from .rng import SeedSpec
-from .util import ConfigError
 
 TABLE1_Q_COLUMNS = (1, 2, 3, 5, 8, 10, 20, 30, 40, 50, 75, 100)
+ROW_FIELDS = ("experiment", "parameter", "replicate", "estimate", "oracle", "se")
+
+
+def _row(*values) -> dict:
+    """One long-format measurement, its values in `ROW_FIELDS` order."""
+    return dict(zip(ROW_FIELDS, values))
+
+
+def _mean_sd(values) -> tuple[float, float]:
+    """Mean and replicate standard deviation (0 for a single replicate)."""
+    x = np.asarray(values)
+    return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else 0.0
+
+
+def _rescaled_evsi(sigma2: float, inb) -> float:
+    """EVSI read off the prior INB sample rescaled to preposterior variance sigma2."""
+    a, b = compute_constants(sigma2, inb)
+    return voi(a * inb.inb_theta + b).value
+
+
+def _quadratic_sweep(Q_values, replicates: int, seed: SeedSpec, S: int, M: int):
+    """Yield (replicate, Q, INB sample, variance estimate) on the quadratic-INB model.
+
+    Per replicate one PSA sample is drawn and reused across all Q values.
+    """
+    model = build_quadratic_normal()
+    design = get_design(model, "trial")
+    for r in range(replicates):
+        rep_seed = seed.derive(r)
+        psa = run_psa(model, S, rep_seed.derive(0))
+        inb = compute_inb(model, psa)
+        for qi, Q in enumerate(Q_values):
+            plan = build_plan(psa, design.focal_params, Q, rep_seed.derive(1 + qi))
+            yield r, Q, inb, expected_posterior_variance(plan, design, model, M, 0, inb=inb)
 
 
 def replicate_table1(
@@ -34,53 +73,21 @@ def replicate_table1(
     seed: SeedSpec = SeedSpec(0),
     S: int = 10000,
     M: int = 1000,
-    oracle_n_outer: int = 100000,
 ) -> dict:
     """Quadrature-count bias table on the quadratic-INB model.
 
-    Per replicate one PSA sample is drawn and reused across all Q values;
-    the reference EVSI is re-derived by a nested run with exact inner means.
+    Bias is measured against the model's exact EVSI.
     """
     model = build_quadratic_normal()
-    design = get_design(model, "trial")
-    oracle = nested_mc_evsi(model, design, oracle_n_outer, n_inner=1000,
-                            seed=seed.derive(900))
-
-    rows = []
-    for r in range(replicates):
-        rep_seed = seed.derive(r)
-        psa = run_psa(model, S, rep_seed.derive(0))
-        inb = compute_inb(model, psa)
-        for qi, Q in enumerate(Q_values):
-            plan = build_plan(psa, design.focal_params, Q, rep_seed.derive(1 + qi))
-            ve = expected_posterior_variance(plan, design, model, M, 0, inb=inb)
-            inb.inb_phi = inb.inb_theta
-            a, b = compute_constants(ve.sigma2, inb)
-            est = evsi_from_rescaled(a * inb.inb_theta + b)
-            rows.append(
-                {
-                    "experiment": "table1",
-                    "parameter": Q,
-                    "replicate": r,
-                    "estimate": est,
-                    "oracle": oracle.evsi,
-                    "se": 0.0,
-                }
-            )
-
+    exact = quadratic_exact_evsi(model, get_design(model, "trial").sample_size)
+    rows = [_row("table1", Q, r, _rescaled_evsi(ve.sigma2, inb), exact, 0.0)
+            for r, Q, inb, ve in _quadratic_sweep(Q_values, replicates, seed, S, M)]
     summary = []
     for Q in Q_values:
-        ests = np.array([row["estimate"] for row in rows if row["parameter"] == Q])
-        summary.append(
-            {
-                "Q": Q,
-                "mean_estimate": float(ests.mean()),
-                "sd_estimate": float(ests.std(ddof=1)) if ests.size > 1 else 0.0,
-                "oracle": oracle.evsi,
-                "bias": float(ests.mean() / oracle.evsi - 1.0),
-            }
-        )
-    return {"rows": rows, "summary": summary, "oracle": oracle}
+        mean, sd = _mean_sd([row["estimate"] for row in rows if row["parameter"] == Q])
+        summary.append({"Q": Q, "mean_estimate": mean, "sd_estimate": sd,
+                        "oracle": exact, "bias": mean / exact - 1.0})
+    return {"rows": rows, "summary": summary}
 
 
 def bias_sweep(
@@ -102,33 +109,15 @@ def bias_sweep(
         toy_n = ConjugateToy(toy.variant, N, params=dict(toy.params))
         model = get_model(toy_n.model_name, **toy_n.params)
         ana = analytic_preposterior(toy_n)
-        ests = np.empty(replicates)
+        ests = []
         for r in range(replicates):
-            psa = run_psa(model, S, seed.derive(ni).derive(r))
-            inb = compute_inb(model, psa)
-            inb.inb_phi = inb.inb_theta
-            a, b = compute_constants(ana.variance, inb)
-            ests[r] = evsi_from_rescaled(a * inb.inb_theta + b)
-            rows.append(
-                {
-                    "experiment": f"{toy.variant}_bias",
-                    "parameter": N,
-                    "replicate": r,
-                    "estimate": float(ests[r]),
-                    "oracle": ana.evsi,
-                    "se": 0.0,
-                }
-            )
-        summary.append(
-            {
-                "N": N,
-                "mean_estimate": float(ests.mean()),
-                "sd_estimate": float(ests.std(ddof=1)),
-                "oracle": ana.evsi,
-                "bias": float(ests.mean() - ana.evsi),
-                "relative_bias": float(ests.mean() / ana.evsi - 1.0) if ana.evsi else 0.0,
-            }
-        )
+            inb = compute_inb(model, run_psa(model, S, seed.derive(ni).derive(r)))
+            ests.append(_rescaled_evsi(ana.variance, inb))
+            rows.append(_row(f"{toy.variant}_bias", N, r, ests[-1], ana.evsi, 0.0))
+        mean, sd = _mean_sd(ests)
+        summary.append({"N": N, "mean_estimate": mean, "sd_estimate": sd, "oracle": ana.evsi,
+                        "bias": mean - ana.evsi,
+                        "relative_bias": mean / ana.evsi - 1.0 if ana.evsi else 0.0})
     return {"rows": rows, "summary": summary}
 
 
@@ -140,36 +129,12 @@ def variance_convergence(
     M: int = 1000,
 ) -> dict:
     """Mean and spread of the preposterior-variance estimate per Q."""
-    model = build_quadratic_normal()
-    design = get_design(model, "trial")
-    rows = []
-    for r in range(replicates):
-        rep_seed = seed.derive(r)
-        psa = run_psa(model, S, rep_seed.derive(0))
-        inb = compute_inb(model, psa)
-        for qi, Q in enumerate(Q_values):
-            plan = build_plan(psa, design.focal_params, Q, rep_seed.derive(1 + qi))
-            ve = expected_posterior_variance(plan, design, model, M, 0, inb=inb)
-            rows.append(
-                {
-                    "experiment": "variance_convergence",
-                    "parameter": Q,
-                    "replicate": r,
-                    "estimate": ve.sigma2,
-                    "oracle": float("nan"),
-                    "se": 0.0,
-                }
-            )
+    rows = [_row("variance_convergence", Q, r, ve.sigma2, float("nan"), 0.0)
+            for r, Q, _, ve in _quadratic_sweep(Q_values, replicates, seed, S, M)]
     summary = []
     for Q in Q_values:
-        vals = np.array([row["estimate"] for row in rows if row["parameter"] == Q])
-        summary.append(
-            {
-                "Q": Q,
-                "mean_sigma2": float(vals.mean()),
-                "sd_sigma2": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-            }
-        )
+        mean, sd = _mean_sd([row["estimate"] for row in rows if row["parameter"] == Q])
+        summary.append({"Q": Q, "mean_sigma2": mean, "sd_sigma2": sd})
     return {"rows": rows, "summary": summary}
 
 
@@ -203,16 +168,7 @@ def ades_crosscheck(
             ("regression_on_summaries", ros.evsi, ros.standard_error),
             ("nested_mc", nested.evsi, nested.standard_error),
         ):
-            rows.append(
-                {
-                    "experiment": "ades_crosscheck",
-                    "parameter": f"{study}:{method}",
-                    "replicate": 0,
-                    "estimate": est,
-                    "oracle": nested.evsi,
-                    "se": se,
-                }
-            )
+            rows.append(_row("ades_crosscheck", f"{study}:{method}", 0, est, nested.evsi, se))
         summary.append(
             {
                 "study": study,
@@ -227,28 +183,29 @@ def ades_crosscheck(
     return {"rows": rows, "summary": summary}
 
 
+class Experiment(NamedTuple):
+    """A scripted experiment and the `RunConfig` fields it takes as keywords.
+
+    Every experiment also takes `seed`; the benchmark command passes the
+    listed fields that are set and turns list values into tuples.
+    """
+
+    run: Callable[..., dict]
+    fields: tuple[str, ...]
+
+
+_SWEEP_FIELDS = ("S", "M", "Q_values", "replicates")
+_BIAS_FIELDS = ("S", "N_values", "replicates")
+
 EXPERIMENTS = {
-    "table1": replicate_table1,
-    "beta_binomial_bias": lambda **kw: bias_sweep(
-        ConjugateToy("beta_binomial_uniform", kw.pop("N", 1)),
-        kw.pop("N_values", (1, 5, 10, 25)),
-        **kw,
-    ),
-    "exp_gamma_bias": lambda **kw: bias_sweep(
-        ConjugateToy("exp_gamma", kw.pop("N", 5)),
-        kw.pop("N_values", (5, 10, 20, 50)),
-        **kw,
-    ),
-    "variance_convergence": variance_convergence,
-    "ades_crosscheck": ades_crosscheck,
+    "table1": Experiment(replicate_table1, _SWEEP_FIELDS),
+    "beta_binomial_bias": Experiment(
+        partial(bias_sweep, ConjugateToy("beta_binomial_uniform", 1), N_values=(1, 5, 10, 25)),
+        _BIAS_FIELDS),
+    "exp_gamma_bias": Experiment(
+        partial(bias_sweep, ConjugateToy("exp_gamma", 5), N_values=(5, 10, 20, 50)),
+        _BIAS_FIELDS),
+    "variance_convergence": Experiment(variance_convergence, _SWEEP_FIELDS),
+    "ades_crosscheck": Experiment(
+        ades_crosscheck, ("S", "Q", "M", "burn_in", "n_outer", "studies")),
 }
-
-
-def run_experiment(name: str, **kwargs) -> dict:
-    try:
-        fn = EXPERIMENTS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    return fn(**kwargs)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .rng import DistSpec, SeedSpec
-from .util import SchemaError
+from .util import ComputationError, SchemaError
 
 _CHUNK = 1 << 16
 
@@ -195,11 +195,15 @@ def voi(x) -> Voi:
     The EVPI, EVPPI and EVSI are all this functional of a different sample.
     `value` is floored at zero against roundoff; `se` is the Monte Carlo
     standard error of the sample average of max(0, x) - max(0, mean(x)),
-    taken with the sign of the mean as known.
+    taken with the sign of the mean as known.  A non-finite value raises, since
+    max(0, nan) is 0 and would pass for a plausible number.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("value of information requires a nonempty sample")
+    n_bad = int(np.count_nonzero(~np.isfinite(x)))
+    if n_bad:
+        raise ComputationError("voi", f"{n_bad} non-finite value(s) in the INB sample")
     grand = float(np.mean(x))
     positive = np.maximum(x, 0.0)
     raw = float(np.mean(positive)) - max(0.0, grand)

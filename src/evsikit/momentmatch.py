@@ -76,8 +76,12 @@ class MomentMatchResult:
 _NOISE_SLACK = 0.05
 
 
-def compute_constants(sigma2: float, inb: InbSamples) -> tuple[float, float]:
+def compute_constants(sigma2: float, inb: InbSamples,
+                      var_phi: float | None = None) -> tuple[float, float]:
     """Rescaling constants (a, b) matching the preposterior moments.
+
+    `var_phi` is the conditional-INB variance, computed from `inb` unless the
+    caller already holds it.
 
     When sigma2 exceeds the conditional-INB variance by no more than a Monte
     Carlo slack, the excess is attributed to noise and `a` clamps to 1 with a
@@ -87,8 +91,9 @@ def compute_constants(sigma2: float, inb: InbSamples) -> tuple[float, float]:
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    phi = inb.inb_phi if inb.inb_phi is not None else inb.inb_theta
-    var_phi = float(np.var(phi, ddof=1))
+    if var_phi is None:
+        phi = inb.inb_phi if inb.inb_phi is not None else inb.inb_theta
+        var_phi = float(np.var(phi, ddof=1))
     if var_phi == 0.0:
         raise DegenerateModelError("conditional INB variance is zero; nothing to rescale")
     a = float(np.sqrt(sigma2 / var_phi))
@@ -110,13 +115,8 @@ def compute_constants(sigma2: float, inb: InbSamples) -> tuple[float, float]:
     return a, b
 
 
-def evsi_from_rescaled(rescaled: np.ndarray) -> float:
-    """mean(max(0, .)) - max(0, mean(.)), floored at zero against roundoff."""
-    return voi(rescaled).value
-
-
 def _sigma2_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
-                           ve: VarianceEstimate) -> float:
+                           ve: VarianceEstimate, var_phi: float) -> float:
     """The part of the EVSI's MC standard error that sigma2 noise adds via `a`."""
     if not (a > 0.0 and a != 1.0 and ve.sigma2 > 0):
         return 0.0
@@ -128,10 +128,8 @@ def _sigma2_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
     else:
         var_pv_mean = 2.0 * float(ve.per_point[0]) ** 2 / max(theta.size - 1, 1)
     var_sigma2 = var_prior_hat + var_pv_mean
-    phi = inb.inb_phi if inb.inb_phi is not None else inb.inb_theta
-    var_phi = float(np.var(phi, ddof=1))
     var_a = var_sigma2 / (4.0 * ve.sigma2 * var_phi)
-    centered = phi - np.mean(phi)
+    centered = inb.inb_phi - np.mean(inb.inb_phi)
     d_evsi_da = float(np.mean(centered * (rescaled > 0)))
     return abs(d_evsi_da) * np.sqrt(var_a)
 
@@ -190,14 +188,15 @@ def estimate_evsi(
     except Exception as exc:
         raise ComputationError("posterior_variance", str(exc)) from exc
 
+    var_phi = float(np.var(inb.inb_phi, ddof=1))
     try:
-        a, b = compute_constants(ve.sigma2, inb)
+        a, b = compute_constants(ve.sigma2, inb, var_phi)
     except DegenerateModelError:
         raise
     except Exception as exc:
         raise ComputationError("constants", str(exc)) from exc
 
-    if a > 1.0 and getattr(design, "focal_sufficient", True):
+    if a > 1.0 and design.focal_sufficient:
         raise ComputationError(
             "constants",
             f"sigma2 {ve.sigma2:.6g} exceeds the conditional INB variance beyond "
@@ -205,7 +204,6 @@ def estimate_evsi(
             "increase S, Q or M to resolve the variance difference",
         )
 
-    var_phi = float(np.var(inb.inb_phi, ddof=1))
     a_clamped = a == 1.0 and ve.sigma2 > var_phi
     rescaled = a * inb.inb_phi + b
     evsi, se_psa, raw = voi(rescaled)
@@ -228,7 +226,7 @@ def estimate_evsi(
             "quadrature_spacing": plan.spacing,
         },
         evsi_raw=raw,
-        evsi_se=float(np.hypot(se_psa, _sigma2_standard_error(a, inb, rescaled, ve))),
+        evsi_se=float(np.hypot(se_psa, _sigma2_standard_error(a, inb, rescaled, ve, var_phi))),
         a_clamped=a_clamped,
         fit_diagnostics=fit_diag,
     )

@@ -1,4 +1,4 @@
-"""Nonparametric estimation of E[INB | focal parameters] and the EVPPI.
+"""Nonparametric estimation of E[INB | focal parameters].
 
 The conditional mean is fitted with penalized cubic regression splines:
 B-spline bases with interior knots at empirical quantiles, a second-order
@@ -31,7 +31,7 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
 
-from .model import InbSamples, voi
+from .model import InbSamples
 from .util import SchemaError, UnsupportedDimensionError
 
 _ROW_CHUNK = 1 << 17
@@ -335,8 +335,3 @@ def fit_conditional_mean(
     fit = design.fit(y)
     inb.attach_phi(fit.fitted, names=design.names)
     return fit
-
-
-def evppi(fit: RegressionFit) -> float:
-    """Expected value of resolving the focal parameters exactly."""
-    return voi(fit.fitted).value

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 from scipy import special, stats
 
-from .util import gauss_hermite_expectation, round_half_up
+from .util import gauss_hermite_expectation
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -201,43 +201,3 @@ class DistSpec:
 
     def as_dict(self) -> dict:
         return {"family": self.family.value, "params": list(self.params)}
-
-
-def sample(dist: DistSpec, n: int, seed: SeedSpec) -> np.ndarray:
-    """n independent draws from `dist`, reproducible per `seed`."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return dist.sample_with(seed.generator(), n)
-
-
-def quantile(dist: DistSpec, p: float) -> float:
-    """Inverse CDF; for discrete families the smallest x with CDF(x) >= p."""
-    return dist.quantile(p)
-
-
-def empirical_quantile(sorted_values: np.ndarray, p: float) -> float:
-    """Nearest-rank statistic at rank round(S*p), clamped to [1, S].
-
-    The input must already be sorted ascending; the value returned is an
-    actual element of the sample, matching how quadrature points are chosen
-    from existing simulation draws.
-    """
-    values = np.asarray(sorted_values)
-    if values.size == 0:
-        raise ValueError("empirical_quantile requires a nonempty vector")
-    rank = min(max(round_half_up(values.size * p), 1), values.size)
-    return float(values[rank - 1])
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    mean: float
-    variance: float
-
-
-def summarize(values) -> SummaryStats:
-    """Arithmetic mean and unbiased (n-1) sample variance."""
-    x = np.asarray(values, dtype=float)
-    if x.size < 2:
-        raise ValueError("variance unavailable for fewer than 2 values")
-    return SummaryStats(float(np.mean(x)), float(np.var(x, ddof=1)))

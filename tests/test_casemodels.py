@@ -10,7 +10,6 @@ from evsikit.casemodels import (
     ades_net_benefit,
     analytic_preposterior,
     build_quadratic_normal,
-    generate_future_data,
     get_design,
     get_model,
     list_designs,
@@ -49,12 +48,12 @@ class TestAdesNetBenefit:
 class TestFutureData:
     def test_no_side_effects_gives_zero_count(self):
         design = get_design(get_model("ades"), "study1")
-        ds = generate_future_data(design, {"Pse": 0.0}, SeedSpec(1))
+        ds = design.simulate_batch({"Pse": np.array([0.0])}, SeedSpec(1))
         assert ds["x"][0] == 0.0
 
     def test_certain_events_fill_both_arms(self):
         design = get_design(get_model("ades"), "study3")
-        ds = generate_future_data(design, {"Pc": 1.0, "Pt": 1.0}, SeedSpec(2))
+        ds = design.simulate_batch({"Pc": np.array([1.0]), "Pt": np.array([1.0])}, SeedSpec(2))
         assert ds["dc"][0] == 200.0 and ds["dt"][0] == 200.0
 
     def test_control_arm_count_mean(self):
@@ -66,7 +65,7 @@ class TestFutureData:
 
     def test_study2_response_shape(self):
         design = get_design(get_model("ades"), "study2")
-        ds = generate_future_data(design, {"logit_qe": 0.6}, SeedSpec(4))
+        ds = design.simulate_batch({"logit_qe": np.array([0.6])}, SeedSpec(4))
         assert ds["responses"].shape == (1, 100)
 
 

@@ -1,10 +1,15 @@
 """Command-line interface: file outputs, determinism, exit codes."""
 
+import dataclasses
+import inspect
 import json
 
+import numpy as np
 import pytest
 
-from evsikit.cli import _write_json, main
+import evsikit.cli as cli
+from evsikit.cli import RunConfig, _write_json, main
+from evsikit.experiments import EXPERIMENTS
 from evsikit.oracles import closed_form_normal_evsi
 from evsikit.casemodels import ConjugateToy
 from evsikit.util import ComputationError
@@ -106,6 +111,22 @@ class TestNestedCommand:
         assert payload["standard_error"] > 0.0
         assert (out / "timings.json").exists()
 
+    def test_nan_inner_mean_is_computation_error(self, tmp_path, capsys, monkeypatch):
+        real_get_design = cli.get_design
+
+        def nan_inner_means(*args, **kwargs):
+            design = real_get_design(*args, **kwargs)
+            return dataclasses.replace(
+                design, batch_inner_means=lambda ds, *a, **kw: np.full(len(ds["x"]), np.nan))
+
+        monkeypatch.setattr(cli, "get_design", nan_inner_means)
+        out = tmp_path / "x"
+        code = main(["nested", "--model", "beta_binomial", "--n-outer", "500",
+                     "--seed", "5", "--out", str(out)])
+        assert code == 3
+        assert "[voi] 500 non-finite" in capsys.readouterr().err
+        assert not (out / "nested.json").exists()
+
     def test_exhausted_budget_is_computation_error(self, tmp_path, capsys):
         code = main(["nested", "--model", "beta_binomial", "--N", "10",
                      "--n-outer", "200000", "--budget-seconds", "0",
@@ -151,11 +172,53 @@ class TestBenchmarkCommand:
         out = tmp_path / "run"
         code = main(["benchmark", "table1", "--replicates", "2",
                      "--Q-values", "1,3", "--S", "2000", "--M", "1000",
-                     "--oracle-n-outer", "2000", "--seed", "7", "--out", str(out)])
+                     "--seed", "7", "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "table1_summary.json").read_text())
         assert [row["Q"] for row in summary] == [1, 3]
         assert all("bias" in row for row in summary)
+
+    @pytest.mark.parametrize("name", ["beta_binomial_bias", "exp_gamma_bias"])
+    def test_bias_sweep_row_counts(self, tmp_path, name):
+        out = tmp_path / "run"
+        code = main(["benchmark", name, "--N-values", "5,10", "--replicates", "3",
+                     "--S", "500", "--seed", "4", "--out", str(out)])
+        assert code == 0
+        lines = (out / f"{name}_long.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 3
+        summary = json.loads((out / f"{name}_summary.json").read_text())
+        assert [row["N"] for row in summary] == [5, 10]
+
+    def test_single_replicate_has_zero_spread(self, tmp_path):
+        # a one-replicate standard deviation used to be NaN, refused by the JSON writer
+        out = tmp_path / "run"
+        code = main(["benchmark", "exp_gamma_bias", "--N-values", "5", "--replicates", "1",
+                     "--S", "500", "--seed", "4", "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "exp_gamma_bias_summary.json").read_text())
+        assert summary[0]["sd_estimate"] == 0.0
+
+    def test_manifest_with_a_dropped_key_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "benchmark",
+            "config": {"experiment": "table1", "oracle_n_outer": 100000},
+        }))
+        code = main(["benchmark", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "oracle_n_outer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_fields_are_config_fields_and_parameters(name):
+    experiment = EXPERIMENTS[name]
+    config_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    parameters = inspect.signature(experiment.run).parameters
+    assert "seed" in parameters
+    for key in experiment.fields:
+        assert key in config_fields
+        assert key in parameters
 
 
 class TestSelftest:

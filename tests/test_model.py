@@ -16,7 +16,7 @@ from evsikit.model import (
 )
 from evsikit.casemodels import get_model
 from evsikit.rng import DistSpec, SeedSpec
-from evsikit.util import SchemaError
+from evsikit.util import ComputationError, SchemaError
 
 
 def _uniform_threshold_model(k=20000.0, c=10000.0):
@@ -205,6 +205,12 @@ class TestVoiKernel:
             voi(np.array([]))
         with pytest.raises(ValueError):
             evpi(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, bad):
+        # max(0, nan) is 0, so a NaN used to read as a value of 0.0
+        with pytest.raises(ComputationError, match=r"\[voi\] 1 non-finite"):
+            voi([1.0, -2.0, bad])
 
 
 class TestCsvExport:

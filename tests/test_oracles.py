@@ -18,7 +18,12 @@ from evsikit.oracles import (
     regression_on_summaries_evsi,
 )
 from evsikit.rng import SeedSpec
-from evsikit.util import BudgetExceededError, SchemaError, UnsupportedDimensionError
+from evsikit.util import (
+    BudgetExceededError,
+    ComputationError,
+    SchemaError,
+    UnsupportedDimensionError,
+)
 
 
 class TestEnumeration:
@@ -78,6 +83,21 @@ class TestNestedMc:
             ratios.append(large.standard_error / small.standard_error)
         # quadrupling the outer draws halves the standard error
         assert abs(np.mean(ratios) - 0.5) <= 0.1
+
+    def test_nan_inner_mean_raises(self):
+        # max(0, nan) is 0, so one NaN inner mean used to read as EVSI 0.0
+        model = get_model("beta_binomial")
+        design = get_design(model, "trial", n=10)
+        exact_means = design.batch_inner_means
+
+        def one_nan(datasets, *args, **kwargs):
+            means = np.array(exact_means(datasets, *args, **kwargs), dtype=float)
+            means[0] = np.nan
+            return means
+
+        broken = dataclasses.replace(design, batch_inner_means=one_nan)
+        with pytest.raises(ComputationError, match=r"\[voi\] 1 non-finite"):
+            nested_mc_evsi(model, broken, 1000, seed=SeedSpec(3))
 
     def test_empirical_spread_halves_when_outer_quadruples(self):
         model = get_model("beta_binomial")

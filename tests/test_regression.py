@@ -11,7 +11,7 @@ from scipy import sparse
 
 from evsikit import regression
 from evsikit.casemodels import get_model
-from evsikit.model import InbSamples, compute_inb, run_psa
+from evsikit.model import InbSamples, compute_inb, run_psa, voi
 from evsikit.regression import (
     RegressionFit,
     SplineDesign,
@@ -21,7 +21,6 @@ from evsikit.regression import (
     _knot_vector,
     _solve_gcv,
     _tensor_penalty,
-    evppi,
     fit_conditional_mean,
 )
 from evsikit.rng import SeedSpec
@@ -204,12 +203,12 @@ class TestEvppi:
     def test_all_negative_fitted(self):
         fit = RegressionFit("polynomial_spline", [], 3, 0.0,
                             np.array([-3.0, -3.0]), 1.0)
-        assert evppi(fit) == 0.0
+        assert voi(fit.fitted).value == 0.0
 
     def test_symmetric_two_point(self):
         fit = RegressionFit("polynomial_spline", [], 3, 0.0,
                             np.array([-2.0, 2.0]), 1.0)
-        assert evppi(fit) == pytest.approx(1.0)
+        assert voi(fit.fitted).value == pytest.approx(1.0)
 
     def test_two_param_against_nested_oracle(self, two_param):
         # outer loop over focal draws with the closed-form inner mean;
@@ -221,14 +220,14 @@ class TestEvppi:
         oracle = np.mean(np.maximum(inner, 0)) - max(0.0, np.mean(inner))
         assert oracle == pytest.approx(0.0, abs=1e-9)
         se = np.std(inner) / 100
-        assert abs(evppi(fit) - oracle) <= 3 * se
+        assert abs(voi(fit.fitted).value - oracle) <= 3 * se
 
     def test_evppi_not_above_evpi(self, two_param):
         _, _, inb, fit = two_param
         evpi_val = np.mean(np.maximum(inb.inb_theta, 0)) - max(0, np.mean(inb.inb_theta))
         paired = np.maximum(fit.fitted, 0) - np.maximum(inb.inb_theta, 0)
         tol = 3 * np.std(paired, ddof=1) / np.sqrt(paired.size)
-        assert evppi(fit) <= evpi_val + tol
+        assert voi(fit.fitted).value <= evpi_val + tol
 
 
 class TestErrors:

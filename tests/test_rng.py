@@ -5,33 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from evsikit.rng import (
-    DistSpec,
-    SeedSpec,
-    empirical_quantile,
-    quantile,
-    sample,
-    summarize,
-)
+from evsikit.rng import DistSpec, SeedSpec
 
 
 class TestSampling:
     def test_degenerate_binomial_all_successes(self):
-        draws = sample(DistSpec("binomial", 1, 1.0), 5, SeedSpec(1))
+        draws = DistSpec("binomial", 1, 1.0).sample_with(SeedSpec(1).generator(), 5)
         assert draws.tolist() == [1, 1, 1, 1, 1]
 
     def test_uniform_mean_clt_bound(self):
-        draws = sample(DistSpec("uniform", 0, 1), 10**6, SeedSpec(2))
+        draws = DistSpec("uniform", 0, 1).sample_with(SeedSpec(2).generator(), 10**6)
         assert abs(draws.mean() - 0.5) < 0.002
 
     def test_beta_mean_clt_bound(self):
         # Beta(15, 85) has mean 15/100 = 0.15
-        draws = sample(DistSpec("beta", 15, 85), 10**6, SeedSpec(3))
+        draws = DistSpec("beta", 15, 85).sample_with(SeedSpec(3).generator(), 10**6)
         assert abs(draws.mean() - 0.15) < 0.0011
-
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample(DistSpec("uniform", 0, 1), 0, SeedSpec(1))
 
     @pytest.mark.parametrize(
         "family,params",
@@ -54,14 +43,14 @@ class TestSampling:
 
 class TestQuantile:
     def test_uniform_quartile(self):
-        assert quantile(DistSpec("uniform", 0, 1), 0.25) == pytest.approx(0.25)
+        assert DistSpec("uniform", 0, 1).quantile(0.25) == pytest.approx(0.25)
 
     def test_standard_normal_median_is_zero(self):
-        assert quantile(DistSpec("normal", 0, 1), 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert DistSpec("normal", 0, 1).quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_quantile_against_density_integration(self):
         # independent oracle: integrate the hand-written Gamma(5, 1) density
-        v = quantile(DistSpec("gamma", 5, 1), 0.9)
+        v = DistSpec("gamma", 5, 1).quantile(0.9)
 
         def pdf(x):
             return x**4 * np.exp(-x) / 24.0
@@ -71,57 +60,21 @@ class TestQuantile:
 
     def test_discrete_quantile_smallest_x(self):
         dist = DistSpec("binomial", 10, 0.5)
-        v = quantile(dist, 0.5)
+        v = dist.quantile(0.5)
         assert dist.cdf(v) >= 0.5
         assert dist.cdf(v - 1) < 0.5
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.7])
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):
-            quantile(DistSpec("normal", 0, 1), p)
-
-
-class TestEmpiricalQuantile:
-    def test_four_point_median(self):
-        assert empirical_quantile(np.array([1.0, 2.0, 3.0, 4.0]), 0.5) == 2.0
-
-    def test_rank_indexing_matches_sorted_position(self):
-        # S = 1000, p = q/(Q+1) with Q = 3, q = 2 lands on the 500th value
-        values = np.arange(1.0, 1001.0)
-        assert empirical_quantile(values, 2 / 4) == 500.0
-
-    def test_singleton(self):
-        assert empirical_quantile(np.array([7.0]), 0.123) == 7.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            empirical_quantile(np.array([]), 0.5)
-
-
-class TestSummarize:
-    def test_constant(self):
-        s = summarize([3, 3, 3])
-        assert s.mean == 3.0 and s.variance == 0.0
-
-    def test_two_points(self):
-        s = summarize([0, 2])
-        assert s.mean == 1.0 and s.variance == 2.0
-
-    def test_hand_computed(self):
-        s = summarize([1, 2, 3, 4])
-        assert s.mean == pytest.approx(2.5)
-        assert s.variance == pytest.approx(5.0 / 3.0)
-
-    def test_single_value_raises(self):
-        with pytest.raises(ValueError):
-            summarize([4.0])
+            DistSpec("normal", 0, 1).quantile(p)
 
 
 class TestReproducibility:
     def test_same_seed_bit_identical(self):
         spec = SeedSpec(master_seed=99, stream_id=5)
-        a = sample(DistSpec("gamma", 2, 3), 1000, spec)
-        b = sample(DistSpec("gamma", 2, 3), 1000, spec)
+        a = DistSpec("gamma", 2, 3).sample_with(spec.generator(), 1000)
+        b = DistSpec("gamma", 2, 3).sample_with(spec.generator(), 1000)
         assert np.array_equal(a, b)
 
     def test_derived_streams_differ(self):
@@ -135,8 +88,8 @@ class TestReproducibility:
 
     def test_derived_streams_uncorrelated(self):
         base = SeedSpec(11)
-        a = sample(DistSpec("normal", 0, 1), 20000, base.derive(0))
-        b = sample(DistSpec("normal", 0, 1), 20000, base.derive(1))
+        a = DistSpec("normal", 0, 1).sample_with(base.derive(0).generator(), 20000)
+        b = DistSpec("normal", 0, 1).sample_with(base.derive(1).generator(), 20000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
 
@@ -184,10 +137,3 @@ def test_beta_quantile_round_trip_property(alpha, beta, p):
     dist = DistSpec("beta", alpha, beta)
     assert dist.cdf(dist.quantile(p)) == pytest.approx(p, abs=1e-8)
 
-
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-def test_summarize_matches_numpy(values):
-    s = summarize(values)
-    assert s.mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-9)
-    assert s.variance == pytest.approx(np.var(values, ddof=1), rel=1e-12, abs=1e-9)
