@@ -13,6 +13,12 @@ their default sample sizes, and the conjugate toy that has its closed forms.
 Designs are looked up by `model.name`, so a model rebuilt by hand under a
 registered name gets the registered designs.  Parameters can be overridden
 per run.
+
+A simulated dataset holds one sufficient statistic per PSA row, never the
+single observations: a count for binomial data, and for n normal or
+exponential observations their total, drawn from its exact law and stored
+under a `*_total` key.  The posterior recipes read that total, with n taken
+from the design, and every summary is the total divided by n.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .posterior import (
     metropolis_ensemble,
 )
 from .rng import DistSpec, SeedSpec
-from .util import ConfigError, gauss_hermite_expectation
+from .util import ComputationError, ConfigError, gauss_hermite_expectation
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +68,16 @@ class StudyDesign:
     is_discrete_data: bool = False
     focal_sufficient: bool = True
 
+    def simulate(self, cols: dict, seed: SeedSpec) -> dict:
+        """`simulate_batch`, refusing a dataset that holds a non-finite value."""
+        datasets = self.simulate_batch(cols, seed)
+        for key, values in datasets.items():
+            bad = int(np.count_nonzero(~np.isfinite(values)))
+            if bad:
+                raise ComputationError("simulate", f"design {self.name!r} simulated {bad} "
+                                                   f"non-finite values of {key!r}")
+        return datasets
+
     def describe_dataset(self, dataset) -> str:
         values = self.summarize_batch(dataset)[0]
         return " ".join(f"{n}={v:g}" for n, v in zip(self.summary_names, values))
@@ -82,17 +98,29 @@ def _binomial_counts(n: int, **params) -> dict:
                 summarize_batch=lambda ds: np.column_stack([ds[key] for key in keys]))
 
 
-def _normal_observations(n: int, param: str, obs_var: float, key: str = "obs",
-                         summary: str = "mean_obs") -> dict:
-    """StudyDesign data fields for n Normal(param, obs_var) observations, summarised by their mean."""
+def _observation_totals(n: int, draw_total: Callable, key: str, summary: str) -> dict:
+    """StudyDesign data fields for the total of n observations, summarised by their mean.
+
+    `draw_total(gen, cols)` draws each row's total from its exact law, so the
+    single observations are never simulated.
+    """
 
     def simulate(cols, seed):
-        gen = seed.generator()
-        loc = np.asarray(cols[param], dtype=float)[:, None]
-        return {key: gen.normal(loc, np.sqrt(obs_var), (loc.shape[0], n))}
+        return {key: draw_total(seed.generator(), cols)}
 
     return dict(simulate_batch=simulate, summary_names=(summary,),
-                summarize_batch=lambda ds: ds[key].mean(axis=1)[:, None])
+                summarize_batch=lambda ds: (ds[key] / n)[:, None])
+
+
+def _normal_observations(n: int, param: str, obs_var: float, key: str = "obs_total",
+                         summary: str = "mean_obs") -> dict:
+    """StudyDesign data fields for n Normal(param, obs_var) observations: their
+    total is Normal(n param, n obs_var)."""
+
+    def draw_total(gen, cols):
+        return gen.normal(n * np.asarray(cols[param], dtype=float), np.sqrt(n * obs_var))
+
+    return _observation_totals(n, draw_total, key, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +251,7 @@ def _ades_study2(model: DecisionModel, n: int, obs_var: float) -> StudyDesign:
     p = model.params
     means = _ades_prior_means(p)
     recipe = NormalNormalUpdate("logit_qe", p["logit_qe_mean"], p["logit_qe_var"],
-                                obs_var, "responses")
+                                obs_var, n, "response_total")
 
     def inner_means(ds, seed=None, n_inner=0, burn_in=0):
         mean, var = recipe.posterior_params(ds)
@@ -233,7 +261,8 @@ def _ades_study2(model: DecisionModel, n: int, obs_var: float) -> StudyDesign:
     return StudyDesign(
         name="study2", focal_params=("logit_qe",), sample_size=n, recipe=recipe,
         batch_inner_means=inner_means,
-        **_normal_observations(n, "logit_qe", obs_var, key="responses", summary="mean_response"),
+        **_normal_observations(n, "logit_qe", obs_var, key="response_total",
+                               summary="mean_response"),
     )
 
 
@@ -553,27 +582,27 @@ def _beta_binomial_trial(model: DecisionModel, n: int) -> StudyDesign:
 
 def _exp_gamma_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
-    recipe = GammaExponentialUpdate("event_rate", p["alpha"], p["beta"], "obs")
+    recipe = GammaExponentialUpdate("event_rate", p["alpha"], p["beta"], n, "obs_total")
 
-    def simulate(cols, seed):
-        gen = seed.generator()
-        scale = 1.0 / np.asarray(cols["event_rate"], dtype=float)[:, None]
-        return {"obs": gen.exponential(1.0, (scale.shape[0], n)) * scale}
+    def draw_total(gen, cols):
+        # the total of n Exponential(rate) observations is Gamma(n, rate)
+        rate = np.asarray(cols["event_rate"], dtype=float)
+        return gen.gamma(n, 1.0, rate.shape) / rate
 
     def inner(ds, seed=None, n_inner=0, burn_in=0):
         return p["k"] * recipe.exact_means(ds) - p["c1"] - p["c0"]
 
     return StudyDesign(
-        name="trial", focal_params=("event_rate",), sample_size=n,
-        recipe=recipe, simulate_batch=simulate, summary_names=("mean_obs",),
-        summarize_batch=lambda ds: ds["obs"].mean(axis=1)[:, None],
+        name="trial", focal_params=("event_rate",), sample_size=n, recipe=recipe,
         batch_inner_means=inner, informs_all=True,
+        **_observation_totals(n, draw_total, "obs_total", "mean_obs"),
     )
 
 
 def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
-    recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], "obs")
+    recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], n,
+                                "obs_total")
 
     def inner(ds, seed=None, n_inner=0, burn_in=0):
         return p["k"] * recipe.exact_means(ds) - p["c"]
@@ -587,7 +616,7 @@ def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
 
 def _quadratic_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
-    recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], "obs")
+    recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], n, "obs_total")
     post_var = quadratic_posterior_var(model, n)
 
     def inner(ds, seed=None, n_inner=0, burn_in=0):

@@ -536,14 +536,32 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# benchmark settings that every experiment uses
+_BENCHMARK_KEYS = {"command", "experiment", "master_seed", "output_dir"}
+
+
+def _check_benchmark_flags(args: argparse.Namespace, cfg: RunConfig):
+    """Refuse a benchmark flag the chosen experiment would ignore."""
+    if cfg.experiment not in EXPERIMENTS:
+        raise ConfigError(f"benchmark requires an experiment name, got "
+                          f"{cfg.experiment!r}; available: {sorted(EXPERIMENTS)}")
+    taken = _BENCHMARK_KEYS | set(EXPERIMENTS[cfg.experiment].fields)
+    given = {key for key in _ALLOWED_KEYS if getattr(args, key, None) is not None}
+    if getattr(args, "param", None):
+        given.add("model_params")
+    unused = sorted(given - taken)
+    if unused:
+        raise ConfigError(f"experiment {cfg.experiment!r} does not use {unused}; it takes "
+                          f"{list(EXPERIMENTS[cfg.experiment].fields)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if cfg.command == "benchmark" and cfg.experiment not in EXPERIMENTS:
-            raise ConfigError(f"benchmark requires an experiment name, got "
-                              f"{cfg.experiment!r}; available: {sorted(EXPERIMENTS)}")
+        if cfg.command == "benchmark":
+            _check_benchmark_flags(args, cfg)
         if cfg.command in ("psa", "evppi", "evsi", "nested") and not cfg.model:
             raise ConfigError(f"{cfg.command} requires --model; registered: {list_models()}")
         return _COMMANDS[cfg.command](cfg)

@@ -117,8 +117,12 @@ def compute_constants(sigma2: float, inb: InbSamples,
 
 def _sigma2_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
                            ve: VarianceEstimate, var_phi: float) -> float:
-    """The part of the EVSI's MC standard error that sigma2 noise adds via `a`."""
-    if not (a > 0.0 and a != 1.0 and ve.sigma2 > 0):
+    """The part of the EVSI's MC standard error that sigma2 noise adds via `a`.
+
+    A clamped `a` keeps this term: the clamp hides the sigma2 noise, it does
+    not remove it.
+    """
+    if not (a > 0.0 and ve.sigma2 > 0):
         return 0.0
     theta = inb.inb_theta
     centered4 = float(np.mean((theta - np.mean(theta)) ** 4))

@@ -5,11 +5,12 @@
   conjugate, ensemble Metropolis chains otherwise).
 * Exact enumeration for the flat-prior Binomial toy.
 * Closed-form preposterior law for the Normal-Normal toy.
-* Regression on data summaries: simulate one dataset per PSA draw and smooth
-  the INB against the dataset's low-dimensional summary statistics.  One
-  spline design, built over the distinct summary rows, serves the GCV fit and
-  every bootstrap refit; discrete summaries collapse 1e5 rows to tens or a
-  few thousand design rows, and no refit rebuilds the design.
+* Regression on data summaries: simulate one dataset per PSA draw, as its
+  sufficient statistics (a count, or the total of n observations), and smooth
+  the INB against the dataset's low-dimensional summaries.  One spline
+  design, built over the distinct summary rows, serves the GCV fit and every
+  bootstrap refit; discrete summaries collapse 1e5 rows to tens or a few
+  thousand design rows, and no refit rebuilds the design.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def nested_mc_evsi(
         chunk_seed = seed.derive(chunk_index)
         psa = run_psa(model, max(take, 2), chunk_seed.derive(0))
         cols = {k: v[:take] for k, v in psa.columns.items()}
-        datasets = design.simulate_batch(cols, chunk_seed.derive(1))
+        datasets = design.simulate(cols, chunk_seed.derive(1))
         mus.append(
             np.asarray(
                 design.batch_inner_means(
@@ -121,6 +122,12 @@ def closed_form_normal_evsi(toy: ConjugateToy) -> OracleResult:
                         standard_error=0.0)
 
 
+def _bootstrap_counts(gen: np.random.Generator, n: int) -> np.ndarray:
+    """How often each of n rows is drawn when resampling n rows with
+    replacement: Multinomial(n, 1/n) counts, in O(n) time."""
+    return np.bincount(gen.integers(0, n, n), minlength=n)
+
+
 def regression_on_summaries_evsi(
     model: DecisionModel,
     design: StudyDesign,
@@ -133,13 +140,13 @@ def regression_on_summaries_evsi(
 
     One future dataset is simulated for every PSA row; the fitted surface is
     the preposterior-mean estimate.  The standard error comes from refitting
-    under multinomial bootstrap weights at the selected penalty.
+    under bootstrap resampling counts at the selected penalty.
     """
     if len(design.summary_names) > 3:
         raise UnsupportedDimensionError("summary dimension > 3 unsupported")
     start = time.perf_counter()
     inb = compute_inb(model, psa)
-    datasets = design.simulate_batch(psa.columns, seed.derive(0))
+    datasets = design.simulate(psa.columns, seed.derive(0))
     summaries = np.asarray(design.summarize_batch(datasets), dtype=float)
 
     spline_design = SplineDesign(summaries, spline, design.summary_names)
@@ -153,7 +160,7 @@ def regression_on_summaries_evsi(
         n = inb.inb_theta.size
         reps = np.empty(n_bootstrap)
         for b in range(n_bootstrap):
-            w = gen.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+            w = _bootstrap_counts(gen, n).astype(float)
             bfit = spline_design.fit(inb.inb_theta, weights=w, penalty=fit.penalty_weight)
             reps[b] = voi(bfit.fitted).raw
         se = float(np.std(reps, ddof=1))

@@ -1,8 +1,12 @@
 """Posterior updaters for future datasets: conjugate closed forms and a
 self-contained random-walk Metropolis sampler.
 
-Conjugate recipes return exact-posterior draws (burn-in is ignored).  The
-Metropolis sampler runs many chains at once, one chain per dataset, with
+Conjugate recipes return exact-posterior draws (burn-in is ignored).  They
+read the dataset's sufficient statistic: a count for binomial data and, for
+normal or exponential observations, the total of the n observations, with n
+fixed by the design.
+
+The Metropolis sampler runs many chains at once, one chain per dataset, with
 per-chain randomness pre-derived from chain-index streams so results do not
 depend on batching.  The proposal is a componentwise Gaussian random walk
 whose global scale adapts toward 0.3 acceptance during burn-in and is frozen
@@ -50,19 +54,19 @@ class BetaBinomialUpdate:
 
 @dataclass(frozen=True)
 class NormalNormalUpdate:
-    """Normal prior with known observation variance -> Normal posterior."""
+    """Normal prior with known observation variance + the total of n
+    observations -> Normal posterior."""
 
     param: str
     prior_mean: float
     prior_var: float
     obs_var: float
-    data_key: str
+    n: int
+    total_key: str
 
     def posterior_params(self, dataset):
-        obs = np.asarray(dataset[self.data_key], dtype=float)
-        n = obs.shape[-1]
-        total = obs.sum(axis=-1)
-        prec = 1.0 / self.prior_var + n / self.obs_var
+        total = np.asarray(dataset[self.total_key], dtype=float)
+        prec = 1.0 / self.prior_var + self.n / self.obs_var
         mean = (self.prior_mean / self.prior_var + total / self.obs_var) / prec
         return mean, 1.0 / prec
 
@@ -79,16 +83,18 @@ class NormalNormalUpdate:
 
 @dataclass(frozen=True)
 class GammaExponentialUpdate:
-    """Gamma(shape, rate) prior + exponential observations -> Gamma posterior."""
+    """Gamma(shape, rate) prior + the total of n exponential observations
+    -> Gamma posterior."""
 
     param: str
     shape: float
     rate: float
-    data_key: str
+    n: int
+    total_key: str
 
     def posterior_params(self, dataset):
-        obs = np.asarray(dataset[self.data_key], dtype=float)
-        return self.shape + obs.shape[-1], self.rate + obs.sum(axis=-1)
+        total = np.asarray(dataset[self.total_key], dtype=float)
+        return self.shape + self.n, self.rate + total
 
     def exact_means(self, dataset) -> np.ndarray:
         a, b = self.posterior_params(dataset)

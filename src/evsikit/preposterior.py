@@ -220,7 +220,7 @@ def expected_posterior_variance(
     try:
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in row_cols.items()}
-            datasets.append(design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB)))
+            datasets.append(design.simulate(point, plan.seeds[q].derive(_DATASET_SUB)))
         runs = _run_posteriors(design, datasets, model, M, burn_in, plan.seeds)
     except ComputationError:
         raise

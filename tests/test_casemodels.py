@@ -64,9 +64,31 @@ class TestFutureData:
         assert abs(ds["dc"].mean() - 30.0) <= 4 * se
 
     def test_study2_response_shape(self):
+        # one total of the 100 responses per row, not a (1, 100) array
         design = get_design(get_model("ades"), "study2")
         ds = design.simulate_batch({"logit_qe": np.array([0.6])}, SeedSpec(4))
-        assert ds["responses"].shape == (1, 100)
+        assert ds["response_total"].shape == (1,)
+        assert design.recipe.n == 100
+        assert design.summarize_batch(ds)[0, 0] == pytest.approx(ds["response_total"][0] / 100)
+
+    def test_normal_total_law(self):
+        # total of n Normal(mu, obs_var) observations: mean n*mu, variance n*obs_var
+        n, mu, obs_var, rows = 100, 0.6, 2.0, 100_000
+        design = get_design(get_model("ades"), "study2", n=n, obs_var=obs_var)
+        cols = {"logit_qe": np.full(rows, mu)}
+        total = design.simulate_batch(cols, SeedSpec(5))["response_total"]
+        var = n * obs_var
+        assert abs(total.mean() - n * mu) <= 4 * np.sqrt(var / rows)
+        # Var of the sample variance of normals is 2 var^2 / (rows - 1)
+        assert abs(total.var(ddof=1) - var) <= 4 * var * np.sqrt(2.0 / (rows - 1))
+
+    def test_exponential_total_law(self):
+        n, rate, rows = 10, 4.0, 100_000
+        design = get_design(get_model("exp_gamma"), "trial", n=n)
+        cols = {"event_rate": np.full(rows, rate)}
+        total = design.simulate_batch(cols, SeedSpec(6))["obs_total"]
+        assert total.shape == (rows,)
+        assert stats.kstest(total, stats.gamma(n, scale=1.0 / rate).cdf).pvalue > 1e-3
 
 
 class TestAnalyticPreposterior:

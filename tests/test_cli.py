@@ -127,6 +127,22 @@ class TestNestedCommand:
         assert "[voi] 500 non-finite" in capsys.readouterr().err
         assert not (out / "nested.json").exists()
 
+    def test_nan_simulated_data_is_computation_error(self, tmp_path, capsys, monkeypatch):
+        real_get_design = cli.get_design
+
+        def nan_totals(*args, **kwargs):
+            design = real_get_design(*args, **kwargs)
+            return dataclasses.replace(
+                design, simulate_batch=lambda cols, seed: {"obs_total": cols["effect"] * np.nan})
+
+        monkeypatch.setattr(cli, "get_design", nan_totals)
+        out = tmp_path / "x"
+        code = main(["nested", "--model", "normal_normal", "--n-outer", "500",
+                     "--seed", "5", "--out", str(out)])
+        assert code == 3
+        assert "[simulate]" in capsys.readouterr().err
+        assert not (out / "nested.json").exists()
+
     def test_exhausted_budget_is_computation_error(self, tmp_path, capsys):
         code = main(["nested", "--model", "beta_binomial", "--N", "10",
                      "--n-outer", "200000", "--budget-seconds", "0",
@@ -197,6 +213,21 @@ class TestBenchmarkCommand:
         assert code == 0
         summary = json.loads((out / "exp_gamma_bias_summary.json").read_text())
         assert summary[0]["sd_estimate"] == 0.0
+
+    def test_flags_the_experiment_ignores_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["benchmark", "table1", "--Q", "7", "--n-outer", "123", "--burn-in", "9",
+                     "--out", str(out)])
+        assert code == 2
+        assert "['Q', 'burn_in', 'n_outer']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_the_experiment_takes_runs(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["benchmark", "table1", "--M", "1000", "--replicates", "1",
+                     "--Q-values", "1", "--S", "2000", "--seed", "7", "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["M"] == 1000
 
     def test_manifest_with_a_dropped_key_rejected(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -171,10 +171,23 @@ class TestEstimateEvsi:
         with pytest.raises(ComputationError, match=r"\[net_benefit\].*non-finite"):
             estimate_evsi(model, design, psa, EvsiOptions(Q=10, M=2000, seed=SeedSpec(31)))
 
+    def test_clamped_a_keeps_sigma2_noise_in_se(self):
+        # sigma2 lands within the slack above the conditional-INB variance, so
+        # a clamps to 1; the sigma2 noise must still reach the SE
+        model = get_model("ades")
+        design = get_design(model, "study2")
+        psa = run_psa(model, 20000, SeedSpec(12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = estimate_evsi(model, design, psa,
+                                   EvsiOptions(Q=10, M=2000, seed=SeedSpec(112)))
+        assert result.a_clamped
+        assert result.evsi_se > 2.0 * voi(result.rescaled).se
+
     def test_nonfinite_posterior_inb_fails_loudly(self):
         model = _nan_every_1000th(get_model("normal_normal"))
         design = get_design(model, "trial", n=4)
-        dataset = {"obs": np.zeros((1, 4))}
+        dataset = {"obs_total": np.zeros(1)}
         with pytest.raises(ComputationError, match=r"\[posterior_variance\].*non-finite"):
             run_posterior(design, dataset, model, 2000, 0, SeedSpec(32))
 

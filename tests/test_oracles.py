@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evsikit.oracles as oracles
+from evsikit.casemodels import StudyDesign
 from evsikit.casemodels import ConjugateToy, get_design, get_model
 from evsikit.model import compute_inb, evpi, run_psa, voi
 from evsikit.momentmatch import EvsiOptions, estimate_evsi
@@ -167,6 +168,55 @@ class TestRegressionOnSummaries:
         name = trial.summary_names[0]
         with pytest.raises(SchemaError, match=f"{name} has 10 non-finite values"):
             regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(11))
+
+
+class TestBootstrapCounts:
+    def test_counts_sum_to_n(self):
+        gen = SeedSpec(15).generator()
+        for n in (1, 7, 100_000):
+            counts = oracles._bootstrap_counts(gen, n)
+            assert counts.shape == (n,)
+            assert counts.sum() == n
+            assert counts.min() >= 0
+
+
+def _nan_simulator(design: StudyDesign) -> StudyDesign:
+    """The same design with every 500th simulated total, the first included, NaN."""
+    simulate = design.simulate_batch
+
+    def with_nan(cols, seed):
+        datasets = simulate(cols, seed)
+        key = next(iter(datasets))
+        values = np.array(datasets[key], dtype=float)
+        values[::500] = np.nan
+        return {**datasets, key: values}
+
+    return dataclasses.replace(design, simulate_batch=with_nan)
+
+
+class TestNonFiniteSimulator:
+    """A NaN in simulated data raises the `simulate` stage on every path."""
+
+    @pytest.fixture
+    def nan_case(self):
+        model = get_model("normal_normal")
+        design = _nan_simulator(get_design(model, "trial", n=4))
+        return model, design, run_psa(model, 5000, SeedSpec(16))
+
+    def test_nested(self, nan_case):
+        model, design, _ = nan_case
+        with pytest.raises(ComputationError, match=r"\[simulate\].*10 non-finite"):
+            nested_mc_evsi(model, design, 5000, seed=SeedSpec(17))
+
+    def test_regression_on_summaries(self, nan_case):
+        model, design, psa = nan_case
+        with pytest.raises(ComputationError, match=r"\[simulate\].*10 non-finite"):
+            regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(18))
+
+    def test_quadrature_points(self, nan_case):
+        model, design, psa = nan_case
+        with pytest.raises(ComputationError, match=r"\[simulate\].*1 non-finite"):
+            estimate_evsi(model, design, psa, EvsiOptions(Q=5, M=1000, seed=SeedSpec(19)))
 
 
 def _scaled_values(scale):

@@ -27,8 +27,8 @@ class TestConjugates:
         assert np.var(draws) == pytest.approx(var, rel=0.05)
 
     def test_normal_normal_posterior_variance_exact(self):
-        recipe = NormalNormalUpdate("mu", 0.0, 1.0, 1.0, "obs")
-        ds = {"obs": np.zeros((1, 9))}
+        recipe = NormalNormalUpdate("mu", 0.0, 1.0, 1.0, 9, "obs_total")
+        ds = {"obs_total": np.zeros(1)}
         mean, var = recipe.posterior_params(ds)
         assert var == pytest.approx(0.1)
         assert np.atleast_1d(mean)[0] == pytest.approx(0.0)
@@ -36,8 +36,9 @@ class TestConjugates:
         assert np.var(draws) == pytest.approx(0.1, rel=0.05)
 
     def test_gamma_exponential_update(self):
-        recipe = GammaExponentialUpdate("rate", 5.0, 1.0, "obs")
-        ds = {"obs": np.array([[0.5, 1.5, 1.0]])}
+        # three observations 0.5, 1.5 and 1.0
+        recipe = GammaExponentialUpdate("rate", 5.0, 1.0, 3, "obs_total")
+        ds = {"obs_total": np.array([3.0])}
         a, b = recipe.posterior_params(ds)
         assert a == pytest.approx(8.0)
         assert np.atleast_1d(b)[0] == pytest.approx(4.0)
