@@ -40,7 +40,7 @@ from .posterior import (
     metropolis_ensemble,
 )
 from .rng import DistSpec, SeedSpec
-from .util import ComputationError, ConfigError, gauss_hermite_expectation
+from .util import ConfigError, gauss_hermite_expectation, require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +71,7 @@ class StudyDesign:
     def simulate(self, cols: dict, seed: SeedSpec) -> dict:
         """`simulate_batch`, refusing a dataset that holds a non-finite value."""
         datasets = self.simulate_batch(cols, seed)
-        for key, values in datasets.items():
-            bad = int(np.count_nonzero(~np.isfinite(values)))
-            if bad:
-                raise ComputationError("simulate", f"design {self.name!r} simulated {bad} "
-                                                   f"non-finite values of {key!r}")
+        require_finite("simulate", datasets, f" simulated by design {self.name!r}")
         return datasets
 
     def describe_dataset(self, dataset) -> str:
@@ -104,6 +100,8 @@ def _observation_totals(n: int, draw_total: Callable, key: str, summary: str) ->
     `draw_total(gen, cols)` draws each row's total from its exact law, so the
     single observations are never simulated.
     """
+    if n < 1:
+        raise ConfigError(f"{summary} needs a sample size of at least 1, got {n}")
 
     def simulate(cols, seed):
         return {key: draw_total(seed.generator(), cols)}

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .rng import DistSpec, SeedSpec
-from .util import ComputationError, SchemaError
+from .util import SchemaError, require_finite
 
 _CHUNK = 1 << 16
 
@@ -201,9 +201,7 @@ def voi(x) -> Voi:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("value of information requires a nonempty sample")
-    n_bad = int(np.count_nonzero(~np.isfinite(x)))
-    if n_bad:
-        raise ComputationError("voi", f"{n_bad} non-finite value(s) in the INB sample")
+    require_finite("voi", {"the INB sample": x})
     grand = float(np.mean(x))
     positive = np.maximum(x, 0.0)
     raw = float(np.mean(positive)) - max(0.0, grand)

@@ -25,7 +25,7 @@ import numpy as np
 from .model import DecisionModel, InbSamples, PsaSamples, compute_inb
 from .posterior import MetropolisUpdate
 from .rng import SeedSpec
-from .util import ComputationError, SchemaError, round_half_up
+from .util import ComputationError, SchemaError, require_finite, round_half_up
 
 _DATASET_SUB = 0
 _POSTERIOR_SUB = 1
@@ -167,6 +167,8 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
             for ds, s in zip(datasets, posterior_seeds)
         ]
         accept = split = [None] * len(datasets)
+    for q, point_draws in enumerate(draws):
+        require_finite("posterior", point_draws, f" at quadrature point {q + 1}/{len(datasets)}")
 
     runs = []
     for q, (dataset, point_draws, seed) in enumerate(zip(datasets, draws, seeds)):
@@ -178,11 +180,8 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
             cols[name] = model.priors[name].sample_with(untouched_seed.derive(j).generator(),
                                                         retained)
         inb_post = _inb_on(model, cols)
-        if not np.all(np.isfinite(inb_post)):
-            raise ComputationError(
-                "posterior_variance",
-                f"non-finite posterior INB at quadrature point {q + 1}/{len(datasets)}",
-            )
+        require_finite("posterior_variance", {"the posterior INB": inb_post},
+                       f" at quadrature point {q + 1}/{len(datasets)}")
         runs.append(PosteriorRun(
             dataset=dataset,
             recipe=type(recipe).__name__,

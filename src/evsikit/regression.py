@@ -11,15 +11,14 @@ values preserve the response mean (the constant function lies in the basis
 span and in the penalty nullspace) and never exceed the response variance.
 
 `SplineDesign` builds the design once, over the distinct rows of the focal
-or summary matrix, and fits it any number of times.  A design row depends
-only on the row's values, so rows with equal values enter the normal
-equations through per-group sums of weights and weighted responses.  Data
-summaries are often discrete (50 distinct values in 1e5 draws for a binomial
-count), and the regression-on-summaries oracle refits one design 20 times
-under bootstrap weights.  Building the B-spline design once per distinct row,
-instead of twice per row in every fit, removes most of the oracle's time.
-Continuous inputs, whose rows are all distinct, keep their order and give
-bit-identical fits.
+or summary matrix, and fits it any number of times: data summaries are often
+discrete (50 distinct values in 1e5 draws for a binomial count), and the
+regression-on-summaries oracle refits one design 20 times under bootstrap
+weights.  A row's nonzero B-splines are the (degree+1)^d consecutive ones of
+its knot interval in each dimension, so the design is stored dense, sorted by
+that cell of intervals, and X'WX takes one small matrix product per
+non-empty cell (at most 11, 121 and 216 at the default knots).  The sums
+equal the row-by-row ones up to summation order.
 """
 
 from __future__ import annotations
@@ -27,14 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
 
 from .model import InbSamples
 from .util import SchemaError, UnsupportedDimensionError
-
-_ROW_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,8 @@ class RegressionFit:
     fitted: np.ndarray
     r_squared: float
     coefficients: np.ndarray = field(repr=False, default=None)
+    edf: float | None = None                    # effective degrees of freedom (GCV fits)
+    penalty_at_grid_edge: bool | None = None    # GCV chose the first or last grid point
 
     def diagnostics(self) -> dict:
         return {
@@ -68,6 +66,8 @@ class RegressionFit:
             "knots": [list(map(float, k)) for k in self.knots],
             "penalty_weight": self.penalty_weight,
             "r_squared": self.r_squared,
+            "edf": self.edf,
+            "penalty_at_grid_edge": self.penalty_at_grid_edge,
         }
 
 
@@ -89,7 +89,9 @@ def _design_1d(x: np.ndarray, t: np.ndarray, degree: int):
     """(values, indices) per row; each row has exactly degree+1 active bases."""
     lo, hi = t[degree], t[-degree - 1]
     xc = np.clip(x, lo, hi)
-    dm = BSpline.design_matrix(xc, t, degree).tocsr()
+    # no point of xc needs extrapolating; the flag only skips scipy's bounds
+    # check, which runs Python's min and max over the whole array
+    dm = BSpline.design_matrix(xc, t, degree, extrapolate=True).tocsr()
     p = len(t) - degree - 1
     vals = dm.data.reshape(len(x), degree + 1)
     idx = dm.indices.reshape(len(x), degree + 1)
@@ -140,11 +142,10 @@ class SplineDesign:
     the regression-on-summaries oracle runs its GCV fit and all bootstrap
     refits from one design.
 
-    Rows with equal values share one design row.  The normal equations take
-    per-group sums of the weights and of the weighted response, and fitted
-    values are expanded back by group; this is exact up to summation order.
-    When every row is distinct, rows keep their order and each fit is the
-    row-by-row one, bit for bit.
+    Rows with equal values share one design row, which enters the normal
+    equations through per-group sums of the weights and weighted responses.
+    The design keeps each design row's (degree+1)^d local basis values,
+    sorted by cell, and each cell's global coefficient indices.
     """
 
     def __init__(self, phi_columns: np.ndarray, spec: SplineSpec | None = None, names=None):
@@ -164,55 +165,46 @@ class SplineDesign:
                 raise SchemaError(f"focal column {name} has {bad} non-finite values")
         self.degree = spec.degree
         self.lambda_grid = spec.lambda_grid
-        self.knots = []
-        self._t_vectors = []
-        for j in range(d):
-            interior = _interior_knots(phi[:, j], spec.knots_for_dim(d), self.names[j])
-            self.knots.append(interior)
-            self._t_vectors.append(_knot_vector(phi[:, j], interior, spec.degree))
-        self._sizes = [len(t) - spec.degree - 1 for t in self._t_vectors]
-        self.n_basis = int(np.prod(self._sizes))
+        self.knots = [_interior_knots(col, spec.knots_for_dim(d), name)
+                      for col, name in zip(phi.T, self.names)]
+        t_vectors = [_knot_vector(col, k, spec.degree) for col, k in zip(phi.T, self.knots)]
+        sizes = [len(t) - spec.degree - 1 for t in t_vectors]
+        self.n_basis = int(np.prod(sizes))
         self.n_rows = phi.shape[0]
         if self.n_rows < 10 * self.n_basis:
             raise SchemaError(
                 f"need at least {10 * self.n_basis} draws for {self.n_basis} basis "
                 f"functions, got {self.n_rows}"
             )
-        self.penalty = _tensor_penalty(self._sizes)
+        self.penalty = _tensor_penalty(sizes)
+
         groups = _group_rows(phi)
-        if groups is None:
-            self._rows, self._inverse = phi, None
-        else:
-            first, self._inverse = groups
-            self._rows = phi[first]
-        # a design of one chunk is kept; a longer one is rebuilt chunk by chunk
-        # on every pass, so memory stays at one chunk of rows
-        n_design = self._rows.shape[0]
-        self._kept = self._chunk(0, n_design) if n_design <= _ROW_CHUNK else None
+        rows = phi if groups is None else phi[groups[0]]
+        n_design = rows.shape[0]
+        # the global index of a row's first active basis identifies its cell;
+        # `offsets` place the cell's other active bases relative to it
+        values = np.ones((n_design, 1))
+        first = np.zeros(n_design, dtype=np.intp)
+        offsets = np.zeros(1, dtype=np.intp)
+        for col, t, size in zip(rows.T, t_vectors, sizes):
+            v, i, _ = _design_1d(col, t, self.degree)
+            values = (values[:, :, None] * v[:, None, :]).reshape(n_design, -1)
+            first = first * size + i[:, 0]
+            offsets = (offsets[:, None] * size + np.arange(self.degree + 1)).ravel()
+        # the narrowest key type that holds every index lets numpy radix-sort
+        order = np.argsort(first.astype(np.min_scalar_type(self.n_basis)), kind="stable")
+        first, self._values = first[order], values[order]
+        rank = np.empty(n_design, dtype=np.intp)
+        rank[order] = np.arange(n_design)
+        self._inverse = rank if groups is None else rank[groups[1]]  # design row of each row
 
-    def _chunk(self, lo: int, hi: int) -> sparse.csr_matrix:
-        vals, idx = None, None
-        for j, t in enumerate(self._t_vectors):
-            v, i, _ = _design_1d(self._rows[lo:hi, j], t, self.degree)
-            if vals is None:
-                vals, idx = v, i
-            else:
-                vals = (vals[:, :, None] * v[:, None, :]).reshape(hi - lo, -1)
-                idx = (idx[:, :, None] * self._sizes[j] + i[:, None, :]).reshape(hi - lo, -1)
-        nnz = vals.shape[1]
-        indptr = np.arange(hi - lo + 1) * nnz
-        return sparse.csr_matrix(
-            (vals.ravel(), idx.ravel(), indptr), shape=(hi - lo, self.n_basis)
-        )
-
-    def _chunks(self):
-        if self._kept is not None:
-            yield 0, self._kept.shape[0], self._kept
-            return
-        n_design = self._rows.shape[0]
-        for lo in range(0, n_design, _ROW_CHUNK):
-            hi = min(lo + _ROW_CHUNK, n_design)
-            yield lo, hi, self._chunk(lo, hi)
+        starts = np.flatnonzero(np.r_[True, first[1:] != first[:-1]])
+        self._cells = list(zip(starts.tolist(), np.r_[starts[1:], n_design].tolist()))
+        self._cell_coefs = first[starts][:, None] + offsets
+        # flat positions in the p x (p+1) matrix [X'WX | X'Wy] of each cell's block
+        p = self.n_basis
+        columns = np.c_[self._cell_coefs, np.full(len(starts), p)]
+        self._scatter = (self._cell_coefs[:, :, None] * (p + 1) + columns[:, None, :]).ravel()
 
     def fit(self, y: np.ndarray, weights: np.ndarray | None = None,
             penalty: float | None = None) -> RegressionFit:
@@ -225,44 +217,34 @@ class SplineDesign:
         if y.shape != (self.n_rows,):
             raise SchemaError("phi rows must match INB samples")
         wy = y if weights is None else weights * y
-        if self._inverse is None:
-            row_w, row_y = weights, wy
-        else:
-            n_groups = self._rows.shape[0]
-            row_w = np.bincount(self._inverse, weights, n_groups).astype(float)
-            row_y = np.bincount(self._inverse, wy, n_groups)
+        n_design, m = self._values.shape
+        row_w = np.bincount(self._inverse, weights, n_design).astype(float)
+        row_y = np.bincount(self._inverse, wy, n_design)
 
         p = self.n_basis
-        xtx = np.zeros((p, p))
-        xty = np.zeros(p)
-        for lo, hi, xc in self._chunks():
-            if row_w is None:
-                xtx += (xc.T @ xc).toarray()
-            else:
-                # every row holds the same number of entries, so repeating each
-                # row's weight that many times scales the data array row by row
-                row_nnz = xc.indptr[1]
-                xw = sparse.csr_matrix(
-                    (xc.data * np.repeat(row_w[lo:hi], row_nnz), xc.indices, xc.indptr),
-                    shape=xc.shape,
-                )
-                xtx += (xc.T @ xw).toarray()
-            xty += xc.T @ row_y[lo:hi]
+        # [W X | W y]: one product per cell gives its blocks of X'WX and X'Wy
+        rhs = np.empty((n_design, m + 1))
+        np.multiply(self._values, row_w[:, None], out=rhs[:, :m])
+        rhs[:, m] = row_y
+        blocks = np.empty((len(self._cells), m, m + 1))
+        for (lo, hi), block in zip(self._cells, blocks):
+            np.matmul(self._values[lo:hi].T, rhs[lo:hi], out=block)
+        sums = np.bincount(self._scatter, blocks.ravel(), p * (p + 1)).reshape(p, p + 1)
+        xtx, xty = sums[:, :p], sums[:, p]
         yty = float(np.dot(wy, y))
         n_eff = self.n_rows if weights is None else float(np.sum(weights))
 
         if penalty is None:
-            beta, lam, _, _ = _solve_gcv(xtx, xty, yty, n_eff, self.penalty, self.lambda_grid)
+            beta, lam, edf, at_edge = _solve_gcv(xtx, xty, yty, n_eff, self.penalty,
+                                                 self.lambda_grid)
         else:
-            lam = float(penalty)
-            ridge = 1e-10 * np.trace(xtx) / p * np.eye(p)
-            beta = np.linalg.solve(xtx + ridge + lam * self.penalty, xty)
+            lam, edf, at_edge = float(penalty), None, None
+            beta = _penalized_solve(xtx, xty, lam, self.penalty)
 
-        fitted = np.empty(self._rows.shape[0])
-        for lo, hi, xc in self._chunks():
-            fitted[lo:hi] = xc @ beta
-        if self._inverse is not None:
-            fitted = fitted[self._inverse]
+        fitted = np.empty(n_design)
+        for (lo, hi), coef in zip(self._cells, beta[self._cell_coefs]):
+            np.matmul(self._values[lo:hi], coef, out=fitted[lo:hi])
+        fitted = fitted[self._inverse]
 
         tss = float(np.sum((y - np.mean(y)) ** 2))
         rss = float(np.sum((y - fitted) ** 2))
@@ -275,11 +257,24 @@ class SplineDesign:
             fitted=fitted,
             r_squared=r2,
             coefficients=beta,
+            edf=edf,
+            penalty_at_grid_edge=at_edge,
         )
 
 
+def _penalized_solve(xtx, xty, lam, penalty):
+    """Coefficients at penalty weight `lam`, with a 1e-10 relative ridge."""
+    p = xtx.shape[0]
+    return np.linalg.solve(xtx + 1e-10 * np.trace(xtx) / p * np.eye(p) + lam * penalty, xty)
+
+
 def _solve_gcv(xtx, xty, yty, n, penalty, lambda_grid):
-    """Demmler-Reinsch reparametrisation; returns (beta, lambda, rss, edf)."""
+    """GCV search by the Demmler-Reinsch reparametrisation; returns (beta,
+    lambda, edf, whether lambda is the first or last grid point).
+
+    beta is solved at the chosen lambda, not back-transformed: the
+    reparametrisation amplifies round-off when X'WX is ill-conditioned.
+    """
     scale = np.trace(xtx) / max(np.trace(penalty), 1e-300)
     try:
         r = np.linalg.cholesky(xtx + 1e-10 * np.trace(xtx) / xtx.shape[0] * np.eye(xtx.shape[0]))
@@ -295,7 +290,7 @@ def _solve_gcv(xtx, xty, yty, n, penalty, lambda_grid):
     c = u.T @ solve_triangular(r, xty, lower=True)
 
     best = None
-    for lam in lambda_grid:
+    for k, lam in enumerate(lambda_grid):
         lam_s = lam * scale
         shrink = 1.0 / (1.0 + lam_s * eigvals)
         d = c * shrink
@@ -305,12 +300,11 @@ def _solve_gcv(xtx, xty, yty, n, penalty, lambda_grid):
             continue
         gcv = n * rss / (n - edf) ** 2
         if best is None or gcv < best[0]:
-            best = (gcv, lam_s, d, rss, edf)
+            best = (gcv, lam_s, edf, k)
     if best is None:
         raise SchemaError("GCV search failed: saturated fit at every penalty")
-    _, lam_s, d, rss, edf = best
-    beta = solve_triangular(r.T, u @ d, lower=False)
-    return beta, lam_s, rss, edf
+    _, lam_s, edf, k = best
+    return _penalized_solve(xtx, xty, lam_s, penalty), lam_s, edf, k in (0, len(lambda_grid) - 1)
 
 
 def fit_conditional_mean(

@@ -42,6 +42,15 @@ class BudgetExceededError(EvsiKitError):
         super().__init__(f"budget exceeded after {completed}/{total} outer draws")
 
 
+def require_finite(stage: str, arrays: dict, where: str = "") -> None:
+    """Raise `ComputationError(stage)` counting the non-finite values of the
+    first named array that has any; `where` ends the message."""
+    for name, values in arrays.items():
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise ComputationError(stage, f"{bad} non-finite value(s) of {name}{where}")
+
+
 _GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 

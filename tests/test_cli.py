@@ -12,6 +12,7 @@ from evsikit.cli import RunConfig, _write_json, main
 from evsikit.experiments import EXPERIMENTS
 from evsikit.oracles import closed_form_normal_evsi
 from evsikit.casemodels import ConjugateToy
+from evsikit.posterior import NormalNormalUpdate
 from evsikit.util import ComputationError
 
 
@@ -78,6 +79,29 @@ class TestEvsiCommand:
                      "--Q", "0", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_empty_study_of_a_mean_summary_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["evsi", "--model", "normal_normal", "--N", "0", "--S", "2000",
+                     "--Q", "5", "--M", "1000", "--out", str(out)])
+        assert code == 2
+        assert "sample size of at least 1, got 0" in capsys.readouterr().err
+        assert not (out / "per_point.csv").exists()
+
+    def test_nan_posterior_draw_is_computation_error(self, tmp_path, capsys, monkeypatch):
+        original = NormalNormalUpdate.draw
+
+        def draw(self, dataset, M, gen):
+            out = original(self, dataset, M, gen)
+            out[self.param][..., 0] = np.nan
+            return out
+
+        monkeypatch.setattr(NormalNormalUpdate, "draw", draw)
+        code = main(["evsi", "--model", "normal_normal", "--S", "2000", "--Q", "5",
+                     "--M", "1000", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "[posterior] 1 non-finite value(s) of effect at quadrature point 1/5" \
+            in capsys.readouterr().err
+
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["evsi", "--model", "normal_normal", "--S", "5000",
@@ -98,6 +122,16 @@ class TestEvppiCommand:
         payload = json.loads((out / "evppi.json").read_text())
         assert payload["evppi"] <= payload["evpi"] + 1e-9
         assert payload["fit"]["r_squared"] >= 0.0
+
+    def test_gcv_diagnostics_reach_evppi_and_result_files(self, tmp_path):
+        assert main(["evppi", "--model", "two_param_linear", "--S", "5000",
+                     "--seed", "4", "--out", str(tmp_path / "a")]) == 0
+        assert main(["evsi", "--model", "two_param_linear", "--S", "5000", "--Q", "5",
+                     "--M", "1000", "--seed", "4", "--out", str(tmp_path / "b")]) == 0
+        for path in (tmp_path / "a" / "evppi.json", tmp_path / "b" / "result.json"):
+            fit = json.loads(path.read_text())["fit"]
+            assert 2.0 < fit["edf"] < 14.0
+            assert fit["penalty_at_grid_edge"] is False
 
 
 class TestNestedCommand:

@@ -10,6 +10,7 @@ from evsikit.casemodels import (
     quadratic_preposterior_variance,
 )
 from evsikit.model import compute_inb, run_psa
+from evsikit.posterior import MetropolisUpdate, NormalNormalUpdate
 from evsikit.preposterior import (
     _DATASET_SUB,
     build_plan,
@@ -17,6 +18,7 @@ from evsikit.preposterior import (
     run_posterior,
 )
 from evsikit.rng import SeedSpec
+from evsikit.util import ComputationError
 
 
 class TestBuildPlan:
@@ -197,3 +199,40 @@ class TestExpectedPosteriorVariance:
             runs.append(run_posterior(design, dataset, model, 1500, 500, plan.seeds[q]))
         assert np.array_equal(ve.per_point, [r.inb_posterior_variance for r in runs])
         assert np.array_equal(ve.acceptance_rates, [r.acceptance_rate for r in runs])
+
+
+def _nan_draw_at_point(monkeypatch, recipe_cls, point):
+    """Patch `recipe_cls.draw` so the draws of quadrature point `point` hold one NaN.
+
+    Conjugate recipes draw one point per call; a Metropolis recipe draws all
+    points in one call, as rows of each retained column.
+    """
+    original = recipe_cls.draw
+    calls = []
+
+    def draw(self, dataset, *args, **kwargs):
+        out = original(self, dataset, *args, **kwargs)
+        calls.append(None)
+        if recipe_cls is MetropolisUpdate:
+            next(iter(out[0].values()))[point - 1, 7] = np.nan
+        elif len(calls) == point:
+            next(iter(out.values()))[..., 7] = np.nan
+        return out
+
+    monkeypatch.setattr(recipe_cls, "draw", draw)
+
+
+class TestNonFinitePosteriorDraws:
+    @pytest.mark.parametrize("model_name, design_name, recipe_cls", [
+        ("normal_normal", "trial", NormalNormalUpdate),
+        ("ades", "study3", MetropolisUpdate),
+    ])
+    def test_nan_draw_names_the_point(self, monkeypatch, model_name, design_name, recipe_cls):
+        model = get_model(model_name)
+        design = get_design(model, design_name)
+        psa = run_psa(model, 5000, SeedSpec(22))
+        plan = build_plan(psa, design.focal_params, 4, SeedSpec(23))
+        _nan_draw_at_point(monkeypatch, recipe_cls, 3)
+        with pytest.raises(ComputationError,
+                           match=r"^\[posterior\] 1 non-finite value\(s\) of .* point 3/4$"):
+            expected_posterior_variance(plan, design, model, 1500, 500)

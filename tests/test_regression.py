@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from evsikit import regression
 from evsikit.casemodels import get_model
 from evsikit.model import InbSamples, compute_inb, run_psa, voi
 from evsikit.regression import (
@@ -99,6 +98,26 @@ class TestFitInvariants:
     def test_r_squared_in_unit_interval(self, two_param):
         assert 0.0 <= two_param[3].r_squared <= 1.0
 
+    def test_gcv_diagnostics_at_the_largest_penalty(self):
+        # a constant plus noise orthogonal to every basis column: the
+        # unpenalized and fully penalized fits leave the same residuals, so
+        # GCV, which falls with the effective degrees of freedom, picks the
+        # last grid point, where only the 2 unpenalized directions remain
+        gen = np.random.default_rng(6)
+        phi = gen.beta(2, 2, 5000)
+        t = _knot_vector(phi, _interior_knots(phi, SplineSpec().knots_for_dim(1), "x"), 3)
+        vals, idx, p = _design_1d(phi, t, 3)
+        x = np.zeros((phi.size, p))
+        np.put_along_axis(x, idx, vals, axis=1)
+        noise = gen.normal(0.0, 1.0, phi.size)
+        noise -= x @ np.linalg.lstsq(x, noise, rcond=None)[0]
+        diag = SplineDesign(phi).fit(5.0 + noise).diagnostics()
+        assert diag["penalty_at_grid_edge"] is True
+        assert diag["edf"] == pytest.approx(2.0, abs=1e-3)
+        curved = SplineDesign(phi).fit(np.sin(6.0 * phi) + 0.1 * noise).diagnostics()
+        assert curved["penalty_at_grid_edge"] is False
+        assert curved["edf"] > 4.0
+
     def test_tensor_product_two_dims(self):
         gen = np.random.default_rng(5)
         x = gen.uniform(0, 1, (8000, 2))
@@ -141,6 +160,12 @@ def _phi_and_response(kind, d, n=6000):
     gen = np.random.default_rng(11 + d)
     if kind == "discrete":
         phi = gen.binomial(12, 0.4, (n, d)).astype(float)
+    elif kind == "gap":
+        # 600 rows at 0.5 between two continuous stretches: the 5/11 quantile
+        # knot falls between 0.4 and 0.5 and the 6/11 one at 0.5, so the knot
+        # interval between them holds no row
+        phi = np.concatenate([gen.uniform(0.0, 0.4, 2727), np.full(600, 0.5),
+                              gen.uniform(0.6, 1.0, n - 3327)])[:, None]
     else:
         phi = gen.beta(2.0, 3.0, (n, d))
     y = 300.0 * np.sin(2.0 * phi.sum(axis=1) / phi.max()) + gen.normal(0.0, 50.0, n)
@@ -150,45 +175,34 @@ def _phi_and_response(kind, d, n=6000):
 class TestGroupedDesign:
     """The design over distinct rows against the row-by-row accumulation.
 
-    The discrete cases have 13 levels per column and no more basis functions
-    than those levels identify (4 knots per dimension in 2-D).  With more
-    knots than levels X'WX is singular but for the 1e-10 ridge, and the two
-    summation orders then move the GCV fit by up to 1e-6 relative.
+    The per-cell sums differ from the row-by-row ones in summation order
+    only, so the fits agree to round-off.  The discrete cases have 13 levels
+    per column and no more basis functions than those levels identify (4
+    knots per dimension in 2-D); they keep a looser bound, since with more
+    knots than levels X'WX is singular but for the 1e-10 ridge.
     """
 
-    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d, kind", [
+        (1, "discrete"), (1, "continuous"), (1, "gap"),
+        (2, "discrete"), (2, "continuous"), (3, "continuous"),
+    ])
     def test_matches_row_by_row_fit(self, kind, d):
-        phi, y = _phi_and_response(kind, d)
+        phi, y = _phi_and_response(kind, d, n=8000 if d == 3 else 6000)
         spec = SplineSpec(n_knots=4 if d == 2 else None)
         design = SplineDesign(phi, spec)
-        assert (design._inverse is not None) == (kind == "discrete")
+        assert (design._values.shape[0] < y.size) == (kind != "continuous")
+        if kind == "gap":
+            assert len(design._cells) == len(design.knots[0])
         fit = design.fit(y)
         ref_fitted, ref_penalty = _row_by_row_fit(phi, y, spec=spec)
         weights = np.random.default_rng(5).multinomial(y.size, np.full(y.size, 1.0 / y.size))
         weights = weights.astype(float)
         boot = design.fit(y, weights=weights, penalty=fit.penalty_weight)
         ref_boot, _ = _row_by_row_fit(phi, y, weights, fit.penalty_weight, spec)
-        if kind == "continuous":
-            assert fit.penalty_weight == ref_penalty
-            assert np.array_equal(fit.fitted, ref_fitted)
-            assert np.array_equal(boot.fitted, ref_boot)
-        else:
-            assert fit.penalty_weight == pytest.approx(ref_penalty, rel=1e-8)
-            for got, ref in ((fit.fitted, ref_fitted), (boot.fitted, ref_boot)):
-                assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("kind, chunk", [("discrete", 5), ("continuous", 1000)])
-    def test_design_longer_than_a_chunk_is_rebuilt_per_pass(self, monkeypatch, kind, chunk):
-        phi, y = _phi_and_response(kind, 1)
-        weights = np.random.default_rng(6).multinomial(y.size, np.full(y.size, 1.0 / y.size))
-        kept = SplineDesign(phi)
-        monkeypatch.setattr(regression, "_ROW_CHUNK", chunk)
-        rebuilt = SplineDesign(phi)
-        assert kept._kept is not None and rebuilt._kept is None
-        for args in ((y,), (y, weights.astype(float), 0.5)):
-            ref, got = kept.fit(*args).fitted, rebuilt.fit(*args).fitted
-            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        rel = 1e-8 if kind == "discrete" else 1e-10
+        assert fit.penalty_weight == pytest.approx(ref_penalty, rel=rel)
+        for got, ref in ((fit.fitted, ref_fitted), (boot.fitted, ref_boot)):
+            assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
     def test_refits_reuse_one_design(self):
         phi, y = _phi_and_response("discrete", 2)
