@@ -273,14 +273,16 @@ def _ades_two_arm_machinery(model: DecisionModel, n: int):
     or_mean, or_prec = p["log_or_mean"], 1.0 / p["log_or_var"]
 
     def log_posterior(states, dataset, idx):
+        # Beta prior on expit(x0), normal prior on x1, binomial counts dc of
+        # expit(x0) and dt of expit(x0 + x1); log_expit(-x) = log_expit(x) - x
+        # folds each arm's failure terms into its success term
         x0, x1 = states[:, 0], states[:, 1]
         dc = dataset["dc"][idx]
         dt = dataset["dt"][idx]
         xt = x0 + x1
-        lp = a_pc * log_expit(x0) + b_pc * log_expit(-x0)
-        lp += -0.5 * or_prec * (x1 - or_mean) ** 2
-        lp += dc * log_expit(x0) + (n - dc) * log_expit(-x0)
-        lp += dt * log_expit(xt) + (n - dt) * log_expit(-xt)
+        lp = (a_pc + b_pc + n) * log_expit(x0) - (b_pc + n - dc) * x0
+        lp += n * log_expit(xt) - (n - dt) * xt
+        lp -= 0.5 * or_prec * (x1 - or_mean) ** 2
         return lp
 
     prior_pc_sd = np.sqrt(a_pc * b_pc / ((a_pc + b_pc) ** 2 * (a_pc + b_pc + 1)))

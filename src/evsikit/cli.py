@@ -247,10 +247,13 @@ def cmd_evsi(cfg: RunConfig) -> int:
                 row[name] = float(ve.phi_points[q, j])
         row["dataset"] = ve.dataset_summaries[q]
         row["posterior_variance"] = float(ve.per_point[q])
-        rate = ve.acceptance_rates[q]
-        row["acceptance_rate"] = "" if rate is None else rate
+        # chain diagnostics, blank for conjugate recipes
+        for key, values in (("acceptance_rate", ve.acceptance_rates),
+                            ("split_variance_ratio", ve.split_variance_ratios)):
+            row[key] = "" if values[q] is None else values[q]
         rows.append(row)
-    fieldnames = ["q", *ve.phi_names, "dataset", "posterior_variance", "acceptance_rate"]
+    fieldnames = ["q", *ve.phi_names, "dataset", "posterior_variance", "acceptance_rate",
+                  "split_variance_ratio"]
     _write_csv(os.path.join(out, "per_point.csv"), fieldnames, rows)
     _write_manifest(out, cfg, fit=result.fit_diagnostics)
     return 0

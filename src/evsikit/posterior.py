@@ -11,6 +11,18 @@ per-chain randomness pre-derived from chain-index streams so results do not
 depend on batching.  The proposal is a componentwise Gaussian random walk
 whose global scale adapts toward 0.3 acceptance during burn-in and is frozen
 afterwards.
+
+Step kernel.  Each block of chains draws its standard normals and log
+uniforms for every step up front.  A step then makes one vectorised pass
+over the block: the proposal is written into one reused buffer as
+noise * step + cur, where step = scales * exp(log_mult) is recomputed only
+when an adaptation window moves log_mult; the log density is evaluated at
+all proposals against the block's datasets (selected by a slice, so the
+lookup is a view); and accepted proposals and their densities are copied
+into the current state in place, so no step allocates a proposal or state
+array.  The rounding order of the proposal is fixed (noise times step, plus
+cur), and tests keep a straightforward version of the loop as a reference
+that the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -127,7 +139,8 @@ class MetropolisUpdate:
     """Generic recipe: a log-posterior factory over chain coordinates.
 
     `log_posterior(states, dataset, idx)` evaluates (n,) log densities for
-    states of shape (n, d) against the datasets selected by `idx`.
+    states of shape (n, d) against the datasets selected by `idx`, a slice
+    of dataset rows.
     `transform` maps retained chain draws (K, M, d) to model columns.
     """
 
@@ -181,13 +194,17 @@ def metropolis_ensemble(
         seeds = [seed.derive(i) for i in range(n_chains)]
     elif len(seeds) != n_chains:
         raise ValueError(f"{len(seeds)} seeds for {n_chains} chains")
+    keep = stat_fn is None
+    # kept draws feed the split-half variance ratio, which needs 2 per half
+    min_keep = 4 if keep else 1
+    if n_keep < min_keep:
+        raise ValueError(f"n_keep must be at least {min_keep}"
+                         f"{' when draws are kept' if keep else ''}, got {n_keep}")
     d = init.shape[0]
     steps = burn_in + n_keep
     block = block_size or max(1, min(n_chains, int(3e7 // (steps * (d + 1) + 1))))
 
-    keep = stat_fn is None
     draws = np.empty((n_chains, n_keep, d)) if keep else None
-    stat_dim = None
     stat_sums = None
     accept_rates = np.empty(n_chains)
 
@@ -202,28 +219,33 @@ def metropolis_ensemble(
             logu[i] = np.log(gen.random(steps))
 
         cur = np.tile(init, (nb, 1))
-        idx = np.arange(lo, hi)
-        lp = logpost(cur, idx)
+        idx = slice(lo, hi)
+        # a copy, since accepted densities are written into it in place
+        lp = np.array(logpost(cur, idx), dtype=float)
         if not np.all(np.isfinite(lp)):
             raise ComputationError("metropolis", "nonfinite log-density at the initial state")
 
         log_mult = np.zeros(nb)
+        step = scales * np.exp(log_mult)[:, None]
+        prop = np.empty_like(cur)
         window_acc = np.zeros(nb)
         accepted = np.zeros(nb)
 
         for t in range(steps):
-            prop = cur + normals[:, t, :] * (scales * np.exp(log_mult)[:, None])
+            np.multiply(normals[:, t, :], step, out=prop)
+            prop += cur
             lp_prop = logpost(prop, idx)
             if np.any(np.isnan(lp_prop)):
                 raise ComputationError("metropolis", "log-density returned NaN")
             acc = (lp_prop - lp) > logu[:, t]
-            cur[acc] = prop[acc]
-            lp = np.where(acc, lp_prop, lp)
+            np.copyto(cur, prop, where=acc[:, None])
+            np.copyto(lp, lp_prop, where=acc)
             if t < burn_in:
                 window_acc += acc
                 if (t + 1) % _ADAPT_WINDOW == 0:
                     rate = window_acc / _ADAPT_WINDOW
                     log_mult = np.clip(log_mult + 0.5 * (rate - _ACCEPT_TARGET), -6.0, 6.0)
+                    step = scales * np.exp(log_mult)[:, None]
                     window_acc[:] = 0.0
             else:
                 accepted += acc
@@ -233,8 +255,7 @@ def metropolis_ensemble(
                 else:
                     s = stat_fn(cur)
                     if stat_sums is None:
-                        stat_dim = s.shape[1]
-                        stat_sums = np.zeros((n_chains, stat_dim))
+                        stat_sums = np.zeros((n_chains, s.shape[1]))
                     stat_sums[lo:hi] += s
 
         accept_rates[lo:hi] = accepted / n_keep

@@ -66,6 +66,7 @@ class VarianceEstimate:
     per_point: np.ndarray
     clamped: bool
     acceptance_rates: list = field(default_factory=list)
+    split_variance_ratios: list = field(default_factory=list)
     dataset_summaries: list = field(default_factory=list)
     phi_names: tuple = ()
     phi_points: np.ndarray | None = None
@@ -230,6 +231,7 @@ def expected_posterior_variance(
         raise ComputationError("posterior_variance", f"{where} failed: {exc}") from exc
     per_point = np.array([run.inb_posterior_variance for run in runs])
     rates = [run.acceptance_rate for run in runs]
+    split_ratios = [run.split_variance_ratio for run in runs]
     summaries = [design.describe_dataset(ds) for ds in datasets]
 
     expected = float(np.mean(per_point))
@@ -248,6 +250,7 @@ def expected_posterior_variance(
         per_point=per_point,
         clamped=clamped,
         acceptance_rates=rates,
+        split_variance_ratios=split_ratios,
         dataset_summaries=summaries,
         phi_names=plan.phi_names,
         phi_points=plan.phi_points,

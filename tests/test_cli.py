@@ -58,8 +58,11 @@ class TestEvsiCommand:
         assert result["evsi"] >= 0.0
         assert 0.0 <= result["a"] <= 1.0
         per_point = (out / "per_point.csv").read_text().splitlines()
-        assert per_point[0] == "q,Pse,dataset,posterior_variance,acceptance_rate"
+        assert per_point[0] == ("q,Pse,dataset,posterior_variance,acceptance_rate,"
+                                "split_variance_ratio")
         assert len(per_point) == 11
+        # conjugate recipes leave both chain diagnostics blank
+        assert all(line.endswith(",,") for line in per_point[1:])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evsi"
 
@@ -103,14 +106,19 @@ class TestEvsiCommand:
             in capsys.readouterr().err
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["evsi", "--model", "normal_normal", "--S", "5000",
-                     "--Q", "5", "--M", "1000", "--burn-in", "0",
-                     "--seed", "3", "--out", str(a)]) == 0
-        assert main(["evsi", "--from-manifest", str(a / "manifest.json"),
-                     "--out", str(b)]) == 0
-        assert _read(a / "result.json") == _read(b / "result.json")
-        assert _read(a / "per_point.csv") == _read(b / "per_point.csv")
+        for name, args in [
+            ("normal_normal", ["--model", "normal_normal", "--S", "5000", "--Q", "5",
+                               "--M", "1000", "--burn-in", "0"]),
+            # the Metropolis path, whose per_point.csv carries chain diagnostics
+            ("ades_study4", ["--model", "ades", "--design", "study4", "--S", "20000",
+                             "--Q", "5", "--M", "1500", "--burn-in", "500"]),
+        ]:
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            assert main(["evsi", *args, "--seed", "3", "--out", str(a)]) == 0
+            assert main(["evsi", "--from-manifest", str(a / "manifest.json"),
+                         "--out", str(b)]) == 0
+            assert _read(a / "result.json") == _read(b / "result.json")
+            assert _read(a / "per_point.csv") == _read(b / "per_point.csv")
 
 
 class TestEvppiCommand:

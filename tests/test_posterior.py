@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
+from evsikit.casemodels import get_design, get_model
+from evsikit.model import run_psa
 from evsikit.posterior import (
     BetaBinomialUpdate,
     GammaExponentialUpdate,
@@ -162,6 +165,20 @@ class TestMetropolis:
         with pytest.raises(ValueError, match="1 seeds for 2 chains"):
             metropolis_ensemble(logpost, seeds=[SeedSpec(2)], **common)
 
+    @pytest.mark.parametrize("n_keep, stat_fn", [(0, None), (3, None), (0, np.copy)])
+    def test_too_few_draws_are_refused(self, n_keep, stat_fn):
+        with pytest.raises(ValueError, match=f"n_keep must be at least .*got {n_keep}"):
+            metropolis_ensemble(lambda s, i: _beta48_logpost(s, None, i), n_chains=1,
+                                init=np.array([0.3]), scales=np.array([0.1]), n_keep=n_keep,
+                                burn_in=10, seed=SeedSpec(12), stat_fn=stat_fn)
+
+    @pytest.mark.filterwarnings("ignore:metropolis acceptance rate")
+    def test_stat_mode_keeps_a_single_draw(self):
+        means, _ = metropolis_ensemble(lambda s, i: _beta48_logpost(s, None, i), n_chains=2,
+                                       init=np.array([0.3]), scales=np.array([0.1]), n_keep=1,
+                                       burn_in=0, seed=SeedSpec(13), stat_fn=np.copy)
+        assert means.shape == (2, 1) and np.all((means > 0) & (means < 1))
+
     def test_stat_mode_matches_kept_draws(self):
         common = dict(
             n_chains=3,
@@ -236,3 +253,109 @@ class TestMetropolisRecipe:
         out, info = recipe.draw({"x": np.array([1.0])}, 3000, burn_in=300, seed=SeedSpec(10))
         assert out["p"].shape == (1, 3000)
         assert "acceptance_rate" in info
+
+
+def _reference_ensemble(logpost, n_chains, init, scales, n_keep, burn_in, seed, stat_fn=None):
+    """A straightforward step loop over all chains in one block: a fresh
+    proposal array per step and boolean-index moves.  The kernel in
+    `metropolis_ensemble` must match it bit for bit."""
+    steps = burn_in + n_keep
+    normals = np.empty((n_chains, steps, init.shape[0]))
+    logu = np.empty((n_chains, steps))
+    for i in range(n_chains):
+        gen = seed.derive(i).generator()
+        normals[i] = gen.standard_normal((steps, init.shape[0]))
+        logu[i] = np.log(gen.random(steps))
+    cur = np.tile(init, (n_chains, 1))
+    idx = np.arange(n_chains)
+    lp = logpost(cur, idx)
+    log_mult = np.zeros(n_chains)
+    window_acc = np.zeros(n_chains)
+    kept, sums = [], 0.0
+    for t in range(steps):
+        prop = cur + normals[:, t, :] * (scales * np.exp(log_mult)[:, None])
+        lp_prop = logpost(prop, idx)
+        acc = (lp_prop - lp) > logu[:, t]
+        cur[acc] = prop[acc]
+        lp = np.where(acc, lp_prop, lp)
+        if t < burn_in:
+            window_acc += acc
+            if (t + 1) % 50 == 0:
+                log_mult = np.clip(log_mult + 0.5 * (window_acc / 50 - 0.3), -6.0, 6.0)
+                window_acc[:] = 0.0
+        elif stat_fn is None:
+            kept.append(cur.copy())
+        else:
+            sums = sums + stat_fn(cur)
+    return np.stack(kept, axis=1) if stat_fn is None else sums / n_keep
+
+
+def _four_term_ades_logpost(model, n):
+    """The ADES two-arm log posterior with one log_expit per binomial term."""
+    p = model.params
+    a_pc, b_pc = p["pc_alpha"], p["pc_beta"]
+    or_mean, or_prec = p["log_or_mean"], 1.0 / p["log_or_var"]
+
+    def log_posterior(states, dataset, idx):
+        x0, x1 = states[:, 0], states[:, 1]
+        dc, dt = dataset["dc"][idx], dataset["dt"][idx]
+        xt = x0 + x1
+        lp = a_pc * log_expit(x0) + b_pc * log_expit(-x0)
+        lp += -0.5 * or_prec * (x1 - or_mean) ** 2
+        lp += dc * log_expit(x0) + (n - dc) * log_expit(-x0)
+        lp += dt * log_expit(xt) + (n - dt) * log_expit(-xt)
+        return lp
+
+    return log_posterior
+
+
+class TestAdesKernelMatchesReference:
+    @pytest.fixture(scope="class")
+    def trial(self):
+        model = get_model("ades")
+        design = get_design(model, "study3")
+        return model, design, _four_term_ades_logpost(model, design.sample_size)
+
+    @staticmethod
+    def _datasets(model, design, n_chains, seed):
+        psa = run_psa(model, n_chains, seed.derive(0))
+        return design.simulate(psa.columns, seed.derive(1))
+
+    def test_two_term_density_matches_four_term(self, trial):
+        model, design, four_term = trial
+        n = design.sample_size
+        x0, x1 = np.meshgrid(np.linspace(-40, 40, 161), np.linspace(-40, 40, 161))
+        states = np.column_stack([x0.ravel(), x1.ravel()])
+        for dc in (0.0, 7.0, float(n)):
+            for dt in (0.0, 13.0, float(n)):
+                ds = {"dc": np.full(len(states), dc), "dt": np.full(len(states), dt)}
+                got = design.recipe.log_posterior(states, ds, slice(None))
+                want = four_term(states, ds, slice(None))
+                assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    def test_kept_draws_bit_identical(self, trial):
+        model, design, four_term = trial
+        seed = SeedSpec(901)
+        ds = self._datasets(model, design, 30, seed)
+        recipe = design.recipe
+        common = dict(n_chains=30, init=np.asarray(recipe.init),
+                      scales=np.asarray(recipe.base_scales), n_keep=1500, burn_in=500,
+                      seed=seed.derive(2))
+        draws, _ = metropolis_ensemble(lambda s, i: recipe.log_posterior(s, ds, i), **common)
+        want = _reference_ensemble(lambda s, i: four_term(s, ds, i), **common)
+        assert np.array_equal(draws, want)
+
+    @pytest.mark.parametrize("block_size", [64, None])
+    def test_stat_means_bit_identical(self, trial, block_size):
+        model, design, four_term = trial
+        seed = SeedSpec(902)
+        ds = self._datasets(model, design, 200, seed)
+        recipe = design.recipe
+        stat_fn = lambda s: np.column_stack([s[:, 0], s[:, 0] + s[:, 1]])  # noqa: E731
+        common = dict(n_chains=200, init=np.asarray(recipe.init),
+                      scales=np.asarray(recipe.base_scales), n_keep=1000, burn_in=500,
+                      seed=seed.derive(2), stat_fn=stat_fn)
+        means, _ = metropolis_ensemble(lambda s, i: recipe.log_posterior(s, ds, i),
+                                       block_size=block_size, **common)
+        want = _reference_ensemble(lambda s, i: four_term(s, ds, i), **common)
+        assert np.array_equal(means, want)

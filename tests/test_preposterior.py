@@ -76,6 +76,7 @@ class TestRunPosterior:
             4e8 * 32.0 / 1872.0, rel=0.05
         )
         assert run.acceptance_rate is None
+        assert run.split_variance_ratio is None
 
     def test_retained_draw_floor(self):
         model = get_model("beta_binomial")
@@ -199,6 +200,8 @@ class TestExpectedPosteriorVariance:
             runs.append(run_posterior(design, dataset, model, 1500, 500, plan.seeds[q]))
         assert np.array_equal(ve.per_point, [r.inb_posterior_variance for r in runs])
         assert np.array_equal(ve.acceptance_rates, [r.acceptance_rate for r in runs])
+        assert np.array_equal(ve.split_variance_ratios, [r.split_variance_ratio for r in runs])
+        assert all(0.0 < r < np.inf for r in ve.split_variance_ratios)
 
 
 def _nan_draw_at_point(monkeypatch, recipe_cls, point):
