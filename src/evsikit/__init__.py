@@ -50,8 +50,6 @@ from .casemodels import (  # noqa: F401
 )
 from .oracles import (  # noqa: F401
     OracleResult,
-    closed_form_normal_evsi,
-    enumeration_evsi,
     nested_mc_evsi,
     regression_on_summaries_evsi,
 )

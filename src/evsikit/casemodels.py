@@ -9,10 +9,11 @@
 
 Each model is registered by name with everything the engine needs beyond the
 `DecisionModel` itself: its prior-mean INB, its study-design factories with
-their default sample sizes, and the conjugate toy that has its closed forms.
-Designs are looked up by `model.name`, so a model rebuilt by hand under a
-registered name gets the registered designs.  Parameters can be overridden
-per run.
+their default sample sizes and, for a conjugate toy, its variant name and
+closed forms.  Designs are looked up by `model.name`, so a model rebuilt by
+hand under a registered name gets the registered designs.  Every model
+parameter, a design's observation variance included, can be overridden per
+run.
 
 A simulated dataset holds one sufficient statistic per PSA row, never the
 single observations: a count for binomial data, and for n normal or
@@ -139,6 +140,7 @@ ADES_DEFAULTS = {
     "log_or_var": 1.0 / 3.0,
     "logit_qe_mean": 0.6,
     "logit_qe_var": 1.0 / 6.0,
+    "logit_qe_obs_var": 2.0,  # variance of one study2 response on the logit scale
 }
 
 
@@ -174,11 +176,7 @@ def _ades_inb_at_means(pc, pse, pt, qe, params):
 
 
 def build_ades(**overrides) -> DecisionModel:
-    p = dict(ADES_DEFAULTS)
-    unknown = set(overrides) - set(p)
-    if unknown:
-        raise ConfigError(f"unknown ades parameters {sorted(unknown)}")
-    p.update(overrides)
+    p = {**ADES_DEFAULTS, **overrides}
 
     priors = {
         "Pc": DistSpec("beta", p["pc_alpha"], p["pc_beta"]),
@@ -245,11 +243,11 @@ def _ades_study1(model: DecisionModel, n: int) -> StudyDesign:
     )
 
 
-def _ades_study2(model: DecisionModel, n: int, obs_var: float) -> StudyDesign:
+def _ades_study2(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
     means = _ades_prior_means(p)
     recipe = NormalNormalUpdate("logit_qe", p["logit_qe_mean"], p["logit_qe_var"],
-                                obs_var, n, "response_total")
+                                p["logit_qe_obs_var"], n, "response_total")
 
     def inner_means(ds, seed=None, n_inner=0, burn_in=0):
         mean, var = recipe.posterior_params(ds)
@@ -259,7 +257,7 @@ def _ades_study2(model: DecisionModel, n: int, obs_var: float) -> StudyDesign:
     return StudyDesign(
         name="study2", focal_params=("logit_qe",), sample_size=n, recipe=recipe,
         batch_inner_means=inner_means,
-        **_normal_observations(n, "logit_qe", obs_var, key="response_total",
+        **_normal_observations(n, "logit_qe", p["logit_qe_obs_var"], key="response_total",
                                summary="mean_response"),
     )
 
@@ -350,22 +348,21 @@ def _ades_prior_mean_inb(model: DecisionModel) -> float:
 
 @dataclass(frozen=True)
 class ConjugateToy:
-    """One of the closed-form validation models plus a future sample size."""
+    """One of the closed-form validation models plus a future sample size.
+
+    `params` are overrides of the model's parameters; after construction it
+    holds every parameter of the model.
+    """
 
     variant: str
     N: int
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        defaults = get_model(self.model_name).params
+        model = get_model(self.model_name, **self.params)
         if self.N < 0:
             raise ValueError("future sample size must be >= 0")
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown {self.variant} parameters {sorted(unknown)}")
-        merged = dict(defaults)
-        merged.update(self.params)
-        object.__setattr__(self, "params", merged)
+        object.__setattr__(self, "params", model.params)
 
     @property
     def model_name(self) -> str:
@@ -380,72 +377,17 @@ class ConjugateToy:
 class PreposteriorSummary:
     mean: float
     variance: float
-    evsi: float | None = None
-
-
-def _bb_enumeration_evsi(k: float, c: float, N: int) -> float:
-    """Exact EVSI for the flat-prior Binomial trial: N+1 equally likely outcomes."""
-    x = np.arange(N + 1)
-    mu = k * (1.0 + x) / (2.0 + N) - c
-    return float(np.mean(np.maximum(mu, 0.0)) - max(0.0, k / 2.0 - c))
-
-
-def _exp_gamma_evsi(alpha: float, beta: float, k: float, c_total: float, N: int) -> float:
-    """Exact EVSI via the Beta(alpha, N) law of the inverse posterior scale."""
-    if N == 0:
-        return 0.0
-    g = k * (alpha + N) / beta
-    prior_term = max(0.0, k * alpha / beta - c_total)
-    if c_total <= 0:
-        return g * alpha / (alpha + N) - c_total - prior_term
-    b_star = c_total / g
-    if b_star >= 1.0:
-        return max(0.0, -prior_term)
-    tail1 = stats.beta.sf(b_star, alpha + 1, N)
-    tail0 = stats.beta.sf(b_star, alpha, N)
-    value = g * (alpha / (alpha + N)) * tail1 - c_total * tail0
-    return max(0.0, float(value) - prior_term)
-
-
-def _normal_normal_evsi(theta0, prior_var, obs_var, k, c, N) -> float:
-    if N == 0:
-        return 0.0
-    m = k * theta0 - c
-    s2 = k**2 * prior_var**2 / (obs_var / N + prior_var)
-    s = np.sqrt(s2)
-    value = s * stats.norm.pdf(m / s) + m * stats.norm.cdf(m / s)
-    return max(0.0, float(value) - max(0.0, m))
+    evsi: float
 
 
 def analytic_preposterior(toy: ConjugateToy) -> PreposteriorSummary:
     """Closed-form preposterior mean/variance of the treatment net benefit,
-    plus the exact EVSI where available.
+    plus the exact EVSI.
 
     The variance equals that of the INB preposterior mean (the comparator is
     constant in every toy); the EVSI accounts for the comparator.
     """
-    p, N = toy.params, toy.N
-    if toy.variant == "beta_binomial_uniform":
-        k, c = p["k"], p["c"]
-        return PreposteriorSummary(
-            mean=k / 2.0 - c,
-            variance=k**2 * N / (12.0 * (N + 2.0)),
-            evsi=_bb_enumeration_evsi(k, c, N),
-        )
-    if toy.variant == "exp_gamma":
-        a, b, k = p["alpha"], p["beta"], p["k"]
-        return PreposteriorSummary(
-            mean=k * a / b - p["c1"],
-            variance=k**2 * a * N / (b**2 * (a + N + 1.0)),
-            evsi=_exp_gamma_evsi(a, b, k, p["c0"] + p["c1"], N),
-        )
-    a_var = p["prior_var"]
-    variance = 0.0 if N == 0 else p["k"] ** 2 * a_var**2 / (p["obs_var"] / N + a_var)
-    return PreposteriorSummary(
-        mean=p["k"] * p["theta0"] - p["c"],
-        variance=variance,
-        evsi=_normal_normal_evsi(p["theta0"], a_var, p["obs_var"], p["k"], p["c"], N),
-    )
+    return _entry(toy.model_name).exact(toy.params, toy.N)
 
 
 # -- toy decision models ------------------------------------------------------
@@ -466,6 +408,18 @@ def build_beta_binomial(k=20000.0, c=10000.0) -> DecisionModel:
     )
 
 
+def _beta_binomial_exact(p: dict, N: int) -> PreposteriorSummary:
+    """Flat prior: the N+1 outcomes of the trial are equally likely, so the
+    exact EVSI is an average over all of them."""
+    k, c = p["k"], p["c"]
+    mu = k * (1.0 + np.arange(N + 1)) / (2.0 + N) - c
+    return PreposteriorSummary(
+        mean=k / 2.0 - c,
+        variance=k**2 * N / (12.0 * (N + 2.0)),
+        evsi=float(np.mean(np.maximum(mu, 0.0)) - max(0.0, k / 2.0 - c)),
+    )
+
+
 def build_exp_gamma(alpha=5.0, beta=1.0, k=200.0, c0=900.0, c1=100.0) -> DecisionModel:
     def net_benefit(cols):
         nb1 = k * cols["event_rate"] - c1
@@ -481,6 +435,27 @@ def build_exp_gamma(alpha=5.0, beta=1.0, k=200.0, c0=900.0, c1=100.0) -> Decisio
     )
 
 
+def _exp_gamma_exact(p: dict, N: int) -> PreposteriorSummary:
+    """Exact EVSI via the Beta(alpha, N) law of the inverse posterior scale."""
+    a, b, k = p["alpha"], p["beta"], p["k"]
+    c_total = p["c0"] + p["c1"]
+    g = k * (a + N) / b
+    prior_term = max(0.0, k * a / b - c_total)
+    if N == 0:
+        evsi = 0.0
+    elif c_total <= 0:
+        evsi = g * a / (a + N) - c_total - prior_term
+    elif c_total / g >= 1.0:
+        evsi = 0.0
+    else:
+        b_star = c_total / g
+        value = (g * (a / (a + N)) * stats.beta.sf(b_star, a + 1, N)
+                 - c_total * stats.beta.sf(b_star, a, N))
+        evsi = max(0.0, float(value) - prior_term)
+    return PreposteriorSummary(mean=k * a / b - p["c1"],
+                               variance=k**2 * a * N / (b**2 * (a + N + 1.0)), evsi=evsi)
+
+
 def build_normal_normal(theta0=0.0, prior_var=1.0, obs_var=1.0, k=10000.0, c=0.0) -> DecisionModel:
     def net_benefit(cols):
         nb1 = k * cols["effect"] - c
@@ -494,6 +469,18 @@ def build_normal_normal(theta0=0.0, prior_var=1.0, obs_var=1.0, k=10000.0, c=0.0
         comparison=(1, 0),
         params={"theta0": theta0, "prior_var": prior_var, "obs_var": obs_var, "k": k, "c": c},
     )
+
+
+def _normal_normal_exact(p: dict, N: int) -> PreposteriorSummary:
+    """Exact EVSI via the unit normal loss function of the preposterior mean."""
+    m = p["k"] * p["theta0"] - p["c"]
+    if N == 0:
+        return PreposteriorSummary(mean=m, variance=0.0, evsi=0.0)
+    variance = p["k"] ** 2 * p["prior_var"] ** 2 / (p["obs_var"] / N + p["prior_var"])
+    s = np.sqrt(variance)
+    value = s * stats.norm.pdf(m / s) + m * stats.norm.cdf(m / s)
+    return PreposteriorSummary(mean=m, variance=variance,
+                               evsi=max(0.0, float(value) - max(0.0, m)))
 
 
 def build_quadratic_normal(prior_var=5.0, obs_var=10.0) -> DecisionModel:
@@ -518,19 +505,16 @@ def build_quadratic_normal(prior_var=5.0, obs_var=10.0) -> DecisionModel:
     )
 
 
-def quadratic_posterior_var(model: DecisionModel, N: int) -> float:
-    p = model.params
-    return 1.0 / (1.0 / p["prior_var"] + N / p["obs_var"])
-
-
-def quadratic_preposterior_variance(model: DecisionModel, N: int) -> float:
-    tau2 = model.params["prior_var"] - quadratic_posterior_var(model, N)
-    return 2.0 * tau2**2
+def _quadratic_normal_exact(p: dict, N: int) -> PreposteriorSummary:
+    """The preposterior mean of the effect is Normal(0, tau2), so the INB's
+    preposterior mean is tau2 (Z^2 - 1) with Z standard normal."""
+    tau2 = p["prior_var"] - 1.0 / (1.0 / p["prior_var"] + N / p["obs_var"])
+    return PreposteriorSummary(mean=0.0, variance=2.0 * tau2**2,
+                               evsi=float(tau2 * 2.0 * stats.norm.pdf(1.0)))
 
 
 def quadratic_exact_evsi(model: DecisionModel, N: int) -> float:
-    tau2 = model.params["prior_var"] - quadratic_posterior_var(model, N)
-    return float(tau2 * 2.0 * stats.norm.pdf(1.0))
+    return _quadratic_normal_exact(model.params, N).evsi
 
 
 # per-patient costs of the comparator and of the new treatment
@@ -617,10 +601,9 @@ def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
 def _quadratic_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
     recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], n, "obs_total")
-    post_var = quadratic_posterior_var(model, n)
 
     def inner(ds, seed=None, n_inner=0, burn_in=0):
-        mean, _ = recipe.posterior_params(ds)
+        mean, post_var = recipe.posterior_params(ds)
         return np.atleast_1d(mean) ** 2 + post_var - p["prior_var"]
 
     return StudyDesign(
@@ -673,29 +656,26 @@ def _null_design(model: DecisionModel, n: int) -> StudyDesign:
 
 @dataclass(frozen=True)
 class DesignEntry:
-    """A study-design factory and its default future sample size.
+    """A study-design factory `build(model, n)` and its default future sample size."""
 
-    The factory is called as `build(model, n)`, or as `build(model, n, obs_var)`
-    when the design's observation variance may be overridden; `obs_var` then
-    holds its default.
-    """
-
-    build: Callable[..., StudyDesign]
+    build: Callable[[DecisionModel, int], StudyDesign]
     size: int
-    obs_var: float | None = None
 
 
 @dataclass(frozen=True)
 class ModelEntry:
     """What is registered under a model name; the first design is the default.
 
-    `toy_variant` names the `ConjugateToy` that gives this model's closed forms.
+    `build`'s keyword arguments are the model's parameters.  A conjugate toy
+    also has the `ConjugateToy` variant name `toy_variant` and its closed
+    forms `exact(params, N)` for a future study of size N.
     """
 
     build: Callable[..., DecisionModel]
     prior_mean_inb: Callable[[DecisionModel], float]
     designs: dict[str, DesignEntry]
     toy_variant: str | None = None
+    exact: Callable[[dict, int], PreposteriorSummary] | None = None
 
 
 def _toy_designs(trial, n: int) -> dict[str, DesignEntry]:
@@ -705,23 +685,24 @@ def _toy_designs(trial, n: int) -> dict[str, DesignEntry]:
 _REGISTRY = {
     "ades": ModelEntry(build_ades, _ades_prior_mean_inb, {
         "study1": DesignEntry(_ades_study1, 60),
-        "study2": DesignEntry(_ades_study2, 100, obs_var=2.0),
+        "study2": DesignEntry(_ades_study2, 100),
         "study3": DesignEntry(_ades_study3, 200),
         "study4": DesignEntry(_ades_study4, 200),
     }),
     "beta_binomial": ModelEntry(
         build_beta_binomial, lambda m: m.params["k"] / 2.0 - m.params["c"],
-        _toy_designs(_beta_binomial_trial, 10), toy_variant="beta_binomial_uniform"),
+        _toy_designs(_beta_binomial_trial, 10), "beta_binomial_uniform", _beta_binomial_exact),
     "exp_gamma": ModelEntry(
         build_exp_gamma,
         lambda m: (m.params["k"] * m.params["alpha"] / m.params["beta"]
                    - m.params["c0"] - m.params["c1"]),
-        _toy_designs(_exp_gamma_trial, 10), toy_variant="exp_gamma"),
+        _toy_designs(_exp_gamma_trial, 10), "exp_gamma", _exp_gamma_exact),
     "normal_normal": ModelEntry(
         build_normal_normal, lambda m: m.params["k"] * m.params["theta0"] - m.params["c"],
-        _toy_designs(_normal_normal_trial, 9), toy_variant="normal_normal"),
+        _toy_designs(_normal_normal_trial, 9), "normal_normal", _normal_normal_exact),
     "quadratic_normal": ModelEntry(
-        build_quadratic_normal, lambda m: 0.0, _toy_designs(_quadratic_normal_trial, 10)),
+        build_quadratic_normal, lambda m: 0.0, _toy_designs(_quadratic_normal_trial, 10),
+        "quadratic_normal", _quadratic_normal_exact),
     "two_param_linear": ModelEntry(
         build_two_param_linear, _two_param_prior_mean_inb, _toy_designs(_two_param_trial, 30)),
 }
@@ -739,20 +720,25 @@ def list_models() -> list[str]:
 
 
 def get_model(name: str, **overrides) -> DecisionModel:
-    return _entry(name).build(**overrides)
+    """Build a registered model; `overrides` replace its default parameters."""
+    build = _entry(name).build
+    unknown = set(overrides) - set(build().params)
+    if unknown:
+        raise ConfigError(f"unknown {name} parameters {sorted(unknown)}")
+    try:
+        return build(**overrides)
+    except ValueError as exc:
+        raise ConfigError(f"{name} parameters {overrides}: {exc}") from exc
 
 
 def list_designs(model_name: str) -> list[str]:
     return list(_entry(model_name).designs)
 
 
-def get_design(model: DecisionModel, name: str | None = None, n: int | None = None,
-               obs_var: float | None = None) -> StudyDesign:
-    """Build a study design registered under `model.name`.
-
-    `n` overrides the future sample size, and `obs_var` the observation
-    variance of a design that has one.
-    """
+def get_design(model: DecisionModel, name: str | None = None,
+               n: int | None = None) -> StudyDesign:
+    """Build a study design registered under `model.name`; `n` overrides the
+    future sample size."""
     designs = _entry(model.name).designs
     name = name or next(iter(designs))
     if name not in designs:
@@ -760,10 +746,4 @@ def get_design(model: DecisionModel, name: str | None = None, n: int | None = No
             f"unknown design {name!r} for model {model.name!r}; available: {list(designs)}"
         )
     entry = designs[name]
-    size = entry.size if n is None else n
-    if entry.obs_var is None:
-        if obs_var is not None:
-            raise ConfigError(f"design {name!r} of model {model.name!r} takes no obs_var; "
-                              "override the model's parameters instead")
-        return entry.build(model, size)
-    return entry.build(model, size, entry.obs_var if obs_var is None else obs_var)
+    return entry.build(model, entry.size if n is None else n)

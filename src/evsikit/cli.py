@@ -25,10 +25,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .casemodels import ConjugateToy, get_design, get_model, list_models
+from .casemodels import ConjugateToy, analytic_preposterior, get_design, get_model, list_models
 from .model import compute_inb, evpi, run_psa, voi, write_psa_csv
 from .momentmatch import EvsiOptions, estimate_evsi
-from .oracles import enumeration_evsi, closed_form_normal_evsi, nested_mc_evsi
+from .oracles import nested_mc_evsi
 from .regression import fit_conditional_mean
 from .experiments import EXPERIMENTS, ROW_FIELDS
 from .rng import SeedSpec
@@ -44,7 +44,6 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     design: str | None = None
     design_n: int | None = None
-    obs_var: float | None = None
     S: int = 10000
     Q: int = 30
     M: int = 10000
@@ -82,8 +81,7 @@ class RunConfig:
             raise ConfigError("replicates must be a positive count")
         if self.design_n is not None and self.design_n < 0:
             raise ConfigError("design_n must be >= 0")
-        numbers = {"obs_var": self.obs_var, "budget_seconds": self.budget_seconds,
-                   **(self.model_params or {})}
+        numbers = {"budget_seconds": self.budget_seconds, **(self.model_params or {})}
         for name, value in numbers.items():
             if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
@@ -160,7 +158,7 @@ def _outdir(cfg: RunConfig) -> str:
 
 def _model_and_design(cfg: RunConfig):
     model = get_model(cfg.model, **cfg.model_params)
-    design = get_design(model, cfg.design, n=cfg.design_n, obs_var=cfg.obs_var)
+    design = get_design(model, cfg.design, n=cfg.design_n)
     return model, design
 
 
@@ -377,10 +375,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
                      f"sigma2={result.variance_estimate.sigma2:.6g}")
 
     # oracle cross-checks (exit 4 on disagreement)
-    for toy, oracle_fn in (
-        (ConjugateToy("beta_binomial_uniform", 10), enumeration_evsi),
-        (ConjugateToy("normal_normal", 9), closed_form_normal_evsi),
-    ):
+    for toy in (ConjugateToy("beta_binomial_uniform", 10), ConjugateToy("normal_normal", 9)):
         model_name = toy.model_name
         model = get_model(model_name, **toy.params)
         design = get_design(model, "trial", n=toy.N)
@@ -388,7 +383,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
         psa = run_psa(model, 50000, case_seed.derive(0))
         result = estimate_evsi(model, design, psa,
                                EvsiOptions(Q=10, M=2000, seed=case_seed.derive(1)))
-        oracle = oracle_fn(toy)
+        oracle = analytic_preposterior(toy)
         tol = max(0.04 * oracle.evsi, 4.0 * result.evsi_se)
         agree = abs(result.evsi - oracle.evsi) <= tol
         if not _check(report, f"{model_name} oracle agreement", agree,
@@ -473,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--design")
             p.add_argument("--N", type=int, dest="design_n",
                            help="future-study sample size override")
-            p.add_argument("--obs-var", type=float, dest="obs_var")
         p.add_argument("--S", type=int)
         p.add_argument("--Q", type=int)
         p.add_argument("--M", type=int)

@@ -3,14 +3,14 @@
 * Nested Monte Carlo: outer draws of parameters and future data, an inner
   posterior mean of the INB per dataset (closed forms where the update is
   conjugate, ensemble Metropolis chains otherwise).
-* Exact enumeration for the flat-prior Binomial toy.
-* Closed-form preposterior law for the Normal-Normal toy.
 * Regression on data summaries: simulate one dataset per PSA draw, as its
   sufficient statistics (a count, or the total of n observations), and smooth
   the INB against the dataset's low-dimensional summaries.  One spline
   design, built over the distinct summary rows, serves the GCV fit and every
   bootstrap refit; discrete summaries collapse 1e5 rows to tens or a few
   thousand design rows, and no refit rebuilds the design.
+
+The conjugate toys' exact values come from `casemodels.analytic_preposterior`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casemodels import ConjugateToy, StudyDesign, analytic_preposterior
+from .casemodels import StudyDesign
 from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi
 from .regression import SplineDesign, SplineSpec
 from .rng import SeedSpec
-from .util import BudgetExceededError, UnsupportedDimensionError
+from .util import BudgetExceededError
 
 _OUTER_CHUNK = 50000
 
@@ -94,32 +94,6 @@ def nested_mc_evsi(
         n_inner=n_inner,
         wall_time=time.perf_counter() - start,
     )
-
-
-def enumeration_evsi(toy: ConjugateToy) -> OracleResult:
-    """Exact EVSI for the flat-prior Binomial toy by summing all N+1 outcomes."""
-    if toy.variant != "beta_binomial_uniform":
-        raise UnsupportedDimensionError(
-            f"enumeration supports only beta_binomial_uniform, not {toy.variant!r}"
-        )
-    if toy.N > 10**6:
-        raise ValueError("enumeration limited to N <= 1e6")
-    start = time.perf_counter()
-    return OracleResult(
-        method="analytic_enumeration",
-        evsi=analytic_preposterior(toy).evsi,
-        standard_error=0.0,
-        n_outer=toy.N + 1,
-        wall_time=time.perf_counter() - start,
-    )
-
-
-def closed_form_normal_evsi(toy: ConjugateToy) -> OracleResult:
-    """Exact EVSI for the Normal-Normal toy via the unit normal loss function."""
-    if toy.variant != "normal_normal":
-        raise UnsupportedDimensionError("closed form applies to the normal_normal toy")
-    return OracleResult(method="closed_form_normal", evsi=analytic_preposterior(toy).evsi,
-                        standard_error=0.0)
 
 
 def _bootstrap_counts(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -165,6 +165,18 @@ class MetropolisUpdate:
         return self.transform(chains), info
 
 
+def _split_variance_ratio(draws: np.ndarray) -> np.ndarray:
+    """Per chain of (n_chains, n_keep, d) draws, the largest over coordinates
+    of max(r, 1/r), r being the first half's variance over the second half's:
+    near 1 for a settled chain, large when either half is much wider."""
+    half = draws.shape[1] // 2
+    v1 = draws[:, :half, :].var(axis=1, ddof=1)
+    v2 = draws[:, half:, :].var(axis=1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(v2 > 0, v1 / v2, np.inf)
+        return np.maximum(ratio, 1.0 / ratio).max(axis=1)
+
+
 def metropolis_ensemble(
     logpost: Callable,
     n_chains: int,
@@ -262,12 +274,7 @@ def metropolis_ensemble(
 
     info = {"acceptance_rate": accept_rates}
     if keep:
-        half = n_keep // 2
-        v1 = draws[:, :half, :].var(axis=1, ddof=1)
-        v2 = draws[:, half:, :].var(axis=1, ddof=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(v2 > 0, v1 / v2, np.inf)
-        info["split_variance_ratio"] = ratio.max(axis=1)
+        info["split_variance_ratio"] = _split_variance_ratio(draws)
     bad = (accept_rates < _ACCEPT_BAND[0]) | (accept_rates > _ACCEPT_BAND[1])
     if np.any(bad):
         warnings.warn(

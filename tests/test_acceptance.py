@@ -9,12 +9,18 @@ import warnings
 
 import numpy as np
 
-from evsikit.casemodels import ConjugateToy, get_design, get_model, quadratic_exact_evsi
+from evsikit.casemodels import (
+    ConjugateToy,
+    analytic_preposterior,
+    get_design,
+    get_model,
+    quadratic_exact_evsi,
+)
 from evsikit.cli import main as cli_main
 from evsikit.experiments import ades_crosscheck, bias_sweep, replicate_table1, variance_convergence
 from evsikit.model import run_psa
 from evsikit.momentmatch import EvsiOptions, estimate_evsi
-from evsikit.oracles import closed_form_normal_evsi, enumeration_evsi, nested_mc_evsi
+from evsikit.oracles import nested_mc_evsi
 from evsikit.rng import SeedSpec
 
 warnings.filterwarnings("ignore", message=".*future sample size.*")
@@ -43,7 +49,7 @@ def test_criterion_1_normal_normal_exactness():
                 psa = run_psa(model, 100000, seed.derive(0))
                 result = estimate_evsi(model, design, psa,
                                        EvsiOptions(Q=10, M=10000, seed=seed.derive(1)))
-                oracle = closed_form_normal_evsi(
+                oracle = analytic_preposterior(
                     ConjugateToy("normal_normal", n,
                                  params={"theta0": theta0, "k": k, "c": c})
                 ).evsi
@@ -65,12 +71,12 @@ def test_criterion_2_beta_binomial_bias():
     sweep = bias_sweep(toy, N_values=(1, 10), replicates=200, seed=SeedSpec(2), S=10000)
     by_n = {row["N"]: row for row in sweep["summary"]}
 
-    enum1 = enumeration_evsi(ConjugateToy("beta_binomial_uniform", 1)).evsi
+    enum1 = analytic_preposterior(ConjugateToy("beta_binomial_uniform", 1)).evsi
     se1 = by_n[1]["sd_estimate"] / np.sqrt(200)
     shortfall = (enum1 - by_n[1]["mean_estimate"]) / se1
     biased_down = shortfall > 2.0
 
-    enum10 = enumeration_evsi(ConjugateToy("beta_binomial_uniform", 10)).evsi
+    enum10 = analytic_preposterior(ConjugateToy("beta_binomial_uniform", 10)).evsi
     rel10 = abs(by_n[10]["mean_estimate"] - enum10) / enum10
     small_bias = rel10 <= 0.02
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from evsikit.casemodels import (
+    _REGISTRY,
     ConjugateToy,
     ades_net_benefit,
     analytic_preposterior,
@@ -74,7 +75,7 @@ class TestFutureData:
     def test_normal_total_law(self):
         # total of n Normal(mu, obs_var) observations: mean n*mu, variance n*obs_var
         n, mu, obs_var, rows = 100, 0.6, 2.0, 100_000
-        design = get_design(get_model("ades"), "study2", n=n, obs_var=obs_var)
+        design = get_design(get_model("ades", logit_qe_obs_var=obs_var), "study2", n=n)
         cols = {"logit_qe": np.full(rows, mu)}
         total = design.simulate_batch(cols, SeedSpec(5))["response_total"]
         var = n * obs_var
@@ -138,7 +139,7 @@ class TestAnalyticPreposterior:
         expected = g**2 * stats.beta.var(5, 10)
         assert analytic_preposterior(toy).variance == pytest.approx(expected, rel=1e-12)
 
-    def test_enumeration_evsi_nondecreasing_in_sample_size(self):
+    def test_flat_prior_evsi_nondecreasing_in_sample_size(self):
         values = [
             analytic_preposterior(ConjugateToy("beta_binomial_uniform", n)).evsi
             for n in (0, 1, 2, 5, 10, 50, 100)
@@ -146,13 +147,16 @@ class TestAnalyticPreposterior:
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(variant=st.sampled_from(["beta_binomial_uniform", "exp_gamma", "normal_normal"]),
+    @given(variant=st.sampled_from(["beta_binomial_uniform", "exp_gamma", "normal_normal",
+                                    "quadratic_normal"]),
            shift=st.floats(-1.0, 1.0))
     def test_evsi_nondecreasing_in_sample_size_for_every_toy(self, variant, shift):
-        # `shift` moves the cost across the decision threshold of each toy
+        # `shift` moves the cost across the decision threshold of each toy;
+        # the quadratic toy has no cost, so it moves the prior variance
         params = {"beta_binomial_uniform": {"c": 10000.0 * (1.0 + shift)},
                   "exp_gamma": {"c0": 900.0 + 1000.0 * shift},
-                  "normal_normal": {"c": 10000.0 * shift}}[variant]
+                  "normal_normal": {"c": 10000.0 * shift},
+                  "quadratic_normal": {"prior_var": 5.0 + 4.0 * shift}}[variant]
         values = [analytic_preposterior(ConjugateToy(variant, n, params=params)).evsi
                   for n in (*range(0, 41), 100, 1000, 10000)]
         assert all(b >= a - 1e-9 * (1.0 + a) for a, b in zip(values, values[1:]))
@@ -172,12 +176,24 @@ class TestAnalyticPreposterior:
         with pytest.raises(ConfigError):
             ConjugateToy("weird", 3)
 
+    @pytest.mark.parametrize("name", [name for name, entry in _REGISTRY.items()
+                                      if entry.toy_variant])
+    def test_every_toy_variant_has_closed_forms_that_vanish_without_data(self, name):
+        entry = _REGISTRY[name]
+        assert entry.exact is not None
+        summary = analytic_preposterior(ConjugateToy(entry.toy_variant, 0))
+        assert summary.variance == 0.0
+        assert summary.evsi == 0.0
+
 
 class TestQuadraticModel:
     def test_exact_evsi_value(self):
         # tau^2 = 5 - 1/1.2 = 25/6; EVSI = tau^2 * 2 * pdf(1)
         model = build_quadratic_normal()
         assert quadratic_exact_evsi(model, 10) == pytest.approx(2.0164227, abs=1e-6)
+        summary = analytic_preposterior(ConjugateToy("quadratic_normal", 10))
+        assert summary.variance == pytest.approx(2.0 * (25.0 / 6.0) ** 2, rel=1e-12)
+        assert summary.evsi == pytest.approx(2.0164227, abs=1e-6)
 
     def test_exact_evsi_against_direct_integration(self):
         model = build_quadratic_normal()
@@ -230,13 +246,13 @@ class TestRegistry:
             get_design(get_model("ades"), "study9")
 
     def test_obs_var_only_for_designs_that_observe_one(self):
-        model = get_model("ades")
-        assert get_design(model, "study2").recipe.obs_var == 2.0
-        assert get_design(model, "study2", obs_var=50.0).recipe.obs_var == 50.0
-        for name, design in (("ades", "study1"), ("normal_normal", "trial"),
-                             ("quadratic_normal", "trial"), ("beta_binomial", "null")):
-            with pytest.raises(ConfigError, match="obs_var"):
-                get_design(get_model(name), design, obs_var=50.0)
+        # study2's observation variance is the ades parameter logit_qe_obs_var
+        assert get_design(get_model("ades"), "study2").recipe.obs_var == 2.0
+        model = get_model("ades", logit_qe_obs_var=50.0)
+        assert get_design(model, "study2").recipe.obs_var == 50.0
+        for name in ("normal_normal", "quadratic_normal", "beta_binomial"):
+            with pytest.raises(ConfigError, match="logit_qe_obs_var"):
+                get_model(name, logit_qe_obs_var=50.0)
 
     def test_designs_follow_the_model_name(self):
         # a model rebuilt by hand under a registered name gets that name's designs

@@ -10,8 +10,7 @@ import pytest
 import evsikit.cli as cli
 from evsikit.cli import RunConfig, _write_json, main
 from evsikit.experiments import EXPERIMENTS
-from evsikit.oracles import closed_form_normal_evsi
-from evsikit.casemodels import ConjugateToy
+from evsikit.casemodels import ConjugateToy, PreposteriorSummary, analytic_preposterior
 from evsikit.posterior import NormalNormalUpdate
 from evsikit.util import ComputationError
 
@@ -73,7 +72,7 @@ class TestEvsiCommand:
                      "--M", "5000", "--seed", "2", "--out", str(out)])
         assert code == 0
         result = json.loads((out / "result.json").read_text())
-        oracle = closed_form_normal_evsi(ConjugateToy("normal_normal", 9)).evsi
+        oracle = analytic_preposterior(ConjugateToy("normal_normal", 9)).evsi
         tol = max(0.01 * oracle, 3 * result["evsi_se"])
         assert abs(result["evsi"] - oracle) <= tol
 
@@ -272,15 +271,19 @@ class TestBenchmarkCommand:
         assert json.loads((out / "manifest.json").read_text())["config"]["M"] == 1000
 
     def test_manifest_with_a_dropped_key_rejected(self, tmp_path, capsys):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({
-            "command": "benchmark",
-            "config": {"experiment": "table1", "oracle_n_outer": 100000},
-        }))
-        code = main(["benchmark", "--from-manifest", str(manifest),
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "oracle_n_outer" in capsys.readouterr().err
+        # manifests of older versions can still carry these keys
+        study2 = {"model": "ades", "design": "study2", "obs_var": 2.0, "S": 5000, "Q": 5,
+                  "M": 1000, "burn_in": 0, "master_seed": 1}
+        for command, config, key in (
+                ("benchmark", {"experiment": "table1", "oracle_n_outer": 100000},
+                 "oracle_n_outer"),
+                ("evsi", study2, "obs_var")):
+            manifest = tmp_path / f"{command}_manifest.json"
+            manifest.write_text(json.dumps({"command": command, "config": config}))
+            code = main([command, "--from-manifest", str(manifest),
+                         "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -296,14 +299,10 @@ def test_experiment_fields_are_config_fields_and_parameters(name):
 
 class TestSelftest:
     def test_oracle_disagreement_exits_4(self, tmp_path, monkeypatch):
-        import evsikit.cli as cli
-        from evsikit.oracles import OracleResult
-
         def wrong_oracle(toy):
-            return OracleResult(method="analytic_enumeration", evsi=999999.0,
-                                standard_error=0.0)
+            return PreposteriorSummary(mean=0.0, variance=0.0, evsi=999999.0)
 
-        monkeypatch.setattr(cli, "enumeration_evsi", wrong_oracle)
+        monkeypatch.setattr(cli, "analytic_preposterior", wrong_oracle)
         code = main(["selftest", "--seed", "0", "--out", str(tmp_path / "st")])
         assert code == 4
 
@@ -336,6 +335,17 @@ class TestConfigHandling:
         assert f"{next(iter(entry))} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv,name", [
+        (["psa", "--model", "beta_binomial", "--param", "foo=1"], "foo"),
+        (["evsi", "--model", "ades", "--design", "study1", "--param", "pc_alpha=-1"], "pc_alpha"),
+        (["psa", "--model", "normal_normal", "--param", "prior_var=-1"], "prior_var"),
+    ])
+    def test_model_parameter_mistakes_are_config_errors(self, tmp_path, capsys, argv, name):
+        # an unknown name, and a value the model's prior refuses
+        code = main([*argv, "--S", "100", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EVSIKIT_OUTPUT_DIR", str(tmp_path / "envout"))
         code = main(["psa", "--model", "beta_binomial", "--S", "10", "--seed", "1"])
@@ -354,15 +364,15 @@ class TestNumericInputs:
     _EVSI = ["evsi", "--S", "5000", "--Q", "5", "--M", "1000", "--burn-in", "0", "--seed", "3"]
 
     def test_obs_var_on_a_design_without_one_is_config_error(self, tmp_path, capsys):
-        code = main([*self._EVSI, "--model", "normal_normal", "--obs-var", "50",
+        code = main([*self._EVSI, "--model", "normal_normal", "--param", "logit_qe_obs_var=50",
                      "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "obs_var" in capsys.readouterr().err
+        assert "logit_qe_obs_var" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [("--param", "k=nan"), ("--param", "k=inf"),
-                                      ("--obs-var", "nan")])
+                                      ("--param", "logit_qe_obs_var=nan")])
     def test_non_finite_values_rejected_at_parse_time(self, tmp_path, capsys, flag):
-        model = ["--model", "ades", "--design", "study2"] if flag[0] == "--obs-var" \
+        model = ["--model", "ades", "--design", "study2"] if "logit_qe" in flag[1] \
             else ["--model", "normal_normal"]
         code = main([*self._EVSI, *model, *flag, "--out", str(tmp_path / "x")])
         assert code == 2

@@ -16,7 +16,6 @@ from evsikit.casemodels import (
 )
 from evsikit.model import DecisionModel, InbSamples, compute_inb, run_psa, voi
 from evsikit.momentmatch import EvsiOptions, compute_constants, estimate_evsi
-from evsikit.oracles import closed_form_normal_evsi, enumeration_evsi
 from evsikit.preposterior import run_posterior
 from evsikit.rng import DistSpec, SeedSpec
 from evsikit.util import ComputationError, DegenerateModelError, SchemaError
@@ -100,7 +99,7 @@ class TestEstimateEvsi:
         psa = run_psa(model, 100000, SeedSpec(20))
         result = estimate_evsi(model, design, psa, EvsiOptions(Q=10, M=10000,
                                                                seed=SeedSpec(21)))
-        oracle = closed_form_normal_evsi(ConjugateToy("normal_normal", 9))
+        oracle = analytic_preposterior(ConjugateToy("normal_normal", 9))
         tol = max(0.01 * oracle.evsi, 3 * result.evsi_se)
         assert abs(result.evsi - oracle.evsi) <= tol
 
@@ -112,7 +111,7 @@ class TestEstimateEvsi:
             warnings.simplefilter("ignore")  # small discrete study advisory
             result = estimate_evsi(model, design, psa,
                                    EvsiOptions(Q=30, M=5000, seed=SeedSpec(23)))
-        oracle = enumeration_evsi(ConjugateToy("beta_binomial_uniform", 10))
+        oracle = analytic_preposterior(ConjugateToy("beta_binomial_uniform", 10))
         assert abs(result.evsi - oracle.evsi) <= 0.02 * oracle.evsi
 
     def test_quadratic_model_upward_bias_band(self):

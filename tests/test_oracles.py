@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import evsikit.oracles as oracles
 from evsikit.casemodels import StudyDesign
-from evsikit.casemodels import ConjugateToy, get_design, get_model
+from evsikit.casemodels import ConjugateToy, analytic_preposterior, get_design, get_model
 from evsikit.model import compute_inb, evpi, run_psa, voi
 from evsikit.momentmatch import EvsiOptions, estimate_evsi
 from evsikit.oracles import (
     OracleResult,
-    closed_form_normal_evsi,
-    enumeration_evsi,
     nested_mc_evsi,
     regression_on_summaries_evsi,
 )
@@ -23,31 +21,25 @@ from evsikit.util import (
     BudgetExceededError,
     ComputationError,
     SchemaError,
-    UnsupportedDimensionError,
 )
 
 
 class TestEnumeration:
     def test_single_patient_value(self):
-        result = enumeration_evsi(ConjugateToy("beta_binomial_uniform", 1))
+        result = analytic_preposterior(ConjugateToy("beta_binomial_uniform", 1))
         assert result.evsi == pytest.approx(5000.0 / 3.0)
-        assert result.standard_error == 0.0
 
     def test_no_data_no_value(self):
-        assert enumeration_evsi(ConjugateToy("beta_binomial_uniform", 0)).evsi == 0.0
+        assert analytic_preposterior(ConjugateToy("beta_binomial_uniform", 0)).evsi == 0.0
 
     def test_never_cost_effective(self):
         toy = ConjugateToy("beta_binomial_uniform", 10,
                            params={"k": 20000.0, "c": 20000.0})
-        assert enumeration_evsi(toy).evsi == 0.0
+        assert analytic_preposterior(toy).evsi == 0.0
 
     def test_bit_identical_repeats(self):
         toy = ConjugateToy("beta_binomial_uniform", 37)
-        assert enumeration_evsi(toy).evsi == enumeration_evsi(toy).evsi
-
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(UnsupportedDimensionError):
-            enumeration_evsi(ConjugateToy("exp_gamma", 5))
+        assert analytic_preposterior(toy).evsi == analytic_preposterior(toy).evsi
 
 
 class TestNestedMc:
@@ -55,14 +47,14 @@ class TestNestedMc:
         model = get_model("beta_binomial")
         design = get_design(model, "trial", n=10)
         result = nested_mc_evsi(model, design, 100000, seed=SeedSpec(1))
-        truth = enumeration_evsi(ConjugateToy("beta_binomial_uniform", 10)).evsi
+        truth = analytic_preposterior(ConjugateToy("beta_binomial_uniform", 10)).evsi
         assert abs(result.evsi - truth) <= 3 * result.standard_error
 
     def test_normal_normal_agrees_with_closed_form(self):
         model = get_model("normal_normal", k=10000.0)
         design = get_design(model, "trial", n=9)
         result = nested_mc_evsi(model, design, 100000, seed=SeedSpec(2))
-        truth = closed_form_normal_evsi(ConjugateToy("normal_normal", 9)).evsi
+        truth = analytic_preposterior(ConjugateToy("normal_normal", 9)).evsi
         assert abs(result.evsi - truth) <= 3 * result.standard_error
 
     def test_uninformative_design_has_zero_value(self):
@@ -135,7 +127,7 @@ class TestRegressionOnSummaries:
         psa = run_psa(model, 100000, SeedSpec(6))
         result = regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(7),
                                               n_bootstrap=5)
-        truth = enumeration_evsi(ConjugateToy("beta_binomial_uniform", 50)).evsi
+        truth = analytic_preposterior(ConjugateToy("beta_binomial_uniform", 50)).evsi
         assert abs(result.evsi - truth) <= 0.02 * truth
 
     def test_uninformative_design_flattens(self):

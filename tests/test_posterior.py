@@ -12,6 +12,7 @@ from evsikit.posterior import (
     MetropolisUpdate,
     NormalNormalUpdate,
     NullUpdate,
+    _split_variance_ratio,
     metropolis_ensemble,
 )
 from evsikit.rng import DistSpec, SeedSpec
@@ -238,7 +239,17 @@ class TestMetropolis:
             burn_in=500,
             seed=SeedSpec(9),
         )
-        assert 0.5 <= info["split_variance_ratio"][0] <= 2.0
+        assert 1.0 <= info["split_variance_ratio"][0] <= 2.0
+
+    def test_split_ratio_flags_a_wider_second_half(self):
+        # coordinate 0's second half is ten times as variable (first/second
+        # ratio 0.088); coordinate 1's ratio, 0.948, must not hide it
+        draws = np.random.default_rng(0).standard_normal((1, 1000, 2))
+        draws[0, 500:, 0] *= np.sqrt(10.0)
+        v1, v2 = draws[0, :500].var(axis=0, ddof=1), draws[0, 500:].var(axis=0, ddof=1)
+        assert (v1 / v2) == pytest.approx([0.0879, 0.9481], abs=1e-4)
+        assert _split_variance_ratio(draws)[0] == pytest.approx(v2[0] / v1[0], rel=1e-12)
+        assert _split_variance_ratio(draws)[0] == pytest.approx(11.374, abs=1e-3)
 
 
 class TestMetropolisRecipe:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from evsikit.casemodels import (
+    ConjugateToy,
+    analytic_preposterior,
     build_quadratic_normal,
     get_design,
     get_model,
-    quadratic_preposterior_variance,
 )
 from evsikit.model import compute_inb, run_psa
 from evsikit.posterior import MetropolisUpdate, NormalNormalUpdate
@@ -115,7 +116,7 @@ class TestExpectedPosteriorVariance:
         # the closed form (plus the small upward spacing bias at Q=50)
         model = build_quadratic_normal()
         design = get_design(model, "trial")
-        truth = quadratic_preposterior_variance(model, 10)
+        truth = analytic_preposterior(ConjugateToy("quadratic_normal", 10)).variance
         values = []
         for r in range(10):
             seed = SeedSpec(160 + r)
