@@ -20,7 +20,6 @@ from .model import (  # noqa: F401
 )
 from .regression import (  # noqa: F401
     RegressionFit,
-    SplineSpec,
     fit_conditional_mean,
 )
 from .preposterior import (  # noqa: F401

@@ -177,6 +177,8 @@ def _ades_inb_at_means(pc, pse, pt, qe, params):
 
 def build_ades(**overrides) -> DecisionModel:
     p = {**ADES_DEFAULTS, **overrides}
+    if not p["logit_qe_obs_var"] > 0:
+        raise ValueError("logit_qe_obs_var must be > 0")
 
     priors = {
         "Pc": DistSpec("beta", p["pc_alpha"], p["pc_beta"]),
@@ -457,6 +459,9 @@ def _exp_gamma_exact(p: dict, N: int) -> PreposteriorSummary:
 
 
 def build_normal_normal(theta0=0.0, prior_var=1.0, obs_var=1.0, k=10000.0, c=0.0) -> DecisionModel:
+    if not obs_var > 0:
+        raise ValueError("obs_var must be > 0")
+
     def net_benefit(cols):
         nb1 = k * cols["effect"] - c
         return np.column_stack([np.zeros_like(nb1), nb1])
@@ -490,6 +495,8 @@ def build_quadratic_normal(prior_var=5.0, obs_var=10.0) -> DecisionModel:
     which reproduces the reference preposterior variance of about 35 and the
     reference EVSI of about 2 used by the convergence experiments.
     """
+    if not obs_var > 0:
+        raise ValueError("obs_var must be > 0")
 
     def net_benefit(cols):
         nb2 = cols["effect"] ** 2 - prior_var

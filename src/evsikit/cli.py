@@ -49,7 +49,6 @@ class RunConfig:
     M: int = 10000
     burn_in: int = 1000
     master_seed: int = 0
-    workers: int = 1
     output_dir: str = ""
     # command-specific
     experiment: str | None = None
@@ -63,14 +62,14 @@ class RunConfig:
     budget_seconds: float | None = None
 
     def validate(self):
-        counts = ("S", "Q", "M", "n_outer", "n_inner", "workers", "burn_in", "master_seed",
-                  "replicates", "design_n")
+        counts = ("S", "Q", "M", "n_outer", "n_inner", "burn_in", "master_seed", "replicates",
+                  "design_n")
         for name in counts:
             value = getattr(self, name)
             # config files can hold floats, NaN and booleans (bool subclasses int)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("S", "Q", "M", "n_outer", "n_inner", "workers"):
+        for name in ("S", "Q", "M", "n_outer", "n_inner"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive count")
         if self.burn_in < 0:
@@ -169,7 +168,7 @@ def _model_and_design(cfg: RunConfig):
 def cmd_psa(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     model = get_model(cfg.model, **cfg.model_params)
-    psa = run_psa(model, cfg.S, SeedSpec(cfg.master_seed), workers=cfg.workers)
+    psa = run_psa(model, cfg.S, SeedSpec(cfg.master_seed))
     inb = compute_inb(model, psa)
     write_psa_csv(os.path.join(out, "psa.csv"), psa, inb)
     summary = {
@@ -194,7 +193,7 @@ def cmd_psa(cfg: RunConfig) -> int:
 def cmd_evppi(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     model, design = _model_and_design(cfg)
-    psa = run_psa(model, cfg.S, SeedSpec(cfg.master_seed).derive(0), workers=cfg.workers)
+    psa = run_psa(model, cfg.S, SeedSpec(cfg.master_seed).derive(0))
     inb = compute_inb(model, psa)
     evpi_val = evpi(inb)
     if design.informs_all:
@@ -225,7 +224,7 @@ def cmd_evsi(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     model, design = _model_and_design(cfg)
     seed = SeedSpec(cfg.master_seed)
-    psa = run_psa(model, cfg.S, seed.derive(0), workers=cfg.workers)
+    psa = run_psa(model, cfg.S, seed.derive(0))
     inb = compute_inb(model, psa)
     result = estimate_evsi(
         model, design, psa,
@@ -473,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int)
         p.add_argument("--burn-in", type=int, dest="burn_in")
         p.add_argument("--seed", type=int, dest="master_seed")
-        p.add_argument("--workers", type=int)
         p.add_argument("--out", dest="output_dir")
 
     add_common(sub.add_parser("psa", help="generate PSA draws and summarise"),

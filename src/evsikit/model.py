@@ -9,7 +9,6 @@ containers produced here.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -99,7 +98,6 @@ class InbSamples:
 
     inb_theta: np.ndarray
     inb_phi: np.ndarray | None = None
-    source_psa: PsaSamples | None = None
     net_benefits: np.ndarray | None = None
     phi_names: tuple | None = None
 
@@ -121,33 +119,22 @@ class InbSamples:
         return cls(inb_theta=np.asarray(values, dtype=float))
 
 
-def run_psa(model: DecisionModel, S: int, seed: SeedSpec, workers: int = 1) -> PsaSamples:
+def run_psa(model: DecisionModel, S: int, seed: SeedSpec) -> PsaSamples:
     """S independent joint draws from the priors.
 
-    Generation is chunked with per-(column, chunk) derived streams, so the
-    result is identical for any `workers` count and any scheduling order.
+    Generation is chunked with per-(column, chunk) derived streams, so each
+    chunk's draws depend only on its column, its position and the seed.
     """
     if S < 2:
         raise ValueError("S must be >= 2")
     names = model.param_names
-    tasks = []
+    out = {name: np.empty(S) for name in names}
     for j, name in enumerate(names):
         col_seed = seed.derive(j)
         for c, lo in enumerate(range(0, S, _CHUNK)):
-            tasks.append((name, model.priors[name], col_seed.derive(c), lo, min(lo + _CHUNK, S)))
-
-    out = {name: np.empty(S) for name in names}
-
-    def fill(task):
-        name, dist, chunk_seed, lo, hi = task
-        out[name][lo:hi] = dist.sample_with(chunk_seed.generator(), hi - lo)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, tasks))
-    else:
-        for task in tasks:
-            fill(task)
+            hi = min(lo + _CHUNK, S)
+            out[name][lo:hi] = model.priors[name].sample_with(col_seed.derive(c).generator(),
+                                                              hi - lo)
 
     columns = model.all_columns(out)
     psa = PsaSamples(columns=columns, param_names=names, seed=seed)
@@ -178,7 +165,7 @@ def compute_inb(model: DecisionModel, psa: PsaSamples) -> InbSamples:
     if not np.all(finite):
         raise SchemaError(f"net_benefit returned {int(nb.size - finite.sum())} non-finite value(s)")
     r, s = model.comparison
-    return InbSamples(inb_theta=nb[:, r] - nb[:, s], source_psa=psa, net_benefits=nb)
+    return InbSamples(inb_theta=nb[:, r] - nb[:, s], net_benefits=nb)
 
 
 class Voi(NamedTuple):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, voi
 from .preposterior import VarianceEstimate, build_plan, expected_posterior_variance
-from .regression import SplineSpec, fit_conditional_mean
+from .regression import fit_conditional_mean
 from .rng import SeedSpec
 from .util import ComputationError, DegenerateModelError
 
@@ -30,7 +30,6 @@ class EvsiOptions:
     M: int = 10000
     burn_in: int = 1000
     seed: SeedSpec = SeedSpec(0)
-    spline: SplineSpec | None = None
 
     def __post_init__(self):
         if self.Q < 1:
@@ -174,12 +173,8 @@ def estimate_evsi(
             inb.phi_names = None
     elif inb.inb_phi is None or inb.phi_names != tuple(design.focal_params):
         try:
-            fit = fit_conditional_mean(
-                inb,
-                psa.matrix(design.focal_params),
-                spec=opts.spline,
-                names=design.focal_params,
-            )
+            fit = fit_conditional_mean(inb, psa.matrix(design.focal_params),
+                                       names=design.focal_params)
             fit_diag = fit.diagnostics()
         except Exception as exc:
             raise ComputationError("regression", str(exc)) from exc

@@ -22,7 +22,7 @@ import numpy as np
 
 from .casemodels import StudyDesign
 from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi
-from .regression import SplineDesign, SplineSpec
+from .regression import SplineDesign
 from .rng import SeedSpec
 from .util import BudgetExceededError
 
@@ -108,7 +108,6 @@ def regression_on_summaries_evsi(
     psa: PsaSamples,
     seed: SeedSpec = SeedSpec(0),
     n_bootstrap: int = 20,
-    spline: SplineSpec | None = None,
 ) -> OracleResult:
     """Smooth the INB against per-draw simulated dataset summaries.
 
@@ -116,14 +115,12 @@ def regression_on_summaries_evsi(
     the preposterior-mean estimate.  The standard error comes from refitting
     under bootstrap resampling counts at the selected penalty.
     """
-    if len(design.summary_names) > 3:
-        raise UnsupportedDimensionError("summary dimension > 3 unsupported")
     start = time.perf_counter()
     inb = compute_inb(model, psa)
     datasets = design.simulate(psa.columns, seed.derive(0))
     summaries = np.asarray(design.summarize_batch(datasets), dtype=float)
 
-    spline_design = SplineDesign(summaries, spline, design.summary_names)
+    spline_design = SplineDesign(summaries, design.summary_names)
     fit = spline_design.fit(inb.inb_theta)
     inb.attach_phi(fit.fitted, names=design.summary_names)  # mean and variance checks
     evsi_val = voi(fit.fitted).value

@@ -49,10 +49,7 @@ class QuadraturePlan:
 
 @dataclass
 class PosteriorRun:
-    dataset: dict
-    recipe: str
     draws: dict[str, np.ndarray]
-    burn_in: int
     inb_posterior_variance: float
     acceptance_rate: float | None = None
     split_variance_ratio: float | None = None
@@ -172,7 +169,7 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
         require_finite("posterior", point_draws, f" at quadrature point {q + 1}/{len(datasets)}")
 
     runs = []
-    for q, (dataset, point_draws, seed) in enumerate(zip(datasets, draws, seeds)):
+    for q, (point_draws, seed) in enumerate(zip(draws, seeds)):
         cols = dict(point_draws)
         untouched_seed = seed.derive(_UNTOUCHED_SUB)
         for j, name in enumerate(model.param_names):
@@ -184,10 +181,7 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
         require_finite("posterior_variance", {"the posterior INB": inb_post},
                        f" at quadrature point {q + 1}/{len(datasets)}")
         runs.append(PosteriorRun(
-            dataset=dataset,
-            recipe=type(recipe).__name__,
             draws=point_draws,
-            burn_in=burn_in if metropolis else 0,
             inb_posterior_variance=float(np.var(inb_post, ddof=1)),
             acceptance_rate=accept[q],
             split_variance_ratio=split[q],

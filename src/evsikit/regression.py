@@ -33,18 +33,9 @@ from .model import InbSamples
 from .util import SchemaError, UnsupportedDimensionError
 
 
-@dataclass(frozen=True)
-class SplineSpec:
-    """Basis options; knots per dimension defaults shrink with dimension."""
-
-    n_knots: int | None = None
-    degree: int = 3
-    lambda_grid: tuple = tuple(np.logspace(-6.0, 9.0, 46))
-
-    def knots_for_dim(self, d: int) -> int:
-        if self.n_knots is not None:
-            return self.n_knots
-        return {1: 10, 2: 10, 3: 5}[d]
+_DEGREE = 3
+_KNOTS = {1: 10, 2: 10, 3: 5}  # interior knots per dimension, by focal dimension
+_LAMBDA_GRID = tuple(np.logspace(-6.0, 9.0, 46))
 
 
 @dataclass
@@ -148,8 +139,7 @@ class SplineDesign:
     sorted by cell, and each cell's global coefficient indices.
     """
 
-    def __init__(self, phi_columns: np.ndarray, spec: SplineSpec | None = None, names=None):
-        spec = spec or SplineSpec()
+    def __init__(self, phi_columns: np.ndarray, names=None):
         phi = np.asarray(phi_columns, dtype=float)
         if phi.ndim == 1:
             phi = phi[:, None]
@@ -163,12 +153,10 @@ class SplineDesign:
             bad = int(np.count_nonzero(~np.isfinite(col)))
             if bad:
                 raise SchemaError(f"focal column {name} has {bad} non-finite values")
-        self.degree = spec.degree
-        self.lambda_grid = spec.lambda_grid
-        self.knots = [_interior_knots(col, spec.knots_for_dim(d), name)
+        self.knots = [_interior_knots(col, _KNOTS[d], name)
                       for col, name in zip(phi.T, self.names)]
-        t_vectors = [_knot_vector(col, k, spec.degree) for col, k in zip(phi.T, self.knots)]
-        sizes = [len(t) - spec.degree - 1 for t in t_vectors]
+        t_vectors = [_knot_vector(col, k, _DEGREE) for col, k in zip(phi.T, self.knots)]
+        sizes = [len(t) - _DEGREE - 1 for t in t_vectors]
         self.n_basis = int(np.prod(sizes))
         self.n_rows = phi.shape[0]
         if self.n_rows < 10 * self.n_basis:
@@ -187,10 +175,10 @@ class SplineDesign:
         first = np.zeros(n_design, dtype=np.intp)
         offsets = np.zeros(1, dtype=np.intp)
         for col, t, size in zip(rows.T, t_vectors, sizes):
-            v, i, _ = _design_1d(col, t, self.degree)
+            v, i, _ = _design_1d(col, t, _DEGREE)
             values = (values[:, :, None] * v[:, None, :]).reshape(n_design, -1)
             first = first * size + i[:, 0]
-            offsets = (offsets[:, None] * size + np.arange(self.degree + 1)).ravel()
+            offsets = (offsets[:, None] * size + np.arange(_DEGREE + 1)).ravel()
         # the narrowest key type that holds every index lets numpy radix-sort
         order = np.argsort(first.astype(np.min_scalar_type(self.n_basis)), kind="stable")
         first, self._values = first[order], values[order]
@@ -236,7 +224,7 @@ class SplineDesign:
 
         if penalty is None:
             beta, lam, edf, at_edge = _solve_gcv(xtx, xty, yty, n_eff, self.penalty,
-                                                 self.lambda_grid)
+                                                 _LAMBDA_GRID)
         else:
             lam, edf, at_edge = float(penalty), None, None
             beta = _penalized_solve(xtx, xty, lam, self.penalty)
@@ -252,7 +240,7 @@ class SplineDesign:
         return RegressionFit(
             basis="polynomial_spline" if len(self.knots) == 1 else "tensor_product_spline",
             knots=self.knots,
-            degree=self.degree,
+            degree=_DEGREE,
             penalty_weight=float(lam),
             fitted=fitted,
             r_squared=r2,
@@ -310,7 +298,6 @@ def _solve_gcv(xtx, xty, yty, n, penalty, lambda_grid):
 def fit_conditional_mean(
     inb: InbSamples,
     phi_columns: np.ndarray,
-    spec: SplineSpec | None = None,
     names=None,
 ) -> RegressionFit:
     """Fit E[INB | phi] by penalized splines and attach the fitted values.
@@ -325,7 +312,7 @@ def fit_conditional_mean(
         raise SchemaError(f"INB has {bad} non-finite values")
     if np.shape(phi_columns)[0] != y.shape[0]:
         raise SchemaError("phi rows must match INB samples")
-    design = SplineDesign(phi_columns, spec, names)
+    design = SplineDesign(phi_columns, names)
     fit = design.fit(y)
     inb.attach_phi(fit.fitted, names=design.names)
     return fit

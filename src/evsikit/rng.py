@@ -1,9 +1,9 @@
-"""Deterministic, stream-splittable random numbers and the distribution kit.
+"""Deterministic, stream-splittable random numbers and the prior families.
 
 Every stochastic routine in the package draws from a stream identified by a
 (master_seed, stream_id) pair.  Streams derived with :meth:`SeedSpec.derive`
 are statistically independent and bit-reproducible regardless of execution
-order, which is what makes chunk-parallel sampling and per-quadrature-point
+order, which is what makes chunked PSA sampling and per-quadrature-point
 posterior runs deterministic.
 """
 
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special, stats
-
-from .util import gauss_hermite_expectation
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -63,25 +60,15 @@ class Family(str, Enum):
     BETA = "beta"
     GAMMA = "gamma"
     NORMAL = "normal"
-    EXPONENTIAL = "exponential"
-    BINOMIAL = "binomial"
-    LOGIT_NORMAL = "logit_normal"
-    LOG_NORMAL = "log_normal"
-
-
-_PARAM_COUNT = {f: 2 for f in Family}
-_PARAM_COUNT[Family.EXPONENTIAL] = 1
 
 
 @dataclass(frozen=True)
 class DistSpec:
-    """A validated distribution: family plus family-specific parameters.
+    """A validated distribution: family plus two family-specific parameters.
 
     Parameter conventions:
       uniform(lo, hi), beta(alpha, beta), gamma(shape, rate),
-      normal(mean, variance), exponential(rate), binomial(n, p),
-      logit_normal(mean, variance) and log_normal(mean, variance) with the
-      two moments referring to the underlying normal.
+      normal(mean, variance).
     """
 
     family: Family
@@ -94,26 +81,16 @@ class DistSpec:
 
     def _validate(self):
         f, p = self.family, self.params
-        if len(p) != _PARAM_COUNT[f]:
-            raise ValueError(f"{f.value} takes {_PARAM_COUNT[f]} parameters, got {len(p)}")
+        if len(p) != 2:
+            raise ValueError(f"{f.value} takes 2 parameters, got {len(p)}")
         if f is Family.UNIFORM and not p[0] < p[1]:
             raise ValueError("uniform requires lo < hi")
         if f is Family.BETA and not (p[0] > 0 and p[1] > 0):
             raise ValueError("beta requires alpha > 0 and beta > 0")
         if f is Family.GAMMA and not (p[0] > 0 and p[1] > 0):
             raise ValueError("gamma requires shape > 0 and rate > 0")
-        if f in (Family.NORMAL, Family.LOGIT_NORMAL, Family.LOG_NORMAL) and not p[1] > 0:
-            raise ValueError(f"{f.value} requires variance > 0")
-        if f is Family.EXPONENTIAL and not p[0] > 0:
-            raise ValueError("exponential requires rate > 0")
-        if f is Family.BINOMIAL:
-            n, prob = p
-            if n < 0 or n != int(n):
-                raise ValueError("binomial requires integer n >= 0")
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError("binomial requires 0 <= p <= 1")
-
-    # -- sampling ---------------------------------------------------------
+        if f is Family.NORMAL and not p[1] > 0:
+            raise ValueError("normal requires variance > 0")
 
     def sample_with(self, gen: np.random.Generator, n: int) -> np.ndarray:
         f, p = self.family, self.params
@@ -123,81 +100,29 @@ class DistSpec:
             return gen.beta(p[0], p[1], n)
         if f is Family.GAMMA:
             return gen.gamma(p[0], 1.0 / p[1], n)
-        if f is Family.NORMAL:
-            return gen.normal(p[0], np.sqrt(p[1]), n)
-        if f is Family.EXPONENTIAL:
-            return gen.exponential(1.0 / p[0], n)
-        if f is Family.BINOMIAL:
-            return gen.binomial(int(p[0]), p[1], n).astype(float)
-        if f is Family.LOGIT_NORMAL:
-            return special.expit(gen.normal(p[0], np.sqrt(p[1]), n))
-        if f is Family.LOG_NORMAL:
-            return gen.lognormal(p[0], np.sqrt(p[1]), n)
-        raise AssertionError(f)
-
-    # -- analytic structure -------------------------------------------------
-
-    def _frozen(self):
-        f, p = self.family, self.params
-        if f is Family.UNIFORM:
-            return stats.uniform(p[0], p[1] - p[0])
-        if f is Family.BETA:
-            return stats.beta(p[0], p[1])
-        if f is Family.GAMMA:
-            return stats.gamma(p[0], scale=1.0 / p[1])
-        if f is Family.NORMAL:
-            return stats.norm(p[0], np.sqrt(p[1]))
-        if f is Family.EXPONENTIAL:
-            return stats.expon(scale=1.0 / p[0])
-        if f is Family.BINOMIAL:
-            return stats.binom(int(p[0]), p[1])
-        if f is Family.LOG_NORMAL:
-            return stats.lognorm(np.sqrt(p[1]), scale=np.exp(p[0]))
-        raise AssertionError(f)
-
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise ValueError("quantile requires 0 < p < 1")
-        if self.family is Family.LOGIT_NORMAL:
-            m, v = self.params
-            return float(special.expit(stats.norm.ppf(p, m, np.sqrt(v))))
-        return float(self._frozen().ppf(p))
-
-    def cdf(self, x) -> float:
-        if self.family is Family.LOGIT_NORMAL:
-            m, v = self.params
-            return float(stats.norm.cdf(special.logit(x), m, np.sqrt(v)))
-        return float(self._frozen().cdf(x))
+        return gen.normal(p[0], np.sqrt(p[1]), n)
 
     def mean(self) -> float:
-        if self.family is Family.LOGIT_NORMAL:
-            m, v = self.params
-            return float(gauss_hermite_expectation(special.expit, m, v))
-        return float(self._frozen().mean())
-
-    def variance(self) -> float:
-        if self.family is Family.LOGIT_NORMAL:
-            m, v = self.params
-            mu = self.mean()
-            second = float(gauss_hermite_expectation(lambda z: special.expit(z) ** 2, m, v))
-            return second - mu * mu
-        return float(self._frozen().var())
+        # each expression rounds as scipy.stats' location-scale form does,
+        # so the means agree with the frozen distributions to the last bit
+        f, p = self.family, self.params
+        if f is Family.UNIFORM:
+            return 0.5 * (p[1] - p[0]) + p[0]
+        if f is Family.BETA:
+            return p[0] / (p[0] + p[1])
+        if f is Family.GAMMA:
+            return p[0] * (1.0 / p[1])
+        return p[0]
 
     def support(self) -> tuple[float, float]:
         f, p = self.family, self.params
         if f is Family.UNIFORM:
             return p[0], p[1]
-        if f in (Family.BETA, Family.LOGIT_NORMAL):
+        if f is Family.BETA:
             return 0.0, 1.0
-        if f in (Family.GAMMA, Family.EXPONENTIAL, Family.LOG_NORMAL):
+        if f is Family.GAMMA:
             return 0.0, np.inf
-        if f is Family.BINOMIAL:
-            return 0.0, p[0]
         return -np.inf, np.inf
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.family is Family.BINOMIAL
 
     def as_dict(self) -> dict:
         return {"family": self.family.value, "params": list(self.params)}

@@ -277,7 +277,8 @@ class TestBenchmarkCommand:
         for command, config, key in (
                 ("benchmark", {"experiment": "table1", "oracle_n_outer": 100000},
                  "oracle_n_outer"),
-                ("evsi", study2, "obs_var")):
+                ("evsi", study2, "obs_var"),
+                ("psa", {"model": "ades", "S": 100, "workers": 2}, "workers")):
             manifest = tmp_path / f"{command}_manifest.json"
             manifest.write_text(json.dumps({"command": command, "config": config}))
             code = main([command, "--from-manifest", str(manifest),
@@ -339,9 +340,13 @@ class TestConfigHandling:
         (["psa", "--model", "beta_binomial", "--param", "foo=1"], "foo"),
         (["evsi", "--model", "ades", "--design", "study1", "--param", "pc_alpha=-1"], "pc_alpha"),
         (["psa", "--model", "normal_normal", "--param", "prior_var=-1"], "prior_var"),
+        (["evsi", "--model", "ades", "--design", "study2", "--param", "logit_qe_obs_var=0"],
+         "logit_qe_obs_var"),
+        (["evsi", "--model", "normal_normal", "--param", "obs_var=-1"], "obs_var"),
+        (["evsi", "--model", "quadratic_normal", "--param", "obs_var=0"], "obs_var"),
     ])
     def test_model_parameter_mistakes_are_config_errors(self, tmp_path, capsys, argv, name):
-        # an unknown name, and a value the model's prior refuses
+        # an unknown name, and a value the model's prior or its observations refuse
         code = main([*argv, "--S", "100", "--out", str(tmp_path / "x")])
         assert code == 2
         assert name in capsys.readouterr().err
@@ -351,13 +356,6 @@ class TestConfigHandling:
         code = main(["psa", "--model", "beta_binomial", "--S", "10", "--seed", "1"])
         assert code == 0
         assert (tmp_path / "envout" / "psa.csv").exists()
-
-    def test_worker_count_does_not_change_outputs(self, tmp_path):
-        base = ["psa", "--model", "ades", "--S", "70000", "--seed", "9"]
-        a, b = tmp_path / "w1", tmp_path / "w4"
-        assert main(base + ["--workers", "1", "--out", str(a)]) == 0
-        assert main(base + ["--workers", "4", "--out", str(b)]) == 0
-        assert _read(a / "psa.csv") == _read(b / "psa.csv")
 
 
 class TestNumericInputs:

@@ -21,6 +21,7 @@ from evsikit.util import (
     BudgetExceededError,
     ComputationError,
     SchemaError,
+    UnsupportedDimensionError,
 )
 
 
@@ -160,6 +161,20 @@ class TestRegressionOnSummaries:
         name = trial.summary_names[0]
         with pytest.raises(SchemaError, match=f"{name} has 10 non-finite values"):
             regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(11))
+
+    def test_more_than_three_summaries_unsupported(self):
+        model = get_model("ades")
+        study1 = get_design(model, "study1")
+
+        def four_summaries(datasets):
+            column = np.asarray(study1.summarize_batch(datasets), dtype=float)[:, :1]
+            return np.hstack([column, column + 1, column + 2, column + 3])
+
+        design = dataclasses.replace(study1, summary_names=("s1", "s2", "s3", "s4"),
+                                     summarize_batch=four_summaries)
+        psa = run_psa(model, 2000, SeedSpec(12))
+        with pytest.raises(UnsupportedDimensionError, match="focal dimension 4 unsupported"):
+            regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(13))
 
 
 class TestBootstrapCounts:

@@ -12,9 +12,11 @@ from scipy import sparse
 from evsikit.casemodels import get_model
 from evsikit.model import InbSamples, compute_inb, run_psa, voi
 from evsikit.regression import (
+    _DEGREE,
+    _KNOTS,
+    _LAMBDA_GRID,
     RegressionFit,
     SplineDesign,
-    SplineSpec,
     _design_1d,
     _interior_knots,
     _knot_vector,
@@ -105,7 +107,7 @@ class TestFitInvariants:
         # last grid point, where only the 2 unpenalized directions remain
         gen = np.random.default_rng(6)
         phi = gen.beta(2, 2, 5000)
-        t = _knot_vector(phi, _interior_knots(phi, SplineSpec().knots_for_dim(1), "x"), 3)
+        t = _knot_vector(phi, _interior_knots(phi, _KNOTS[1], "x"), 3)
         vals, idx, p = _design_1d(phi, t, 3)
         x = np.zeros((phi.size, p))
         np.put_along_axis(x, idx, vals, axis=1)
@@ -129,13 +131,13 @@ class TestFitInvariants:
         assert np.sqrt(np.mean((fit.fitted - truth) ** 2)) <= 0.05 * np.std(truth)
 
 
-def _row_by_row_fit(phi, y, weights=None, penalty=None, spec=SplineSpec()):
+def _row_by_row_fit(phi, y, weights=None, penalty=None):
     """Reference: the fit accumulated over every row, one design row per draw."""
     n, d = phi.shape
     vals, idx, sizes = np.ones((n, 1)), np.zeros((n, 1), dtype=int), []
     for col in phi.T:
-        t = _knot_vector(col, _interior_knots(col, spec.knots_for_dim(d), "x"), spec.degree)
-        v, i, p = _design_1d(col, t, spec.degree)
+        t = _knot_vector(col, _interior_knots(col, _KNOTS[d], "x"), _DEGREE)
+        v, i, p = _design_1d(col, t, _DEGREE)
         vals = (vals[:, :, None] * v[:, None, :]).reshape(n, -1)
         idx = (idx[:, :, None] * p + i[:, None, :]).reshape(n, -1)
         sizes.append(p)
@@ -149,7 +151,7 @@ def _row_by_row_fit(phi, y, weights=None, penalty=None, spec=SplineSpec()):
         xty, yty, n_eff = x.T @ (weights * y), float(np.dot(weights * y, y)), float(weights.sum())
     penalty_matrix = _tensor_penalty(sizes)
     if penalty is None:
-        beta, penalty, _, _ = _solve_gcv(xtx, xty, yty, n_eff, penalty_matrix, spec.lambda_grid)
+        beta, penalty, _, _ = _solve_gcv(xtx, xty, yty, n_eff, penalty_matrix, _LAMBDA_GRID)
     else:
         ridge = 1e-10 * np.trace(xtx) / p * np.eye(p)
         beta = np.linalg.solve(xtx + ridge + penalty * penalty_matrix, xty)
@@ -186,19 +188,20 @@ class TestGroupedDesign:
         (1, "discrete"), (1, "continuous"), (1, "gap"),
         (2, "discrete"), (2, "continuous"), (3, "continuous"),
     ])
-    def test_matches_row_by_row_fit(self, kind, d):
+    def test_matches_row_by_row_fit(self, kind, d, monkeypatch):
         phi, y = _phi_and_response(kind, d, n=8000 if d == 3 else 6000)
-        spec = SplineSpec(n_knots=4 if d == 2 else None)
-        design = SplineDesign(phi, spec)
+        if d == 2:
+            monkeypatch.setitem(_KNOTS, 2, 4)
+        design = SplineDesign(phi)
         assert (design._values.shape[0] < y.size) == (kind != "continuous")
         if kind == "gap":
             assert len(design._cells) == len(design.knots[0])
         fit = design.fit(y)
-        ref_fitted, ref_penalty = _row_by_row_fit(phi, y, spec=spec)
+        ref_fitted, ref_penalty = _row_by_row_fit(phi, y)
         weights = np.random.default_rng(5).multinomial(y.size, np.full(y.size, 1.0 / y.size))
         weights = weights.astype(float)
         boot = design.fit(y, weights=weights, penalty=fit.penalty_weight)
-        ref_boot, _ = _row_by_row_fit(phi, y, weights, fit.penalty_weight, spec)
+        ref_boot, _ = _row_by_row_fit(phi, y, weights, fit.penalty_weight)
         rel = 1e-8 if kind == "discrete" else 1e-10
         assert fit.penalty_weight == pytest.approx(ref_penalty, rel=rel)
         for got, ref in ((fit.fitted, ref_fitted), (boot.fitted, ref_boot)):
