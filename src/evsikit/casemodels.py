@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit, log_expit, logit
+from scipy.special import betaincc, betaln, expit, log_expit, logit, ndtr, xlog1py, xlogy
 
 from .model import DecisionModel
 from .posterior import (
@@ -224,7 +223,8 @@ def _ades_prior_means(p) -> dict:
     e_pse = p["pse_alpha"] / (p["pse_alpha"] + p["pse_beta"])
     e_qe = float(gauss_hermite_expectation(expit, p["logit_qe_mean"], p["logit_qe_var"]))
     nodes, weights = _unit_leggauss()
-    dens = stats.beta.pdf(nodes, p["pc_alpha"], p["pc_beta"])
+    a, b = p["pc_alpha"], p["pc_beta"]  # the Beta(a, b) density of Pc
+    dens = np.exp(xlogy(a - 1.0, nodes) + xlog1py(b - 1.0, -nodes) - betaln(a, b))
     inner = gauss_hermite_expectation(expit, logit(nodes) + p["log_or_mean"], p["log_or_var"])
     e_pt = float(np.sum(weights * dens * inner))
     return {"Pc": e_pc, "Pse": e_pse, "Qe": e_qe, "Pt": e_pt}
@@ -451,8 +451,8 @@ def _exp_gamma_exact(p: dict, N: int) -> PreposteriorSummary:
         evsi = 0.0
     else:
         b_star = c_total / g
-        value = (g * (a / (a + N)) * stats.beta.sf(b_star, a + 1, N)
-                 - c_total * stats.beta.sf(b_star, a, N))
+        value = (g * (a / (a + N)) * betaincc(a + 1, N, b_star)
+                 - c_total * betaincc(a, N, b_star))
         evsi = max(0.0, float(value) - prior_term)
     return PreposteriorSummary(mean=k * a / b - p["c1"],
                                variance=k**2 * a * N / (b**2 * (a + N + 1.0)), evsi=evsi)
@@ -476,6 +476,11 @@ def build_normal_normal(theta0=0.0, prior_var=1.0, obs_var=1.0, k=10000.0, c=0.0
     )
 
 
+def _norm_pdf(x):
+    """Standard normal density, in scipy.stats.norm.pdf's operation order."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _normal_normal_exact(p: dict, N: int) -> PreposteriorSummary:
     """Exact EVSI via the unit normal loss function of the preposterior mean."""
     m = p["k"] * p["theta0"] - p["c"]
@@ -483,7 +488,7 @@ def _normal_normal_exact(p: dict, N: int) -> PreposteriorSummary:
         return PreposteriorSummary(mean=m, variance=0.0, evsi=0.0)
     variance = p["k"] ** 2 * p["prior_var"] ** 2 / (p["obs_var"] / N + p["prior_var"])
     s = np.sqrt(variance)
-    value = s * stats.norm.pdf(m / s) + m * stats.norm.cdf(m / s)
+    value = s * _norm_pdf(m / s) + m * ndtr(m / s)
     return PreposteriorSummary(mean=m, variance=variance,
                                evsi=max(0.0, float(value) - max(0.0, m)))
 
@@ -517,7 +522,7 @@ def _quadratic_normal_exact(p: dict, N: int) -> PreposteriorSummary:
     preposterior mean is tau2 (Z^2 - 1) with Z standard normal."""
     tau2 = p["prior_var"] - 1.0 / (1.0 / p["prior_var"] + N / p["obs_var"])
     return PreposteriorSummary(mean=0.0, variance=2.0 * tau2**2,
-                               evsi=float(tau2 * 2.0 * stats.norm.pdf(1.0)))
+                               evsi=float(tau2 * 2.0 * _norm_pdf(1.0)))
 
 
 def quadratic_exact_evsi(model: DecisionModel, N: int) -> float:

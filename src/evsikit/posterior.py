@@ -214,7 +214,8 @@ def metropolis_ensemble(
                          f"{' when draws are kept' if keep else ''}, got {n_keep}")
     d = init.shape[0]
     steps = burn_in + n_keep
-    block = block_size or max(1, min(n_chains, int(3e7 // (steps * (d + 1) + 1))))
+    # a block pre-draws at most 6e6 numbers (48 MB) of noise
+    block = block_size or max(1, min(n_chains, int(6e6 // (steps * (d + 1) + 1))))
 
     draws = np.empty((n_chains, n_keep, d)) if keep else None
     stat_sums = None

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
 
 from .model import InbSamples
@@ -36,6 +35,9 @@ from .util import SchemaError, UnsupportedDimensionError
 _DEGREE = 3
 _KNOTS = {1: 10, 2: 10, 3: 5}  # interior knots per dimension, by focal dimension
 _LAMBDA_GRID = tuple(np.logspace(-6.0, 9.0, 46))
+# rows per pass of the basis recursion, so that its temporaries stay in
+# cache; whole-array passes over 1e5 rows take about twice as long
+_ROWS_PER_PASS = 8192
 
 
 @dataclass
@@ -77,16 +79,33 @@ def _knot_vector(x: np.ndarray, interior: np.ndarray, degree: int) -> np.ndarray
 
 
 def _design_1d(x: np.ndarray, t: np.ndarray, degree: int):
-    """(values, indices) per row; each row has exactly degree+1 active bases."""
-    lo, hi = t[degree], t[-degree - 1]
-    xc = np.clip(x, lo, hi)
-    # no point of xc needs extrapolating; the flag only skips scipy's bounds
-    # check, which runs Python's min and max over the whole array
-    dm = BSpline.design_matrix(xc, t, degree, extrapolate=True).tocsr()
+    """(values, first, p): the degree+1 nonzero B-splines of each row, those
+    of bases first .. first + degree out of p; x is clamped to [t[degree], t[p]].
+
+    Cox-de Boor recursion (de Boor, A Practical Guide to Splines, 1978) with
+    the operations in the order of scipy's `_deBoor_D`, so the values equal
+    `scipy.interpolate.BSpline.design_matrix` to the bit.
+    """
     p = len(t) - degree - 1
-    vals = dm.data.reshape(len(x), degree + 1)
-    idx = dm.indices.reshape(len(x), degree + 1)
-    return vals, idx, p
+    xc = np.clip(x, t[degree], t[p])
+    # the interval t[ell] <= x < t[ell + 1], the last one closed.  The knots
+    # from `_interior_knots` are unique and strictly inside (lo, hi), so every
+    # interval is non-empty and no denominator below is zero.
+    ell = np.searchsorted(t[degree + 1:p], xc, "right") + degree
+    values = np.empty((len(xc), degree + 1))
+    for lo in range(0, len(xc), _ROWS_PER_PASS):
+        xs = xc[lo:lo + _ROWS_PER_PASS]
+        knot = {m: t[ell[lo:lo + _ROWS_PER_PASS] + m] for m in range(1 - degree, degree + 1)}
+        h = [1.0]
+        for j in range(1, degree + 1):
+            new = [0.0] + [None] * j
+            for n in range(1, j + 1):
+                w = h[n - 1] / (knot[n] - knot[n - j])
+                new[n - 1] = new[n - 1] + w * (knot[n] - xs)
+                new[n] = w * (xs - knot[n - j])
+            h = new
+        np.stack(h, axis=1, out=values[lo:lo + _ROWS_PER_PASS])
+    return values, ell - degree, p
 
 
 def _difference_penalty(p: int, order: int = 2) -> np.ndarray:
@@ -175,9 +194,9 @@ class SplineDesign:
         first = np.zeros(n_design, dtype=np.intp)
         offsets = np.zeros(1, dtype=np.intp)
         for col, t, size in zip(rows.T, t_vectors, sizes):
-            v, i, _ = _design_1d(col, t, _DEGREE)
+            v, i0, _ = _design_1d(col, t, _DEGREE)
             values = (values[:, :, None] * v[:, None, :]).reshape(n_design, -1)
-            first = first * size + i[:, 0]
+            first = first * size + i0
             offsets = (offsets[:, None] * size + np.arange(_DEGREE + 1)).ravel()
         # the narrowest key type that holds every index lets numpy radix-sort
         order = np.argsort(first.astype(np.min_scalar_type(self.n_basis)), kind="stable")

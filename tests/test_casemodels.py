@@ -1,15 +1,26 @@
 """Built-in models, study designs, and closed-form preposterior values."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.special import expit, logit
 
 from evsikit.casemodels import (
     _REGISTRY,
+    _ades_prior_means,
+    _exp_gamma_exact,
+    _normal_normal_exact,
+    _quadratic_normal_exact,
+    _unit_leggauss,
     ConjugateToy,
     ades_net_benefit,
     analytic_preposterior,
+    build_ades,
+    build_exp_gamma,
+    build_normal_normal,
     build_quadratic_normal,
     get_design,
     get_model,
@@ -19,7 +30,7 @@ from evsikit.casemodels import (
 )
 from evsikit.model import DecisionModel, compute_inb, run_psa
 from evsikit.rng import SeedSpec
-from evsikit.util import ConfigError
+from evsikit.util import ConfigError, gauss_hermite_expectation
 
 
 class TestAdesNetBenefit:
@@ -184,6 +195,74 @@ class TestAnalyticPreposterior:
         summary = analytic_preposterior(ConjugateToy(entry.toy_variant, 0))
         assert summary.variance == 0.0
         assert summary.evsi == 0.0
+
+
+class TestClosedFormsWithoutScipyStats:
+    """The closed forms call scipy.special as scipy.stats does, so they equal
+    the scipy.stats expressions they replace, restated here, to the bit."""
+
+    N_VALUES = (0, 1, 3, 10, 100, 5000)
+
+    def test_normal_normal(self):
+        for theta0, prior_var, obs_var, k, c, N in itertools.product(
+                (-1.0, 0.0, 0.3), (0.5, 1.0, 4.0), (0.5, 2.0), (1.0, 1e4), (-700.0, 0.0, 2500.0),
+                self.N_VALUES):
+            p = build_normal_normal(theta0, prior_var, obs_var, k, c).params
+            m = p["k"] * p["theta0"] - p["c"]
+            if N == 0:
+                old = 0.0
+            else:
+                s = np.sqrt(p["k"] ** 2 * p["prior_var"] ** 2 / (p["obs_var"] / N + p["prior_var"]))
+                value = s * stats.norm.pdf(m / s) + m * stats.norm.cdf(m / s)
+                old = max(0.0, float(value) - max(0.0, m))
+            assert _normal_normal_exact(p, N).evsi == old
+
+    def test_quadratic_normal(self):
+        for prior_var, obs_var, N in itertools.product((0.5, 5.0, 9.0), (1.0, 10.0, 100.0),
+                                                       self.N_VALUES):
+            p = build_quadratic_normal(prior_var, obs_var).params
+            tau2 = p["prior_var"] - 1.0 / (1.0 / p["prior_var"] + N / p["obs_var"])
+            old = float(tau2 * 2.0 * stats.norm.pdf(1.0))
+            assert _quadratic_normal_exact(p, N).evsi == old
+
+    def test_exp_gamma(self):
+        betainc_cases = 0
+        for alpha, beta, k, c0, N in itertools.product(
+                (0.5, 2.0, 5.0), (0.5, 1.0, 3.0), (50.0, 200.0), (-1500.0, 0.0, 900.0, 5000.0),
+                self.N_VALUES):
+            p = build_exp_gamma(alpha, beta, k, c0, 100.0).params
+            a, b = p["alpha"], p["beta"]
+            c_total = p["c0"] + p["c1"]
+            g = p["k"] * (a + N) / b
+            prior_term = max(0.0, p["k"] * a / b - c_total)
+            if N == 0:
+                old = 0.0
+            elif c_total <= 0:
+                old = g * a / (a + N) - c_total - prior_term
+            elif c_total / g >= 1.0:
+                old = 0.0
+            else:
+                b_star = c_total / g
+                value = (g * (a / (a + N)) * stats.beta.sf(b_star, a + 1, N)
+                         - c_total * stats.beta.sf(b_star, a, N))
+                old = max(0.0, float(value) - prior_term)
+                betainc_cases += 1
+            assert _exp_gamma_exact(p, N).evsi == old
+        assert betainc_cases > 50
+
+    # the log-form density's round-off grows with its log terms, so with a
+    # Beta(200, 40) prior on Pc the two prior means agree to 7e-14 only
+    @pytest.mark.parametrize("pc_alpha, pc_beta, rel", [
+        (None, None, 1e-14), (1.0, 1.0, 1e-14), (0.6, 3.0, 1e-14), (50.0, 50.0, 1e-14),
+        (200.0, 40.0, 1e-13)])
+    def test_ades_prior_means_match_the_scipy_beta_pdf(self, pc_alpha, pc_beta, rel):
+        overrides = {} if pc_alpha is None else {"pc_alpha": pc_alpha, "pc_beta": pc_beta}
+        p = build_ades(**overrides).params
+        nodes, weights = _unit_leggauss()
+        dens = stats.beta.pdf(nodes, p["pc_alpha"], p["pc_beta"])
+        inner = gauss_hermite_expectation(expit, logit(nodes) + p["log_or_mean"], p["log_or_var"])
+        old_pt = float(np.sum(weights * dens * inner))
+        assert _ades_prior_means(p)["Pt"] == pytest.approx(old_pt, rel=rel, abs=0.0)
 
 
 class TestQuadraticModel:

@@ -8,6 +8,7 @@ independent Normal(-0.5, 1) nuisance, E[INB | focal] = 10000 * focal + 2500.
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.interpolate import BSpline
 
 from evsikit.casemodels import get_model
 from evsikit.model import InbSamples, compute_inb, run_psa, voi
@@ -108,9 +109,9 @@ class TestFitInvariants:
         gen = np.random.default_rng(6)
         phi = gen.beta(2, 2, 5000)
         t = _knot_vector(phi, _interior_knots(phi, _KNOTS[1], "x"), 3)
-        vals, idx, p = _design_1d(phi, t, 3)
+        vals, first, p = _design_1d(phi, t, 3)
         x = np.zeros((phi.size, p))
-        np.put_along_axis(x, idx, vals, axis=1)
+        np.put_along_axis(x, first[:, None] + np.arange(4), vals, axis=1)
         noise = gen.normal(0.0, 1.0, phi.size)
         noise -= x @ np.linalg.lstsq(x, noise, rcond=None)[0]
         diag = SplineDesign(phi).fit(5.0 + noise).diagnostics()
@@ -137,7 +138,8 @@ def _row_by_row_fit(phi, y, weights=None, penalty=None):
     vals, idx, sizes = np.ones((n, 1)), np.zeros((n, 1), dtype=int), []
     for col in phi.T:
         t = _knot_vector(col, _interior_knots(col, _KNOTS[d], "x"), _DEGREE)
-        v, i, p = _design_1d(col, t, _DEGREE)
+        v, first, p = _design_1d(col, t, _DEGREE)
+        i = first[:, None] + np.arange(_DEGREE + 1)
         vals = (vals[:, :, None] * v[:, None, :]).reshape(n, -1)
         idx = (idx[:, :, None] * p + i[:, None, :]).reshape(n, -1)
         sizes.append(p)
@@ -282,3 +284,39 @@ class TestErrors:
         y = InbSamples.from_values(np.zeros(100))
         with pytest.raises(SchemaError):
             fit_conditional_mean(y, np.zeros(99))
+
+
+class TestDesign1d:
+    """The Cox-de Boor basis equals scipy's `BSpline.design_matrix` to the bit;
+    scipy.interpolate is a test-only oracle here."""
+
+    @staticmethod
+    def _assert_equals_scipy(x, n_knots):
+        t = _knot_vector(x, _interior_knots(x, n_knots, "x"), _DEGREE)
+        lo, hi = t[_DEGREE], t[-_DEGREE - 1]
+        tt = t[_DEGREE:-_DEGREE]
+        # the data, every knot, one ulp either side of it, and points out of range
+        points = np.r_[x, tt, np.nextafter(tt, -np.inf), np.nextafter(tt, np.inf),
+                       lo - 1.0, hi + 1.0, lo - 1e300, hi + 1e300, -np.inf, np.inf]
+        vals, first, p = _design_1d(points, t, _DEGREE)
+        dm = BSpline.design_matrix(np.clip(points, lo, hi), t, _DEGREE).tocsr()
+        n = points.size
+        assert p == dm.shape[1]
+        assert np.array_equal(vals, dm.data.reshape(n, _DEGREE + 1))
+        assert np.array_equal(first[:, None] + np.arange(_DEGREE + 1),
+                              dm.indices.reshape(n, _DEGREE + 1))
+
+    @pytest.mark.parametrize("n_knots", range(1, 11))
+    def test_continuous(self, n_knots):
+        gen = np.random.default_rng(n_knots)
+        for x in (gen.normal(3.0, 2.0, 3000), gen.beta(0.5, 2.0, 3000),
+                  gen.lognormal(0.0, 1.5, 3000)):
+            assert _interior_knots(x, n_knots, "x").size == n_knots
+            self._assert_equals_scipy(x, n_knots)
+
+    @pytest.mark.parametrize("levels", [2, 3, 5, 8, 14])
+    def test_discrete(self, levels):
+        gen = np.random.default_rng(levels)
+        x = gen.binomial(levels - 1, 0.3, 3000) * 0.37
+        for n_knots in range(1, 11):
+            self._assert_equals_scipy(x, n_knots)
