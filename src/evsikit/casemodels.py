@@ -52,8 +52,9 @@ class StudyDesign:
     """A future data-collection exercise attached to a decision model.
 
     `focal_sufficient` records whether the future data depend on the model
-    parameters only through the focal set; when they do, the preposterior
-    variance can never legitimately exceed the conditional-INB variance.
+    parameters only through the focal set; when they do, and `informs_all`
+    is false, sigma2 is taken from the fitted conditional mean and cannot
+    exceed its variance.
     """
 
     name: str
@@ -294,9 +295,12 @@ def _ades_two_arm_machinery(model: DecisionModel, n: int):
         log_posterior=log_posterior,
         init=(float(logit(mean_pc)), or_mean),
         base_scales=tuple(float(s) for s in scales),
+        # the derived Pt is handed in for study4's focal set (Pc, Pt); the
+        # net benefit recomputes it from Pc and log_or
         transform=lambda chains: {
             "Pc": expit(chains[..., 0]),
             "log_or": chains[..., 1],
+            "Pt": expit(chains[..., 0] + chains[..., 1]),
         },
     )
 

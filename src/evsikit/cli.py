@@ -118,9 +118,8 @@ def _write_json(path: str, obj):
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    """Floats, numpy's included, as the shortest repr that reads back exactly."""
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return value
 
@@ -320,17 +319,10 @@ def cmd_selftest(cfg: RunConfig) -> int:
     ok = True
     disagreement = False
 
-    # the linear two-parameter model carries a large nuisance share, so its
-    # variance difference needs a bigger simulation budget to resolve
-    cases = [
-        ("beta_binomial", "trial", 20000, 10, 2000),
-        ("exp_gamma", "trial", 20000, 10, 2000),
-        ("normal_normal", "trial", 20000, 10, 2000),
-        ("quadratic_normal", "trial", 20000, 10, 2000),
-        ("two_param_linear", "trial", 200000, 20, 50000),
-        ("ades", "study1", 20000, 10, 2000),
-    ]
-    for i, (model_name, design_name, S, Q, M) in enumerate(cases):
+    cases = [("beta_binomial", "trial"), ("exp_gamma", "trial"), ("normal_normal", "trial"),
+             ("quadratic_normal", "trial"), ("two_param_linear", "trial"), ("ades", "study1")]
+    S, Q, M = 20000, 10, 2000
+    for i, (model_name, design_name) in enumerate(cases):
         model = get_model(model_name)
         design = get_design(model, design_name)
         case_seed = seed.derive(i)

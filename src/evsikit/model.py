@@ -50,12 +50,7 @@ class DecisionModel:
         return tuple(self.priors)
 
     def all_columns(self, prior_cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Input columns plus any derived columns not already supplied.
-
-        Posterior updaters may hand in a derived column directly (a treatment
-        probability informed by trial data, say); such columns take priority
-        over recomputation from the raw inputs.
-        """
+        """Input columns plus any derived columns not already supplied."""
         cols = dict(prior_cols)
         if self.derived is not None:
             for key, value in self.derived(cols).items():
@@ -100,9 +95,14 @@ class InbSamples:
     inb_phi: np.ndarray | None = None
     net_benefits: np.ndarray | None = None
     phi_names: tuple | None = None
+    phi_fit: object = None      # the RegressionFit that gave inb_phi, if any
 
-    def attach_phi(self, fitted: np.ndarray, names=None):
-        """Attach regression-fitted conditional INB values, with sanity checks."""
+    def attach_phi(self, fitted: np.ndarray, names=None, fit=None):
+        """Attach regression-fitted conditional INB values, with sanity checks.
+
+        `fit` is the regression fit they come from, kept so that the fitted
+        mean can be evaluated at other points.
+        """
         fitted = np.asarray(fitted, dtype=float)
         if fitted.shape != self.inb_theta.shape:
             raise SchemaError("fitted values must match inb_theta length")
@@ -113,6 +113,7 @@ class InbSamples:
             raise SchemaError("fitted values exceed the INB variance")
         self.inb_phi = fitted
         self.phi_names = None if names is None else tuple(names)
+        self.phi_fit = fit
 
     @classmethod
     def from_values(cls, values) -> "InbSamples":

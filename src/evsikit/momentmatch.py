@@ -1,11 +1,16 @@
 """The moment-matching EVSI estimator.
 
-The fitted conditional INB samples are rescaled linearly so their first two
-moments match the preposterior mean's: a = sigma / sd(INB-conditional),
+The fitted conditional INB samples g(phi) are rescaled linearly so their
+first two moments match the preposterior mean's: a = sigma / sd(g),
 b = mean(INB) * (1 - a).  The EVSI is then read directly off the rescaled
-sample.  An approximate Monte Carlo standard error is attached, combining
-the sampling noise of the rescaled average with the uncertainty of the
-variance estimate propagated through `a`.
+sample.
+
+sigma2, the variance of the preposterior mean, comes from `preposterior`:
+from the posterior variances of g itself when the data depend on the model
+only through the focal set, so that a <= 1 by construction, and from those
+of the INB otherwise.  An approximate Monte Carlo standard error is
+attached, combining the sampling noise of the rescaled average with the
+uncertainty of sigma2 propagated through `a`.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ class MomentMatchResult:
             "b": self.b,
             "sigma2": ve.sigma2,
             "sigma2_clamped": ve.clamped,
+            "sigma2_from": ve.sigma2_from,
             "prior_variance": ve.prior_variance,
             "expected_posterior_variance": ve.expected_posterior_variance,
             "per_point_variances": [float(v) for v in ve.per_point],
@@ -82,7 +88,8 @@ def compute_constants(sigma2: float, inb: InbSamples,
     `var_phi` is the conditional-INB variance, computed from `inb` unless the
     caller already holds it.
 
-    When sigma2 exceeds the conditional-INB variance by no more than a Monte
+    sigma2 from the fitted mean never exceeds its variance.  When a sigma2
+    from the INB exceeds the conditional-INB variance by no more than a Monte
     Carlo slack, the excess is attributed to noise and `a` clamps to 1 with a
     warning.  A larger excess means the future data genuinely inform
     parameters beyond the focal set; the rescaling then follows the defining
@@ -118,23 +125,54 @@ def _sigma2_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
                            ve: VarianceEstimate, var_phi: float) -> float:
     """The part of the EVSI's MC standard error that sigma2 noise adds via `a`.
 
+    sigma2 is a prior variance, of the sample x (g, or the INB), minus the
+    mean of the Q posterior variances.  Its variance is taken as the sum of:
+
+    * the sampling variance of the prior variance, (m4 - var^2) / S, with
+      m4 the fourth central moment of x;
+    * the variance of the mean of the per-point variances, from their spread;
+    * for sigma2 from g, the noise of the fit itself.  An error e in g moves
+      sigma2 = Var(E[g | X]) by 2 E[e(phi) w(phi)], w(phi) = E[E[g | X] | phi]
+      - E[g], and w is about a^2 (g - E[g]) (exact for a normal-linear
+      study).  With e the spline fit of the residuals r = INB - g, that is
+      a variance of 4 a^4 E[r^2 (g - E[g])^2] / S.
+
     A clamped `a` keeps this term: the clamp hides the sigma2 noise, it does
     not remove it.
     """
     if not (a > 0.0 and ve.sigma2 > 0):
         return 0.0
-    theta = inb.inb_theta
-    centered4 = float(np.mean((theta - np.mean(theta)) ** 4))
-    var_prior_hat = max(centered4 - ve.prior_variance**2, 0.0) / theta.size
+    d_evsi_da = float(np.mean((inb.inb_phi - np.mean(inb.inb_phi)) * (rescaled > 0)))
+    fitted = ve.sigma2_from == "fitted_mean"
+    x = inb.inb_phi if fitted else inb.inb_theta
+    c = x - np.mean(x)
+    np.square(c, out=c)
+    var_sigma2 = 0.0
+    if fitted:
+        r = inb.inb_theta - x
+        np.square(r, out=r)
+        var_sigma2 += 4.0 * a**4 * float(np.dot(r, c)) / x.size**2
+    np.square(c, out=c)
+    var_sigma2 += max(float(np.mean(c)) - ve.prior_variance**2, 0.0) / x.size
     if ve.per_point.size > 1:
-        var_pv_mean = float(np.var(ve.per_point, ddof=1)) / ve.per_point.size
+        var_sigma2 += float(np.var(ve.per_point, ddof=1)) / ve.per_point.size
     else:
-        var_pv_mean = 2.0 * float(ve.per_point[0]) ** 2 / max(theta.size - 1, 1)
-    var_sigma2 = var_prior_hat + var_pv_mean
+        var_sigma2 += 2.0 * float(ve.per_point[0]) ** 2 / max(x.size - 1, 1)
     var_a = var_sigma2 / (4.0 * ve.sigma2 * var_phi)
-    centered = inb.inb_phi - np.mean(inb.inb_phi)
-    d_evsi_da = float(np.mean(centered * (rescaled > 0)))
     return abs(d_evsi_da) * np.sqrt(var_a)
+
+
+def _location_standard_error(inb: InbSamples, rescaled: np.ndarray) -> float:
+    """The EVSI noise that the fit's mean error adds when g is a fit.
+
+    The fitted values keep the sample mean of the INB, so the residuals'
+    mean, with variance Var(INB - g) / S, shifts every rescaled value and the
+    grand mean alike; the EVSI moves by P(rescaled > 0) - [mean > 0] per unit
+    of shift.  The parameters outside the focal set make up this noise.
+    """
+    residual_var = float(np.var(inb.inb_theta - inb.inb_phi, ddof=1))
+    slope = float(np.mean(rescaled > 0)) - float(np.mean(inb.inb_theta) > 0)
+    return abs(slope) * np.sqrt(residual_var / rescaled.size)
 
 
 def estimate_evsi(
@@ -170,18 +208,21 @@ def estimate_evsi(
     if design.informs_all:
         if inb.inb_phi is None or inb.phi_names is not None:
             inb.inb_phi = inb.inb_theta
-            inb.phi_names = None
-    elif inb.inb_phi is None or inb.phi_names != tuple(design.focal_params):
+            inb.phi_names = inb.phi_fit = None
+    elif inb.phi_fit is None or inb.phi_names != tuple(design.focal_params):
         try:
             fit = fit_conditional_mean(inb, psa.matrix(design.focal_params),
                                        names=design.focal_params)
             fit_diag = fit.diagnostics()
         except Exception as exc:
             raise ComputationError("regression", str(exc)) from exc
+    # g is the INB itself when the data inform every parameter
+    fitted_mean = design.focal_sufficient and not design.informs_all
 
     try:
         plan = build_plan(psa, design.focal_params, opts.Q, seed.derive(_PLAN_SUB))
-        ve = expected_posterior_variance(plan, design, model, opts.M, opts.burn_in, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, opts.M, opts.burn_in, inb=inb,
+                                         fit=inb.phi_fit if fitted_mean else None)
     except ComputationError:
         raise
     except Exception as exc:
@@ -195,17 +236,12 @@ def estimate_evsi(
     except Exception as exc:
         raise ComputationError("constants", str(exc)) from exc
 
-    if a > 1.0 and design.focal_sufficient:
-        raise ComputationError(
-            "constants",
-            f"sigma2 {ve.sigma2:.6g} exceeds the conditional INB variance beyond "
-            "Monte Carlo slack although the data depend only on the focal set; "
-            "increase S, Q or M to resolve the variance difference",
-        )
-
     a_clamped = a == 1.0 and ve.sigma2 > var_phi
     rescaled = a * inb.inb_phi + b
     evsi, se_psa, raw = voi(rescaled)
+    evsi_se = float(np.hypot(se_psa, _sigma2_standard_error(a, inb, rescaled, ve, var_phi)))
+    if fitted_mean:
+        evsi_se = float(np.hypot(evsi_se, _location_standard_error(inb, rescaled)))
 
     return MomentMatchResult(
         a=a,
@@ -225,7 +261,7 @@ def estimate_evsi(
             "quadrature_spacing": plan.spacing,
         },
         evsi_raw=raw,
-        evsi_se=float(np.hypot(se_psa, _sigma2_standard_error(a, inb, rescaled, ve, var_phi))),
+        evsi_se=evsi_se,
         a_clamped=a_clamped,
         fit_diagnostics=fit_diag,
     )

@@ -51,6 +51,26 @@ class RegressionFit:
     coefficients: np.ndarray = field(repr=False, default=None)
     edf: float | None = None                    # effective degrees of freedom (GCV fits)
     penalty_at_grid_edge: bool | None = None    # GCV chose the first or last grid point
+    knot_vectors: list[np.ndarray] = field(repr=False, default=None)  # full, per dimension
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The fitted conditional mean at new points, (n,) or (n, d).
+
+        Each coordinate is clipped to its boundary knots, as the fit's basis
+        is, so a point beyond the fitted range gets the boundary value.
+        """
+        x = np.asarray(points, dtype=float)
+        if x.ndim == 1:
+            x = x[:, None]
+        if x.ndim != 2 or x.shape[1] != len(self.knot_vectors):
+            raise SchemaError(f"points of shape {np.shape(points)} for a "
+                              f"{len(self.knot_vectors)}-dimensional fit")
+        values, first, offsets = _local_basis(x, self.knot_vectors)
+        beta = self.coefficients
+        out = values[:, 0] * beta[first + offsets[0]]
+        for k in range(1, len(offsets)):
+            out += values[:, k] * beta[first + offsets[k]]
+        return out
 
     def diagnostics(self) -> dict:
         return {
@@ -106,6 +126,23 @@ def _design_1d(x: np.ndarray, t: np.ndarray, degree: int):
             h = new
         np.stack(h, axis=1, out=values[lo:lo + _ROWS_PER_PASS])
     return values, ell - degree, p
+
+
+def _local_basis(rows: np.ndarray, t_vectors):
+    """(values, first, offsets): the (degree+1)^d nonzero tensor-product
+    B-splines of each row of the (n, d) `rows`, those of global bases
+    first + offsets.  The global index of a row's first active basis
+    identifies its cell of knot intervals."""
+    n = rows.shape[0]
+    values = np.ones((n, 1))
+    first = np.zeros(n, dtype=np.intp)
+    offsets = np.zeros(1, dtype=np.intp)
+    for col, t in zip(rows.T, t_vectors):
+        v, i0, size = _design_1d(col, t, _DEGREE)
+        values = (values[:, :, None] * v[:, None, :]).reshape(n, -1)
+        first = first * size + i0
+        offsets = (offsets[:, None] * size + np.arange(_DEGREE + 1)).ravel()
+    return values, first, offsets
 
 
 def _difference_penalty(p: int, order: int = 2) -> np.ndarray:
@@ -174,8 +211,8 @@ class SplineDesign:
                 raise SchemaError(f"focal column {name} has {bad} non-finite values")
         self.knots = [_interior_knots(col, _KNOTS[d], name)
                       for col, name in zip(phi.T, self.names)]
-        t_vectors = [_knot_vector(col, k, _DEGREE) for col, k in zip(phi.T, self.knots)]
-        sizes = [len(t) - _DEGREE - 1 for t in t_vectors]
+        self.knot_vectors = [_knot_vector(col, k, _DEGREE) for col, k in zip(phi.T, self.knots)]
+        sizes = [len(t) - _DEGREE - 1 for t in self.knot_vectors]
         self.n_basis = int(np.prod(sizes))
         self.n_rows = phi.shape[0]
         if self.n_rows < 10 * self.n_basis:
@@ -188,16 +225,7 @@ class SplineDesign:
         groups = _group_rows(phi)
         rows = phi if groups is None else phi[groups[0]]
         n_design = rows.shape[0]
-        # the global index of a row's first active basis identifies its cell;
-        # `offsets` place the cell's other active bases relative to it
-        values = np.ones((n_design, 1))
-        first = np.zeros(n_design, dtype=np.intp)
-        offsets = np.zeros(1, dtype=np.intp)
-        for col, t, size in zip(rows.T, t_vectors, sizes):
-            v, i0, _ = _design_1d(col, t, _DEGREE)
-            values = (values[:, :, None] * v[:, None, :]).reshape(n_design, -1)
-            first = first * size + i0
-            offsets = (offsets[:, None] * size + np.arange(_DEGREE + 1)).ravel()
+        values, first, offsets = _local_basis(rows, self.knot_vectors)
         # the narrowest key type that holds every index lets numpy radix-sort
         order = np.argsort(first.astype(np.min_scalar_type(self.n_basis)), kind="stable")
         first, self._values = first[order], values[order]
@@ -266,6 +294,7 @@ class SplineDesign:
             coefficients=beta,
             edf=edf,
             penalty_at_grid_edge=at_edge,
+            knot_vectors=self.knot_vectors,
         )
 
 
@@ -321,7 +350,8 @@ def fit_conditional_mean(
 ) -> RegressionFit:
     """Fit E[INB | phi] by penalized splines and attach the fitted values.
 
-    `phi_columns` is (S,) or (S, d) with d <= 3.  Populates `inb.inb_phi`.
+    `phi_columns` is (S,) or (S, d) with d <= 3.  Populates `inb.inb_phi`
+    and `inb.phi_fit`.
     Refits of one design under other weights or a pinned penalty go through
     `SplineDesign.fit`.
     """
@@ -333,5 +363,5 @@ def fit_conditional_mean(
         raise SchemaError("phi rows must match INB samples")
     design = SplineDesign(phi_columns, names)
     fit = design.fit(y)
-    inb.attach_phi(fit.fitted, names=design.names)
+    inb.attach_phi(fit.fitted, names=design.names, fit=fit)
     return fit

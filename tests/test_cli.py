@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import evsikit.cli as cli
-from evsikit.cli import RunConfig, _write_json, main
+from evsikit.cli import RunConfig, _write_csv, _write_json, main
 from evsikit.experiments import EXPERIMENTS
 from evsikit.casemodels import ConjugateToy, PreposteriorSummary, analytic_preposterior
 from evsikit.posterior import NormalNormalUpdate
@@ -118,6 +118,28 @@ class TestEvsiCommand:
                          "--out", str(b)]) == 0
             assert _read(a / "result.json") == _read(b / "result.json")
             assert _read(a / "per_point.csv") == _read(b / "per_point.csv")
+
+    @pytest.mark.parametrize("seed", [6, 28, 33])
+    def test_study2_seeds_once_refused_complete(self, tmp_path, seed):
+        # with sigma2 from the INB, these seeds gave sigma2 beyond the
+        # conditional-INB variance and exited 3 with a [constants] error
+        out = tmp_path / "run"
+        code = main(["evsi", "--model", "ades", "--design", "study2", "--S", "100000",
+                     "--Q", "30", "--M", "10000", "--burn-in", "1000",
+                     "--seed", str(seed), "--out", str(out)])
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["sigma2_from"] == "fitted_mean"
+        assert 0.0 < result["a"] <= 1.0
+        assert result["sigma2"] <= result["prior_variance"]
+
+
+def test_csv_writes_numpy_floats_as_plain_numbers(tmp_path):
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), ["se", "n"], [{"se": np.float64(626.0635494303004), "n": 3}])
+    header, row = path.read_text().splitlines()
+    se, n = row.split(",")
+    assert float(se) == 626.0635494303004 and n == "3"
 
 
 class TestEvppiCommand:

@@ -10,10 +10,11 @@ from evsikit.casemodels import (
     get_design,
     get_model,
 )
-from evsikit.model import compute_inb, run_psa
+from evsikit.model import PsaSamples, compute_inb, run_psa
 from evsikit.posterior import MetropolisUpdate, NormalNormalUpdate
 from evsikit.preposterior import (
     _DATASET_SUB,
+    _plan_scores,
     build_plan,
     expected_posterior_variance,
     run_posterior,
@@ -51,6 +52,33 @@ class TestBuildPlan:
         matrix = psa.matrix(("Pc", "Pt"))
         for q in range(10):
             assert np.array_equal(plan.phi_points[q], matrix[plan.row_indices[q]])
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete", "discrete_2d", "pca_2d"])
+    def test_rows_equal_the_stable_sort(self, kind):
+        # ties at the selected ranks resolve to the lowest index first, as in
+        # a stable sort; discrete columns put ties on most selected ranks
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for case in range(50):
+            S = int(rng.integers(40, 3000))
+            levels = int(rng.integers(2, 51))
+            if kind == "continuous":
+                cols = {"a": rng.normal(size=S)}
+            elif kind == "discrete":
+                cols = {"a": rng.integers(0, levels, S).astype(float)}
+            elif kind == "discrete_2d":
+                cols = {"a": rng.integers(0, levels, S).astype(float),
+                        "b": rng.integers(0, 3, S).astype(float)}
+            else:
+                a = rng.normal(size=S)
+                cols = {"a": a, "b": a + rng.normal(size=S)}
+            psa = PsaSamples(columns=cols, param_names=tuple(cols), seed=SeedSpec(0))
+            scores, _ = _plan_scores(psa, tuple(cols))
+            for Q in (1, int(rng.integers(2, 40)), 40):
+                plan = build_plan(psa, tuple(cols), Q, SeedSpec(1))
+                ranks = np.array([min(max(int(np.floor(S * q / (Q + 1) + 0.5)), 1), S)
+                                  for q in range(1, Q + 1)])
+                expected = np.argsort(scores, kind="stable")[ranks - 1]
+                assert np.array_equal(plan.row_indices, expected), (case, S, Q)
 
     def test_q_exceeding_draws_rejected(self):
         psa = run_psa(get_model("beta_binomial"), 50, SeedSpec(9))

@@ -41,6 +41,36 @@ def two_param():
     return model, psa, inb, fit
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reproduces_fitted_values_at_the_psa_rows(self, d):
+        rng = np.random.default_rng(70 + d)
+        phi = rng.beta(2.0, 3.0, size=(20000, d))
+        y = np.sin(3.0 * phi).sum(axis=1) + phi.prod(axis=1) + rng.normal(0.0, 0.3, 20000)
+        fit = SplineDesign(phi).fit(y)
+        got = fit.evaluate(phi[:, 0] if d == 1 else phi)
+        scale = np.max(np.abs(fit.fitted))
+        assert np.max(np.abs(got - fit.fitted)) <= 1e-12 * scale
+
+    def test_points_beyond_the_boundary_knots_take_the_boundary_value(self):
+        rng = np.random.default_rng(74)
+        phi = rng.uniform(1.0, 2.0, size=(5000, 2))
+        fit = SplineDesign(phi).fit(phi[:, 0] ** 2 - phi[:, 1] + rng.normal(0.0, 0.1, 5000))
+        lo, hi = phi.min(axis=0), phi.max(axis=0)
+        inside = np.array([[1.5, 1.5], [lo[0], 1.5], [hi[0], hi[1]], [1.5, lo[1]]])
+        outside = np.array([[1.5, 1.5], [lo[0] - 3.0, 1.5], [hi[0] + 1.0, hi[1] + 9.0],
+                            [1.5, -100.0]])
+        assert np.array_equal(fit.evaluate(outside), fit.evaluate(inside))
+
+    def test_fit_conditional_mean_keeps_the_fit(self, two_param):
+        _, _, inb, fit = two_param
+        assert inb.phi_fit is fit and inb.inb_phi is fit.fitted
+
+    def test_dimension_mismatch_rejected(self, two_param):
+        with pytest.raises(SchemaError):
+            two_param[3].evaluate(np.zeros((10, 2)))
+
+
 class TestConditionalMean:
     def test_recovers_linear_truth(self, two_param):
         # estimation noise is about sd(nuisance) * sqrt(edf / S) ~= 140,
