@@ -177,6 +177,19 @@ class Voi(NamedTuple):
     raw: float
 
 
+def _voi_terms(x: np.ndarray):
+    """(mean(max(0, x)) - max(0, mean(x)), mean(x), max(0, x))."""
+    grand = float(np.mean(x))
+    positive = np.maximum(x, 0.0)
+    return float(np.mean(positive)) - max(0.0, grand), grand, positive
+
+
+def voi_raw(x: np.ndarray) -> float:
+    """`voi(x).raw` without the finite check, the floor and the standard
+    error: for bootstrap replicates of values already known to be finite."""
+    return _voi_terms(x)[0]
+
+
 def voi(x) -> Voi:
     """mean(max(0, x)) - max(0, mean(x)) for a sample of (conditional) INB values.
 
@@ -190,9 +203,7 @@ def voi(x) -> Voi:
     if x.size == 0:
         raise ValueError("value of information requires a nonempty sample")
     require_finite("voi", {"the INB sample": x})
-    grand = float(np.mean(x))
-    positive = np.maximum(x, 0.0)
-    raw = float(np.mean(positive)) - max(0.0, grand)
+    raw, grand, positive = _voi_terms(x)
     integrand = positive - x if grand > 0 else positive
     se = float(np.std(integrand, ddof=1)) / np.sqrt(x.size) if x.size > 1 else float("nan")
     return Voi(max(0.0, raw), se, raw)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .casemodels import StudyDesign
-from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi
+from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi, voi_raw
 from .regression import SplineDesign
 from .rng import SeedSpec
 from .util import BudgetExceededError
@@ -132,8 +132,7 @@ def regression_on_summaries_evsi(
         reps = np.empty(n_bootstrap)
         for b in range(n_bootstrap):
             w = _bootstrap_counts(gen, n).astype(float)
-            bfit = spline_design.fit(inb.inb_theta, weights=w, penalty=fit.penalty_weight)
-            reps[b] = voi(bfit.fitted).raw
+            reps[b] = voi_raw(spline_design.refit(inb.inb_theta, w, fit.penalty_weight))
         se = float(np.std(reps, ddof=1))
 
     return OracleResult(

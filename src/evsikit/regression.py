@@ -19,6 +19,24 @@ its knot interval in each dimension, so the design is stored dense, sorted by
 that cell of intervals, and X'WX takes one small matrix product per
 non-empty cell (at most 11, 121 and 216 at the default knots).  The sums
 equal the row-by-row ones up to summation order.
+
+Every pass over rows is bounded, and none computes what its caller does not
+read:
+
+* the design finds each distinct row's cell by counting the knots at or
+  below it, sorts the rows by cell, and only then runs the basis recursion,
+  8192 rows at a time into one contiguous row per basis function,
+  transposed into the row-major values that the per-cell products read;
+* a fit forms [W X | W y] over runs of whole cells of at least 8192 rows,
+  not over the whole design;
+* `RegressionFit.evaluate` runs the same recursion on new points, 8192 at a
+  time, and contracts the per-basis rows with the coefficients;
+* a refit at a pinned penalty (`SplineDesign.refit`) returns the fitted
+  values alone, without the sums that only the GCV search and r-squared use.
+
+Each of these computes every value with the same operations on the same
+operands as the straightforward whole-array code, so the results are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -36,7 +54,8 @@ _DEGREE = 3
 _KNOTS = {1: 10, 2: 10, 3: 5}  # interior knots per dimension, by focal dimension
 _LAMBDA_GRID = tuple(np.logspace(-6.0, 9.0, 46))
 # rows per pass of the basis recursion, so that its temporaries stay in
-# cache; whole-array passes over 1e5 rows take about twice as long
+# cache (whole-array passes over 1e5 rows take about twice as long), and the
+# least rows per [W X | W y] buffer of a fit
 _ROWS_PER_PASS = 8192
 
 
@@ -57,7 +76,8 @@ class RegressionFit:
         """The fitted conditional mean at new points, (n,) or (n, d).
 
         Each coordinate is clipped to its boundary knots, as the fit's basis
-        is, so a point beyond the fitted range gets the boundary value.
+        is, so a finite point beyond the fitted range gets the boundary value.
+        A point with an infinite or NaN coordinate raises `SchemaError`.
         """
         x = np.asarray(points, dtype=float)
         if x.ndim == 1:
@@ -65,11 +85,24 @@ class RegressionFit:
         if x.ndim != 2 or x.shape[1] != len(self.knot_vectors):
             raise SchemaError(f"points of shape {np.shape(points)} for a "
                               f"{len(self.knot_vectors)}-dimensional fit")
-        values, first, offsets = _local_basis(x, self.knot_vectors)
+        bad = int(np.count_nonzero(~np.isfinite(x).all(axis=1)))
+        if bad:
+            raise SchemaError(f"{bad} of {x.shape[0]} points to evaluate are not finite")
+        sizes = [len(t) - _DEGREE - 1 for t in self.knot_vectors]
+        offsets = _local_offsets(sizes)
         beta = self.coefficients
-        out = values[:, 0] * beta[first + offsets[0]]
-        for k in range(1, len(offsets)):
-            out += values[:, k] * beta[first + offsets[k]]
+        out = np.empty(x.shape[0])
+        for lo in range(0, x.shape[0], _ROWS_PER_PASS):
+            factors, first = [], 0
+            for col, t, size in zip(x[lo:lo + _ROWS_PER_PASS].T, self.knot_vectors, sizes):
+                v, i0 = _design_1d(col, t)
+                factors.append(v)
+                first = first * size + i0
+            values = _tensor_values(factors)
+            part = out[lo:lo + _ROWS_PER_PASS]
+            np.multiply(values[0], beta[first + offsets[0]], out=part)
+            for k in range(1, len(offsets)):
+                part += values[k] * beta[first + offsets[k]]
         return out
 
     def diagnostics(self) -> dict:
@@ -98,51 +131,70 @@ def _knot_vector(x: np.ndarray, interior: np.ndarray, degree: int) -> np.ndarray
     return np.r_[[lo] * (degree + 1), interior, [hi] * (degree + 1)]
 
 
-def _design_1d(x: np.ndarray, t: np.ndarray, degree: int):
-    """(values, first, p): the degree+1 nonzero B-splines of each row, those
-    of bases first .. first + degree out of p; x is clamped to [t[degree], t[p]].
+def _first_basis(xc: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Index of the first of the degree+1 B-splines that are nonzero at each
+    clamped point: the number of interior knots at or below it, so that the
+    last interval is closed.
+
+    With at most 10 interior knots, counting takes half the time of
+    `searchsorted` on unsorted points, with the same integers.  The knots
+    from `_interior_knots` are unique and strictly inside (lo, hi), so every
+    interval is non-empty and no denominator of `_bspline_values` is zero.
+    """
+    first = np.zeros(xc.shape, dtype=np.intp)
+    for knot in t[_DEGREE + 1:-_DEGREE - 1]:
+        first += xc >= knot
+    return first
+
+
+def _bspline_values(xc: np.ndarray, first: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(degree+1, n): the B-splines first .. first + degree at each clamped
+    point, one contiguous row per basis function.
 
     Cox-de Boor recursion (de Boor, A Practical Guide to Splines, 1978) with
     the operations in the order of scipy's `_deBoor_D`, so the values equal
     `scipy.interpolate.BSpline.design_matrix` to the bit.
     """
-    p = len(t) - degree - 1
-    xc = np.clip(x, t[degree], t[p])
-    # the interval t[ell] <= x < t[ell + 1], the last one closed.  The knots
-    # from `_interior_knots` are unique and strictly inside (lo, hi), so every
-    # interval is non-empty and no denominator below is zero.
-    ell = np.searchsorted(t[degree + 1:p], xc, "right") + degree
-    values = np.empty((len(xc), degree + 1))
-    for lo in range(0, len(xc), _ROWS_PER_PASS):
-        xs = xc[lo:lo + _ROWS_PER_PASS]
-        knot = {m: t[ell[lo:lo + _ROWS_PER_PASS] + m] for m in range(1 - degree, degree + 1)}
-        h = [1.0]
-        for j in range(1, degree + 1):
-            new = [0.0] + [None] * j
-            for n in range(1, j + 1):
-                w = h[n - 1] / (knot[n] - knot[n - j])
-                new[n - 1] = new[n - 1] + w * (knot[n] - xs)
-                new[n] = w * (xs - knot[n - j])
-            h = new
-        np.stack(h, axis=1, out=values[lo:lo + _ROWS_PER_PASS])
-    return values, ell - degree, p
+    ell = first + _DEGREE
+    knot = {m: t[ell + m] for m in range(1 - _DEGREE, _DEGREE + 1)}
+    h = [1.0]
+    for j in range(1, _DEGREE + 1):
+        new = [0.0] + [None] * j
+        for n in range(1, j + 1):
+            w = h[n - 1] / (knot[n] - knot[n - j])
+            new[n - 1] = new[n - 1] + w * (knot[n] - xc)
+            new[n] = w * (xc - knot[n - j])
+        h = new
+    return np.stack(h)
 
 
-def _local_basis(rows: np.ndarray, t_vectors):
-    """(values, first, offsets): the (degree+1)^d nonzero tensor-product
-    B-splines of each row of the (n, d) `rows`, those of global bases
-    first + offsets.  The global index of a row's first active basis
-    identifies its cell of knot intervals."""
-    n = rows.shape[0]
-    values = np.ones((n, 1))
-    first = np.zeros(n, dtype=np.intp)
+def _clamp(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return np.clip(x, t[_DEGREE], t[-_DEGREE - 1])
+
+
+def _design_1d(x: np.ndarray, t: np.ndarray):
+    """(values, first): `_bspline_values` and `_first_basis` at the points x,
+    clamped to the boundary knots [t[degree], t[-degree - 1]]."""
+    xc = _clamp(x, t)
+    first = _first_basis(xc, t)
+    return _bspline_values(xc, first, t), first
+
+
+def _tensor_values(factors) -> np.ndarray:
+    """(m, n): the tensor product of per-dimension (degree+1, n) basis values,
+    the last dimension's index running fastest."""
+    values = factors[0]
+    for v in factors[1:]:
+        values = (values[:, None, :] * v[None, :, :]).reshape(-1, v.shape[1])
+    return values
+
+
+def _local_offsets(sizes) -> np.ndarray:
+    """Global index of each of a cell's (degree+1)^d bases less that of its first."""
     offsets = np.zeros(1, dtype=np.intp)
-    for col, t in zip(rows.T, t_vectors):
-        v, i0, size = _design_1d(col, t, _DEGREE)
-        values = (values[:, :, None] * v[:, None, :]).reshape(n, -1)
-        first = first * size + i0
+    for size in sizes:
         offsets = (offsets[:, None] * size + np.arange(_DEGREE + 1)).ravel()
-    return values, first, offsets
+    return offsets
 
 
 def _difference_penalty(p: int, order: int = 2) -> np.ndarray:
@@ -161,23 +213,25 @@ def _tensor_penalty(sizes) -> np.ndarray:
     return total
 
 
-def _group_rows(phi: np.ndarray):
-    """(first row of each group of equal rows, group of each row), or None
-    when every row is distinct.
+def _group_rows(phi: np.ndarray, sorted_columns):
+    """(a row of each group of equal rows, group of each row), or None when
+    every row is distinct.  `sorted_columns` are the columns of `phi`, sorted.
 
-    Columns are coded one at a time with 1-D `np.unique`, several times faster
-    than `np.unique(axis=0)`; the running key is recoded after each column, so
-    it stays below n * n.
+    A column of distinct values, the continuous case, shows in its sorted
+    copy; only otherwise are the columns coded, one at a time with 1-D
+    `np.unique`, several times faster than `np.unique(axis=0)`.  The running
+    key is recoded after each column, so it stays below n * n.
     """
-    n = phi.shape[0]
-    key = np.zeros(n, dtype=np.intp)
-    for col in phi.T:
+    if any(np.all(col[1:] != col[:-1]) for col in sorted_columns):
+        return None
+    _, key = np.unique(phi[:, 0], return_inverse=True)
+    for col in phi.T[1:]:
         levels, code = np.unique(col, return_inverse=True)
-        if levels.size == n:
-            return None
-        _, first, key = np.unique(key * levels.size + code,
-                                  return_index=True, return_inverse=True)
-    return first, key
+        _, key = np.unique(key * levels.size + code, return_inverse=True)
+    # the rows of a group are equal, so any of them stands for it
+    row = np.empty(key.max() + 1, dtype=np.intp)
+    row[key] = np.arange(key.size)
+    return row, key
 
 
 class SplineDesign:
@@ -187,7 +241,7 @@ class SplineDesign:
     quantiles of all S rows.  The design is built once and `fit` can be
     called any number of times, with other weights or a pinned penalty:
     the regression-on-summaries oracle runs its GCV fit and all bootstrap
-    refits from one design.
+    refits (`refit`, the fitted values alone) from one design.
 
     Rows with equal values share one design row, which enters the normal
     equations through per-group sums of the weights and weighted responses.
@@ -209,9 +263,13 @@ class SplineDesign:
             bad = int(np.count_nonzero(~np.isfinite(col)))
             if bad:
                 raise SchemaError(f"focal column {name} has {bad} non-finite values")
+        # one sort per column gives its quantiles, several times faster than
+        # on the unsorted column, and shows whether its values are distinct
+        sorted_columns = [np.sort(col) for col in phi.T]
         self.knots = [_interior_knots(col, _KNOTS[d], name)
-                      for col, name in zip(phi.T, self.names)]
-        self.knot_vectors = [_knot_vector(col, k, _DEGREE) for col, k in zip(phi.T, self.knots)]
+                      for col, name in zip(sorted_columns, self.names)]
+        self.knot_vectors = [_knot_vector(col, k, _DEGREE)
+                             for col, k in zip(sorted_columns, self.knots)]
         sizes = [len(t) - _DEGREE - 1 for t in self.knot_vectors]
         self.n_basis = int(np.prod(sizes))
         self.n_rows = phi.shape[0]
@@ -222,13 +280,28 @@ class SplineDesign:
             )
         self.penalty = _tensor_penalty(sizes)
 
-        groups = _group_rows(phi)
+        groups = _group_rows(phi, sorted_columns)
+        del sorted_columns  # freed before the design values are allocated
         rows = phi if groups is None else phi[groups[0]]
         n_design = rows.shape[0]
-        values, first, offsets = _local_basis(rows, self.knot_vectors)
+        # each row's cell first, then the basis on the rows sorted by cell,
+        # so that no unsorted copy of the design is held
+        clamped = [_clamp(col, t) for col, t in zip(rows.T, self.knot_vectors)]
+        first = 0
+        for xc, t, size in zip(clamped, self.knot_vectors, sizes):
+            first = first * size + _first_basis(xc, t)
         # the narrowest key type that holds every index lets numpy radix-sort
         order = np.argsort(first.astype(np.min_scalar_type(self.n_basis)), kind="stable")
-        first, self._values = first[order], values[order]
+        first = first[order]
+        clamped = [xc[order] for xc in clamped]
+        offsets = _local_offsets(sizes)
+        strides = [int(np.prod(sizes[j + 1:])) for j in range(d)]
+        self._values = np.empty((n_design, offsets.size))
+        for lo in range(0, n_design, _ROWS_PER_PASS):
+            cell = first[lo:lo + _ROWS_PER_PASS]
+            factors = [_bspline_values(xc[lo:lo + _ROWS_PER_PASS], cell // stride % size, t)
+                       for xc, t, size, stride in zip(clamped, self.knot_vectors, sizes, strides)]
+            self._values[lo:lo + _ROWS_PER_PASS] = _tensor_values(factors).T
         rank = np.empty(n_design, dtype=np.intp)
         rank[order] = np.arange(n_design)
         self._inverse = rank if groups is None else rank[groups[1]]  # design row of each row
@@ -240,6 +313,51 @@ class SplineDesign:
         p = self.n_basis
         columns = np.c_[self._cell_coefs, np.full(len(starts), p)]
         self._scatter = (self._cell_coefs[:, :, None] * (p + 1) + columns[:, None, :]).ravel()
+        # (rows lo:hi, cells c0:c1): runs of whole cells of at least
+        # _ROWS_PER_PASS rows, over which a fit forms [W X | W y]
+        self._spans = []
+        lo = c0 = 0
+        for c, (_, hi) in enumerate(self._cells):
+            if hi - lo >= _ROWS_PER_PASS or c == len(self._cells) - 1:
+                self._spans.append((lo, hi, c0, c + 1))
+                lo, c0 = hi, c + 1
+        self._span_rows = max(hi - lo for lo, hi, _, _ in self._spans)
+
+    def _response(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.n_rows,):
+            raise SchemaError("phi rows must match INB samples")
+        return y
+
+    def _normal_equations(self, wy: np.ndarray, weights: np.ndarray | None):
+        """(X'WX, X'Wy) from one matrix product per cell."""
+        n_design, m = self._values.shape
+        row_w = np.bincount(self._inverse, weights, n_design).astype(float)
+        row_y = np.bincount(self._inverse, wy, n_design)
+        rhs = np.empty((self._span_rows, m + 1))
+        blocks = np.empty((len(self._cells), m, m + 1))
+        for lo, hi, c0, c1 in self._spans:
+            # [W X | W y] over the span: each cell's product with it gives the
+            # cell's blocks of X'WX and X'Wy
+            if m == _DEGREE + 1:
+                # in 1-D, column by column: numpy's loop over rows of 4 values
+                # takes twice as long
+                for k in range(m):
+                    np.multiply(self._values[lo:hi, k], row_w[lo:hi], out=rhs[:hi - lo, k])
+            else:
+                np.multiply(self._values[lo:hi], row_w[lo:hi, None], out=rhs[:hi - lo, :m])
+            rhs[:hi - lo, m] = row_y[lo:hi]
+            for (clo, chi), block in zip(self._cells[c0:c1], blocks[c0:c1]):
+                np.matmul(self._values[clo:chi].T, rhs[clo - lo:chi - lo], out=block)
+        p = self.n_basis
+        sums = np.bincount(self._scatter, blocks.ravel(), p * (p + 1)).reshape(p, p + 1)
+        return sums[:, :p], sums[:, p]
+
+    def _fitted(self, beta: np.ndarray) -> np.ndarray:
+        fitted = np.empty(self._values.shape[0])
+        for (lo, hi), coef in zip(self._cells, beta[self._cell_coefs]):
+            np.matmul(self._values[lo:hi], coef, out=fitted[lo:hi])
+        return fitted[self._inverse]
 
     def fit(self, y: np.ndarray, weights: np.ndarray | None = None,
             penalty: float | None = None) -> RegressionFit:
@@ -248,38 +366,18 @@ class SplineDesign:
         `weights` are per-row sample weights (bootstrap counts); `penalty`
         pins the penalty weight instead of running the GCV search.
         """
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_rows,):
-            raise SchemaError("phi rows must match INB samples")
+        y = self._response(y)
         wy = y if weights is None else weights * y
-        n_design, m = self._values.shape
-        row_w = np.bincount(self._inverse, weights, n_design).astype(float)
-        row_y = np.bincount(self._inverse, wy, n_design)
-
-        p = self.n_basis
-        # [W X | W y]: one product per cell gives its blocks of X'WX and X'Wy
-        rhs = np.empty((n_design, m + 1))
-        np.multiply(self._values, row_w[:, None], out=rhs[:, :m])
-        rhs[:, m] = row_y
-        blocks = np.empty((len(self._cells), m, m + 1))
-        for (lo, hi), block in zip(self._cells, blocks):
-            np.matmul(self._values[lo:hi].T, rhs[lo:hi], out=block)
-        sums = np.bincount(self._scatter, blocks.ravel(), p * (p + 1)).reshape(p, p + 1)
-        xtx, xty = sums[:, :p], sums[:, p]
-        yty = float(np.dot(wy, y))
-        n_eff = self.n_rows if weights is None else float(np.sum(weights))
-
+        xtx, xty = self._normal_equations(wy, weights)
         if penalty is None:
+            yty = float(np.dot(wy, y))
+            n_eff = self.n_rows if weights is None else float(np.sum(weights))
             beta, lam, edf, at_edge = _solve_gcv(xtx, xty, yty, n_eff, self.penalty,
                                                  _LAMBDA_GRID)
         else:
             lam, edf, at_edge = float(penalty), None, None
             beta = _penalized_solve(xtx, xty, lam, self.penalty)
-
-        fitted = np.empty(n_design)
-        for (lo, hi), coef in zip(self._cells, beta[self._cell_coefs]):
-            np.matmul(self._values[lo:hi], coef, out=fitted[lo:hi])
-        fitted = fitted[self._inverse]
+        fitted = self._fitted(beta)
 
         tss = float(np.sum((y - np.mean(y)) ** 2))
         rss = float(np.sum((y - fitted) ** 2))
@@ -296,6 +394,14 @@ class SplineDesign:
             penalty_at_grid_edge=at_edge,
             knot_vectors=self.knot_vectors,
         )
+
+    def refit(self, y: np.ndarray, weights: np.ndarray, penalty: float) -> np.ndarray:
+        """`fit(y, weights=weights, penalty=penalty).fitted`, and nothing else:
+        no r-squared and no `RegressionFit`, for bootstrap refits that read
+        only the fitted values."""
+        y = self._response(y)
+        xtx, xty = self._normal_equations(weights * y, weights)
+        return self._fitted(_penalized_solve(xtx, xty, float(penalty), self.penalty))
 
 
 def _penalized_solve(xtx, xty, lam, penalty):

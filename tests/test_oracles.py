@@ -1,6 +1,12 @@
 """Nested Monte Carlo, enumeration, and summary-regression oracle tests."""
 
 import dataclasses
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +127,34 @@ class TestNestedMc:
         assert err.value.total == 600
 
 
+_PINNED_ROS_RUN = """
+import json
+from evsikit import get_design, get_model, regression_on_summaries_evsi, run_psa, SeedSpec
+model = get_model("ades")
+psa = run_psa(model, 20000, SeedSpec(3))
+out = {}
+for study in ("study1", "study2", "study3"):
+    r = regression_on_summaries_evsi(model, get_design(model, study), psa, seed=SeedSpec(103))
+    out[study] = [r.evsi, r.standard_error]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_ros():
+    """ades regression on summaries at S=2e4 (PSA seed 3, oracle seed 103),
+    (EVSI, SE) per study, run in a fresh interpreter on one BLAS thread with
+    OpenBLAS's Haswell kernels: the last bits of a matrix product depend on
+    the kernel and on how the threads split it."""
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    src = str(Path(oracles.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PINNED_ROS_RUN], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(out.stdout)
+
+
 class TestRegressionOnSummaries:
     def test_beta_binomial_matches_enumeration(self):
         model = get_model("beta_binomial")
@@ -146,6 +180,17 @@ class TestRegressionOnSummaries:
         result = regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(11),
                                               n_bootstrap=10)
         assert result.standard_error > 0.0
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="the pins hold for OpenBLAS's x86-64 Haswell kernels")
+    def test_fixed_seed_values_are_pinned(self, pinned_ros):
+        # values of an earlier build, to the bit: the spline passes may be
+        # reordered for speed but must not move a single rounding
+        assert pinned_ros == {
+            "study1": [5615.00647301715, 123.50237786421715],     # one discrete count
+            "study2": [1941.9472265779077, 78.87440554813865],    # one continuous total
+            "study3": [4079.9832315249423, 103.95130478418113],   # two discrete counts
+        }
 
     def test_non_finite_summaries_rejected(self):
         model = get_model("beta_binomial")

@@ -11,16 +11,18 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from evsikit.casemodels import get_model
-from evsikit.model import InbSamples, compute_inb, run_psa, voi
+from evsikit.model import InbSamples, compute_inb, run_psa, voi, voi_raw
 from evsikit.regression import (
     _DEGREE,
     _KNOTS,
     _LAMBDA_GRID,
+    _ROWS_PER_PASS,
     RegressionFit,
     SplineDesign,
     _design_1d,
     _interior_knots,
     _knot_vector,
+    _penalized_solve,
     _solve_gcv,
     _tensor_penalty,
     fit_conditional_mean,
@@ -61,6 +63,28 @@ class TestEvaluate:
         outside = np.array([[1.5, 1.5], [lo[0] - 3.0, 1.5], [hi[0] + 1.0, hi[1] + 9.0],
                             [1.5, -100.0]])
         assert np.array_equal(fit.evaluate(outside), fit.evaluate(inside))
+
+    @pytest.fixture(scope="class")
+    def line_fit(self):
+        rng = np.random.default_rng(75)
+        x = rng.uniform(0.0, 1.0, 5000)
+        return x, SplineDesign(x).fit(3.0 * x + rng.normal(0.0, 0.1, 5000))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_fail_loudly(self, line_fit, bad):
+        _, fit = line_fit
+        with pytest.raises(SchemaError, match="1 of 3 points to evaluate are not finite"):
+            fit.evaluate([0.5, bad, 0.25])
+        two = SplineDesign(np.random.default_rng(76).uniform(size=(5000, 2))).fit(
+            np.random.default_rng(77).normal(size=5000))
+        with pytest.raises(SchemaError, match="2 of 4 points"):
+            two.evaluate([[0.5, 0.5], [bad, 0.5], [0.5, 0.5], [bad, bad]])
+
+    def test_finite_points_beyond_the_range_clip_in_one_dimension(self, line_fit):
+        x, fit = line_fit
+        beyond = fit.evaluate([x.min() - 1e300, x.max() + 1e300, x.max() + 0.5])
+        edges = fit.evaluate([x.min(), x.max(), x.max()])
+        assert np.array_equal(beyond, edges)
 
     def test_fit_conditional_mean_keeps_the_fit(self, two_param):
         _, _, inb, fit = two_param
@@ -139,9 +163,9 @@ class TestFitInvariants:
         gen = np.random.default_rng(6)
         phi = gen.beta(2, 2, 5000)
         t = _knot_vector(phi, _interior_knots(phi, _KNOTS[1], "x"), 3)
-        vals, first, p = _design_1d(phi, t, 3)
-        x = np.zeros((phi.size, p))
-        np.put_along_axis(x, first[:, None] + np.arange(4), vals, axis=1)
+        vals, first = _design_1d(phi, t)
+        x = np.zeros((phi.size, len(t) - 4))
+        np.put_along_axis(x, first[:, None] + np.arange(4), vals.T, axis=1)
         noise = gen.normal(0.0, 1.0, phi.size)
         noise -= x @ np.linalg.lstsq(x, noise, rcond=None)[0]
         diag = SplineDesign(phi).fit(5.0 + noise).diagnostics()
@@ -168,9 +192,10 @@ def _row_by_row_fit(phi, y, weights=None, penalty=None):
     vals, idx, sizes = np.ones((n, 1)), np.zeros((n, 1), dtype=int), []
     for col in phi.T:
         t = _knot_vector(col, _interior_knots(col, _KNOTS[d], "x"), _DEGREE)
-        v, first, p = _design_1d(col, t, _DEGREE)
+        v, first = _design_1d(col, t)
+        p = len(t) - _DEGREE - 1
         i = first[:, None] + np.arange(_DEGREE + 1)
-        vals = (vals[:, :, None] * v[:, None, :]).reshape(n, -1)
+        vals = (vals[:, :, None] * v.T[:, None, :]).reshape(n, -1)
         idx = (idx[:, :, None] * p + i[:, None, :]).reshape(n, -1)
         sizes.append(p)
     p = int(np.prod(sizes))
@@ -246,6 +271,120 @@ class TestGroupedDesign:
         assert np.array_equal(design.fit(y).fitted, first.fitted)
         assert np.array_equal(fit_conditional_mean(InbSamples.from_values(y), phi).fitted,
                               first.fitted)
+
+
+def _plain_design(phi, knot_vectors):
+    """Reference for `SplineDesign`: every distinct row's `_design_1d` tensor
+    product in row order, then stable-sorted by cell.  Returns the sorted
+    values, the cells, the design row of each row and the sorted first
+    global index of each design row."""
+    n = phi.shape[0]
+    rows, inverse = np.unique(phi, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if rows.shape[0] == n:
+        rows, inverse = phi, np.arange(n)
+    values, first = _plain_basis(rows, knot_vectors)
+    order = np.argsort(first, kind="stable")
+    first = first[order]
+    starts = np.flatnonzero(np.r_[True, first[1:] != first[:-1]])
+    cells = list(zip(starts.tolist(), np.r_[starts[1:], first.size].tolist()))
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[order] = np.arange(first.size)
+    return values[order], cells, rank[inverse], first
+
+
+def _plain_basis(rows, knot_vectors):
+    """(n, m) row-major tensor-product values and each row's first global index."""
+    values = np.ones((rows.shape[0], 1))
+    first = np.zeros(rows.shape[0], dtype=np.intp)
+    for col, t in zip(rows.T, knot_vectors):
+        v, i0 = _design_1d(col, t)
+        values = (values[:, :, None] * v.T[:, None, :]).reshape(rows.shape[0], -1)
+        first = first * (len(t) - _DEGREE - 1) + i0
+    return values, first
+
+
+def _plain_offsets(knot_vectors):
+    sizes = [len(t) - _DEGREE - 1 for t in knot_vectors]
+    local = np.indices((_DEGREE + 1,) * len(sizes)).reshape(len(sizes), -1)
+    return np.ravel_multi_index(local, sizes)
+
+
+def _pass_case(d, grouped):
+    """More than _ROWS_PER_PASS design rows, with the columns strongly
+    correlated so that the cells on the diagonal each hold more rows than a
+    pass.  Grouped cases draw integers from a range wide enough that most
+    rows, but not all, are distinct."""
+    gen = np.random.default_rng(40 + 2 * d + grouped)
+    n = {1: 300000, 2: 120000, 3: 60000}[d]
+    if grouped:
+        base = gen.integers(0, 10**6 if d > 1 else 2 * 10**5, n)
+        cols = [base] + [base + gen.integers(0, 2, n) for _ in range(d - 1)]
+    else:
+        base = gen.beta(2.0, 3.0, n)
+        cols = [base] + [base + gen.normal(0.0, 0.002, n) for _ in range(d - 1)]
+    phi = np.column_stack(cols).astype(float)
+    y = 300.0 * np.sin(4.0 * phi.mean(axis=1) / phi.max()) + gen.normal(0.0, 50.0, n)
+    return phi, y
+
+
+class TestSortedPasses:
+    """`SplineDesign` evaluates the basis after the sort in passes of rows,
+    and a fit forms [W X | W y] over runs of whole cells; `evaluate` builds
+    coordinate-major values in passes too.  All of it equals a plain build to
+    the bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["continuous", "grouped"])
+    def test_design_fit_and_evaluate_equal_a_plain_build(self, d, grouped):
+        phi, y = _pass_case(d, grouped)
+        design = SplineDesign(phi)
+        values, cells, inverse, first = _plain_design(phi, design.knot_vectors)
+        n_design = values.shape[0]
+        assert (n_design < phi.shape[0]) == grouped and n_design > _ROWS_PER_PASS
+        assert max(hi - lo for lo, hi in cells) > _ROWS_PER_PASS
+        assert np.array_equal(design._values, values)
+        assert design._cells == cells
+        assert np.array_equal(design._inverse, inverse)
+
+        # normal equations from one [W X | W y] of the design's full size
+        weights = np.random.default_rng(d).poisson(1.0, y.size).astype(float)
+        row_w = np.bincount(inverse, weights, n_design)
+        row_y = np.bincount(inverse, weights * y, n_design)
+        rhs = np.c_[values * row_w[:, None], row_y]
+        blocks = np.stack([values[lo:hi].T @ rhs[lo:hi] for lo, hi in cells])
+        p = design.n_basis
+        sums = np.bincount(design._scatter, blocks.ravel(), p * (p + 1)).reshape(p, p + 1)
+        beta = _penalized_solve(sums[:, :p], sums[:, p], 3.0, design.penalty)
+        offsets = _plain_offsets(design.knot_vectors)
+        fitted = np.empty(n_design)
+        for lo, hi in cells:
+            fitted[lo:hi] = values[lo:hi] @ beta[first[lo] + offsets]
+        pinned = design.fit(y, weights=weights, penalty=3.0)
+        assert np.array_equal(pinned.coefficients, beta)
+        assert np.array_equal(pinned.fitted, fitted[inverse])
+        assert np.array_equal(design.refit(y, weights, 3.0), pinned.fitted)
+
+        gen = np.random.default_rng(9)
+        lo, hi = phi.min(axis=0), phi.max(axis=0)
+        points = np.r_[phi[::7], gen.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo),
+                                             (3000, d))]
+        point_values, point_first = _plain_basis(points, design.knot_vectors)
+        expected = point_values[:, 0] * beta[point_first + offsets[0]]
+        for k in range(1, offsets.size):
+            expected += point_values[:, k] * beta[point_first + offsets[k]]
+        assert np.array_equal(pinned.evaluate(points), expected)
+
+    @pytest.mark.parametrize("d, kind", [(1, "discrete"), (1, "continuous"),
+                                         (2, "discrete"), (3, "continuous")])
+    def test_pinned_refit_replicate_equals_the_full_fit(self, d, kind):
+        phi, y = _phi_and_response(kind, d, n=8000 if d == 3 else 6000)
+        design = SplineDesign(phi)
+        lam = design.fit(y).penalty_weight
+        w = np.bincount(np.random.default_rng(d).integers(0, y.size, y.size),
+                        minlength=y.size).astype(float)
+        assert voi_raw(design.refit(y, w, lam)) == voi(
+            design.fit(y, weights=w, penalty=lam).fitted).raw
 
 
 class TestEvppi:
@@ -328,11 +467,11 @@ class TestDesign1d:
         # the data, every knot, one ulp either side of it, and points out of range
         points = np.r_[x, tt, np.nextafter(tt, -np.inf), np.nextafter(tt, np.inf),
                        lo - 1.0, hi + 1.0, lo - 1e300, hi + 1e300, -np.inf, np.inf]
-        vals, first, p = _design_1d(points, t, _DEGREE)
+        vals, first = _design_1d(points, t)
         dm = BSpline.design_matrix(np.clip(points, lo, hi), t, _DEGREE).tocsr()
         n = points.size
-        assert p == dm.shape[1]
-        assert np.array_equal(vals, dm.data.reshape(n, _DEGREE + 1))
+        assert len(t) - _DEGREE - 1 == dm.shape[1]
+        assert np.array_equal(vals.T, dm.data.reshape(n, _DEGREE + 1))
         assert np.array_equal(first[:, None] + np.arange(_DEGREE + 1),
                               dm.indices.reshape(n, _DEGREE + 1))
 
