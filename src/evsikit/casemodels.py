@@ -51,10 +51,10 @@ from .util import ConfigError, gauss_hermite_expectation, require_finite
 class StudyDesign:
     """A future data-collection exercise attached to a decision model.
 
-    `focal_sufficient` records whether the future data depend on the model
-    parameters only through the focal set; when they do, and `informs_all`
-    is false, sigma2 is taken from the fitted conditional mean and cannot
-    exceed its variance.
+    `informed_params` are the parameters the future data are simulated from.
+    The estimator fits the conditional INB mean g on them and spaces its
+    quadrature points over them, so sigma2 cannot exceed Var(g).
+    `focal_params` is the set the EVPPI is reported on.
     """
 
     name: str
@@ -65,9 +65,8 @@ class StudyDesign:
     summary_names: tuple[str, ...]
     summarize_batch: Callable[[dict], np.ndarray]
     batch_inner_means: Callable
-    informs_all: bool = False
+    informed_params: tuple[str, ...]
     is_discrete_data: bool = False
-    focal_sufficient: bool = True
 
     def simulate(self, cols: dict, seed: SeedSpec) -> dict:
         """`simulate_batch`, refusing a dataset that holds a non-finite value."""
@@ -92,11 +91,14 @@ def _binomial_counts(n: int, **params) -> dict:
         return {key: gen.binomial(n, cols[param]).astype(float) for key, param in params.items()}
 
     return dict(simulate_batch=simulate, summary_names=keys, is_discrete_data=True,
-                summarize_batch=lambda ds: np.column_stack([ds[key] for key in keys]))
+                summarize_batch=lambda ds: np.column_stack([ds[key] for key in keys]),
+                informed_params=tuple(params.values()))
 
 
-def _observation_totals(n: int, draw_total: Callable, key: str, summary: str) -> dict:
-    """StudyDesign data fields for the total of n observations, summarised by their mean.
+def _observation_totals(n: int, param: str, draw_total: Callable, key: str,
+                        summary: str) -> dict:
+    """StudyDesign data fields for the total of n observations of `param`,
+    summarised by their mean.
 
     `draw_total(gen, cols)` draws each row's total from its exact law, so the
     single observations are never simulated.
@@ -108,7 +110,7 @@ def _observation_totals(n: int, draw_total: Callable, key: str, summary: str) ->
         return {key: draw_total(seed.generator(), cols)}
 
     return dict(simulate_batch=simulate, summary_names=(summary,),
-                summarize_batch=lambda ds: (ds[key] / n)[:, None])
+                summarize_batch=lambda ds: (ds[key] / n)[:, None], informed_params=(param,))
 
 
 def _normal_observations(n: int, param: str, obs_var: float, key: str = "obs_total",
@@ -119,7 +121,7 @@ def _normal_observations(n: int, param: str, obs_var: float, key: str = "obs_tot
     def draw_total(gen, cols):
         return gen.normal(n * np.asarray(cols[param], dtype=float), np.sqrt(n * obs_var))
 
-    return _observation_totals(n, draw_total, key, summary)
+    return _observation_totals(n, param, draw_total, key, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def _ades_two_arm_machinery(model: DecisionModel, n: int):
         log_posterior=log_posterior,
         init=(float(logit(mean_pc)), or_mean),
         base_scales=tuple(float(s) for s in scales),
-        # the derived Pt is handed in for study4's focal set (Pc, Pt); the
+        # the derived Pt is handed in for the fit on (Pc, Pt); the
         # net benefit recomputes it from Pc and log_or
         transform=lambda chains: {
             "Pc": expit(chains[..., 0]),
@@ -322,20 +324,18 @@ def _ades_two_arm_machinery(model: DecisionModel, n: int):
 
 
 def _ades_study3(model: DecisionModel, n: int) -> StudyDesign:
-    # the trial counts inform the control-arm probability as well as the
-    # odds ratio, so the focal set does not exhaust the information in the
-    # data and the conditional-INB variance is not an upper bound
+    # the EVPPI is reported on the odds ratio alone; the trial informs both
+    # arms, so the EVSI is fitted on (Pc, Pt) as study4's is
     recipe, inner_means = _ades_two_arm_machinery(model, n)
     return StudyDesign(
         name="study3", focal_params=("log_or",), sample_size=n, recipe=recipe,
-        batch_inner_means=inner_means, focal_sufficient=False,
-        **_binomial_counts(n, dc="Pc", dt="Pt"),
+        batch_inner_means=inner_means, **_binomial_counts(n, dc="Pc", dt="Pt"),
     )
 
 
 def _ades_study4(model: DecisionModel, n: int) -> StudyDesign:
     # Same trial and same joint posterior as study3; what changes is the
-    # focal set, exercising the two-dimensional conditional-INB machinery.
+    # focal set, which here is the set the data inform.
     recipe, inner_means = _ades_two_arm_machinery(model, n)
     return StudyDesign(
         name="study4", focal_params=("Pc", "Pt"), sample_size=n, recipe=recipe,
@@ -576,7 +576,7 @@ def _beta_binomial_trial(model: DecisionModel, n: int) -> StudyDesign:
 
     return StudyDesign(
         name="trial", focal_params=("p_success",), sample_size=n, recipe=recipe,
-        batch_inner_means=inner, informs_all=True, **_binomial_counts(n, x="p_success"),
+        batch_inner_means=inner, **_binomial_counts(n, x="p_success"),
     )
 
 
@@ -594,8 +594,8 @@ def _exp_gamma_trial(model: DecisionModel, n: int) -> StudyDesign:
 
     return StudyDesign(
         name="trial", focal_params=("event_rate",), sample_size=n, recipe=recipe,
-        batch_inner_means=inner, informs_all=True,
-        **_observation_totals(n, draw_total, "obs_total", "mean_obs"),
+        batch_inner_means=inner,
+        **_observation_totals(n, "event_rate", draw_total, "obs_total", "mean_obs"),
     )
 
 
@@ -609,8 +609,7 @@ def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
 
     return StudyDesign(
         name="trial", focal_params=("effect",), sample_size=n, recipe=recipe,
-        batch_inner_means=inner, informs_all=True,
-        **_normal_observations(n, "effect", p["obs_var"]),
+        batch_inner_means=inner, **_normal_observations(n, "effect", p["obs_var"]),
     )
 
 
@@ -624,8 +623,7 @@ def _quadratic_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
 
     return StudyDesign(
         name="trial", focal_params=("effect",), sample_size=n, recipe=recipe,
-        batch_inner_means=inner, informs_all=True,
-        **_normal_observations(n, "effect", p["obs_var"]),
+        batch_inner_means=inner, **_normal_observations(n, "effect", p["obs_var"]),
     )
 
 
@@ -646,7 +644,11 @@ def _two_param_trial(model: DecisionModel, n: int) -> StudyDesign:
 
 
 def _null_design(model: DecisionModel, n: int) -> StudyDesign:
-    """Data independent of every parameter; the posterior equals the prior."""
+    """Data independent of every parameter; the posterior equals the prior.
+
+    The data inform nothing, so g is taken on the parameter the posterior
+    re-draws, and its prior and posterior variances agree up to noise.
+    """
     first = model.param_names[0]
     recipe = NullUpdate(first, model.priors[first])
     prior_mean_inb = _entry(model.name).prior_mean_inb(model)
@@ -662,7 +664,7 @@ def _null_design(model: DecisionModel, n: int) -> StudyDesign:
         name="null", focal_params=(first,), sample_size=n,
         recipe=recipe, simulate_batch=simulate, summary_names=("x",),
         summarize_batch=lambda ds: ds["x"][:, None], batch_inner_means=inner,
-        informs_all=len(model.param_names) == 1, is_discrete_data=True,
+        informed_params=(first,), is_discrete_data=True,
     )
 
 

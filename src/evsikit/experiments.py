@@ -63,7 +63,7 @@ def _quadratic_sweep(Q_values, replicates: int, seed: SeedSpec, S: int, M: int):
         psa = run_psa(model, S, rep_seed.derive(0))
         inb = compute_inb(model, psa)
         for qi, Q in enumerate(Q_values):
-            plan = build_plan(psa, design.focal_params, Q, rep_seed.derive(1 + qi))
+            plan = build_plan(psa, design.informed_params, Q, rep_seed.derive(1 + qi))
             yield r, Q, inb, expected_posterior_variance(plan, design, model, M, 0, inb=inb)
 
 

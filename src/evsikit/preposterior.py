@@ -1,24 +1,19 @@
 """Expected posterior variance by quantile-spaced quadrature.
 
-Q focal values are taken from the existing PSA draws at the q/(Q+1)
-empirical quantiles (for multidimensional focal sets, at quantiles of the
-first principal direction of the standardized focal columns).  One future
-dataset is simulated at each point and a posterior is run for each dataset.
-The engine's sigma-squared, the variance of the preposterior mean, is a
-prior variance minus the average of the Q posterior variances of one of two
-quantities:
-
-* the fitted conditional mean g(phi) of the INB, evaluated at each point's
-  posterior draws of the focal parameters, when the data depend on the model
-  only through the focal set and do not inform every parameter
-  (`sigma2_from="fitted_mean"`).  The prior variance is then Var(g), the
-  parameters the study leaves untouched drop out, and sigma2 <= Var(g).
-  This is the regression-based estimator of Strong, Oakley and Brennan
-  (Med Decis Making 2014) applied inside the posterior step;
-* the INB itself otherwise (`sigma2_from="net_benefit"`): the untouched
-  parameters are re-drawn from their priors next to the posterior draws and
-  the net benefit is evaluated on every draw.  Designs whose data inform
-  every parameter take this path, since g is then the INB.
+Q values of the parameters the study informs are taken from the existing
+PSA draws at the q/(Q+1) empirical quantiles (for several parameters, at
+quantiles of the first principal direction of their standardized columns).
+One future dataset is simulated at each point and a posterior is run for
+each dataset.
+The engine's sigma-squared, the variance of the preposterior mean, is
+Var(g) minus the average of the Q posterior variances of g, where g is the
+conditional mean of the INB given the parameters the data inform, evaluated
+at each point's posterior draws of them.  The parameters the study leaves
+untouched drop out, and sigma2 <= Var(g).  This is the regression-based
+estimator of Strong, Oakley and Brennan (Med Decis Making 2014) applied
+inside the posterior step.  g is the fitted spline
+(`sigma2_from="fitted_mean"`), or the INB itself when the data inform every
+parameter (`sigma2_from="net_benefit"`).
 
 Metropolis posteriors of all Q points run together as one ensemble of Q
 chains, so the per-step Python overhead is paid once rather than Q times.
@@ -42,7 +37,6 @@ from .util import ComputationError, SchemaError, require_finite, round_half_up
 
 _DATASET_SUB = 0
 _POSTERIOR_SUB = 1
-_UNTOUCHED_SUB = 2
 
 
 @dataclass
@@ -63,7 +57,7 @@ class QuadraturePlan:
 @dataclass
 class PosteriorRun:
     """One point's posterior draws; `inb_posterior_variance` is the posterior
-    variance of the INB, or of the fitted conditional mean on the fitted path."""
+    variance of g, the fitted conditional mean or the INB itself."""
 
     draws: dict[str, np.ndarray]
     inb_posterior_variance: float
@@ -75,8 +69,8 @@ class PosteriorRun:
 class VarianceEstimate:
     """sigma2 = prior_variance - expected_posterior_variance, floored at 0.
 
-    `sigma2_from` names the quantity whose variances these are: "fitted_mean"
-    (prior_variance is Var(g)) or "net_benefit" (prior_variance is Var(INB)).
+    `sigma2_from` names g, the quantity whose variances these are: the
+    fitted conditional mean ("fitted_mean") or the INB ("net_benefit").
     """
 
     prior_variance: float
@@ -93,7 +87,7 @@ class VarianceEstimate:
 
 
 def build_plan(psa: PsaSamples, phi_names, Q: int, seed: SeedSpec) -> QuadraturePlan:
-    """Select Q rows of the PSA spanning the focal distribution."""
+    """Select Q rows of the PSA spanning the distribution of `phi_names`."""
     names = tuple(phi_names)
     if Q < 1:
         raise ValueError("Q must be >= 1")
@@ -164,14 +158,14 @@ def _retained(recipe, M: int, burn_in: int) -> int:
 
 
 def run_posterior(design, dataset, model: DecisionModel, M: int, burn_in: int,
-                  seed: SeedSpec) -> PosteriorRun:
-    """One posterior for one simulated dataset, plus the INB variance under it.
+                  seed: SeedSpec, fit: RegressionFit | None = None) -> PosteriorRun:
+    """One posterior for one simulated dataset, plus the variance of g under it.
 
     This is the one-dataset case of the batch that `expected_posterior_variance`
     runs over all quadrature points, and gives the same result as that batch
-    gives for this dataset and seed.
+    gives for this dataset, seed and `fit`.
     """
-    return _run_posteriors(design, [dataset], model, M, burn_in, [seed])[0]
+    return _run_posteriors(design, [dataset], model, M, burn_in, [seed], fit)[0]
 
 
 def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
@@ -186,10 +180,8 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
     Conjugate recipes draw each point from its own generator.
 
     With a `fit`, each point's variance is that of the fitted conditional
-    mean at the posterior draws of the design's focal columns.  Without one,
-    untouched parameters are re-drawn per point from their priors alongside
-    the posterior draws of the updated ones, mirroring a full re-declaration
-    of the model in the posterior program, and the variance is the INB's.
+    mean at the posterior draws of the design's informed parameters.  Without
+    one, it is the variance of the INB, which needs draws of every parameter.
     """
     recipe = design.recipe
     retained = _retained(recipe, M, burn_in)
@@ -215,13 +207,14 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
         require_finite("posterior", point_draws, f" at quadrature point {q + 1}/{len(datasets)}")
 
     runs = []
-    for q, (point_draws, seed) in enumerate(zip(draws, seeds)):
+    for q, point_draws in enumerate(draws):
         if fit is None:
-            values = _inb_on(model, point_draws, seed.derive(_UNTOUCHED_SUB), retained)
+            values = _inb_on(model, point_draws)
             require_finite("posterior_variance", {"the posterior INB": values},
                            f" at quadrature point {q + 1}/{len(datasets)}")
         else:
-            values = fit.evaluate(np.column_stack([point_draws[n] for n in design.focal_params]))
+            values = fit.evaluate(np.column_stack([point_draws[n]
+                                                   for n in design.informed_params]))
         runs.append(PosteriorRun(
             draws=point_draws,
             inb_posterior_variance=float(np.var(values, ddof=1)),
@@ -231,17 +224,14 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
     return runs
 
 
-def _inb_on(model: DecisionModel, posterior_draws: dict[str, np.ndarray],
-            untouched_seed: SeedSpec, n: int) -> np.ndarray:
-    """The INB at posterior draws of the updated parameters and `n` fresh
-    prior draws of the others.  Derived columns are always recomputed from
-    the parameters, even when a recipe hands one in."""
-    cols = {}
-    for j, name in enumerate(model.param_names):
-        if name in posterior_draws:
-            cols[name] = posterior_draws[name]
-        else:
-            cols[name] = model.priors[name].sample_with(untouched_seed.derive(j).generator(), n)
+def _inb_on(model: DecisionModel, posterior_draws: dict[str, np.ndarray]) -> np.ndarray:
+    """The INB at posterior draws of every model parameter.  Derived columns
+    are always recomputed from the parameters, even when a recipe hands one in."""
+    missing = [name for name in model.param_names if name not in posterior_draws]
+    if missing:
+        raise SchemaError(f"no posterior draws of {missing}: the INB needs every "
+                          "parameter, so pass the fitted conditional mean")
+    cols = {name: posterior_draws[name] for name in model.param_names}
     nb = np.asarray(model.net_benefit(model.all_columns(cols)), dtype=float)
     r, s = model.comparison
     return nb[:, r] - nb[:, s]
@@ -256,11 +246,10 @@ def expected_posterior_variance(
     inb: InbSamples | None = None,
     fit: RegressionFit | None = None,
 ) -> VarianceEstimate:
-    """Average the posterior variance over the quadrature plan.
+    """Average the posterior variance of g over the quadrature plan.
 
-    With `fit`, the fitted conditional mean of the INB on the design's focal
-    columns, the variances are those of the fit (valid when the data depend
-    on the model only through the focal set); without it, those of the INB.
+    g is `fit`, the fitted conditional mean of the INB on the design's
+    informed parameters, or the INB itself when `fit` is None.
     """
     if fit is not None:
         prior_var = float(np.var(fit.fitted, ddof=1))

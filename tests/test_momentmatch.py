@@ -12,13 +12,18 @@ from evsikit.casemodels import (
     analytic_preposterior,
     get_design,
     get_model,
+    list_designs,
+    list_models,
     quadratic_exact_evsi,
 )
 from evsikit.model import DecisionModel, InbSamples, compute_inb, run_psa, voi
-from evsikit.momentmatch import EvsiOptions, compute_constants, estimate_evsi
+from evsikit.momentmatch import EvsiOptions, compute_constants, conditional_inb, estimate_evsi
 from evsikit.preposterior import run_posterior
 from evsikit.rng import DistSpec, SeedSpec
 from evsikit.util import ComputationError, DegenerateModelError, SchemaError
+
+
+_REGISTERED_PAIRS = [(m, d) for m in list_models() for d in list_designs(m)]
 
 
 def _nan_every_1000th(model):
@@ -58,23 +63,34 @@ class TestComputeConstants:
         assert a == pytest.approx(np.sqrt(0.9))
         assert b == pytest.approx(0.0, abs=1e-9)
 
-    def test_noise_excess_clamps(self):
-        inb = _standardised_inb()
-        var = np.var(inb.inb_theta, ddof=1)
-        with pytest.warns(UserWarning, match="clamping"):
-            a, _ = compute_constants(var * 1.03, inb)
-        assert a == 1.0
-
     def test_structural_excess_scales_up(self):
         inb = _standardised_inb()
         var = np.var(inb.inb_theta, ddof=1)
-        with pytest.warns(UserWarning, match="outside"):
-            a, _ = compute_constants(var * 1.2, inb)
+        a, _ = compute_constants(var * 1.2, inb)
         assert a == pytest.approx(np.sqrt(1.2))
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(DegenerateModelError):
             compute_constants(1.0, InbSamples.from_values([2.0, 2.0, 2.0]))
+
+
+class TestConditionalInb:
+    def test_inb_itself_when_every_parameter_is_informed(self):
+        model = get_model("exp_gamma")
+        psa = run_psa(model, 2000, SeedSpec(40))
+        inb = compute_inb(model, psa)
+        assert conditional_inb(model, psa, inb, ("event_rate",)) is None
+        assert inb.inb_phi is inb.inb_theta and inb.phi_fit is None
+
+    def test_fit_on_a_subset_is_reused(self):
+        model = get_model("ades")
+        psa = run_psa(model, 2000, SeedSpec(41))
+        inb = compute_inb(model, psa)
+        diagnostics = conditional_inb(model, psa, inb, ("Pc", "Pt"))
+        fit = inb.phi_fit
+        assert diagnostics == fit.diagnostics() and inb.phi_names == ("Pc", "Pt")
+        assert conditional_inb(model, psa, inb, ("Pc", "Pt")) == diagnostics
+        assert inb.phi_fit is fit
 
 
 class TestEvsiFromRescaled:
@@ -169,20 +185,23 @@ class TestEstimateEvsi:
         with pytest.raises(ComputationError, match=r"\[net_benefit\].*non-finite"):
             estimate_evsi(model, design, psa, EvsiOptions(Q=10, M=2000, seed=SeedSpec(31)))
 
-    def test_clamped_a_keeps_sigma2_noise_in_se(self):
-        # study3's focal set misses information in its data, so its sigma2
-        # comes from the INB; here it lands within the slack above the
-        # conditional-INB variance and a clamps to 1, yet the sigma2 noise
-        # must still reach the SE
+    def test_study3_sigma2_noise_reaches_se(self):
+        # study3 reports its EVPPI on log_or, but its trial informs Pc too:
+        # g is fitted on (Pc, Pt), sigma2 comes from g, and the sigma2 and
+        # fit noise must reach the SE.  These inputs clamped a to 1 when
+        # study3's sigma2 came from the INB
         model = get_model("ades")
         design = get_design(model, "study3")
         psa = run_psa(model, 20000, SeedSpec(3))
+        inb = compute_inb(model, psa)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = estimate_evsi(model, design, psa,
-                                   EvsiOptions(Q=10, M=1500, burn_in=500, seed=SeedSpec(103)))
-        assert result.variance_estimate.sigma2_from == "net_benefit"
-        assert result.a_clamped
+                                   EvsiOptions(Q=10, M=1500, burn_in=500, seed=SeedSpec(103)),
+                                   inb=inb)
+        assert result.variance_estimate.sigma2_from == "fitted_mean"
+        assert inb.phi_names == ("Pc", "Pt")
+        assert result.to_json_dict()["informed_params"] == ["Pc", "Pt"]
         assert result.evsi_se > 2.0 * voi(result.rescaled).se
 
     def test_nonfinite_posterior_inb_fails_loudly(self):
@@ -236,15 +255,21 @@ class TestInvariance:
         result_scaled = self._run(scaled)
         assert result_scaled.evsi == pytest.approx(factor * result_base.evsi, rel=1e-9)
 
-    def test_a_within_unit_interval_without_clamping(self):
-        for name, n in (("beta_binomial", 25), ("normal_normal", 9), ("exp_gamma", 10)):
-            model = get_model(name)
-            design = get_design(model, "trial", n=n)
-            psa = run_psa(model, 20000, SeedSpec(31))
+    @pytest.mark.parametrize("model_name, design_name", _REGISTERED_PAIRS)
+    @pytest.mark.parametrize("psa_seed, seed", [(3, 103), (9, 109)])
+    def test_a_within_unit_interval_without_clamping(self, model_name, design_name,
+                                                     psa_seed, seed):
+        # with sigma2 from the INB, study3 clamped a to 1 on the first seeds
+        # and read a = 1.2 on the second
+        model = get_model(model_name)
+        design = get_design(model, design_name)
+        psa = run_psa(model, 20000, SeedSpec(psa_seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small discrete studies, sigma2 floored at 0
             result = estimate_evsi(model, design, psa,
-                                   EvsiOptions(Q=10, M=2000, seed=SeedSpec(32)))
-            assert 0.0 <= result.a <= 1.0
-            assert not result.a_clamped
+                                   EvsiOptions(Q=10, M=1500, burn_in=500, seed=SeedSpec(seed)))
+        assert 0.0 <= result.a <= 1.0
+        assert not result.a_clamped
 
     def test_monotone_in_future_sample_size(self):
         model = get_model("beta_binomial")

@@ -19,6 +19,7 @@ from evsikit.preposterior import (
     expected_posterior_variance,
     run_posterior,
 )
+from evsikit.regression import fit_conditional_mean
 from evsikit.rng import SeedSpec
 from evsikit.util import ComputationError
 
@@ -219,18 +220,30 @@ class TestExpectedPosteriorVariance:
         model = get_model("ades")
         design = get_design(model, design_name)
         psa = run_psa(model, 5000, SeedSpec(20))
-        plan = build_plan(psa, design.focal_params, 5, SeedSpec(21))
-        ve = expected_posterior_variance(plan, design, model, 1500, 500)
+        inb = compute_inb(model, psa)
+        fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
+        plan = build_plan(psa, design.informed_params, 5, SeedSpec(21))
+        ve = expected_posterior_variance(plan, design, model, 1500, 500, inb=inb, fit=fit)
         rows = plan.rows()
         runs = []
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in rows.items()}
             dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
-            runs.append(run_posterior(design, dataset, model, 1500, 500, plan.seeds[q]))
+            runs.append(run_posterior(design, dataset, model, 1500, 500, plan.seeds[q], fit))
         assert np.array_equal(ve.per_point, [r.inb_posterior_variance for r in runs])
         assert np.array_equal(ve.acceptance_rates, [r.acceptance_rate for r in runs])
         assert np.array_equal(ve.split_variance_ratios, [r.split_variance_ratio for r in runs])
         assert all(0.0 < r < np.inf for r in ve.split_variance_ratios)
+
+    def test_inb_needs_draws_of_every_parameter(self):
+        # without a fit, g is the INB, and study3's posterior leaves Pse and
+        # logit_qe undrawn
+        model = get_model("ades")
+        design = get_design(model, "study3")
+        psa = run_psa(model, 5000, SeedSpec(20))
+        plan = build_plan(psa, design.informed_params, 2, SeedSpec(21))
+        with pytest.raises(ComputationError, match=r"no posterior draws of \['Pse', 'logit_qe'\]"):
+            expected_posterior_variance(plan, design, model, 1500, 500)
 
 
 def _nan_draw_at_point(monkeypatch, recipe_cls, point):
