@@ -193,13 +193,13 @@ def cmd_evppi(cfg: RunConfig) -> int:
     model, design = _model_and_design(cfg)
     psa = run_psa(model, cfg.S, SeedSpec(cfg.master_seed).derive(0))
     inb = compute_inb(model, psa)
-    diagnostics = conditional_inb(model, psa, inb, design.focal_params)
+    diagnostics = conditional_inb(model, psa, inb, design.informed_params)
     _write_json(
         os.path.join(out, "evppi.json"),
         {
             "model": model.name,
             "design": design.name,
-            "focal_params": list(design.focal_params),
+            "informed_params": list(design.informed_params),
             "evpi": evpi(inb),
             "evppi": voi(inb.inb_phi).value,
             "fit": diagnostics,
@@ -461,8 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     nested = sub.add_parser("nested", help="nested Monte Carlo oracle")
     add_common(nested)
     nested.add_argument("--n-outer", type=int, dest="n_outer")
-    nested.add_argument("--n-inner", type=int, dest="n_inner")
-    nested.add_argument("--inner-burn-in", type=int, dest="inner_burn_in")
+    nested.add_argument("--n-inner", type=int, dest="n_inner",
+                        help="inner posterior draws per outer dataset, for a design that "
+                             "samples them; every registered design computes its inner "
+                             "means without draws and ignores it")
+    nested.add_argument("--inner-burn-in", type=int, dest="inner_burn_in",
+                        help="burn-in of those inner draws; ignored likewise")
     nested.add_argument("--budget-seconds", type=float, dest="budget_seconds")
 
     bench = sub.add_parser("benchmark", help="run a named experiment")

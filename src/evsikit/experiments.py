@@ -160,9 +160,7 @@ def ades_crosscheck(
             EvsiOptions(Q=Q, M=M, burn_in=burn_in, seed=run_seed.derive(0)),
         )
         ros = regression_on_summaries_evsi(model, design, psa, seed=run_seed.derive(1))
-        nested = nested_mc_evsi(
-            model, design, n_outer, n_inner=2000, seed=run_seed.derive(2), inner_burn_in=500
-        )
+        nested = nested_mc_evsi(model, design, n_outer, seed=run_seed.derive(2))
         for method, est, se in (
             ("moment_matching", mm.evsi, mm.evsi_se),
             ("regression_on_summaries", ros.evsi, ros.standard_error),

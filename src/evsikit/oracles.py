@@ -1,8 +1,11 @@
 """Ground-truth estimators used to validate the moment-matching engine.
 
 * Nested Monte Carlo: outer draws of parameters and future data, an inner
-  posterior mean of the INB per dataset (closed forms where the update is
-  conjugate, ensemble Metropolis chains otherwise).
+  posterior mean of the INB per dataset from the design's
+  `batch_inner_means`: closed forms where the update is conjugate, and for
+  the ades two-arm trial an adaptive Gauss-Hermite rule over its 2-D
+  posterior.  No registered design draws inner posterior samples, so none
+  reads `n_inner` or `inner_burn_in`; they stay for designs that do.
 * Regression on data summaries: simulate one dataset per PSA draw, as its
   sufficient statistics (a count, or the total of n observations), and smooth
   the INB against the dataset's low-dimensional summaries.  One spline
@@ -55,8 +58,11 @@ def nested_mc_evsi(
     """Two-level EVSI: average the positive part of the preposterior mean.
 
     Inner posterior means come from the design's own strategy: exact
-    conjugate means where available, chain means for sampler-based updates.
-    A wall-time budget, when set, aborts with the completed outer count.
+    conjugate means where available, and quadrature over the 2-D posterior
+    of the ades two-arm trial.  `n_inner` and `inner_burn_in` are handed to
+    the design, and no registered design reads them; `n_inner` is still
+    checked and recorded in the result.  A wall-time budget, when set,
+    aborts with the completed outer count.
     """
     if n_outer < 100 or n_inner < 100:
         raise ValueError("n_outer and n_inner must both be >= 100")

@@ -185,20 +185,18 @@ def metropolis_ensemble(
     n_keep: int,
     burn_in: int,
     seed: SeedSpec | None = None,
-    stat_fn: Callable | None = None,
     block_size: int | None = None,
     *,
     seeds: Sequence[SeedSpec] | None = None,
 ):
     """Run `n_chains` independent random-walk chains, one per dataset row.
 
-    Returns (draws, info) where draws is (n_chains, n_keep, d), or, when
-    `stat_fn` is given, the per-chain post-burn-in means of stat_fn(states)
-    with nothing retained (constant memory for large ensembles).  info holds
-    per-chain acceptance rates and split-half variance ratios.  Chain i draws
-    from its own stream, `seed.derive(i)`, or `seeds[i]` when an explicit
-    per-chain seed list is given instead, so results do not depend on how
-    the ensemble is split into processing blocks or which chains share it.
+    Returns (draws, info) where draws is (n_chains, n_keep, d) and info
+    holds per-chain acceptance rates and split-half variance ratios.  Chain
+    i draws from its own stream, `seed.derive(i)`, or `seeds[i]` when an
+    explicit per-chain seed list is given instead, so results do not depend
+    on how the ensemble is split into processing blocks or which chains
+    share it.
     """
     if (seed is None) == (seeds is None):
         raise ValueError("give exactly one of seed and seeds")
@@ -206,19 +204,15 @@ def metropolis_ensemble(
         seeds = [seed.derive(i) for i in range(n_chains)]
     elif len(seeds) != n_chains:
         raise ValueError(f"{len(seeds)} seeds for {n_chains} chains")
-    keep = stat_fn is None
-    # kept draws feed the split-half variance ratio, which needs 2 per half
-    min_keep = 4 if keep else 1
-    if n_keep < min_keep:
-        raise ValueError(f"n_keep must be at least {min_keep}"
-                         f"{' when draws are kept' if keep else ''}, got {n_keep}")
+    # the draws feed the split-half variance ratio, which needs 2 per half
+    if n_keep < 4:
+        raise ValueError(f"n_keep must be at least 4, got {n_keep}")
     d = init.shape[0]
     steps = burn_in + n_keep
     # a block pre-draws at most 6e6 numbers (48 MB) of noise
     block = block_size or max(1, min(n_chains, int(6e6 // (steps * (d + 1) + 1))))
 
-    draws = np.empty((n_chains, n_keep, d)) if keep else None
-    stat_sums = None
+    draws = np.empty((n_chains, n_keep, d))
     accept_rates = np.empty(n_chains)
 
     for lo in range(0, n_chains, block):
@@ -262,20 +256,12 @@ def metropolis_ensemble(
                     window_acc[:] = 0.0
             else:
                 accepted += acc
-                k = t - burn_in
-                if keep:
-                    draws[lo:hi, k, :] = cur
-                else:
-                    s = stat_fn(cur)
-                    if stat_sums is None:
-                        stat_sums = np.zeros((n_chains, s.shape[1]))
-                    stat_sums[lo:hi] += s
+                draws[lo:hi, t - burn_in, :] = cur
 
         accept_rates[lo:hi] = accepted / n_keep
 
-    info = {"acceptance_rate": accept_rates}
-    if keep:
-        info["split_variance_ratio"] = _split_variance_ratio(draws)
+    info = {"acceptance_rate": accept_rates,
+            "split_variance_ratio": _split_variance_ratio(draws)}
     bad = (accept_rates < _ACCEPT_BAND[0]) | (accept_rates > _ACCEPT_BAND[1])
     if np.any(bad):
         warnings.warn(
@@ -283,6 +269,4 @@ def metropolis_ensemble(
             f"{int(bad.sum())} chain(s)",
             stacklevel=2,
         )
-    if keep:
-        return draws, info
-    return stat_sums / n_keep, info
+    return draws, info

@@ -54,16 +54,23 @@ def require_finite(stage: str, arrays: dict, where: str = "") -> None:
 _GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+def hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Hermite nodes x for the weight exp(-x^2), and their
+    weights divided by sqrt(pi), so that they sum to 1; built on first use
+    and cached.  E[f(Z)] for Z ~ Normal(0, 1) is sum(w f(sqrt(2) x))."""
+    if n not in _GH_CACHE:
+        x, w = np.polynomial.hermite.hermgauss(n)
+        _GH_CACHE[n] = (x, w / np.sqrt(np.pi))
+    return _GH_CACHE[n]
+
+
 def gauss_hermite_expectation(f, mean, var, n: int = 64):
     """E[f(Z)] for Z ~ Normal(mean, var) by Gauss-Hermite quadrature.
 
     `mean` and `var` may be arrays; they broadcast against the node axis,
     so vectorised use costs one call. `f` must accept ndarray input.
     """
-    if n not in _GH_CACHE:
-        x, w = np.polynomial.hermite.hermgauss(n)
-        _GH_CACHE[n] = (x, w / np.sqrt(np.pi))
-    x, w = _GH_CACHE[n]
+    x, w = hermite_nodes(n)
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
     z = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import expit, logit
 
+from evsikit import casemodels
 from evsikit.casemodels import (
     _REGISTRY,
+    _ades_inb_at_means,
     _ades_prior_means,
     _exp_gamma_exact,
     _normal_normal_exact,
     _quadratic_normal_exact,
+    _two_arm_posterior,
     _unit_leggauss,
     ConjugateToy,
     ades_net_benefit,
@@ -30,7 +33,7 @@ from evsikit.casemodels import (
 )
 from evsikit.model import DecisionModel, compute_inb, run_psa
 from evsikit.rng import SeedSpec
-from evsikit.util import ConfigError, gauss_hermite_expectation
+from evsikit.util import ComputationError, ConfigError, gauss_hermite_expectation
 
 
 class TestAdesNetBenefit:
@@ -297,6 +300,127 @@ class TestAdesInvariants:
         b = compute_inb(model, run_psa(model, 100000, SeedSpec(6))).inb_theta
         assert np.isfinite(a.mean())
         assert np.array_equal(a, b)
+
+
+class TestTwoArmInnerMeans:
+    """The nested oracle's inner means for the ades two-arm trial, by
+    adaptive Gauss-Hermite quadrature over the posterior of (logit Pc, log OR)."""
+
+    N = 200
+    CORNERS = [(0.0, 0.0), (0.0, 200.0), (200.0, 0.0), (200.0, 200.0)]
+
+    @pytest.fixture(scope="class")
+    def trial(self):
+        model = get_model("ades")
+        return model, get_design(model, "study3"), _two_arm_posterior(model, self.N)
+
+    @staticmethod
+    def _seeded_pairs(model, design, k=4):
+        psa = run_psa(model, k, SeedSpec(41))
+        ds = design.simulate(psa.columns, SeedSpec(42))
+        return list(zip(ds["dc"], ds["dt"]))
+
+    @staticmethod
+    def _grid_means(design, dc, dt):
+        """E[Pc] and E[Pt] on a 1201 x 1201 grid over the mean +- 14 sd, both
+        read off a coarse grid first: no mode, Hessian or node rule."""
+
+        def moments(x0, x1):
+            states = np.column_stack([x0.ravel(), x1.ravel()])
+            ds = {"dc": np.full(len(states), dc), "dt": np.full(len(states), dt)}
+            lp = design.recipe.log_posterior(states, ds, slice(None))
+            w = np.exp(lp - lp.max())
+            w /= w.sum()
+            return states, w
+
+        states, w = moments(*np.meshgrid(np.linspace(-12, 8, 801), np.linspace(-10, 10, 801)))
+        mean = w @ states
+        sd = np.sqrt(w @ (states - mean) ** 2)
+        axes = [np.linspace(m - 14 * s, m + 14 * s, 1201) for m, s in zip(mean, sd)]
+        states, w = moments(*np.meshgrid(*axes))
+        return w @ expit(states[:, 0]), w @ expit(states[:, 0] + states[:, 1])
+
+    def test_means_match_a_fine_grid(self, trial):
+        model, design, posterior = trial
+        for dc, dt in self._seeded_pairs(model, design) + self.CORNERS:
+            e_pc, e_pt = posterior.means(np.array([dc]), np.array([dt]), np.array([0]))
+            want_pc, want_pt = self._grid_means(design, dc, dt)
+            assert e_pc[0] == pytest.approx(want_pc, rel=1e-6), (dc, dt)
+            assert e_pt[0] == pytest.approx(want_pt, rel=1e-6), (dc, dt)
+
+    def test_twelve_nodes_agree_with_twenty(self, trial):
+        model, design, posterior = trial
+        dc, dt = (np.array(v) for v in zip(*self._seeded_pairs(model, design, 50), *self.CORNERS))
+        rows = np.arange(len(dc))
+        for got, want in zip(posterior.means(dc, dt, rows), posterior.means(dc, dt, rows, k=20)):
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    def test_design_reads_the_inb_at_the_means(self, trial):
+        model, design, posterior = trial
+        dc, dt = (np.array(v) for v in zip(*self.CORNERS, (30.0, 10.0)))
+        e_pc, e_pt = posterior.means(dc, dt, np.arange(len(dc)))
+        prior = _ades_prior_means(model.params)
+        want = _ades_inb_at_means(e_pc, prior["Pse"], e_pt, prior["Qe"], model.params)
+        assert np.array_equal(design.batch_inner_means({"dc": dc, "dt": dt}), want)
+
+    def test_derivatives_match_central_differences(self, trial):
+        _, _, posterior = trial
+        gen = np.random.default_rng(43)
+        x0, x1 = gen.uniform(-5, 2, 40), gen.uniform(-4, 3, 40)
+        dc, dt = gen.integers(0, self.N + 1, (2, 40)).astype(float)
+        g0, g1, h00, h01, h11 = posterior.derivatives(x0, x1, dc, dt)
+
+        def lp(u0, u1):
+            return posterior.log_density(u0, u1, dc, dt)
+
+        h = 1e-5
+        np.testing.assert_allclose(g0, (lp(x0 + h, x1) - lp(x0 - h, x1)) / (2 * h),
+                                   rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(g1, (lp(x0, x1 + h) - lp(x0, x1 - h)) / (2 * h),
+                                   rtol=1e-6, atol=1e-6)
+        h = 1e-4
+        centre = lp(x0, x1)
+        for got, (e0, e1) in ((h00, (1, 0)), (h11, (0, 1))):
+            want = (lp(x0 + e0 * h, x1 + e1 * h) - 2 * centre
+                    + lp(x0 - e0 * h, x1 - e1 * h)) / h**2
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+        want = (lp(x0 + h, x1 + h) - lp(x0 + h, x1 - h) - lp(x0 - h, x1 + h)
+                + lp(x0 - h, x1 - h)) / (4 * h**2)
+        np.testing.assert_allclose(h01, want, rtol=1e-4, atol=1e-4)
+
+    def test_study3_and_study4_read_the_same_means(self, trial):
+        model, study3, _ = trial
+        psa = run_psa(model, 500, SeedSpec(44))
+        ds = study3.simulate(psa.columns, SeedSpec(45))
+        study4 = get_design(model, "study4")
+        assert np.array_equal(study3.batch_inner_means(ds), study4.batch_inner_means(ds))
+
+    def test_seed_chain_settings_and_blocks_change_nothing(self, trial, monkeypatch):
+        model, design, _ = trial
+        psa = run_psa(model, 500, SeedSpec(46))
+        ds = design.simulate(psa.columns, SeedSpec(47))
+        want = design.batch_inner_means(ds, SeedSpec(1), n_inner=2000, burn_in=500)
+        assert np.array_equal(design.batch_inner_means(ds, SeedSpec(2), n_inner=100, burn_in=0),
+                              want)
+        # each distinct dataset is solved on its own, whatever else shares its block
+        monkeypatch.setattr(casemodels, "_TWO_ARM_BLOCK", 7)
+        assert np.array_equal(design.batch_inner_means(ds), want)
+        one = {k: v[:1] for k, v in ds.items()}
+        assert np.array_equal(design.batch_inner_means(one), want[:1])
+
+    def test_unconverged_newton_search_names_the_dataset(self, trial, monkeypatch):
+        _, design, _ = trial
+        monkeypatch.setattr(casemodels, "_NEWTON_STEPS", 1)
+        ds = {"dc": np.array([50.0, 40.0, 10.0, 30.0]), "dt": np.full(4, 12.0)}
+        with pytest.raises(ComputationError, match=r"^\[nested\] .*not converge.* dataset 2$"):
+            design.batch_inner_means(ds)
+
+    def test_non_finite_mode_names_the_dataset(self, trial):
+        _, design, _ = trial
+        ds = {"dc": np.array([50.0, 40.0, 10.0, np.nan]), "dt": np.full(4, 12.0)}
+        with pytest.raises(ComputationError, match=r"^\[nested\] non-finite .* dataset 3$") as err:
+            design.batch_inner_means(ds)
+        assert err.value.stage == "nested"
 
 
 class TestRegistry:

@@ -152,6 +152,16 @@ class TestEvppiCommand:
         assert payload["evppi"] <= payload["evpi"] + 1e-9
         assert payload["fit"]["r_squared"] >= 0.0
 
+    def test_study3_evppi_bounds_its_exact_evsi(self, tmp_path):
+        # the trial informs (Pc, Pt); an EVPPI on log_or alone read 3991.2
+        # here, below the exact EVSI of 4114.96
+        out = tmp_path / "run"
+        assert main(["evppi", "--model", "ades", "--design", "study3", "--S", "20000",
+                     "--seed", "2", "--out", str(out)]) == 0
+        payload = json.loads((out / "evppi.json").read_text())
+        assert payload["informed_params"] == ["Pc", "Pt"]
+        assert payload["evppi"] > 4114.96
+
     def test_gcv_diagnostics_reach_evppi_and_result_files(self, tmp_path):
         assert main(["evppi", "--model", "two_param_linear", "--S", "5000",
                      "--seed", "4", "--out", str(tmp_path / "a")]) == 0

@@ -64,6 +64,15 @@ class TestNestedMc:
         truth = analytic_preposterior(ConjugateToy("normal_normal", 9)).evsi
         assert abs(result.evsi - truth) <= 3 * result.standard_error
 
+    def test_ades_trial_agrees_with_exact_value(self):
+        # 4114.96 is the trial's exact EVSI by 2-D quadrature over the prior
+        # (evsibench/references.py); the inner means are quadrature too, so
+        # only the outer draws are noise
+        model = get_model("ades")
+        result = nested_mc_evsi(model, get_design(model, "study3"), 200_000, seed=SeedSpec(0))
+        assert abs(result.evsi - 4114.96) <= 3 * result.standard_error
+        assert result.standard_error < 20.0
+
     def test_uninformative_design_has_zero_value(self):
         # exact inner means are all equal to the prior mean, so the value
         # is exactly zero with zero spread

@@ -166,38 +166,12 @@ class TestMetropolis:
         with pytest.raises(ValueError, match="1 seeds for 2 chains"):
             metropolis_ensemble(logpost, seeds=[SeedSpec(2)], **common)
 
-    @pytest.mark.parametrize("n_keep, stat_fn", [(0, None), (3, None), (0, np.copy)])
-    def test_too_few_draws_are_refused(self, n_keep, stat_fn):
-        with pytest.raises(ValueError, match=f"n_keep must be at least .*got {n_keep}"):
+    @pytest.mark.parametrize("n_keep", [0, 3])
+    def test_too_few_draws_are_refused(self, n_keep):
+        with pytest.raises(ValueError, match=f"n_keep must be at least 4, got {n_keep}"):
             metropolis_ensemble(lambda s, i: _beta48_logpost(s, None, i), n_chains=1,
                                 init=np.array([0.3]), scales=np.array([0.1]), n_keep=n_keep,
-                                burn_in=10, seed=SeedSpec(12), stat_fn=stat_fn)
-
-    @pytest.mark.filterwarnings("ignore:metropolis acceptance rate")
-    def test_stat_mode_keeps_a_single_draw(self):
-        means, _ = metropolis_ensemble(lambda s, i: _beta48_logpost(s, None, i), n_chains=2,
-                                       init=np.array([0.3]), scales=np.array([0.1]), n_keep=1,
-                                       burn_in=0, seed=SeedSpec(13), stat_fn=np.copy)
-        assert means.shape == (2, 1) and np.all((means > 0) & (means < 1))
-
-    def test_stat_mode_matches_kept_draws(self):
-        common = dict(
-            n_chains=3,
-            init=np.array([0.3]),
-            scales=np.array([0.1]),
-            n_keep=2000,
-            burn_in=200,
-            seed=SeedSpec(7),
-        )
-        draws, _ = metropolis_ensemble(
-            lambda s, i: _beta48_logpost(s, None, i), **common
-        )
-        means, _ = metropolis_ensemble(
-            lambda s, i: _beta48_logpost(s, None, i),
-            stat_fn=lambda s: s.copy(),
-            **common,
-        )
-        assert np.allclose(means[:, 0], draws[:, :, 0].mean(axis=1))
+                                burn_in=10, seed=SeedSpec(12))
 
     def test_acceptance_warning_for_bad_scale(self):
         with pytest.warns(UserWarning, match="acceptance rate"):
@@ -266,7 +240,7 @@ class TestMetropolisRecipe:
         assert "acceptance_rate" in info
 
 
-def _reference_ensemble(logpost, n_chains, init, scales, n_keep, burn_in, seed, stat_fn=None):
+def _reference_ensemble(logpost, n_chains, init, scales, n_keep, burn_in, seed):
     """A straightforward step loop over all chains in one block: a fresh
     proposal array per step and boolean-index moves.  The kernel in
     `metropolis_ensemble` must match it bit for bit."""
@@ -282,7 +256,7 @@ def _reference_ensemble(logpost, n_chains, init, scales, n_keep, burn_in, seed, 
     lp = logpost(cur, idx)
     log_mult = np.zeros(n_chains)
     window_acc = np.zeros(n_chains)
-    kept, sums = [], 0.0
+    kept = []
     for t in range(steps):
         prop = cur + normals[:, t, :] * (scales * np.exp(log_mult)[:, None])
         lp_prop = logpost(prop, idx)
@@ -294,11 +268,9 @@ def _reference_ensemble(logpost, n_chains, init, scales, n_keep, burn_in, seed, 
             if (t + 1) % 50 == 0:
                 log_mult = np.clip(log_mult + 0.5 * (window_acc / 50 - 0.3), -6.0, 6.0)
                 window_acc[:] = 0.0
-        elif stat_fn is None:
-            kept.append(cur.copy())
         else:
-            sums = sums + stat_fn(cur)
-    return np.stack(kept, axis=1) if stat_fn is None else sums / n_keep
+            kept.append(cur.copy())
+    return np.stack(kept, axis=1)
 
 
 def _four_term_ades_logpost(model, n):
@@ -358,15 +330,16 @@ class TestAdesKernelMatchesReference:
 
     @pytest.mark.parametrize("block_size", [64, None])
     def test_stat_means_bit_identical(self, trial, block_size):
+        # an ensemble run in blocks of 64 chains, or in one block, keeps the
+        # reference's draws
         model, design, four_term = trial
         seed = SeedSpec(902)
         ds = self._datasets(model, design, 200, seed)
         recipe = design.recipe
-        stat_fn = lambda s: np.column_stack([s[:, 0], s[:, 0] + s[:, 1]])  # noqa: E731
         common = dict(n_chains=200, init=np.asarray(recipe.init),
                       scales=np.asarray(recipe.base_scales), n_keep=1000, burn_in=500,
-                      seed=seed.derive(2), stat_fn=stat_fn)
-        means, _ = metropolis_ensemble(lambda s, i: recipe.log_posterior(s, ds, i),
+                      seed=seed.derive(2))
+        draws, _ = metropolis_ensemble(lambda s, i: recipe.log_posterior(s, ds, i),
                                        block_size=block_size, **common)
         want = _reference_ensemble(lambda s, i: four_term(s, ds, i), **common)
-        assert np.array_equal(means, want)
+        assert np.array_equal(draws, want)

@@ -131,7 +131,7 @@ class TestExpectedPosteriorVariance:
         design = get_design(model, "trial", n=9)
         psa = run_psa(model, 20000, SeedSpec(14))
         inb = compute_inb(model, psa)
-        plan = build_plan(psa, design.focal_params, 10, SeedSpec(15))
+        plan = build_plan(psa, design.informed_params, 10, SeedSpec(15))
         ve = expected_posterior_variance(plan, design, model, 5000, 0, inb=inb)
         exact = 10000.0**2 * 0.1
         assert np.all(np.abs(ve.per_point / exact - 1.0) <= 0.06)
@@ -151,7 +151,7 @@ class TestExpectedPosteriorVariance:
             seed = SeedSpec(160 + r)
             psa = run_psa(model, 10000, seed.derive(0))
             inb = compute_inb(model, psa)
-            plan = build_plan(psa, design.focal_params, 50, seed.derive(1))
+            plan = build_plan(psa, design.informed_params, 50, seed.derive(1))
             ve = expected_posterior_variance(plan, design, model, 1000, 0, inb=inb)
             values.append(ve.sigma2)
         assert truth - 2.5 <= np.mean(values) <= truth * 1.06 + 2.5
@@ -164,7 +164,7 @@ class TestExpectedPosteriorVariance:
         design = get_design(model, "trial", n=9)
         psa = run_psa(model, 20000, SeedSpec(17))
         inb = compute_inb(model, psa)
-        plan = build_plan(psa, design.focal_params, 30, SeedSpec(170))
+        plan = build_plan(psa, design.informed_params, 30, SeedSpec(170))
         ve = expected_posterior_variance(plan, design, model, 2000, 0, inb=inb)
         prior = np.var(inb.inb_theta, ddof=1)
         mc_se = ve.per_point * np.sqrt(2.0 / 1999)
@@ -172,7 +172,7 @@ class TestExpectedPosteriorVariance:
 
     def test_sigma2_bounded_by_conditional_variance(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
-        plan = build_plan(psa, design.focal_params, 30, SeedSpec(18))
+        plan = build_plan(psa, design.informed_params, 30, SeedSpec(18))
         ve = expected_posterior_variance(plan, design, model, 2000, 0, inb=inb)
         # single-parameter model: the conditional INB is the INB itself
         assert ve.sigma2 <= np.var(inb.inb_theta, ddof=1) * 1.05
@@ -188,7 +188,7 @@ class TestExpectedPosteriorVariance:
             psa = run_psa(model, 10000, seed.derive(0))
             inb = compute_inb(model, psa)
             for Q in (10, 100):
-                plan = build_plan(psa, design.focal_params, Q, seed.derive(Q))
+                plan = build_plan(psa, design.informed_params, Q, seed.derive(Q))
                 ve = expected_posterior_variance(plan, design, model, 1000, 0, inb=inb)
                 errs[Q].append(abs(ve.sigma2 - reference))
         assert np.mean(errs[100]) < np.mean(errs[10])
@@ -200,14 +200,14 @@ class TestExpectedPosteriorVariance:
         design = get_design(model, "null")
         psa = run_psa(model, 2000, SeedSpec(4))
         inb = compute_inb(model, psa)
-        plan = build_plan(psa, design.focal_params, 5, SeedSpec(1004))
+        plan = build_plan(psa, design.informed_params, 5, SeedSpec(1004))
         with pytest.warns(UserWarning, match="clamped"):
             ve = expected_posterior_variance(plan, design, model, 2000, 0, inb=inb)
         assert ve.clamped and ve.sigma2 == 0.0
 
     def test_metadata_for_reporting(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
-        plan = build_plan(psa, design.focal_params, 5, SeedSpec(19))
+        plan = build_plan(psa, design.informed_params, 5, SeedSpec(19))
         ve = expected_posterior_variance(plan, design, model, 1000, 0, inb=inb)
         assert len(ve.dataset_summaries) == 5
         assert ve.phi_points.shape == (5, 1)
@@ -276,7 +276,7 @@ class TestNonFinitePosteriorDraws:
         model = get_model(model_name)
         design = get_design(model, design_name)
         psa = run_psa(model, 5000, SeedSpec(22))
-        plan = build_plan(psa, design.focal_params, 4, SeedSpec(23))
+        plan = build_plan(psa, design.informed_params, 4, SeedSpec(23))
         _nan_draw_at_point(monkeypatch, recipe_cls, 3)
         with pytest.raises(ComputationError,
                            match=r"^\[posterior\] 1 non-finite value\(s\) of .* point 3/4$"):
