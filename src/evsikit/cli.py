@@ -68,9 +68,11 @@ class RunConfig:
             # config files can hold floats, NaN and booleans (bool subclasses int)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("S", "Q", "M", "n_outer", "n_inner"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive count")
+        # the nested oracle refuses fewer than 100 outer or inner draws
+        for name, least in (("S", 1), ("Q", 1), ("M", 1), ("n_outer", 100), ("n_inner", 100)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
         if self.master_seed < 0:
@@ -233,10 +235,8 @@ def cmd_evsi(cfg: RunConfig) -> int:
                 row[name] = float(ve.phi_points[q, j])
         row["dataset"] = ve.dataset_summaries[q]
         row["posterior_variance"] = float(ve.per_point[q])
-        # chain diagnostics, blank for conjugate recipes
-        for key, values in (("acceptance_rate", ve.acceptance_rates),
-                            ("split_variance_ratio", ve.split_variance_ratios)):
-            row[key] = "" if values[q] is None else values[q]
+        # chain diagnostics: no registered design runs chains, so they stay blank
+        row["acceptance_rate"] = row["split_variance_ratio"] = ""
         rows.append(row)
     fieldnames = ["q", *ve.phi_names, "dataset", "posterior_variance", "acceptance_rate",
                   "split_variance_ratio"]
@@ -448,8 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="future-study sample size override")
         p.add_argument("--S", type=int)
         p.add_argument("--Q", type=int)
-        p.add_argument("--M", type=int)
-        p.add_argument("--burn-in", type=int, dest="burn_in")
+        p.add_argument("--M", type=int,
+                       help="posterior draws per quadrature point of a conjugate design; "
+                            "not read by the two-arm trial (ades study3, study4)")
+        p.add_argument("--burn-in", type=int, dest="burn_in",
+                       help="burn-in of posterior chains; not read by the two-arm trial, "
+                            "nor by any other registered design")
         p.add_argument("--seed", type=int, dest="master_seed")
         p.add_argument("--out", dest="output_dir")
 

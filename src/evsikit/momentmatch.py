@@ -32,8 +32,8 @@ _PLAN_SUB = 11
 @dataclass(frozen=True)
 class EvsiOptions:
     Q: int = 30
-    M: int = 10000
-    burn_in: int = 1000
+    M: int = 10000      # draws per point of a conjugate posterior
+    burn_in: int = 1000  # kept for callers; no registered design runs chains
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self):
@@ -74,6 +74,7 @@ class MomentMatchResult:
             "expected_posterior_variance": ve.expected_posterior_variance,
             "per_point_variances": [float(v) for v in ve.per_point],
             "informed_params": list(ve.phi_names),
+            "posterior_method": ve.posterior_method,
             "config": self.config,
             "fit": self.fit_diagnostics,
         }
@@ -203,7 +204,7 @@ def estimate_evsi(
 
     try:
         plan = build_plan(psa, design.informed_params, opts.Q, seed.derive(_PLAN_SUB))
-        ve = expected_posterior_variance(plan, design, model, opts.M, opts.burn_in, inb=inb,
+        ve = expected_posterior_variance(plan, design, model, opts.M, inb=inb,
                                          fit=inb.phi_fit)
     except ComputationError:
         raise

@@ -1,16 +1,17 @@
-"""Posterior updaters for future datasets: conjugate closed forms and a
-self-contained random-walk Metropolis sampler.
+"""Posterior updaters for future datasets: conjugate closed forms, a
+quadrature recipe, and a self-contained random-walk Metropolis sampler.
 
 Conjugate recipes return exact-posterior draws (burn-in is ignored).  They
 read the dataset's sufficient statistic: a count for binomial data and, for
 normal or exponential observations, the total of the n observations, with n
-fixed by the design.
+fixed by the design.  A quadrature recipe returns weighted nodes instead of
+draws; the ades two-arm trial uses one.
 
-The Metropolis sampler runs many chains at once, one chain per dataset, with
-per-chain randomness pre-derived from chain-index streams so results do not
-depend on batching.  The proposal is a componentwise Gaussian random walk
-whose global scale adapts toward 0.3 acceptance during burn-in and is frozen
-afterwards.
+The Metropolis sampler, which no registered design runs, takes many chains
+at once, one chain per dataset, with per-chain randomness pre-derived from
+chain-index streams so results do not depend on batching.  The proposal is a
+componentwise Gaussian random walk whose global scale adapts toward 0.3
+acceptance during burn-in and is frozen afterwards.
 
 Step kernel.  Each block of chains draws its standard normals and log
 uniforms for every step up front.  A step then makes one vectorised pass
@@ -135,34 +136,20 @@ class NullUpdate:
 
 
 @dataclass(frozen=True)
-class MetropolisUpdate:
-    """Generic recipe: a log-posterior factory over chain coordinates.
+class QuadratureUpdate:
+    """Generic recipe: a weighted quadrature rule over each dataset's posterior.
 
-    `log_posterior(states, dataset, idx)` evaluates (n,) log densities for
-    states of shape (n, d) against the datasets selected by `idx`, a slice
-    of dataset rows.
-    `transform` maps retained chain draws (K, M, d) to model columns.
+    `rule(dataset, k, stage)` returns the model columns at the rule's nodes
+    and the nodes' weights, each (n, K) for n dataset rows, with k nodes per
+    coordinate; the weights need not sum to 1.  A failed rule raises
+    `ComputationError(stage)`.
     """
 
-    params: tuple[str, ...]
-    log_posterior: Callable
-    init: tuple[float, ...]
-    base_scales: tuple[float, ...]
-    transform: Callable[[np.ndarray], dict[str, np.ndarray]]
+    rule: Callable
+    nodes: int
 
-    def draw(self, dataset, M, burn_in=1000, seed=None, *, seeds=None):
-        """(model columns of the retained draws, ensemble info), one chain per dataset row."""
-        chains, info = metropolis_ensemble(
-            lambda states, idx: self.log_posterior(states, dataset, idx),
-            n_chains=len(next(iter(dataset.values()))),
-            init=np.asarray(self.init, dtype=float),
-            scales=np.asarray(self.base_scales, dtype=float),
-            n_keep=M,
-            burn_in=burn_in,
-            seed=seed,
-            seeds=seeds,
-        )
-        return self.transform(chains), info
+    def nodes_and_weights(self, dataset, stage: str):
+        return self.rule(dataset, self.nodes, stage)
 
 
 def _split_variance_ratio(draws: np.ndarray) -> np.ndarray:

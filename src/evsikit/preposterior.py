@@ -3,22 +3,24 @@
 Q values of the parameters the study informs are taken from the existing
 PSA draws at the q/(Q+1) empirical quantiles (for several parameters, at
 quantiles of the first principal direction of their standardized columns).
-One future dataset is simulated at each point and a posterior is run for
-each dataset.
-The engine's sigma-squared, the variance of the preposterior mean, is
-Var(g) minus the average of the Q posterior variances of g, where g is the
-conditional mean of the INB given the parameters the data inform, evaluated
-at each point's posterior draws of them.  The parameters the study leaves
+One future dataset is simulated at each point and its posterior is
+computed.  The engine's sigma-squared, the variance of the preposterior
+mean, is Var(g) minus the average of the Q posterior variances of g, where g
+is the conditional mean of the INB given the parameters the data inform,
+evaluated at each point's posterior draws (or quadrature nodes) of them.  The parameters the study leaves
 untouched drop out, and sigma2 <= Var(g).  This is the regression-based
 estimator of Strong, Oakley and Brennan (Med Decis Making 2014) applied
 inside the posterior step.  g is the fitted spline
 (`sigma2_from="fitted_mean"`), or the INB itself when the data inform every
 parameter (`sigma2_from="net_benefit"`).
 
-Metropolis posteriors of all Q points run together as one ensemble of Q
-chains, so the per-step Python overhead is paid once rather than Q times.
-Each chain keeps the stream it would have on its own, so the per-point
-results equal those of `run_posterior` called point by point.
+Conjugate designs draw M values from each point's exact posterior.  The
+ades two-arm trial, whose posterior has no closed form, takes a 24 x 24
+adaptive Gauss-Hermite rule per point instead (Naylor & Smith, Applied
+Statistics 1982): all Q rules run at once, g is evaluated once at every
+node, and each point's variance of g is a weighted sum, with no draws, M
+or seed.  Either way a point's result equals that of `run_posterior`
+called point by point.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import DecisionModel, InbSamples, PsaSamples, compute_inb
-from .posterior import MetropolisUpdate
+from .posterior import QuadratureUpdate
 from .regression import RegressionFit
 from .rng import SeedSpec
 from .util import ComputationError, SchemaError, require_finite, round_half_up
@@ -56,13 +58,13 @@ class QuadraturePlan:
 
 @dataclass
 class PosteriorRun:
-    """One point's posterior draws; `inb_posterior_variance` is the posterior
-    variance of g, the fitted conditional mean or the INB itself."""
+    """One point's posterior draws, or a rule's nodes with their normalised
+    `weights` (None for equally weighted draws); `inb_posterior_variance` is
+    the posterior variance of g, the fitted conditional mean or the INB."""
 
     draws: dict[str, np.ndarray]
     inb_posterior_variance: float
-    acceptance_rate: float | None = None
-    split_variance_ratio: float | None = None
+    weights: np.ndarray | None = None
 
 
 @dataclass
@@ -78,12 +80,11 @@ class VarianceEstimate:
     sigma2: float
     per_point: np.ndarray
     clamped: bool
-    acceptance_rates: list = field(default_factory=list)
-    split_variance_ratios: list = field(default_factory=list)
     dataset_summaries: list = field(default_factory=list)
     phi_names: tuple = ()
     phi_points: np.ndarray | None = None
     sigma2_from: str = "net_benefit"
+    posterior_method: dict = field(default_factory=dict)
 
 
 def build_plan(psa: PsaSamples, phi_names, Q: int, seed: SeedSpec) -> QuadraturePlan:
@@ -149,79 +150,67 @@ def _stable_order_at(scores: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _retained(recipe, M: int, burn_in: int) -> int:
-    if isinstance(recipe, MetropolisUpdate):
-        if M <= burn_in:
-            raise ValueError("M must exceed burn_in for Metropolis recipes")
-        return M - burn_in
-    return M
-
-
-def run_posterior(design, dataset, model: DecisionModel, M: int, burn_in: int,
-                  seed: SeedSpec, fit: RegressionFit | None = None) -> PosteriorRun:
+def run_posterior(design, dataset, model: DecisionModel, M: int, seed: SeedSpec,
+                  fit: RegressionFit | None = None) -> PosteriorRun:
     """One posterior for one simulated dataset, plus the variance of g under it.
 
     This is the one-dataset case of the batch that `expected_posterior_variance`
     runs over all quadrature points, and gives the same result as that batch
     gives for this dataset, seed and `fit`.
     """
-    return _run_posteriors(design, [dataset], model, M, burn_in, [seed], fit)[0]
+    return _run_posteriors(design, [dataset], model, M, [seed], fit)[0]
 
 
 def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
-                    burn_in: int, seeds: Sequence[SeedSpec],
+                    seeds: Sequence[SeedSpec],
                     fit: RegressionFit | None = None) -> list[PosteriorRun]:
     """Posteriors for several simulated datasets, one per quadrature point.
 
-    A Metropolis recipe runs every dataset as one chain of a single ensemble.
-    Chain q draws from `seeds[q].derive(_POSTERIOR_SUB).derive(0)`, the stream
-    of a one-chain ensemble seeded with `seeds[q].derive(_POSTERIOR_SUB)`, so
-    each point's draws do not depend on which other points share the batch.
-    Conjugate recipes draw each point from its own generator.
+    A quadrature recipe runs its rule over every dataset at once, g is
+    evaluated once at all the nodes, and each point's variance is the
+    weighted one; it reads neither M nor the seeds.  A conjugate recipe
+    draws M values for each point from its own generator, seeded with
+    `seeds[q].derive(_POSTERIOR_SUB)`, and takes their sample variance.  A
+    dataset's result does not depend on which others share the batch.
 
-    With a `fit`, each point's variance is that of the fitted conditional
-    mean at the posterior draws of the design's informed parameters.  Without
-    one, it is the variance of the INB, which needs draws of every parameter.
+    With a `fit`, g is the fitted conditional mean at the posterior draws
+    (or nodes) of the design's informed parameters.  Without one, it is the
+    INB, which needs draws of every parameter.
     """
     recipe = design.recipe
-    retained = _retained(recipe, M, burn_in)
-    if retained < 1000:
-        raise ValueError("need at least 1000 retained posterior draws")
-
-    posterior_seeds = [s.derive(_POSTERIOR_SUB) for s in seeds]
-    metropolis = isinstance(recipe, MetropolisUpdate)
-    if metropolis:
+    where = [f" at quadrature point {q + 1}/{len(datasets)}" for q in range(len(datasets))]
+    if isinstance(recipe, QuadratureUpdate):
         stacked = {k: np.concatenate([ds[k] for ds in datasets]) for k in datasets[0]}
-        out, info = recipe.draw(stacked, retained, burn_in=burn_in,
-                                seeds=[s.derive(0) for s in posterior_seeds])
-        draws = [{k: v[q] for k, v in out.items()} for q in range(len(datasets))]
-        accept = [float(r) for r in info["acceptance_rate"]]
-        split = [float(r) for r in info["split_variance_ratio"]]
-    else:
-        draws = [
-            {k: np.asarray(v)[0] for k, v in recipe.draw(ds, retained, s.generator()).items()}
-            for ds, s in zip(datasets, posterior_seeds)
-        ]
-        accept = split = [None] * len(datasets)
-    for q, point_draws in enumerate(draws):
-        require_finite("posterior", point_draws, f" at quadrature point {q + 1}/{len(datasets)}")
+        nodes, weights = recipe.nodes_and_weights(stacked, "posterior_variance")
+        points = [{k: v[q] for k, v in nodes.items()} for q in range(len(datasets))]
+        for point, at in zip(points, where):
+            require_finite("posterior", point, at)
+        weights = weights / weights.sum(axis=1, keepdims=True)
+        values = _g(design, model, {k: v.ravel() for k, v in nodes.items()}, fit)
+        values = values.reshape(weights.shape)
+        mean = (weights * values).sum(axis=1, keepdims=True)
+        variances = (weights * (values - mean) ** 2).sum(axis=1)
+        return [PosteriorRun(point, float(v), weights=w)
+                for point, v, w in zip(points, variances, weights)]
 
+    if M < 1000:
+        raise ValueError("need at least 1000 posterior draws")
     runs = []
-    for q, point_draws in enumerate(draws):
-        if fit is None:
-            values = _inb_on(model, point_draws)
-            require_finite("posterior_variance", {"the posterior INB": values},
-                           f" at quadrature point {q + 1}/{len(datasets)}")
-        else:
-            values = fit.evaluate(np.column_stack([point_draws[n]
-                                                   for n in design.informed_params]))
-        runs.append(PosteriorRun(
-            draws=point_draws,
-            inb_posterior_variance=float(np.var(values, ddof=1)),
-            acceptance_rate=accept[q],
-            split_variance_ratio=split[q],
-        ))
+    for q, (ds, s) in enumerate(zip(datasets, seeds)):
+        draws = recipe.draw(ds, M, s.derive(_POSTERIOR_SUB).generator())
+        draws = {k: np.asarray(v)[0] for k, v in draws.items()}
+        require_finite("posterior", draws, where[q])
+        values = _g(design, model, draws, fit)
+        require_finite("posterior_variance", {"g": values}, where[q])
+        runs.append(PosteriorRun(draws, float(np.var(values, ddof=1))))
     return runs
+
+
+def _g(design, model: DecisionModel, columns: dict, fit: RegressionFit | None) -> np.ndarray:
+    """g at posterior draws: `fit` at the informed parameters, or the INB."""
+    if fit is None:
+        return _inb_on(model, columns)
+    return fit.evaluate(np.column_stack([columns[n] for n in design.informed_params]))
 
 
 def _inb_on(model: DecisionModel, posterior_draws: dict[str, np.ndarray]) -> np.ndarray:
@@ -242,14 +231,15 @@ def expected_posterior_variance(
     design,
     model: DecisionModel,
     M: int,
-    burn_in: int,
     inb: InbSamples | None = None,
     fit: RegressionFit | None = None,
 ) -> VarianceEstimate:
     """Average the posterior variance of g over the quadrature plan.
 
     g is `fit`, the fitted conditional mean of the INB on the design's
-    informed parameters, or the INB itself when `fit` is None.
+    informed parameters, or the INB itself when `fit` is None.  `M` is the
+    number of draws per point of a conjugate recipe; a quadrature recipe
+    does not read it, and `posterior_method` records which was used.
     """
     if fit is not None:
         prior_var = float(np.var(fit.fitted, ddof=1))
@@ -264,7 +254,7 @@ def expected_posterior_variance(
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in row_cols.items()}
             datasets.append(design.simulate(point, plan.seeds[q].derive(_DATASET_SUB)))
-        runs = _run_posteriors(design, datasets, model, M, burn_in, plan.seeds, fit)
+        runs = _run_posteriors(design, datasets, model, M, plan.seeds, fit)
     except ComputationError:
         raise
     except Exception as exc:
@@ -273,8 +263,6 @@ def expected_posterior_variance(
                  else f"the posteriors of the {plan.Q} quadrature points")
         raise ComputationError("posterior_variance", f"{where} failed: {exc}") from exc
     per_point = np.array([run.inb_posterior_variance for run in runs])
-    rates = [run.acceptance_rate for run in runs]
-    split_ratios = [run.split_variance_ratio for run in runs]
     summaries = [design.describe_dataset(ds) for ds in datasets]
 
     expected = float(np.mean(per_point))
@@ -292,10 +280,11 @@ def expected_posterior_variance(
         sigma2=max(raw, 0.0),
         per_point=per_point,
         clamped=clamped,
-        acceptance_rates=rates,
-        split_variance_ratios=split_ratios,
         dataset_summaries=summaries,
         phi_names=plan.phi_names,
         phi_points=plan.phi_points,
         sigma2_from="net_benefit" if fit is None else "fitted_mean",
+        posterior_method=({"method": "gauss_hermite", "k": design.recipe.nodes}
+                          if isinstance(design.recipe, QuadratureUpdate)
+                          else {"method": "conjugate_draws", "M": M}),
     )

@@ -321,14 +321,13 @@ class TestTwoArmInnerMeans:
         return list(zip(ds["dc"], ds["dt"]))
 
     @staticmethod
-    def _grid_means(design, dc, dt):
+    def _grid_means(posterior, dc, dt):
         """E[Pc] and E[Pt] on a 1201 x 1201 grid over the mean +- 14 sd, both
         read off a coarse grid first: no mode, Hessian or node rule."""
 
         def moments(x0, x1):
             states = np.column_stack([x0.ravel(), x1.ravel()])
-            ds = {"dc": np.full(len(states), dc), "dt": np.full(len(states), dt)}
-            lp = design.recipe.log_posterior(states, ds, slice(None))
+            lp = posterior.log_density(states[:, 0], states[:, 1], dc, dt)
             w = np.exp(lp - lp.max())
             w /= w.sum()
             return states, w
@@ -344,7 +343,7 @@ class TestTwoArmInnerMeans:
         model, design, posterior = trial
         for dc, dt in self._seeded_pairs(model, design) + self.CORNERS:
             e_pc, e_pt = posterior.means(np.array([dc]), np.array([dt]), np.array([0]))
-            want_pc, want_pt = self._grid_means(design, dc, dt)
+            want_pc, want_pt = self._grid_means(posterior, dc, dt)
             assert e_pc[0] == pytest.approx(want_pc, rel=1e-6), (dc, dt)
             assert e_pt[0] == pytest.approx(want_pt, rel=1e-6), (dc, dt)
 

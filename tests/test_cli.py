@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import evsikit.cli as cli
+from evsikit import casemodels
 from evsikit.cli import RunConfig, _write_csv, _write_json, main
 from evsikit.experiments import EXPERIMENTS
 from evsikit.casemodels import ConjugateToy, PreposteriorSummary, analytic_preposterior
@@ -62,8 +63,23 @@ class TestEvsiCommand:
         assert len(per_point) == 11
         # conjugate recipes leave both chain diagnostics blank
         assert all(line.endswith(",,") for line in per_point[1:])
+        assert result["posterior_method"] == {"method": "conjugate_draws", "M": 2000}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evsi"
+
+    def test_two_arm_trial_records_its_rule(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["evsi", "--model", "ades", "--design", "study3", "--S", "20000",
+                     "--Q", "10", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["posterior_method"] == {"method": "gauss_hermite", "k": 24}
+        per_point = (out / "per_point.csv").read_text().splitlines()
+        assert per_point[0] == ("q,Pc,Pt,dataset,posterior_variance,acceptance_rate,"
+                                "split_variance_ratio")
+        # the rule runs no chains, so the chain diagnostics stay blank
+        assert len(per_point) == 11
+        assert all(line.endswith(",,") for line in per_point[1:])
 
     def test_normal_normal_matches_closed_form(self, tmp_path):
         out = tmp_path / "run"
@@ -108,7 +124,7 @@ class TestEvsiCommand:
         for name, args in [
             ("normal_normal", ["--model", "normal_normal", "--S", "5000", "--Q", "5",
                                "--M", "1000", "--burn-in", "0"]),
-            # the Metropolis path, whose per_point.csv carries chain diagnostics
+            # the two-arm trial's quadrature path
             ("ades_study4", ["--model", "ades", "--design", "study4", "--S", "20000",
                              "--Q", "5", "--M", "1500", "--burn-in", "500"]),
         ]:
@@ -215,6 +231,17 @@ class TestNestedCommand:
         assert code == 3
         assert "[simulate]" in capsys.readouterr().err
         assert not (out / "nested.json").exists()
+
+    @pytest.mark.parametrize("counts", [("--n-outer", "1000", "--n-inner", "50"),
+                                        ("--n-outer", "99")])
+    def test_fewer_than_100_draws_is_config_error(self, tmp_path, capsys, counts):
+        out = tmp_path / "x"
+        code = main(["nested", "--model", "ades", "--design", "study3", *counts,
+                     "--out", str(out)])
+        assert code == 2
+        name, value = counts[-2].lstrip("-").replace("-", "_"), counts[-1]
+        assert f"{name} must be at least 100, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exhausted_budget_is_computation_error(self, tmp_path, capsys):
         code = main(["nested", "--model", "beta_binomial", "--N", "10",
@@ -412,3 +439,23 @@ class TestNumericInputs:
     def test_json_output_refuses_non_finite_numbers(self, tmp_path):
         with pytest.raises(ComputationError, match=r"\[output\]"):
             _write_json(str(tmp_path / "x.json"), {"evsi": float("nan")})
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["evsi", "--S", "5000", "--Q", "5"], "posterior_variance"),
+    (["nested", "--n-outer", "1000"], "nested"),
+])
+def test_non_finite_newton_step_carries_its_stage(tmp_path, capsys, monkeypatch, argv, stage):
+    # the two-arm rule serves the estimator and the nested oracle; a failed
+    # mode search names the stage of the caller
+    original = casemodels._TwoArmPosterior.derivatives
+
+    def derivatives(self, *args):
+        g0, *rest = original(self, *args)
+        return (g0 * np.nan, *rest)
+
+    monkeypatch.setattr(casemodels._TwoArmPosterior, "derivatives", derivatives)
+    code = main([*argv, "--model", "ades", "--design", "study3", "--seed", "3",
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert f"error: [{stage}] non-finite Newton step" in capsys.readouterr().err

@@ -209,7 +209,7 @@ class TestEstimateEvsi:
         design = get_design(model, "trial", n=4)
         dataset = {"obs_total": np.zeros(1)}
         with pytest.raises(ComputationError, match=r"\[posterior_variance\].*non-finite"):
-            run_posterior(design, dataset, model, 2000, 0, SeedSpec(32))
+            run_posterior(design, dataset, model, 2000, SeedSpec(32))
 
 
 class TestInvariance:

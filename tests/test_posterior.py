@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.special import log_expit
+from scipy.special import log_expit, logit
 
-from evsikit.casemodels import get_design, get_model
+from evsikit.casemodels import _two_arm_posterior, get_design, get_model
 from evsikit.model import run_psa
 from evsikit.posterior import (
     BetaBinomialUpdate,
     GammaExponentialUpdate,
-    MetropolisUpdate,
     NormalNormalUpdate,
     NullUpdate,
     _split_variance_ratio,
@@ -226,20 +225,6 @@ class TestMetropolis:
         assert _split_variance_ratio(draws)[0] == pytest.approx(11.374, abs=1e-3)
 
 
-class TestMetropolisRecipe:
-    def test_transform_and_info(self):
-        recipe = MetropolisUpdate(
-            params=("x",),
-            log_posterior=_beta48_logpost,
-            init=(0.33,),
-            base_scales=(0.12,),
-            transform=lambda chains: {"p": chains[..., 0]},
-        )
-        out, info = recipe.draw({"x": np.array([1.0])}, 3000, burn_in=300, seed=SeedSpec(10))
-        assert out["p"].shape == (1, 3000)
-        assert "acceptance_rate" in info
-
-
 def _reference_ensemble(logpost, n_chains, init, scales, n_keep, burn_in, seed):
     """A straightforward step loop over all chains in one block: a fresh
     proposal array per step and boolean-index moves.  The kernel in
@@ -293,11 +278,31 @@ def _four_term_ades_logpost(model, n):
 
 
 class TestAdesKernelMatchesReference:
+    """The kernel on the ades two-arm log density, which the two-arm rule
+    uses, against the reference loop on the four-term density."""
+
     @pytest.fixture(scope="class")
     def trial(self):
         model = get_model("ades")
         design = get_design(model, "study3")
-        return model, design, _four_term_ades_logpost(model, design.sample_size)
+        posterior = _two_arm_posterior(model, design.sample_size)
+
+        def log_posterior(states, dataset, idx):
+            return posterior.log_density(states[:, 0], states[:, 1], dataset["dc"][idx],
+                                         dataset["dt"][idx])
+
+        return model, design, log_posterior, _four_term_ades_logpost(model, design.sample_size)
+
+    @staticmethod
+    def _start(model):
+        """(init, scales): the prior mean of (logit Pc, log OR), and the prior
+        sd of Pc on the logit scale with the prior sd of log OR."""
+        p = model.params
+        a, b = p["pc_alpha"], p["pc_beta"]
+        mean = a / (a + b)
+        sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        return (np.array([logit(mean), p["log_or_mean"]]),
+                np.array([sd / (mean * (1 - mean)), np.sqrt(p["log_or_var"])]))
 
     @staticmethod
     def _datasets(model, design, n_chains, seed):
@@ -305,26 +310,25 @@ class TestAdesKernelMatchesReference:
         return design.simulate(psa.columns, seed.derive(1))
 
     def test_two_term_density_matches_four_term(self, trial):
-        model, design, four_term = trial
+        model, design, two_term, four_term = trial
         n = design.sample_size
         x0, x1 = np.meshgrid(np.linspace(-40, 40, 161), np.linspace(-40, 40, 161))
         states = np.column_stack([x0.ravel(), x1.ravel()])
         for dc in (0.0, 7.0, float(n)):
             for dt in (0.0, 13.0, float(n)):
                 ds = {"dc": np.full(len(states), dc), "dt": np.full(len(states), dt)}
-                got = design.recipe.log_posterior(states, ds, slice(None))
+                got = two_term(states, ds, slice(None))
                 want = four_term(states, ds, slice(None))
                 assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
     def test_kept_draws_bit_identical(self, trial):
-        model, design, four_term = trial
+        model, design, two_term, four_term = trial
         seed = SeedSpec(901)
         ds = self._datasets(model, design, 30, seed)
-        recipe = design.recipe
-        common = dict(n_chains=30, init=np.asarray(recipe.init),
-                      scales=np.asarray(recipe.base_scales), n_keep=1500, burn_in=500,
+        init, scales = self._start(model)
+        common = dict(n_chains=30, init=init, scales=scales, n_keep=1500, burn_in=500,
                       seed=seed.derive(2))
-        draws, _ = metropolis_ensemble(lambda s, i: recipe.log_posterior(s, ds, i), **common)
+        draws, _ = metropolis_ensemble(lambda s, i: two_term(s, ds, i), **common)
         want = _reference_ensemble(lambda s, i: four_term(s, ds, i), **common)
         assert np.array_equal(draws, want)
 
@@ -332,14 +336,13 @@ class TestAdesKernelMatchesReference:
     def test_stat_means_bit_identical(self, trial, block_size):
         # an ensemble run in blocks of 64 chains, or in one block, keeps the
         # reference's draws
-        model, design, four_term = trial
+        model, design, two_term, four_term = trial
         seed = SeedSpec(902)
         ds = self._datasets(model, design, 200, seed)
-        recipe = design.recipe
-        common = dict(n_chains=200, init=np.asarray(recipe.init),
-                      scales=np.asarray(recipe.base_scales), n_keep=1000, burn_in=500,
+        init, scales = self._start(model)
+        common = dict(n_chains=200, init=init, scales=scales, n_keep=1000, burn_in=500,
                       seed=seed.derive(2))
-        draws, _ = metropolis_ensemble(lambda s, i: recipe.log_posterior(s, ds, i),
+        draws, _ = metropolis_ensemble(lambda s, i: two_term(s, ds, i),
                                        block_size=block_size, **common)
         want = _reference_ensemble(lambda s, i: four_term(s, ds, i), **common)
         assert np.array_equal(draws, want)
