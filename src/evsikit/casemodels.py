@@ -63,7 +63,7 @@ class StudyDesign:
     simulate_batch: Callable[[dict, SeedSpec], dict]
     summary_names: tuple[str, ...]
     summarize_batch: Callable[[dict], np.ndarray]
-    batch_inner_means: Callable
+    batch_inner_means: Callable[[dict], np.ndarray]
     informed_params: tuple[str, ...]
     is_discrete_data: bool = False
 
@@ -237,7 +237,7 @@ def _ades_study1(model: DecisionModel, n: int) -> StudyDesign:
     means = _ades_prior_means(p)
     recipe = BetaBinomialUpdate("Pse", p["pse_alpha"], p["pse_beta"], n, "x")
 
-    def inner_means(ds, seed=None, n_inner=0, burn_in=0):
+    def inner_means(ds):
         pse_post = recipe.exact_means(ds)
         return _ades_inb_at_means(means["Pc"], pse_post, means["Pt"], means["Qe"], p)
 
@@ -253,7 +253,7 @@ def _ades_study2(model: DecisionModel, n: int) -> StudyDesign:
     recipe = NormalNormalUpdate("logit_qe", p["logit_qe_mean"], p["logit_qe_var"],
                                 p["logit_qe_obs_var"], n, "response_total")
 
-    def inner_means(ds, seed=None, n_inner=0, burn_in=0):
+    def inner_means(ds):
         mean, var = recipe.posterior_params(ds)
         e_qe = gauss_hermite_expectation(expit, np.atleast_1d(mean), np.full_like(np.atleast_1d(mean), var))
         return _ades_inb_at_means(means["Pc"], means["Pse"], means["Pt"], e_qe, p)
@@ -420,7 +420,7 @@ def _ades_two_arm_machinery(model: DecisionModel, n: int):
         # net benefit recomputes it from Pc and log_or
         return {"Pc": expit(x0), "log_or": x1, "Pt": expit(x0 + x1)}, weights
 
-    def inner_means(ds, seed=None, n_inner=0, burn_in=0):
+    def inner_means(ds):
         # one quadrature per distinct (dc, dt) pair; the complex keys sort
         # by dc, then dt
         dc = np.asarray(ds["dc"], dtype=float)
@@ -679,7 +679,7 @@ def _beta_binomial_trial(model: DecisionModel, n: int) -> StudyDesign:
     recipe = BetaBinomialUpdate("p_success", 1.0, 1.0, n, "x")
     k, c = model.params["k"], model.params["c"]
 
-    def inner(ds, seed=None, n_inner=0, burn_in=0):
+    def inner(ds):
         return k * recipe.exact_means(ds) - c
 
     return StudyDesign(
@@ -697,7 +697,7 @@ def _exp_gamma_trial(model: DecisionModel, n: int) -> StudyDesign:
         rate = np.asarray(cols["event_rate"], dtype=float)
         return gen.gamma(n, 1.0, rate.shape) / rate
 
-    def inner(ds, seed=None, n_inner=0, burn_in=0):
+    def inner(ds):
         return p["k"] * recipe.exact_means(ds) - p["c1"] - p["c0"]
 
     return StudyDesign(
@@ -712,7 +712,7 @@ def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
     recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], n,
                                 "obs_total")
 
-    def inner(ds, seed=None, n_inner=0, burn_in=0):
+    def inner(ds):
         return p["k"] * recipe.exact_means(ds) - p["c"]
 
     return StudyDesign(
@@ -725,7 +725,7 @@ def _quadratic_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
     recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], n, "obs_total")
 
-    def inner(ds, seed=None, n_inner=0, burn_in=0):
+    def inner(ds):
         mean, post_var = recipe.posterior_params(ds)
         return np.atleast_1d(mean) ** 2 + post_var - p["prior_var"]
 
@@ -740,7 +740,7 @@ def _two_param_trial(model: DecisionModel, n: int) -> StudyDesign:
     recipe = BetaBinomialUpdate("response_rate", *model.priors["response_rate"].params, n, "x")
     e_background = model.priors["background"].mean()
 
-    def inner(ds, seed=None, n_inner=0, burn_in=0):
+    def inner(ds):
         # the data leave the background input at its prior mean
         return (k * recipe.exact_means(ds) - _TWO_PARAM_COSTS[1]
                 - (k * e_background - _TWO_PARAM_COSTS[0]))
@@ -765,7 +765,7 @@ def _null_design(model: DecisionModel, n: int) -> StudyDesign:
         k = len(next(iter(cols.values())))
         return {"x": seed.generator().binomial(n, 0.5, k).astype(float)}
 
-    def inner(ds, seed=None, n_inner=0, burn_in=0):
+    def inner(ds):
         return np.full(len(ds["x"]), prior_mean_inb)
 
     return StudyDesign(

@@ -46,7 +46,6 @@ class RunConfig:
     S: int = 10000
     Q: int = 30
     M: int = 10000
-    burn_in: int = 1000
     master_seed: int = 0
     output_dir: str = ""
     # command-specific
@@ -56,31 +55,30 @@ class RunConfig:
     N_values: list | None = None
     studies: list | None = None
     n_outer: int = 10000
-    n_inner: int = 2000
-    inner_burn_in: int = 500
     budget_seconds: float | None = None
 
     def validate(self):
-        counts = ("S", "Q", "M", "n_outer", "n_inner", "burn_in", "master_seed", "replicates",
-                  "design_n")
-        for name in counts:
+        # the floors the library enforces: run_psa takes S >= 2, a posterior
+        # draws M >= 1000, the nested oracle n_outer >= 100, a seed fits 64 bits
+        floors = {"S": 2, "Q": 1, "M": 1000, "n_outer": 100, "master_seed": 0,
+                  "replicates": 1, "design_n": 0}
+        for name, least in floors.items():
             value = getattr(self, name)
-            # config files can hold floats, NaN and booleans (bool subclasses int)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is None and name in ("replicates", "design_n"):
+                continue
+            # config files can hold null, floats, NaN and booleans (bool subclasses int)
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # the nested oracle refuses fewer than 100 outer or inner draws
-        for name, least in (("S", 1), ("Q", 1), ("M", 1), ("n_outer", 100), ("n_inner", 100)):
-            value = getattr(self, name)
-            if value is not None and value < least:
+            if value < least:
                 raise ConfigError(f"{name} must be at least {least}, got {value}")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
-        if self.replicates is not None and self.replicates < 1:
-            raise ConfigError("replicates must be a positive count")
-        if self.design_n is not None and self.design_n < 0:
-            raise ConfigError("design_n must be >= 0")
+        if self.master_seed >= 2**64:
+            raise ConfigError(f"master_seed must be below 2**64, got {self.master_seed}")
+        # the quadrature plan takes Q of the S PSA rows, where a command reads Q
+        reads_q = self.command == "evsi" or (
+            self.command == "benchmark" and self.experiment in EXPERIMENTS
+            and "Q" in EXPERIMENTS[self.experiment].fields)
+        if reads_q and self.Q > self.S:
+            raise ConfigError(f"Q must be at most S={self.S}, got {self.Q}")
         numbers = {"budget_seconds": self.budget_seconds, **(self.model_params or {})}
         for name, value in numbers.items():
             if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -219,7 +217,7 @@ def cmd_evsi(cfg: RunConfig) -> int:
     inb = compute_inb(model, psa)
     result = estimate_evsi(
         model, design, psa,
-        EvsiOptions(Q=cfg.Q, M=cfg.M, burn_in=cfg.burn_in, seed=seed.derive(1)),
+        EvsiOptions(Q=cfg.Q, M=cfg.M, seed=seed.derive(1)),
         inb=inb,
     )
     payload = result.to_json_dict()
@@ -235,11 +233,8 @@ def cmd_evsi(cfg: RunConfig) -> int:
                 row[name] = float(ve.phi_points[q, j])
         row["dataset"] = ve.dataset_summaries[q]
         row["posterior_variance"] = float(ve.per_point[q])
-        # chain diagnostics: no registered design runs chains, so they stay blank
-        row["acceptance_rate"] = row["split_variance_ratio"] = ""
         rows.append(row)
-    fieldnames = ["q", *ve.phi_names, "dataset", "posterior_variance", "acceptance_rate",
-                  "split_variance_ratio"]
+    fieldnames = ["q", *ve.phi_names, "dataset", "posterior_variance"]
     _write_csv(os.path.join(out, "per_point.csv"), fieldnames, rows)
     _write_manifest(out, cfg, fit=result.fit_diagnostics)
     return 0
@@ -248,11 +243,8 @@ def cmd_evsi(cfg: RunConfig) -> int:
 def cmd_nested(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     model, design = _model_and_design(cfg)
-    result = nested_mc_evsi(
-        model, design, cfg.n_outer, n_inner=cfg.n_inner,
-        seed=SeedSpec(cfg.master_seed), inner_burn_in=cfg.inner_burn_in,
-        budget_seconds=cfg.budget_seconds,
-    )
+    result = nested_mc_evsi(model, design, cfg.n_outer, seed=SeedSpec(cfg.master_seed),
+                            budget_seconds=cfg.budget_seconds)
     _write_json(
         os.path.join(out, "nested.json"),
         {
@@ -262,7 +254,6 @@ def cmd_nested(cfg: RunConfig) -> int:
             "evsi": result.evsi,
             "standard_error": result.standard_error,
             "n_outer": result.n_outer,
-            "n_inner": result.n_inner,
         },
     )
     _write_json(os.path.join(out, "timings.json"), {"wall_time": result.wall_time})
@@ -321,7 +312,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
         evpi_val = evpi(inb)
         result = estimate_evsi(
             model, design, psa,
-            EvsiOptions(Q=Q, M=M, burn_in=1000, seed=case_seed.derive(1)),
+            EvsiOptions(Q=Q, M=M, seed=case_seed.derive(1)),
             inb=inb,
         )
         # the EVPPI on the parameters g was fitted on; the EVPI when g is the INB
@@ -373,7 +364,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
     dir_a = os.path.join(out, "rerun_a")
     dir_b = os.path.join(out, "rerun_b")
     first = RunConfig(command="evsi", model="normal_normal", design="trial",
-                      S=5000, Q=5, M=1000, burn_in=0,
+                      S=5000, Q=5, M=1000,
                       master_seed=cfg.master_seed, output_dir=dir_a)
     first.validate()
     cmd_evsi(first)
@@ -451,9 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int,
                        help="posterior draws per quadrature point of a conjugate design; "
                             "not read by the two-arm trial (ades study3, study4)")
-        p.add_argument("--burn-in", type=int, dest="burn_in",
-                       help="burn-in of posterior chains; not read by the two-arm trial, "
-                            "nor by any other registered design")
         p.add_argument("--seed", type=int, dest="master_seed")
         p.add_argument("--out", dest="output_dir")
 
@@ -465,12 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     nested = sub.add_parser("nested", help="nested Monte Carlo oracle")
     add_common(nested)
     nested.add_argument("--n-outer", type=int, dest="n_outer")
-    nested.add_argument("--n-inner", type=int, dest="n_inner",
-                        help="inner posterior draws per outer dataset, for a design that "
-                             "samples them; every registered design computes its inner "
-                             "means without draws and ignores it")
-    nested.add_argument("--inner-burn-in", type=int, dest="inner_burn_in",
-                        help="burn-in of those inner draws; ignored likewise")
     nested.add_argument("--budget-seconds", type=float, dest="budget_seconds")
 
     bench = sub.add_parser("benchmark", help="run a named experiment")

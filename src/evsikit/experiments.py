@@ -143,7 +143,6 @@ def ades_crosscheck(
     S: int = 100000,
     Q: int = 30,
     M: int = 10000,
-    burn_in: int = 1000,
     n_outer: int = 5000,
     seed: SeedSpec = SeedSpec(0),
 ) -> dict:
@@ -157,7 +156,7 @@ def ades_crosscheck(
         run_seed = seed.derive(10 + si)
         mm = estimate_evsi(
             model, design, psa,
-            EvsiOptions(Q=Q, M=M, burn_in=burn_in, seed=run_seed.derive(0)),
+            EvsiOptions(Q=Q, M=M, seed=run_seed.derive(0)),
         )
         ros = regression_on_summaries_evsi(model, design, psa, seed=run_seed.derive(1))
         nested = nested_mc_evsi(model, design, n_outer, seed=run_seed.derive(2))
@@ -205,5 +204,5 @@ EXPERIMENTS = {
         _BIAS_FIELDS),
     "variance_convergence": Experiment(variance_convergence, _SWEEP_FIELDS),
     "ades_crosscheck": Experiment(
-        ades_crosscheck, ("S", "Q", "M", "burn_in", "n_outer", "studies")),
+        ades_crosscheck, ("S", "Q", "M", "n_outer", "studies")),
 }

@@ -4,8 +4,7 @@
   posterior mean of the INB per dataset from the design's
   `batch_inner_means`: closed forms where the update is conjugate, and for
   the ades two-arm trial an adaptive Gauss-Hermite rule over its 2-D
-  posterior.  No registered design draws inner posterior samples, so none
-  reads `n_inner` or `inner_burn_in`; they stay for designs that do.
+  posterior.  No design draws inner posterior samples.
 * Regression on data summaries: simulate one dataset per PSA draw, as its
   sufficient statistics (a count, or the total of n observations), and smooth
   the INB against the dataset's low-dimensional summaries.  One spline
@@ -38,7 +37,6 @@ class OracleResult:
     evsi: float
     standard_error: float
     n_outer: int = 0
-    n_inner: int = 0
     wall_time: float = 0.0
 
     def __post_init__(self):
@@ -59,13 +57,12 @@ def nested_mc_evsi(
 
     Inner posterior means come from the design's own strategy: exact
     conjugate means where available, and quadrature over the 2-D posterior
-    of the ades two-arm trial.  `n_inner` and `inner_burn_in` are handed to
-    the design, and no registered design reads them; `n_inner` is still
-    checked and recorded in the result.  A wall-time budget, when set,
-    aborts with the completed outer count.
+    of the ades two-arm trial.  `n_inner` and `inner_burn_in` are read by
+    nothing; they go with the benchmark's workloads, which still pass them.
+    A wall-time budget, when set, aborts with the completed outer count.
     """
-    if n_outer < 100 or n_inner < 100:
-        raise ValueError("n_outer and n_inner must both be >= 100")
+    if n_outer < 100:
+        raise ValueError("n_outer must be >= 100")
     start = time.perf_counter()
 
     mus = []
@@ -77,14 +74,7 @@ def nested_mc_evsi(
         psa = run_psa(model, max(take, 2), chunk_seed.derive(0))
         cols = {k: v[:take] for k, v in psa.columns.items()}
         datasets = design.simulate(cols, chunk_seed.derive(1))
-        mus.append(
-            np.asarray(
-                design.batch_inner_means(
-                    datasets, chunk_seed.derive(2), n_inner=n_inner, burn_in=inner_burn_in
-                ),
-                dtype=float,
-            )
-        )
+        mus.append(np.asarray(design.batch_inner_means(datasets), dtype=float))
         done += take
         chunk_index += 1
         if budget_seconds is not None and time.perf_counter() - start > budget_seconds:
@@ -97,7 +87,6 @@ def nested_mc_evsi(
         evsi=value,
         standard_error=se,
         n_outer=n_outer,
-        n_inner=n_inner,
         wall_time=time.perf_counter() - start,
     )
 

@@ -175,8 +175,7 @@ def test_criterion_5_variance_convergence():
 def test_criterion_6_ades_crosscheck():
     """Three estimators agree on every study of the decision-tree model."""
     start = time.perf_counter()
-    result = ades_crosscheck(S=100000, Q=30, M=10000, burn_in=1000,
-                             n_outer=5000, seed=SeedSpec(6))
+    result = ades_crosscheck(S=100000, Q=30, M=10000, n_outer=5000, seed=SeedSpec(6))
     failures = []
     details = []
     for row in result["summary"]:

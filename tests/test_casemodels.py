@@ -394,13 +394,11 @@ class TestTwoArmInnerMeans:
         study4 = get_design(model, "study4")
         assert np.array_equal(study3.batch_inner_means(ds), study4.batch_inner_means(ds))
 
-    def test_seed_chain_settings_and_blocks_change_nothing(self, trial, monkeypatch):
+    def test_blocks_change_nothing(self, trial, monkeypatch):
         model, design, _ = trial
         psa = run_psa(model, 500, SeedSpec(46))
         ds = design.simulate(psa.columns, SeedSpec(47))
-        want = design.batch_inner_means(ds, SeedSpec(1), n_inner=2000, burn_in=500)
-        assert np.array_equal(design.batch_inner_means(ds, SeedSpec(2), n_inner=100, burn_in=0),
-                              want)
+        want = design.batch_inner_means(ds)
         # each distinct dataset is solved on its own, whatever else shares its block
         monkeypatch.setattr(casemodels, "_TWO_ARM_BLOCK", 7)
         assert np.array_equal(design.batch_inner_means(ds), want)

@@ -58,11 +58,9 @@ class TestEvsiCommand:
         assert result["evsi"] >= 0.0
         assert 0.0 <= result["a"] <= 1.0
         per_point = (out / "per_point.csv").read_text().splitlines()
-        assert per_point[0] == ("q,Pse,dataset,posterior_variance,acceptance_rate,"
-                                "split_variance_ratio")
+        assert per_point[0] == "q,Pse,dataset,posterior_variance"
         assert len(per_point) == 11
-        # conjugate recipes leave both chain diagnostics blank
-        assert all(line.endswith(",,") for line in per_point[1:])
+        assert all(len(line.split(",")) == 4 for line in per_point[1:])
         assert result["posterior_method"] == {"method": "conjugate_draws", "M": 2000}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evsi"
@@ -75,11 +73,9 @@ class TestEvsiCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["posterior_method"] == {"method": "gauss_hermite", "k": 24}
         per_point = (out / "per_point.csv").read_text().splitlines()
-        assert per_point[0] == ("q,Pc,Pt,dataset,posterior_variance,acceptance_rate,"
-                                "split_variance_ratio")
-        # the rule runs no chains, so the chain diagnostics stay blank
+        assert per_point[0] == "q,Pc,Pt,dataset,posterior_variance"
         assert len(per_point) == 11
-        assert all(line.endswith(",,") for line in per_point[1:])
+        assert all(len(line.split(",")) == 5 for line in per_point[1:])
 
     def test_normal_normal_matches_closed_form(self, tmp_path):
         out = tmp_path / "run"
@@ -123,10 +119,10 @@ class TestEvsiCommand:
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         for name, args in [
             ("normal_normal", ["--model", "normal_normal", "--S", "5000", "--Q", "5",
-                               "--M", "1000", "--burn-in", "0"]),
+                               "--M", "1000"]),
             # the two-arm trial's quadrature path
             ("ades_study4", ["--model", "ades", "--design", "study4", "--S", "20000",
-                             "--Q", "5", "--M", "1500", "--burn-in", "500"]),
+                             "--Q", "5", "--M", "1500"]),
         ]:
             a, b = tmp_path / name / "a", tmp_path / name / "b"
             assert main(["evsi", *args, "--seed", "3", "--out", str(a)]) == 0
@@ -141,8 +137,7 @@ class TestEvsiCommand:
         # conditional-INB variance and exited 3 with a [constants] error
         out = tmp_path / "run"
         code = main(["evsi", "--model", "ades", "--design", "study2", "--S", "100000",
-                     "--Q", "30", "--M", "10000", "--burn-in", "1000",
-                     "--seed", str(seed), "--out", str(out)])
+                     "--Q", "30", "--M", "10000", "--seed", str(seed), "--out", str(out)])
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["sigma2_from"] == "fitted_mean"
@@ -206,7 +201,7 @@ class TestNestedCommand:
         def nan_inner_means(*args, **kwargs):
             design = real_get_design(*args, **kwargs)
             return dataclasses.replace(
-                design, batch_inner_means=lambda ds, *a, **kw: np.full(len(ds["x"]), np.nan))
+                design, batch_inner_means=lambda ds: np.full(len(ds["x"]), np.nan))
 
         monkeypatch.setattr(cli, "get_design", nan_inner_means)
         out = tmp_path / "x"
@@ -232,15 +227,12 @@ class TestNestedCommand:
         assert "[simulate]" in capsys.readouterr().err
         assert not (out / "nested.json").exists()
 
-    @pytest.mark.parametrize("counts", [("--n-outer", "1000", "--n-inner", "50"),
-                                        ("--n-outer", "99")])
-    def test_fewer_than_100_draws_is_config_error(self, tmp_path, capsys, counts):
+    def test_fewer_than_100_draws_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x"
-        code = main(["nested", "--model", "ades", "--design", "study3", *counts,
+        code = main(["nested", "--model", "ades", "--design", "study3", "--n-outer", "99",
                      "--out", str(out)])
         assert code == 2
-        name, value = counts[-2].lstrip("-").replace("-", "_"), counts[-1]
-        assert f"{name} must be at least 100, got {value}" in capsys.readouterr().err
+        assert "n_outer must be at least 100, got 99" in capsys.readouterr().err
         assert not out.exists()
 
     def test_exhausted_budget_is_computation_error(self, tmp_path, capsys):
@@ -316,10 +308,10 @@ class TestBenchmarkCommand:
 
     def test_flags_the_experiment_ignores_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
-        code = main(["benchmark", "table1", "--Q", "7", "--n-outer", "123", "--burn-in", "9",
+        code = main(["benchmark", "table1", "--Q", "7", "--n-outer", "123", "--N-values", "9",
                      "--out", str(out)])
         assert code == 2
-        assert "['Q', 'burn_in', 'n_outer']" in capsys.readouterr().err
+        assert "['N_values', 'Q', 'n_outer']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_the_experiment_takes_runs(self, tmp_path):
@@ -331,13 +323,17 @@ class TestBenchmarkCommand:
 
     def test_manifest_with_a_dropped_key_rejected(self, tmp_path, capsys):
         # manifests of older versions can still carry these keys
-        study2 = {"model": "ades", "design": "study2", "obs_var": 2.0, "S": 5000, "Q": 5,
-                  "M": 1000, "burn_in": 0, "master_seed": 1}
+        study2 = {"model": "ades", "design": "study2", "S": 5000, "Q": 5, "M": 1000,
+                  "master_seed": 1}
+        nested = {"model": "ades", "design": "study3", "n_outer": 2000, "master_seed": 0}
         for command, config, key in (
                 ("benchmark", {"experiment": "table1", "oracle_n_outer": 100000},
                  "oracle_n_outer"),
-                ("evsi", study2, "obs_var"),
-                ("psa", {"model": "ades", "S": 100, "workers": 2}, "workers")):
+                ("evsi", {**study2, "obs_var": 2.0}, "obs_var"),
+                ("psa", {"model": "ades", "S": 100, "workers": 2}, "workers"),
+                ("evsi", {**study2, "burn_in": 0}, "burn_in"),
+                ("nested", {**nested, "n_inner": 2000}, "n_inner"),
+                ("nested", {**nested, "inner_burn_in": 500}, "inner_burn_in")):
             manifest = tmp_path / f"{command}_manifest.json"
             manifest.write_text(json.dumps({"command": command, "config": config}))
             code = main([command, "--from-manifest", str(manifest),
@@ -385,7 +381,7 @@ class TestConfigHandling:
         assert "banana" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [{"S": float("nan")}, {"S": 1.5}, {"S": 1e5},
-                                       {"S": True}, {"burn_in": 0.5},
+                                       {"S": True}, {"n_outer": 0.5},
                                        {"master_seed": float("nan")}, {"design_n": 2.5}])
     def test_non_integer_counts_in_config_rejected(self, tmp_path, capsys, entry):
         cfg = tmp_path / "cfg.json"
@@ -394,6 +390,37 @@ class TestConfigHandling:
         assert code == 2
         assert f"{next(iter(entry))} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["psa", "--S", "1"], None, "S must be at least 2, got 1"),
+        (["psa"], {"model": "beta_binomial", "S": None}, "S must be an integer, got None"),
+        (["psa", "--seed", str(2**64)], None, f"master_seed must be below 2**64, got {2**64}"),
+        (["evsi", "--S", "5000", "--M", "500"], None, "M must be at least 1000, got 500"),
+        (["evsi", "--S", "50", "--Q", "60"], None, "Q must be at most S=50, got 60"),
+    ], ids=["S=1", "S=null", "seed=2**64", "M=500", "Q>S"])
+    def test_counts_the_library_refuses_are_config_errors(self, tmp_path, capsys, argv,
+                                                          config, message):
+        # each used to end in a traceback (exit 1) or a computation error (exit 3)
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "x"
+        code = main([*argv, "--model", "beta_binomial", "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("psa", "--burn-in"), ("evsi", "--burn-in"),
+                                               ("nested", "--n-inner"),
+                                               ("nested", "--inner-burn-in")])
+    def test_retired_chain_flags_are_refused(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "beta_binomial", flag, "100", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 100" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,name", [
         (["psa", "--model", "beta_binomial", "--param", "foo=1"], "foo"),
@@ -418,7 +445,7 @@ class TestConfigHandling:
 
 
 class TestNumericInputs:
-    _EVSI = ["evsi", "--S", "5000", "--Q", "5", "--M", "1000", "--burn-in", "0", "--seed", "3"]
+    _EVSI = ["evsi", "--S", "5000", "--Q", "5", "--M", "1000", "--seed", "3"]
 
     def test_obs_var_on_a_design_without_one_is_config_error(self, tmp_path, capsys):
         code = main([*self._EVSI, "--model", "normal_normal", "--param", "logit_qe_obs_var=50",

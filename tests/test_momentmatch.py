@@ -135,7 +135,7 @@ class TestEstimateEvsi:
         design = get_design(model, "trial")
         psa = run_psa(model, 10000, SeedSpec(24))
         result = estimate_evsi(model, design, psa,
-                               EvsiOptions(Q=30, M=1000, burn_in=0, seed=SeedSpec(25)))
+                               EvsiOptions(Q=30, M=1000, seed=SeedSpec(25)))
         assert 1.9 <= result.evsi <= 2.25
         assert result.evsi >= 0.9 * quadratic_exact_evsi(model, 10)
 
@@ -197,7 +197,7 @@ class TestEstimateEvsi:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = estimate_evsi(model, design, psa,
-                                   EvsiOptions(Q=10, M=1500, burn_in=500, seed=SeedSpec(103)),
+                                   EvsiOptions(Q=10, M=1500, seed=SeedSpec(103)),
                                    inb=inb)
         assert result.variance_estimate.sigma2_from == "fitted_mean"
         assert inb.phi_names == ("Pc", "Pt")
@@ -267,7 +267,7 @@ class TestInvariance:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # small discrete studies, sigma2 floored at 0
             result = estimate_evsi(model, design, psa,
-                                   EvsiOptions(Q=10, M=1500, burn_in=500, seed=SeedSpec(seed)))
+                                   EvsiOptions(Q=10, M=1500, seed=SeedSpec(seed)))
         assert 0.0 <= result.a <= 1.0
         assert not result.a_clamped
 

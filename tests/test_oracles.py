@@ -99,8 +99,8 @@ class TestNestedMc:
         design = get_design(model, "trial", n=10)
         exact_means = design.batch_inner_means
 
-        def one_nan(datasets, *args, **kwargs):
-            means = np.array(exact_means(datasets, *args, **kwargs), dtype=float)
+        def one_nan(datasets):
+            means = np.array(exact_means(datasets), dtype=float)
             means[0] = np.nan
             return means
 
