@@ -37,6 +37,7 @@ from .posterior import (
     NormalNormalUpdate,
     NullUpdate,
     QuadratureUpdate,
+    RULE_NODES,
 )
 from .rng import DistSpec, SeedSpec
 from .util import (ComputationError, ConfigError, gauss_hermite_expectation, hermite_nodes,
@@ -268,10 +269,9 @@ def _ades_study2(model: DecisionModel, n: int) -> StudyDesign:
 
 # The two-arm trial's posterior: a k x k Gauss-Hermite rule per dataset, with
 # 12 nodes a side for the nested oracle's inner means (in blocks of distinct
-# datasets) and 24 for the estimator's posterior variances of g, and the
-# Newton search for each posterior mode.
+# datasets) and RULE_NODES for the estimator's posterior variances of g, and
+# the Newton search for each posterior mode.
 _NESTED_NODES = 12
-_ESTIMATOR_NODES = 24
 _TWO_ARM_BLOCK = 4096
 _NEWTON_STEPS = 50
 _NEWTON_HALVINGS = 40
@@ -433,7 +433,7 @@ def _ades_two_arm_machinery(model: DecisionModel, n: int):
                                                        first[block])
         return _ades_inb_at_means(e_pc[inverse], means["Pse"], e_pt[inverse], means["Qe"], p)
 
-    return QuadratureUpdate(rule, _ESTIMATOR_NODES), inner_means
+    return QuadratureUpdate(rule, RULE_NODES), inner_means
 
 
 def _ades_trial(name: str) -> Callable[[DecisionModel, int], StudyDesign]:

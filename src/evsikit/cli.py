@@ -58,8 +58,14 @@ class RunConfig:
     budget_seconds: float | None = None
 
     def validate(self):
-        # the floors the library enforces: run_psa takes S >= 2, a posterior
-        # draws M >= 1000, the nested oracle n_outer >= 100, a seed fits 64 bits
+        # names are looked up in the registries, which hash them
+        for name in ("model", "design", "experiment"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        # the floors the library enforces: run_psa takes S >= 2, the nested
+        # oracle n_outer >= 100, a seed fits 64 bits; M keeps the floor of the
+        # posterior draws that no design takes any more
         floors = {"S": 2, "Q": 1, "M": 1000, "n_outer": 100, "master_seed": 0,
                   "replicates": 1, "design_n": 0}
         for name, least in floors.items():
@@ -79,6 +85,14 @@ class RunConfig:
             and "Q" in EXPERIMENTS[self.experiment].fields)
         if reads_q and self.Q > self.S:
             raise ConfigError(f"Q must be at most S={self.S}, got {self.Q}")
+        if self.Q_values is not None:
+            if not isinstance(self.Q_values, list) or any(
+                    isinstance(q, bool) or not isinstance(q, int) for q in self.Q_values):
+                raise ConfigError(f"Q_values must be a list of integers, got {self.Q_values!r}")
+            bad = [q for q in self.Q_values if not 1 <= q <= self.S]
+            if bad:
+                raise ConfigError(f"Q_values entries must be between 1 and S={self.S}, "
+                                  f"got {bad}")
         numbers = {"budget_seconds": self.budget_seconds, **(self.model_params or {})}
         for name, value in numbers.items():
             if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -440,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--S", type=int)
         p.add_argument("--Q", type=int)
         p.add_argument("--M", type=int,
-                       help="posterior draws per quadrature point of a conjugate design; "
-                            "not read by the two-arm trial (ades study3, study4)")
+                       help="read by no registered design: every posterior is a "
+                            "Gauss-Hermite rule; kept in manifests and result.json")
         p.add_argument("--seed", type=int, dest="master_seed")
         p.add_argument("--out", dest="output_dir")
 

@@ -32,9 +32,10 @@ _PLAN_SUB = 11
 @dataclass(frozen=True)
 class EvsiOptions:
     Q: int = 30
-    M: int = 10000      # draws per point of a conjugate posterior
-    # read by nothing: no design runs chains; it goes with the benchmark's
-    # workloads, which still pass it
+    # M and burn_in are read by nothing: every design's posterior is a
+    # quadrature rule; M is still recorded in result.json's config, and the
+    # benchmark's workloads still pass both
+    M: int = 10000
     burn_in: int = 1000
     seed: SeedSpec = SeedSpec(0)
 

@@ -7,38 +7,35 @@ One future dataset is simulated at each point and its posterior is
 computed.  The engine's sigma-squared, the variance of the preposterior
 mean, is Var(g) minus the average of the Q posterior variances of g, where g
 is the conditional mean of the INB given the parameters the data inform,
-evaluated at each point's posterior draws (or quadrature nodes) of them.  The parameters the study leaves
-untouched drop out, and sigma2 <= Var(g).  This is the regression-based
-estimator of Strong, Oakley and Brennan (Med Decis Making 2014) applied
-inside the posterior step.  g is the fitted spline
+evaluated at each point's posterior quadrature nodes of them.  The
+parameters the study leaves untouched drop out, and sigma2 <= Var(g).  This
+is the regression-based estimator of Strong, Oakley and Brennan (Med Decis
+Making 2014) applied inside the posterior step.  g is the fitted spline
 (`sigma2_from="fitted_mean"`), or the INB itself when the data inform every
 parameter (`sigma2_from="net_benefit"`).
 
-Conjugate designs draw M values from each point's exact posterior.  The
-ades two-arm trial, whose posterior has no closed form, takes a 24 x 24
-adaptive Gauss-Hermite rule per point instead (Naylor & Smith, Applied
-Statistics 1982): all Q rules run at once, g is evaluated once at every
-node, and each point's variance of g is a weighted sum, with no draws, M
-or seed.  Either way a point's result equals that of `run_posterior`
-called point by point.
+Every design's recipe gives each point's posterior as an adaptive
+Gauss-Hermite rule (Naylor & Smith, Applied Statistics 1982): 24 nodes on
+the exact posterior of a conjugate design, in its logit, log or plain frame,
+and 24 x 24 nodes on the ades two-arm trial's posterior.  All Q rules run at
+once, g is evaluated once at every node, and each point's variance of g is a
+weighted sum, with no draws, M or posterior seed.  A point's result equals
+that of `run_posterior` called point by point.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .model import DecisionModel, InbSamples, PsaSamples, compute_inb
-from .posterior import QuadratureUpdate
 from .regression import RegressionFit
 from .rng import SeedSpec
 from .util import ComputationError, SchemaError, require_finite, round_half_up
 
 _DATASET_SUB = 0
-_POSTERIOR_SUB = 1
 
 
 @dataclass
@@ -58,13 +55,13 @@ class QuadraturePlan:
 
 @dataclass
 class PosteriorRun:
-    """One point's posterior draws, or a rule's nodes with their normalised
-    `weights` (None for equally weighted draws); `inb_posterior_variance` is
-    the posterior variance of g, the fitted conditional mean or the INB."""
+    """One point's posterior rule: its nodes (`draws`, by column) and their
+    normalised `weights`; `inb_posterior_variance` is the posterior variance
+    of g, the fitted conditional mean or the INB."""
 
     draws: dict[str, np.ndarray]
     inb_posterior_variance: float
-    weights: np.ndarray | None = None
+    weights: np.ndarray
 
 
 @dataclass
@@ -156,65 +153,51 @@ def run_posterior(design, dataset, model: DecisionModel, M: int, seed: SeedSpec,
 
     This is the one-dataset case of the batch that `expected_posterior_variance`
     runs over all quadrature points, and gives the same result as that batch
-    gives for this dataset, seed and `fit`.
+    gives for this dataset and `fit`.  No recipe reads `M` or `seed`.
     """
-    return _run_posteriors(design, [dataset], model, M, [seed], fit)[0]
+    return _run_posteriors(design, [dataset], model, fit)[0]
 
 
-def _run_posteriors(design, datasets: list[dict], model: DecisionModel, M: int,
-                    seeds: Sequence[SeedSpec],
+def _run_posteriors(design, datasets: list[dict], model: DecisionModel,
                     fit: RegressionFit | None = None) -> list[PosteriorRun]:
     """Posteriors for several simulated datasets, one per quadrature point.
 
-    A quadrature recipe runs its rule over every dataset at once, g is
+    The design's recipe runs its rule over every dataset at once, g is
     evaluated once at all the nodes, and each point's variance is the
-    weighted one; it reads neither M nor the seeds.  A conjugate recipe
-    draws M values for each point from its own generator, seeded with
-    `seeds[q].derive(_POSTERIOR_SUB)`, and takes their sample variance.  A
-    dataset's result does not depend on which others share the batch.
+    weighted one.  A dataset's result does not depend on which others share
+    the batch.  Non-finite nodes or weights raise `[posterior]`, and
+    non-finite values of g `[posterior_variance]`, naming the point.
 
-    With a `fit`, g is the fitted conditional mean at the posterior draws
-    (or nodes) of the design's informed parameters.  Without one, it is the
-    INB, which needs draws of every parameter.
+    With a `fit`, g is the fitted conditional mean at the nodes of the
+    design's informed parameters.  Without one, it is the INB, which needs
+    nodes of every parameter.
     """
-    recipe = design.recipe
     where = [f" at quadrature point {q + 1}/{len(datasets)}" for q in range(len(datasets))]
-    if isinstance(recipe, QuadratureUpdate):
-        stacked = {k: np.concatenate([ds[k] for ds in datasets]) for k in datasets[0]}
-        nodes, weights = recipe.nodes_and_weights(stacked, "posterior_variance")
-        points = [{k: v[q] for k, v in nodes.items()} for q in range(len(datasets))]
-        for point, at in zip(points, where):
-            require_finite("posterior", point, at)
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        values = _g(design, model, {k: v.ravel() for k, v in nodes.items()}, fit)
-        values = values.reshape(weights.shape)
-        mean = (weights * values).sum(axis=1, keepdims=True)
-        variances = (weights * (values - mean) ** 2).sum(axis=1)
-        return [PosteriorRun(point, float(v), weights=w)
-                for point, v, w in zip(points, variances, weights)]
-
-    if M < 1000:
-        raise ValueError("need at least 1000 posterior draws")
-    runs = []
-    for q, (ds, s) in enumerate(zip(datasets, seeds)):
-        draws = recipe.draw(ds, M, s.derive(_POSTERIOR_SUB).generator())
-        draws = {k: np.asarray(v)[0] for k, v in draws.items()}
-        require_finite("posterior", draws, where[q])
-        values = _g(design, model, draws, fit)
-        require_finite("posterior_variance", {"g": values}, where[q])
-        runs.append(PosteriorRun(draws, float(np.var(values, ddof=1))))
-    return runs
+    stacked = {k: np.concatenate([ds[k] for ds in datasets]) for k in datasets[0]}
+    nodes, weights = design.recipe.nodes_and_weights(stacked, "posterior_variance")
+    points = [{k: v[q] for k, v in nodes.items()} for q in range(len(datasets))]
+    for point, w, at in zip(points, weights, where):
+        require_finite("posterior", {**point, "weights": w}, at)
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    values = _g(design, model, {k: v.ravel() for k, v in nodes.items()}, fit)
+    values = values.reshape(weights.shape)
+    for row, at in zip(values, where):
+        require_finite("posterior_variance", {"g": row}, at)
+    mean = (weights * values).sum(axis=1, keepdims=True)
+    variances = (weights * (values - mean) ** 2).sum(axis=1)
+    return [PosteriorRun(point, float(v), weights=w)
+            for point, v, w in zip(points, variances, weights)]
 
 
 def _g(design, model: DecisionModel, columns: dict, fit: RegressionFit | None) -> np.ndarray:
-    """g at posterior draws: `fit` at the informed parameters, or the INB."""
+    """g at posterior nodes: `fit` at the informed parameters, or the INB."""
     if fit is None:
         return _inb_on(model, columns)
     return fit.evaluate(np.column_stack([columns[n] for n in design.informed_params]))
 
 
 def _inb_on(model: DecisionModel, posterior_draws: dict[str, np.ndarray]) -> np.ndarray:
-    """The INB at posterior draws of every model parameter.  Derived columns
+    """The INB at posterior nodes of every model parameter.  Derived columns
     are always recomputed from the parameters, even when a recipe hands one in."""
     missing = [name for name in model.param_names if name not in posterior_draws]
     if missing:
@@ -237,9 +220,8 @@ def expected_posterior_variance(
     """Average the posterior variance of g over the quadrature plan.
 
     g is `fit`, the fitted conditional mean of the INB on the design's
-    informed parameters, or the INB itself when `fit` is None.  `M` is the
-    number of draws per point of a conjugate recipe; a quadrature recipe
-    does not read it, and `posterior_method` records which was used.
+    informed parameters, or the INB itself when `fit` is None.  No recipe
+    reads `M`; `posterior_method` records the rule and its node count.
     """
     if fit is not None:
         prior_var = float(np.var(fit.fitted, ddof=1))
@@ -254,7 +236,7 @@ def expected_posterior_variance(
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in row_cols.items()}
             datasets.append(design.simulate(point, plan.seeds[q].derive(_DATASET_SUB)))
-        runs = _run_posteriors(design, datasets, model, M, plan.seeds, fit)
+        runs = _run_posteriors(design, datasets, model, fit)
     except ComputationError:
         raise
     except Exception as exc:
@@ -284,7 +266,5 @@ def expected_posterior_variance(
         phi_names=plan.phi_names,
         phi_points=plan.phi_points,
         sigma2_from="net_benefit" if fit is None else "fitted_mean",
-        posterior_method=({"method": "gauss_hermite", "k": design.recipe.nodes}
-                          if isinstance(design.recipe, QuadratureUpdate)
-                          else {"method": "conjugate_draws", "M": M}),
+        posterior_method={"method": "gauss_hermite", "k": design.recipe.nodes},
     )

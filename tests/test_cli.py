@@ -61,7 +61,8 @@ class TestEvsiCommand:
         assert per_point[0] == "q,Pse,dataset,posterior_variance"
         assert len(per_point) == 11
         assert all(len(line.split(",")) == 4 for line in per_point[1:])
-        assert result["posterior_method"] == {"method": "conjugate_draws", "M": 2000}
+        # a conjugate design takes a Gauss-Hermite rule too, and reads no M
+        assert result["posterior_method"] == {"method": "gauss_hermite", "k": 24}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evsi"
 
@@ -102,14 +103,15 @@ class TestEvsiCommand:
         assert not (out / "per_point.csv").exists()
 
     def test_nan_posterior_draw_is_computation_error(self, tmp_path, capsys, monkeypatch):
-        original = NormalNormalUpdate.draw
+        # a non-finite node of the first point's rule
+        original = NormalNormalUpdate.nodes_and_weights
 
-        def draw(self, dataset, M, gen):
-            out = original(self, dataset, M, gen)
-            out[self.param][..., 0] = np.nan
-            return out
+        def nodes_and_weights(self, dataset, stage):
+            nodes, weights = original(self, dataset, stage)
+            nodes[self.param][0, 0] = np.nan
+            return nodes, weights
 
-        monkeypatch.setattr(NormalNormalUpdate, "draw", draw)
+        monkeypatch.setattr(NormalNormalUpdate, "nodes_and_weights", nodes_and_weights)
         code = main(["evsi", "--model", "normal_normal", "--S", "2000", "--Q", "5",
                      "--M", "1000", "--out", str(tmp_path / "x")])
         assert code == 3
@@ -409,6 +411,42 @@ class TestConfigHandling:
         code = main([*argv, "--model", "beta_binomial", "--out", str(out)])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["--Q-values", "0"], None, "Q_values entries must be between 1 and S=10000, got [0]"),
+        (["--Q-values", "5,60,70", "--S", "50"], None,
+         "Q_values entries must be between 1 and S=50, got [60, 70]"),
+        ([], {"Q_values": [1, 2.5]}, "Q_values must be a list of integers, got [1, 2.5]"),
+        ([], {"Q_values": 5}, "Q_values must be a list of integers, got 5"),
+    ], ids=["zero", "above-S", "float", "not-a-list"])
+    def test_q_values_outside_1_to_s_are_config_errors(self, tmp_path, capsys, argv, config,
+                                                       message):
+        # an entry below 1 used to end in a ValueError traceback (exit 1)
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "x"
+        code = main(["benchmark", "table1", "--replicates", "1", *argv, "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, entry", [
+        (["benchmark"], {"experiment": ["table1"]}),
+        (["psa"], {"model": 3}),
+        (["evsi", "--model", "ades"], {"design": {"name": "study1"}}),
+    ], ids=["experiment", "model", "design"])
+    def test_non_string_names_in_config_rejected(self, tmp_path, capsys, command, entry):
+        # a list used to end in "TypeError: unhashable type" (exit 1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "x"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        name, value = next(iter(entry.items()))
+        assert f"error: {name} must be a string, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [("psa", "--burn-in"), ("evsi", "--burn-in"),

@@ -205,10 +205,12 @@ class TestEstimateEvsi:
         assert result.evsi_se > 2.0 * voi(result.rescaled).se
 
     def test_nonfinite_posterior_inb_fails_loudly(self):
+        # the INB at the first of the rule's 24 nodes is NaN
         model = _nan_every_1000th(get_model("normal_normal"))
         design = get_design(model, "trial", n=4)
         dataset = {"obs_total": np.zeros(1)}
-        with pytest.raises(ComputationError, match=r"\[posterior_variance\].*non-finite"):
+        with pytest.raises(ComputationError, match=r"^\[posterior_variance\] 1 non-finite "
+                           r"value\(s\) of g at quadrature point 1/1$"):
             run_posterior(design, dataset, model, 2000, SeedSpec(32))
 
 
@@ -343,3 +345,21 @@ def test_evsi_within_evppi_within_evpi(model_params, seed):
     assert result.evsi >= 0.0
     assert result.a <= 1.0
     assert result.evsi <= evppi_val * (1.0 + 1e-9)
+
+
+class TestMonotoneInSampleSize:
+    def test_normal_normal_evsi_rises_with_n(self):
+        # with the PSA, the plan seed and the estimator seed fixed, only the
+        # posterior variance moves with N; for normal_normal it does not
+        # depend on the data, so sigma2, a and the EVSI rise with N exactly
+        model = get_model("normal_normal")
+        psa = run_psa(model, 20000, SeedSpec(40))
+        inb = compute_inb(model, psa)
+        options = EvsiOptions(Q=10, seed=SeedSpec(41))
+        results = [estimate_evsi(model, get_design(model, "trial", n=n), psa, options, inb=inb)
+                   for n in (1, 2, 5, 10, 50, 200)]
+        sigma2 = [r.variance_estimate.sigma2 for r in results]
+        evsi = [r.evsi for r in results]
+        assert np.all(np.diff(sigma2) > 0)
+        assert np.all(np.diff(evsi) >= 0)
+        assert evsi[-1] > evsi[0]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from evsikit import preposterior
 from evsikit.casemodels import (
     ConjugateToy,
     _ades_inb_at_means,
@@ -102,24 +101,42 @@ class TestBuildPlan:
 
 class TestRunPosterior:
     def test_conjugate_beta_binomial_run(self):
+        # Beta(4, 8) by the 24-node rule in the logit frame
         model = get_model("beta_binomial")
         design = get_design(model, "trial", n=10)
         dataset = {"x": np.array([3.0])}
         run = run_posterior(design, dataset, model, 100000, SeedSpec(11))
-        draws = run.draws["p_success"]
-        assert draws.shape == (100000,)
-        assert draws.mean() == pytest.approx(1 / 3, abs=0.005)
-        # INB = 20000 p - 10000, so the posterior INB variance is 4e8 Var(p)
-        assert run.inb_posterior_variance == pytest.approx(
-            4e8 * 32.0 / 1872.0, rel=0.05
-        )
-        assert run.weights is None
+        nodes = run.draws["p_success"]
+        assert nodes.shape == run.weights.shape == (24,)
+        assert run.weights.sum() == pytest.approx(1.0, rel=1e-12)
+        assert run.weights @ nodes == pytest.approx(1 / 3, rel=1e-8)
+        # INB = 20000 p - 10000, so the posterior INB variance is 4e8 Var(p);
+        # the rule's Var(p) is about 1e-8 off here
+        assert run.inb_posterior_variance == pytest.approx(4e8 * 32.0 / 1872.0, rel=1e-7)
 
-    def test_retained_draw_floor(self):
-        model = get_model("beta_binomial")
-        design = get_design(model, "trial", n=10)
-        with pytest.raises(ValueError):
-            run_posterior(design, {"x": np.array([3.0])}, model, 500, SeedSpec(12))
+    @pytest.mark.parametrize("model_name, design_name", [
+        ("ades", "study1"), ("ades", "study2"), ("exp_gamma", "trial"),
+        ("two_param_linear", "null"),
+    ])
+    def test_conjugate_batch_equals_point_by_point_runs(self, model_name, design_name):
+        # one rule over all points gives each point exactly what
+        # run_posterior gives it alone, whatever M and seed it is handed
+        model = get_model(model_name)
+        design = get_design(model, design_name)
+        psa = run_psa(model, 5000, SeedSpec(24))
+        inb = compute_inb(model, psa)
+        fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
+        plan = build_plan(psa, design.informed_params, 5, SeedSpec(25))
+        ve = expected_posterior_variance(plan, design, model, 1000, inb=inb, fit=fit)
+        rows = plan.rows()
+        for q in range(plan.Q):
+            point = {k: v[q : q + 1] for k, v in rows.items()}
+            dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
+            run = run_posterior(design, dataset, model, 1 + q, SeedSpec(q), fit)
+            assert run.inb_posterior_variance == ve.per_point[q]
+            assert run.weights.shape == (24,)
+            assert set(run.draws) == set(design.informed_params)
+        assert ve.posterior_method == {"method": "gauss_hermite", "k": 24}
 
 
 @pytest.fixture(scope="module")
@@ -255,26 +272,37 @@ class TestExpectedPosteriorVariance:
             expected_posterior_variance(plan, design, model, 1500)
 
 
+class TestConjugateNodeCount:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("design_name", ["study1", "study2"])
+    def test_shipped_nodes_agree_with_128_on_sigma2(self, design_name, seed):
+        # the fitted spline as g, as the estimator runs it
+        model = get_model("ades")
+        design = get_design(model, design_name)
+        finer = dataclasses.replace(design, recipe=dataclasses.replace(design.recipe, nodes=128))
+        psa = run_psa(model, 20000, SeedSpec(seed))
+        inb = compute_inb(model, psa)
+        fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
+        plan = build_plan(psa, design.informed_params, 30, SeedSpec(seed).derive(1))
+        got, want = (expected_posterior_variance(plan, d, model, 1000, inb=inb, fit=fit)
+                     for d in (design, finer))
+        assert got.posterior_method == {"method": "gauss_hermite", "k": 24}
+        assert want.posterior_method == {"method": "gauss_hermite", "k": 128}
+        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-4)
+
+
 def _nan_draw_at_point(monkeypatch, recipe_cls, point):
-    """Patch `recipe_cls` so the draws of quadrature point `point` hold one NaN.
+    """Patch `recipe_cls` so the nodes of quadrature point `point` hold one
+    NaN: a recipe returns the nodes of all points in one call, as rows of
+    each column."""
+    original = recipe_cls.nodes_and_weights
 
-    Conjugate recipes draw one point per call; a quadrature recipe returns
-    the nodes of all points in one call, as rows of each column.
-    """
-    name = "nodes_and_weights" if recipe_cls is QuadratureUpdate else "draw"
-    original = getattr(recipe_cls, name)
-    calls = []
+    def nodes_and_weights(self, dataset, stage):
+        nodes, weights = original(self, dataset, stage)
+        next(iter(nodes.values()))[point - 1, 7] = np.nan
+        return nodes, weights
 
-    def draw(self, dataset, *args, **kwargs):
-        out = original(self, dataset, *args, **kwargs)
-        calls.append(None)
-        if recipe_cls is QuadratureUpdate:
-            next(iter(out[0].values()))[point - 1, 7] = np.nan
-        elif len(calls) == point:
-            next(iter(out.values()))[..., 7] = np.nan
-        return out
-
-    monkeypatch.setattr(recipe_cls, name, draw)
+    monkeypatch.setattr(recipe_cls, "nodes_and_weights", nodes_and_weights)
 
 
 class TestNonFinitePosteriorDraws:
@@ -365,8 +393,8 @@ class TestTwoArmPosteriorVariance:
         assert want.posterior_method == {"method": "gauss_hermite", "k": 48}
 
     @pytest.mark.parametrize("design_name", ["study3", "study4"])
-    def test_outputs_do_not_depend_on_m_burn_in_or_posterior_seeds(self, design_name,
-                                                                   monkeypatch):
+    def test_outputs_do_not_depend_on_m_burn_in_or_posterior_seeds(self, design_name):
+        # no recipe draws, so none has a posterior seed either
         model = get_model("ades")
         design = get_design(model, design_name)
         psa = run_psa(model, 5000, SeedSpec(53))
@@ -380,19 +408,7 @@ class TestTwoArmPosteriorVariance:
 
         want, rescaled = run(1500, 500)
         assert want["posterior_method"] == {"method": "gauss_hermite", "k": 24}
-        monkeypatch.setattr(preposterior, "_POSTERIOR_SUB", 7)
         for M, burn_in in ((1500, 500), (1, 0), (20000, 5000)):
             got, got_rescaled = run(M, burn_in)
             assert got == want
             assert np.array_equal(got_rescaled, rescaled)
-
-    def test_posterior_seeds_move_a_conjugate_design(self, monkeypatch):
-        # the patched sub-seed does reach the draws of a conjugate recipe
-        model = get_model("normal_normal")
-        design = get_design(model, "trial")
-        psa = run_psa(model, 5000, SeedSpec(55))
-        plan = build_plan(psa, design.informed_params, 3, SeedSpec(56))
-        want = expected_posterior_variance(plan, design, model, 1000).per_point
-        monkeypatch.setattr(preposterior, "_POSTERIOR_SUB", 7)
-        got = expected_posterior_variance(plan, design, model, 1000).per_point
-        assert not np.array_equal(got, want)
