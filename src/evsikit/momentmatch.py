@@ -212,7 +212,8 @@ def estimate_evsi(
     except Exception as exc:
         raise ComputationError("posterior_variance", str(exc)) from exc
 
-    var_phi = float(np.var(inb.inb_phi, ddof=1))
+    # Var(g), the same array and operation whether g is the fit or the INB
+    var_phi = ve.prior_variance
     try:
         a, b = compute_constants(ve.sigma2, inb, var_phi)
     except DegenerateModelError:

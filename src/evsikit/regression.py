@@ -23,10 +23,16 @@ equal the row-by-row ones up to summation order.
 Every pass over rows is bounded, and none computes what its caller does not
 read:
 
+* each column is sorted once, and its knots are read off the sorted copy
+  by numpy's linear quantile rule, without partitioning it again;
 * the design finds each distinct row's cell by counting the knots at or
   below it, sorts the rows by cell, and only then runs the basis recursion,
   8192 rows at a time into one contiguous row per basis function,
-  transposed into the row-major values that the per-cell products read;
+  transposed into the row-major values that the per-cell products read.
+  In cell order the first dimension's knot interval is constant over runs
+  of rows, so its recursion runs once per run with scalar knots; the other
+  dimensions' intervals change from row to row, and gather their knots;
+* the penalty matrix is built once per basis size and shared, read-only;
 * a fit forms [W X | W y] over runs of whole cells of at least 8192 rows,
   not over the whole design;
 * `RegressionFit.evaluate` runs the same recursion on new points, 8192 at a
@@ -41,6 +47,7 @@ bit-identical to it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,11 +124,26 @@ class RegressionFit:
         }
 
 
-def _interior_knots(x: np.ndarray, n_knots: int, name: str) -> np.ndarray:
-    lo, hi = float(np.min(x)), float(np.max(x))
+def _interior_knots(sorted_x: np.ndarray, n_knots: int, name: str) -> np.ndarray:
+    """The distinct quantiles k/(n_knots+1) strictly inside the range of a
+    sorted column.
+
+    They are read off the sorted column with numpy's default (linear) rule,
+    the same operations as `np.quantile`, which would partition the column
+    again: the virtual index (n - 1) q, and `_lerp` of the values either
+    side of it, from the right one when the fraction is at least 1/2.
+    """
+    lo, hi = float(sorted_x[0]), float(sorted_x[-1])
     if lo == hi:
         raise SchemaError(f"focal column {name} is constant; cannot place knots")
-    qs = np.quantile(x, np.arange(1, n_knots + 1) / (n_knots + 1))
+    index = (sorted_x.size - 1) * (np.arange(1, n_knots + 1) / (n_knots + 1))
+    below = np.floor(index)
+    gamma = index - below
+    # q < 1, so index < n - 1 and both neighbours exist
+    i = below.astype(np.intp)
+    a, b = sorted_x[i], sorted_x[i + 1]
+    diff = b - a
+    qs = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
     qs = np.unique(qs[(qs > lo) & (qs < hi)])
     return qs
 
@@ -147,9 +169,10 @@ def _first_basis(xc: np.ndarray, t: np.ndarray) -> np.ndarray:
     return first
 
 
-def _bspline_values(xc: np.ndarray, first: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _bspline_values(xc: np.ndarray, first, t: np.ndarray, out=None) -> np.ndarray:
     """(degree+1, n): the B-splines first .. first + degree at each clamped
-    point, one contiguous row per basis function.
+    point, one contiguous row per basis function, written to `out` if given.
+    `first` is an array, or one index for every point.
 
     Cox-de Boor recursion (de Boor, A Practical Guide to Splines, 1978) with
     the operations in the order of scipy's `_deBoor_D`, so the values equal
@@ -165,7 +188,26 @@ def _bspline_values(xc: np.ndarray, first: np.ndarray, t: np.ndarray) -> np.ndar
             new[n - 1] = new[n - 1] + w * (knot[n] - xc)
             new[n] = w * (xc - knot[n - j])
         h = new
-    return np.stack(h)
+    return np.stack(h, out=out)
+
+
+def _bspline_runs(xc: np.ndarray, cell: np.ndarray, stride: int, t: np.ndarray) -> np.ndarray:
+    """`_bspline_values(xc, cell // stride, t)` for non-decreasing `cell`.
+
+    The first basis index `cell // stride` is constant over runs of rows,
+    found by bisection, and the recursion runs once per run with scalar
+    knots in place of the gathered ones: the same operations on the same
+    values, so the same bits, without gathering six knot arrays.
+    """
+    values = np.empty((_DEGREE + 1, xc.size))
+    n_intervals = len(t) - 2 * _DEGREE - 1
+    ends = np.searchsorted(cell, np.arange(1, n_intervals + 1) * stride).tolist()
+    lo = 0
+    for first, hi in enumerate(ends):
+        if hi > lo:
+            _bspline_values(xc[lo:hi], first, t, out=values[:, lo:hi])
+        lo = hi
+    return values
 
 
 def _clamp(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -202,14 +244,19 @@ def _difference_penalty(p: int, order: int = 2) -> np.ndarray:
     return d.T @ d
 
 
-def _tensor_penalty(sizes) -> np.ndarray:
-    """Additive second-difference penalty over the tensor-product coefficients."""
+@functools.lru_cache(maxsize=8)
+def _tensor_penalty(sizes: tuple[int, ...]) -> np.ndarray:
+    """Additive second-difference penalty over the tensor-product coefficients.
+
+    Built once per basis size and shared, so it is read-only.
+    """
     n_basis = int(np.prod(sizes))
     total = np.zeros((n_basis, n_basis))
     for j, size in enumerate(sizes):
         left = int(np.prod(sizes[:j]))
         right = int(np.prod(sizes[j + 1:]))
         total += np.kron(np.eye(left), np.kron(_difference_penalty(size), np.eye(right)))
+    total.flags.writeable = False
     return total
 
 
@@ -278,7 +325,7 @@ class SplineDesign:
                 f"need at least {10 * self.n_basis} draws for {self.n_basis} basis "
                 f"functions, got {self.n_rows}"
             )
-        self.penalty = _tensor_penalty(sizes)
+        self.penalty = _tensor_penalty(tuple(sizes))
 
         groups = _group_rows(phi, sorted_columns)
         del sorted_columns  # freed before the design values are allocated
@@ -299,8 +346,13 @@ class SplineDesign:
         self._values = np.empty((n_design, offsets.size))
         for lo in range(0, n_design, _ROWS_PER_PASS):
             cell = first[lo:lo + _ROWS_PER_PASS]
-            factors = [_bspline_values(xc[lo:lo + _ROWS_PER_PASS], cell // stride % size, t)
-                       for xc, t, size, stride in zip(clamped, self.knot_vectors, sizes, strides)]
+            # sorted by cell, the first dimension's interval is constant over
+            # runs of rows; the others change from row to row
+            factors = [_bspline_runs(clamped[0][lo:lo + _ROWS_PER_PASS], cell, strides[0],
+                                     self.knot_vectors[0])]
+            factors += [_bspline_values(xc[lo:lo + _ROWS_PER_PASS], cell // stride % size, t)
+                        for xc, t, size, stride in zip(clamped[1:], self.knot_vectors[1:],
+                                                       sizes[1:], strides[1:])]
             self._values[lo:lo + _ROWS_PER_PASS] = _tensor_values(factors).T
         rank = np.empty(n_design, dtype=np.intp)
         rank[order] = np.arange(n_design)

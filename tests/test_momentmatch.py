@@ -93,6 +93,23 @@ class TestConditionalInb:
         assert inb.phi_fit is fit
 
 
+@pytest.mark.parametrize("model_name, design_name, sigma2_from", [
+    ("exp_gamma", "trial", "net_benefit"),
+    ("ades", "study1", "fitted_mean"),
+    ("ades", "study3", "fitted_mean"),
+])
+def test_var_g_is_the_prior_variance(model_name, design_name, sigma2_from):
+    # estimate_evsi reads Var(g) for a and the SE from the variance estimate;
+    # it is the variance of inb_phi, whether g is the INB or the fit
+    model = get_model(model_name)
+    psa = run_psa(model, 5000, SeedSpec(47))
+    inb = compute_inb(model, psa)
+    ve = estimate_evsi(model, get_design(model, design_name), psa,
+                       EvsiOptions(Q=5, seed=SeedSpec(48)), inb=inb).variance_estimate
+    assert ve.sigma2_from == sigma2_from
+    assert ve.prior_variance == float(np.var(inb.inb_phi, ddof=1))
+
+
 class TestEvsiFromRescaled:
     def test_all_negative(self):
         assert voi(np.array([-5.0, -1.0])).value == 0.0

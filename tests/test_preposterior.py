@@ -31,6 +31,20 @@ from evsikit.rng import SeedSpec
 from evsikit.util import ComputationError
 
 
+def _axis_0_plan_scores(psa, names):
+    """Reference for `_plan_scores`: the moments by axis-0 reductions over
+    the (S, d) matrix of the columns."""
+    z = psa.matrix(names)
+    if len(names) == 1:
+        return z[:, 0]
+    z = (z - z.mean(axis=0)) / z.std(axis=0, ddof=1)
+    _, eigvecs = np.linalg.eigh((z.T @ z) / (z.shape[0] - 1))
+    pc1 = eigvecs[:, -1]
+    if pc1[np.argmax(np.abs(pc1))] < 0:
+        pc1 = -pc1
+    return z @ pc1
+
+
 class TestBuildPlan:
     def test_quantile_rows_of_uniform_column(self):
         model = get_model("beta_binomial")
@@ -83,6 +97,41 @@ class TestBuildPlan:
             scores, _ = _plan_scores(psa, tuple(cols))
             for Q in (1, int(rng.integers(2, 40)), 40):
                 plan = build_plan(psa, tuple(cols), Q, SeedSpec(1))
+                ranks = np.array([min(max(int(np.floor(S * q / (Q + 1) + 0.5)), 1), S)
+                                  for q in range(1, Q + 1)])
+                expected = np.argsort(scores, kind="stable")[ranks - 1]
+                assert np.array_equal(plan.row_indices, expected), (case, S, Q)
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete", "discrete_2d", "pca_2d", "ades"])
+    def test_rows_equal_those_of_axis_0_moments(self, kind):
+        # the plan takes each column's mean and SD from cumulative sums, in
+        # place of axis-0 reductions over the (S, d) matrix; discrete columns
+        # tie at most ranks, so a change in the last bits would show
+        rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+        model = get_model("ades")
+        for case in range(50):
+            if kind == "ades":
+                psa = run_psa(model, 20000, SeedSpec(case))
+                names = ("Pc", "Pt")
+            else:
+                S = int(rng.integers(40, 3000))
+                levels = int(rng.integers(2, 51))
+                if kind == "continuous":
+                    cols = {"a": rng.normal(size=S)}
+                elif kind == "discrete":
+                    cols = {"a": rng.integers(0, levels, S).astype(float)}
+                elif kind == "discrete_2d":
+                    cols = {"a": rng.integers(0, levels, S).astype(float),
+                            "b": rng.integers(0, 3, S).astype(float)}
+                else:
+                    a = rng.normal(size=S)
+                    cols = {"a": a, "b": a + rng.normal(size=S)}
+                psa = PsaSamples(columns=cols, param_names=tuple(cols), seed=SeedSpec(0))
+                names = tuple(cols)
+            scores = _axis_0_plan_scores(psa, names)
+            S = psa.n_draws
+            for Q in (1, 10, 30, 40):
+                plan = build_plan(psa, names, Q, SeedSpec(1))
                 ranks = np.array([min(max(int(np.floor(S * q / (Q + 1) + 0.5)), 1), S)
                                   for q in range(1, Q + 1)])
                 expected = np.argsort(scores, kind="stable")[ranks - 1]

@@ -19,7 +19,11 @@ from evsikit.regression import (
     _ROWS_PER_PASS,
     RegressionFit,
     SplineDesign,
+    _bspline_runs,
+    _bspline_values,
+    _clamp,
     _design_1d,
+    _first_basis,
     _interior_knots,
     _knot_vector,
     _penalized_solve,
@@ -162,7 +166,7 @@ class TestFitInvariants:
         # last grid point, where only the 2 unpenalized directions remain
         gen = np.random.default_rng(6)
         phi = gen.beta(2, 2, 5000)
-        t = _knot_vector(phi, _interior_knots(phi, _KNOTS[1], "x"), 3)
+        t = _knot_vector(phi, _interior_knots(np.sort(phi), _KNOTS[1], "x"), 3)
         vals, first = _design_1d(phi, t)
         x = np.zeros((phi.size, len(t) - 4))
         np.put_along_axis(x, first[:, None] + np.arange(4), vals.T, axis=1)
@@ -191,7 +195,7 @@ def _row_by_row_fit(phi, y, weights=None, penalty=None):
     n, d = phi.shape
     vals, idx, sizes = np.ones((n, 1)), np.zeros((n, 1), dtype=int), []
     for col in phi.T:
-        t = _knot_vector(col, _interior_knots(col, _KNOTS[d], "x"), _DEGREE)
+        t = _knot_vector(col, _interior_knots(np.sort(col), _KNOTS[d], "x"), _DEGREE)
         v, first = _design_1d(col, t)
         p = len(t) - _DEGREE - 1
         i = first[:, None] + np.arange(_DEGREE + 1)
@@ -206,7 +210,7 @@ def _row_by_row_fit(phi, y, weights=None, penalty=None):
     else:
         xtx = (x.T @ x.multiply(weights[:, None]).tocsr()).toarray()
         xty, yty, n_eff = x.T @ (weights * y), float(np.dot(weights * y, y)), float(weights.sum())
-    penalty_matrix = _tensor_penalty(sizes)
+    penalty_matrix = _tensor_penalty(tuple(sizes))
     if penalty is None:
         beta, penalty, _, _ = _solve_gcv(xtx, xty, yty, n_eff, penalty_matrix, _LAMBDA_GRID)
     else:
@@ -387,6 +391,89 @@ class TestSortedPasses:
             design.fit(y, weights=w, penalty=lam).fitted).raw
 
 
+def _plain_penalty(sizes):
+    """Reference for `_tensor_penalty`: the sum over dimensions of the
+    Kronecker product of identities with that dimension's difference penalty."""
+    total = 0.0
+    for j, size in enumerate(sizes):
+        d = np.diff(np.eye(size), n=2, axis=0)
+        term = np.ones((1, 1))
+        for k, other in enumerate(sizes):
+            term = np.kron(term, d.T @ d if k == j else np.eye(other))
+        total = total + term
+    return total
+
+
+class TestExactCuts:
+    """The design's knots, its first dimension's basis and its penalty come
+    from shortcuts that give the bits of the straightforward code."""
+
+    @pytest.mark.parametrize("kind", ["short", "discrete", "continuous"])
+    def test_knots_equal_the_filtered_quantiles(self, kind):
+        gen = np.random.default_rng(sum(map(ord, kind)))
+        for case in range(300):
+            if kind == "short":
+                x = gen.normal(size=int(gen.integers(2, 60)))
+                if case % 2:
+                    x = np.round(x)
+            else:
+                n = int(np.exp(gen.uniform(np.log(20), np.log(2e5))))
+                x = (gen.integers(0, 40, n) * 0.37 if kind == "discrete"
+                     else gen.lognormal(0.0, 1.5, n))
+            for n_knots in (1, 5, 10):
+                if x.min() == x.max():
+                    with pytest.raises(SchemaError, match="constant"):
+                        _interior_knots(np.sort(x), n_knots, "x")
+                    continue
+                qs = np.quantile(x, np.arange(1, n_knots + 1) / (n_knots + 1))
+                expected = np.unique(qs[(qs > x.min()) & (qs < x.max())])
+                assert np.array_equal(_interior_knots(np.sort(x), n_knots, "x"), expected), \
+                    (case, x.size, n_knots)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_run_wise_basis_equals_the_gathers(self, stride):
+        # `cell // stride` is the first dimension's interval of a design
+        # whose other dimensions have `stride` cells between them
+        gen = np.random.default_rng(stride)
+        x = np.sort(gen.beta(2.0, 3.0, 20000))
+        t = _knot_vector(x, _interior_knots(x, _KNOTS[1], "x"), _DEGREE)
+        xc = _clamp(x, t)
+        cell = np.sort(_first_basis(xc, t) * stride + gen.integers(0, stride, x.size))
+        for lo, hi in [(0, x.size), (0, 1), (5000, 5001), (3000, 3500), (2000, 12000)]:
+            assert np.array_equal(_bspline_runs(xc[lo:hi], cell[lo:hi], stride, t),
+                                  _bspline_values(xc[lo:hi], cell[lo:hi] // stride, t))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["continuous", "discrete", "single_cell"])
+    def test_design_equals_a_plain_build(self, d, kind):
+        gen = np.random.default_rng(d)
+        n = 30000
+        if kind == "single_cell":
+            # two levels per column: no interior knot, so one cell
+            phi = gen.binomial(1, 0.3, (n, d)) * 2.5
+        elif kind == "discrete":
+            phi = gen.binomial(40, 0.3, (n, d)).astype(float)
+        else:
+            phi = gen.beta(2.0, 3.0, (n, d))
+        design = SplineDesign(phi)
+        assert (len(design._cells) == 1) == (kind == "single_cell")
+        values, cells, inverse, _ = _plain_design(phi, design.knot_vectors)
+        assert np.array_equal(design._values, values)
+        assert design._cells == cells
+        assert np.array_equal(design._inverse, inverse)
+
+    def test_penalty_is_built_once_per_size_and_read_only(self):
+        for sizes in [(5,), (14,), (14, 14), (6, 9), (9, 9, 9)]:
+            cached = _tensor_penalty(sizes)
+            assert _tensor_penalty(sizes) is cached
+            assert np.array_equal(cached, _plain_penalty(sizes))
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+        design = SplineDesign(np.random.default_rng(0).uniform(size=(5000, 2)))
+        assert design.penalty is _tensor_penalty((14, 14))
+
+
 class TestEvppi:
     def test_all_negative_fitted(self):
         fit = RegressionFit("polynomial_spline", [], 3, 0.0,
@@ -461,7 +548,7 @@ class TestDesign1d:
 
     @staticmethod
     def _assert_equals_scipy(x, n_knots):
-        t = _knot_vector(x, _interior_knots(x, n_knots, "x"), _DEGREE)
+        t = _knot_vector(x, _interior_knots(np.sort(x), n_knots, "x"), _DEGREE)
         lo, hi = t[_DEGREE], t[-_DEGREE - 1]
         tt = t[_DEGREE:-_DEGREE]
         # the data, every knot, one ulp either side of it, and points out of range
@@ -480,7 +567,7 @@ class TestDesign1d:
         gen = np.random.default_rng(n_knots)
         for x in (gen.normal(3.0, 2.0, 3000), gen.beta(0.5, 2.0, 3000),
                   gen.lognormal(0.0, 1.5, 3000)):
-            assert _interior_knots(x, n_knots, "x").size == n_knots
+            assert _interior_knots(np.sort(x), n_knots, "x").size == n_knots
             self._assert_equals_scipy(x, n_knots)
 
     @pytest.mark.parametrize("levels", [2, 3, 5, 8, 14])
