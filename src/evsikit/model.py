@@ -120,32 +120,38 @@ class InbSamples:
         return cls(inb_theta=np.asarray(values, dtype=float))
 
 
-def run_psa(model: DecisionModel, S: int, seed: SeedSpec) -> PsaSamples:
+def run_psa(model: DecisionModel, S: int, seed: SeedSpec, columns=None) -> PsaSamples:
     """S independent joint draws from the priors.
 
     Generation is chunked with per-(column, chunk) derived streams, so each
     chunk's draws depend only on its column, its position and the seed.
+    `columns`, names of priors, draws only those, from their own streams, so
+    they equal the full draw's columns; the derived columns need every
+    prior, and are left out.
     """
     if S < 2:
         raise ValueError("S must be >= 2")
-    names = model.param_names
+    names = model.param_names if columns is None else tuple(columns)
+    unknown = [name for name in names if name not in model.priors]
+    if unknown:
+        raise SchemaError(f"no priors named {unknown}; have {list(model.param_names)}")
     out = {name: np.empty(S) for name in names}
-    for j, name in enumerate(names):
-        col_seed = seed.derive(j)
+    for name in names:
+        col_seed = seed.derive(model.param_names.index(name))
         for c, lo in enumerate(range(0, S, _CHUNK)):
             hi = min(lo + _CHUNK, S)
             out[name][lo:hi] = model.priors[name].sample_with(col_seed.derive(c).generator(),
                                                               hi - lo)
 
-    columns = model.all_columns(out)
-    psa = PsaSamples(columns=columns, param_names=names, seed=seed)
+    psa = PsaSamples(columns=model.all_columns(out) if columns is None else out,
+                     param_names=names, seed=seed)
     _check_support(model, psa)
     return psa
 
 
 def _check_support(model: DecisionModel, psa: PsaSamples):
-    for name, dist in model.priors.items():
-        lo, hi = dist.support()
+    for name in psa.param_names:
+        lo, hi = model.priors[name].support()
         col = psa.column(name)
         if col.min() < lo or col.max() > hi:
             raise SchemaError(f"column {name!r} violates its prior support")
@@ -177,17 +183,30 @@ class Voi(NamedTuple):
     raw: float
 
 
-def _voi_terms(x: np.ndarray):
-    """(mean(max(0, x)) - max(0, mean(x)), mean(x), max(0, x))."""
-    grand = float(np.mean(x))
-    positive = np.maximum(x, 0.0)
-    return float(np.mean(positive)) - max(0.0, grand), grand, positive
+def _voi_terms(x: np.ndarray, weights: np.ndarray | None = None, out=None):
+    """(mean(max(0, x)) - max(0, mean(x)), mean(x), max(0, x)), the means
+    taken along the last axis, weighted by `weights` when given.  max(0, x)
+    is written to `out` if given, which may be x itself."""
+    if weights is None:
+        def mean(v):
+            return np.mean(v, axis=-1)
+    else:
+        total = np.sum(weights)
+
+        def mean(v):
+            return v @ weights / total
+    grand = mean(x)
+    positive = np.maximum(x, 0.0, out=out)  # after the mean, as out may be x
+    return mean(positive) - np.maximum(grand, 0.0), grand, positive
 
 
-def voi_raw(x: np.ndarray) -> float:
-    """`voi(x).raw` without the finite check, the floor and the standard
-    error: for bootstrap replicates of values already known to be finite."""
-    return _voi_terms(x)[0]
+def voi_stack(x: np.ndarray, weights: np.ndarray | None = None, out=None) -> np.ndarray:
+    """`voi(s).raw` of each sample s along the last axis of `x`, where each
+    value stands for `weights` equal values of the sample when they are
+    given; without the finite check, the floor and the standard error, for
+    bootstrap replicates of values already known to be finite.  `out`, if
+    given, receives max(0, x) and may be x itself."""
+    return _voi_terms(x, weights, out)[0]
 
 
 def voi(x) -> Voi:
@@ -204,6 +223,7 @@ def voi(x) -> Voi:
         raise ValueError("value of information requires a nonempty sample")
     require_finite("voi", {"the INB sample": x})
     raw, grand, positive = _voi_terms(x)
+    raw, grand = float(raw), float(grand)
     integrand = positive - x if grand > 0 else positive
     se = float(np.std(integrand, ddof=1)) / np.sqrt(x.size) if x.size > 1 else float("nan")
     return Voi(max(0.0, raw), se, raw)

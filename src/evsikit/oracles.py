@@ -4,13 +4,16 @@
   posterior mean of the INB per dataset from the design's
   `batch_inner_means`: closed forms where the update is conjugate, and for
   the ades two-arm trial an adaptive Gauss-Hermite rule over its 2-D
-  posterior.  No design draws inner posterior samples.
+  posterior.  No design draws inner posterior samples.  When a design's
+  informed parameters are all priors, only their columns are drawn, from
+  the streams of the full draw.
 * Regression on data summaries: simulate one dataset per PSA draw, as its
   sufficient statistics (a count, or the total of n observations), and smooth
   the INB against the dataset's low-dimensional summaries.  One spline
-  design, built over the distinct summary rows, serves the GCV fit and every
-  bootstrap refit; discrete summaries collapse 1e5 rows to tens or a few
-  thousand design rows, and no refit rebuilds the design.
+  design, built over the distinct summary rows, serves the GCV fit and the
+  bootstrap replicates of the standard error, refitted in blocks; discrete
+  summaries collapse 1e5 rows to tens or a few thousand design rows, and no
+  replicate rebuilds the design.
 
 The conjugate toys' exact values come from `casemodels.analytic_preposterior`.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .casemodels import StudyDesign
-from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi, voi_raw
+from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, run_psa, voi
 from .regression import SplineDesign
 from .rng import SeedSpec
 from .util import BudgetExceededError
@@ -64,6 +67,11 @@ def nested_mc_evsi(
     if n_outer < 100:
         raise ValueError("n_outer must be >= 100")
     start = time.perf_counter()
+    # a design's data are simulated from its informed parameters alone; when
+    # they are all priors, only their columns are drawn (a derived column
+    # needs every prior)
+    informed = design.informed_params
+    columns = informed if all(name in model.priors for name in informed) else None
 
     mus = []
     done = 0
@@ -71,7 +79,7 @@ def nested_mc_evsi(
     while done < n_outer:
         take = min(_OUTER_CHUNK, n_outer - done)
         chunk_seed = seed.derive(chunk_index)
-        psa = run_psa(model, max(take, 2), chunk_seed.derive(0))
+        psa = run_psa(model, max(take, 2), chunk_seed.derive(0), columns=columns)
         cols = {k: v[:take] for k, v in psa.columns.items()}
         datasets = design.simulate(cols, chunk_seed.derive(1))
         mus.append(np.asarray(design.batch_inner_means(datasets), dtype=float))
@@ -91,12 +99,6 @@ def nested_mc_evsi(
     )
 
 
-def _bootstrap_counts(gen: np.random.Generator, n: int) -> np.ndarray:
-    """How often each of n rows is drawn when resampling n rows with
-    replacement: Multinomial(n, 1/n) counts, in O(n) time."""
-    return np.bincount(gen.integers(0, n, n), minlength=n)
-
-
 def regression_on_summaries_evsi(
     model: DecisionModel,
     design: StudyDesign,
@@ -107,28 +109,29 @@ def regression_on_summaries_evsi(
     """Smooth the INB against per-draw simulated dataset summaries.
 
     One future dataset is simulated for every PSA row; the fitted surface is
-    the preposterior-mean estimate.  The standard error comes from refitting
-    under bootstrap resampling counts at the selected penalty.
+    the preposterior-mean estimate.  The standard error is the spread of
+    `n_bootstrap` replicates, an integer of at least 2, refitted under
+    bootstrap resampling counts at the selected penalty.
     """
+    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, (int, np.integer)) \
+            or n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be an integer >= 2, got {n_bootstrap!r}")
     start = time.perf_counter()
-    inb = compute_inb(model, psa)
-    datasets = design.simulate(psa.columns, seed.derive(0))
-    summaries = np.asarray(design.summarize_batch(datasets), dtype=float)
+    # the bootstrap's blocks take the memory of what is not kept: the net
+    # benefits, the datasets, the summaries and the fitted values
+    y = compute_inb(model, psa).inb_theta
+    spline_design = SplineDesign(
+        np.asarray(design.summarize_batch(design.simulate(psa.columns, seed.derive(0))),
+                   dtype=float),
+        design.summary_names)
+    fit = spline_design.fit(y)
+    # mean and variance checks
+    InbSamples.from_values(y).attach_phi(fit.fitted, names=design.summary_names)
+    evsi_val, penalty = voi(fit.fitted).value, fit.penalty_weight
+    del fit
 
-    spline_design = SplineDesign(summaries, design.summary_names)
-    fit = spline_design.fit(inb.inb_theta)
-    inb.attach_phi(fit.fitted, names=design.summary_names)  # mean and variance checks
-    evsi_val = voi(fit.fitted).value
-
-    se = 0.0
-    if n_bootstrap > 1:
-        gen = seed.derive(1).generator()
-        n = inb.inb_theta.size
-        reps = np.empty(n_bootstrap)
-        for b in range(n_bootstrap):
-            w = _bootstrap_counts(gen, n).astype(float)
-            reps[b] = voi_raw(spline_design.refit(inb.inb_theta, w, fit.penalty_weight))
-        se = float(np.std(reps, ddof=1))
+    reps = spline_design.bootstrap_voi(y, penalty, seed.derive(1).generator(), n_bootstrap)
+    se = float(np.std(reps, ddof=1))
 
     return OracleResult(
         method="regression_on_summaries",

@@ -13,8 +13,8 @@ span and in the penalty nullspace) and never exceed the response variance.
 `SplineDesign` builds the design once, over the distinct rows of the focal
 or summary matrix, and fits it any number of times: data summaries are often
 discrete (50 distinct values in 1e5 draws for a binomial count), and the
-regression-on-summaries oracle refits one design 20 times under bootstrap
-weights.  A row's nonzero B-splines are the (degree+1)^d consecutive ones of
+regression-on-summaries oracle refits one design for 20 bootstrap
+resamples.  A row's nonzero B-splines are the (degree+1)^d consecutive ones of
 its knot interval in each dimension, so the design is stored dense, sorted by
 that cell of intervals, and X'WX takes one small matrix product per
 non-empty cell (at most 11, 121 and 216 at the default knots).  The sums
@@ -37,12 +37,18 @@ read:
   not over the whole design;
 * `RegressionFit.evaluate` runs the same recursion on new points, 8192 at a
   time, and contracts the per-basis rows with the coefficients;
-* a refit at a pinned penalty (`SplineDesign.refit`) returns the fitted
-  values alone, without the sums that only the GCV search and r-squared use.
 
 Each of these computes every value with the same operations on the same
 operands as the straightforward whole-array code, so the results are
 bit-identical to it.
+
+The bootstrap replicates (`SplineDesign.bootstrap_voi`) are not: they refit
+blocks of resamples at once, from each resample's counts of draws of each
+design row, with one matrix product per cell for the whole block, and solve
+a block's systems as one stack.  Their sums run in another order than a
+fit's, so a replicate equals the full fit at its counts to round-off.  A
+block and its weighted design are bounded in bytes (_BLOCK_BYTES,
+_PIECE_BYTES), so that they take about the memory one refit at a time took.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import InbSamples
+from .model import InbSamples, voi_stack
 from .util import SchemaError, UnsupportedDimensionError
 
 
@@ -64,6 +70,10 @@ _LAMBDA_GRID = tuple(np.logspace(-6.0, 9.0, 46))
 # cache (whole-array passes over 1e5 rows take about twice as long), and the
 # least rows per [W X | W y] buffer of a fit
 _ROWS_PER_PASS = 8192
+# bytes of the temporaries of one block of bootstrap refits, and of its
+# weighted design over one piece of rows, which stays in cache
+_BLOCK_BYTES = 1 << 22
+_PIECE_BYTES = 1 << 20
 
 
 @dataclass
@@ -287,8 +297,8 @@ class SplineDesign:
     `phi_columns` is (S,) or (S, d) with d <= 3.  Knots are placed at
     quantiles of all S rows.  The design is built once and `fit` can be
     called any number of times, with other weights or a pinned penalty:
-    the regression-on-summaries oracle runs its GCV fit and all bootstrap
-    refits (`refit`, the fitted values alone) from one design.
+    the regression-on-summaries oracle runs its GCV fit and its bootstrap
+    replicates (`bootstrap_voi`, refitted in blocks) from one design.
 
     Rows with equal values share one design row, which enters the normal
     equations through per-group sums of the weights and weighted responses.
@@ -447,19 +457,112 @@ class SplineDesign:
             knot_vectors=self.knot_vectors,
         )
 
-    def refit(self, y: np.ndarray, weights: np.ndarray, penalty: float) -> np.ndarray:
-        """`fit(y, weights=weights, penalty=penalty).fitted`, and nothing else:
-        no r-squared and no `RegressionFit`, for bootstrap refits that read
-        only the fitted values."""
+    def bootstrap_voi(self, y: np.ndarray, penalty: float, gen: np.random.Generator,
+                      n_replicates: int) -> np.ndarray:
+        """`voi(self.fit(y, weights=w, penalty=penalty).fitted).raw` for each
+        of `n_replicates` bootstrap resamples, drawn in turn from `gen`, where
+        `w` counts how often each row is drawn (`_resample`).
+
+        The replicates are refitted in blocks.  Over each piece of design
+        rows, the block's weighted design [W X | W y]', m + 1 rows per
+        replicate from its counts of draws of each design row (and, for
+        grouped designs, its sums of y over them), is formed once; one
+        matrix product per cell, of all of the block's rows of it with the
+        cell's basis values, gives the cell's blocks of X'WX and X'Wy for
+        every replicate, and the block's systems are solved as one stack.
+        Each replicate is `voi_stack` of its fitted values at the design
+        rows, weighted by group size.  Sums are taken in another order than
+        `fit`'s, so a replicate equals it up to rounding.
+        """
         y = self._response(y)
-        xtx, xty = self._normal_equations(weights * y, weights)
-        return self._fitted(_penalized_solve(xtx, xty, float(penalty), self.penalty))
+        n_design, m = self._values.shape
+        p, n_cells = self.n_basis, len(self._cells)
+        distinct = n_design == self.n_rows
+        if distinct:
+            y_rows, sizes = np.empty(n_design), None
+            y_rows[self._inverse] = y
+        else:
+            y_rows, sizes = None, np.bincount(self._inverse, minlength=n_design).astype(float)
+        # flat places of each cell's (m + 1) x m sums [X'WX ; X'Wy'] in a
+        # replicate's (p + 1) x p matrix
+        places = (np.c_[self._cell_coefs, np.full(n_cells, p)][:, :, None] * p
+                  + self._cell_coefs[:, None, :]).ravel()
+        # per replicate: the counts, then the fitted values and their positive
+        # parts in their place; the sums of y of a grouped design; the cell
+        # sums; and the system and its copy in the solve
+        per_replicate = 8 * (n_design * (2 - distinct) + n_cells * (m + 1) * m + 2 * p * p)
+        block = max(1, min(n_replicates, _BLOCK_BYTES // per_replicate))
+        rows = max(1, min(n_design, _PIECE_BYTES // (8 * block * (m + 1))))
+        # pieces of at most `rows` design rows, and the cells in each, or the
+        # parts of them that are: (cell, rows a:z, whether the cell starts there)
+        pieces = []
+        for lo in range(0, n_design, rows):
+            hi = min(lo + rows, n_design)
+            pieces.append((lo, hi, [(c, max(a, lo), min(z, hi), a >= lo)
+                                    for c, (a, z) in enumerate(self._cells) if a < hi and z > lo]))
+        # buffers reused by every block: arrays this large are mapped afresh
+        # at each allocation, and the page faults would cost more than the sums
+        counts = np.empty((block, n_design))
+        row_y = None if distinct else np.empty((block, n_design))
+        drawn = np.empty(self.n_rows, dtype=np.intp)
+        wx_buffer = np.empty(block * (m + 1) * rows)
+        cell_sums = np.empty((n_cells, block, m + 1, m))
+        out = np.empty(n_replicates)
+        for b0 in range(0, n_replicates, block):
+            size = min(block, n_replicates - b0)
+            for b in range(size):
+                counts[b], y_sums = _resample(gen, self._inverse, n_design,
+                                              None if distinct else y, drawn)
+                if row_y is not None:
+                    row_y[b] = y_sums
+            for lo, hi, segments in pieces:
+                wx = wx_buffer[:size * (m + 1) * (hi - lo)].reshape(size, m + 1, hi - lo)
+                np.multiply(counts[:size, None, lo:hi], self._values[lo:hi].T, out=wx[:, :m])
+                if distinct:
+                    np.multiply(counts[:size, lo:hi], y_rows[lo:hi], out=wx[:, m])
+                else:
+                    wx[:, m] = row_y[:size, lo:hi]
+                wx = wx.reshape(-1, hi - lo)
+                for c, a, z, starts in segments:
+                    part = np.matmul(wx[:, a - lo:z - lo], self._values[a:z],
+                                     out=cell_sums[c, :size].reshape(-1, m) if starts else None)
+                    if not starts:  # the rest of a cell cut by a piece
+                        cell_sums[c, :size] += part.reshape(size, m + 1, m)
+            normal = np.empty((size, p + 1, p))
+            for b in range(size):
+                normal[b].flat = np.bincount(places, cell_sums[:, b].ravel(), (p + 1) * p)
+            beta = _penalized_solve(normal[:, :p], normal[:, p], float(penalty), self.penalty,
+                                    overwrite=True)
+            fitted = counts[:size]  # the counts are read; their buffer takes the fitted values
+            cell_beta = beta[:, self._cell_coefs]
+            for c, (lo, hi) in enumerate(self._cells):
+                np.matmul(cell_beta[:, c], self._values[lo:hi].T, out=fitted[:, lo:hi])
+            out[b0:b0 + size] = voi_stack(fitted, sizes, out=fitted)
+        return out
 
 
-def _penalized_solve(xtx, xty, lam, penalty):
-    """Coefficients at penalty weight `lam`, with a 1e-10 relative ridge."""
-    p = xtx.shape[0]
-    return np.linalg.solve(xtx + 1e-10 * np.trace(xtx) / p * np.eye(p) + lam * penalty, xty)
+def _resample(gen: np.random.Generator, inverse: np.ndarray, n_design: int, y=None,
+              out=None):
+    """One resample of the n rows with replacement, `gen.integers(0, n, n)`,
+    as the number of draws of each design row (`inverse` gives each row's),
+    which sum to n, and, when `y` is given, the sum of y over each design
+    row's draws; else None.  `out`, if given, holds the design rows drawn."""
+    draws = gen.integers(0, inverse.size, inverse.size)
+    sums_of = None if y is None else y[draws]
+    rows = np.take(inverse, draws, out=out, mode="clip")  # in range: no check
+    counts = np.bincount(rows, minlength=n_design)
+    return counts, None if y is None else np.bincount(rows, sums_of, n_design)
+
+
+def _penalized_solve(xtx, xty, lam, penalty, overwrite=False):
+    """Coefficients at penalty weight `lam`, with a 1e-10 relative ridge;
+    `xtx` and `xty` may be stacks of systems.  With `overwrite`, the ridge
+    and the penalty are added to `xtx` in place."""
+    a = xtx if overwrite else np.array(xtx)
+    diagonal = np.einsum("...ii->...i", a)
+    diagonal += 1e-10 * np.trace(xtx, axis1=-2, axis2=-1)[..., None] / xtx.shape[-1]
+    a += lam * penalty
+    return np.linalg.solve(a, xty[..., None])[..., 0]
 
 
 def _solve_gcv(xtx, xty, yty, n, penalty, lambda_grid):

@@ -12,6 +12,7 @@ from evsikit.model import (
     evpi,
     run_psa,
     voi,
+    voi_stack,
     write_psa_csv,
 )
 from evsikit.casemodels import get_model
@@ -48,6 +49,30 @@ class TestRunPsa:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             run_psa(_uniform_threshold_model(), 1, SeedSpec(1))
+
+    @pytest.mark.parametrize("model_name, columns", [
+        ("ades", ("Pse",)), ("ades", ("logit_qe",)), ("ades", ("log_or", "Pc")),
+        ("two_param_linear", ("response_rate",)), ("beta_binomial", ("p_success",)),
+    ])
+    def test_a_subset_equals_the_full_draw_columns(self, model_name, columns):
+        model = get_model(model_name)
+        full = run_psa(model, 70_000, SeedSpec(4))   # two chunks per column
+        subset = run_psa(model, 70_000, SeedSpec(4), columns=columns)
+        assert subset.param_names == columns
+        assert set(subset.columns) == set(columns)  # no derived columns
+        for name in columns:
+            assert np.array_equal(subset.column(name), full.column(name))
+
+    def test_a_subset_checks_the_support_of_its_columns(self, monkeypatch):
+        model = _uniform_threshold_model()
+        spec = model.priors["p_success"]
+        monkeypatch.setattr(type(spec), "sample_with", lambda self, gen, size: np.full(size, 2.0))
+        with pytest.raises(SchemaError, match="violates its prior support"):
+            run_psa(model, 10, SeedSpec(1), columns=("p_success",))
+
+    def test_unknown_subset_column_rejected(self):
+        with pytest.raises(SchemaError, match="no priors named"):
+            run_psa(get_model("ades"), 10, SeedSpec(1), columns=("Pt",))
 
 
 def _manual_ades_psa(rows: dict) -> PsaSamples:
@@ -192,6 +217,30 @@ class TestVoiKernel:
         # max(0, nan) is 0, so a NaN used to read as a value of 0.0
         with pytest.raises(ComputationError, match=r"\[voi\] 1 non-finite"):
             voi([1.0, -2.0, bad])
+
+
+class TestVoiStack:
+    """`voi_stack`: `voi(x).raw` of each sample of a stack, with each value
+    standing for as many equal values as its weight."""
+
+    def test_rows_equal_one_sample_at_a_time(self):
+        x = np.random.default_rng(2).normal(30.0, 100.0, (4, 1000))
+        np.testing.assert_allclose(voi_stack(x), [voi(row).raw for row in x],
+                                   rtol=1e-12, atol=0)
+
+    def test_weights_stand_for_repeated_values(self):
+        gen = np.random.default_rng(3)
+        x = gen.normal(-20.0, 100.0, (3, 60))
+        w = gen.integers(1, 40, 60)
+        np.testing.assert_allclose(voi_stack(x, w.astype(float)),
+                                   [voi(np.repeat(row, w)).raw for row in x],
+                                   rtol=1e-12, atol=0)
+
+    def test_out_may_be_the_sample(self):
+        x = np.random.default_rng(4).normal(0.0, 1.0, (2, 50))
+        expected = voi_stack(x)
+        assert np.array_equal(voi_stack(x, out=x), expected)
+        assert np.all(x >= 0.0)
 
 
 class TestCsvExport:

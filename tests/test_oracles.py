@@ -22,6 +22,7 @@ from evsikit.oracles import (
     nested_mc_evsi,
     regression_on_summaries_evsi,
 )
+from evsikit.regression import _resample
 from evsikit.rng import SeedSpec
 from evsikit.util import (
     BudgetExceededError,
@@ -120,6 +121,37 @@ class TestNestedMc:
         ratio = at[8000].std(ddof=1) / at[2000].std(ddof=1)
         assert 0.25 <= ratio <= 0.9
 
+    @pytest.mark.parametrize("model_name, design_name, n_outer, expected", [
+        ("ades", "study1", 60_000, (5596.949708964154, 43.6457860583425)),
+        ("ades", "study2", 20_000, (1852.4486735014116, 25.995318067240664)),
+        ("two_param_linear", "trial", 20_000, (0.0, 0.0)),
+        ("beta_binomial", "trial", 20_000, (2275.1666666666665, 20.917362216108458)),
+    ])
+    def test_fixed_seed_values_are_pinned(self, model_name, design_name, n_outer, expected):
+        # values of a build that drew every prior column: these designs'
+        # data are simulated from prior columns alone, now the only ones
+        # drawn, from the same streams
+        model = get_model(model_name)
+        result = nested_mc_evsi(model, get_design(model, design_name), n_outer,
+                                seed=SeedSpec(42))
+        assert (result.evsi, result.standard_error) == expected
+
+    def test_draws_only_the_informed_prior_columns(self, monkeypatch):
+        drawn = []
+        run = oracles.run_psa
+
+        def recording_run_psa(model, S, seed, **kwargs):
+            psa = run(model, S, seed, **kwargs)
+            drawn.append(tuple(psa.columns))
+            return psa
+
+        monkeypatch.setattr(oracles, "run_psa", recording_run_psa)
+        model = get_model("ades")
+        for name in ("study1", "study3"):
+            nested_mc_evsi(model, get_design(model, name), 1000, seed=SeedSpec(1))
+        # study3's trial counts are drawn from the derived Pt, which needs every prior
+        assert drawn == [("Pse",), ("Pc", "Pse", "log_or", "logit_qe", "Pt", "Qe")]
+
     def test_minimum_counts(self):
         model = get_model("beta_binomial")
         design = get_design(model, "trial", n=10)
@@ -193,12 +225,15 @@ class TestRegressionOnSummaries:
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                         reason="the pins hold for OpenBLAS's x86-64 Haswell kernels")
     def test_fixed_seed_values_are_pinned(self, pinned_ros):
-        # values of an earlier build, to the bit: the spline passes may be
-        # reordered for speed but must not move a single rounding
+        # the EVSI values of an earlier build, to the bit: the spline passes
+        # may be reordered for speed but must not move a single rounding of
+        # the fit.  The standard errors were recorded again when the
+        # bootstrap refits came to be summed in blocks of replicates, each
+        # within 4e-15 of the value before
         assert pinned_ros == {
-            "study1": [5615.00647301715, 123.50237786421715],     # one discrete count
-            "study2": [1941.9472265779077, 78.87440554813865],    # one continuous total
-            "study3": [4079.9832315249423, 103.95130478418113],   # two discrete counts
+            "study1": [5615.00647301715, 123.50237786421759],     # one discrete count
+            "study2": [1941.9472265779077, 78.87440554813891],    # one continuous total
+            "study3": [4079.9832315249423, 103.95130478418079],   # two discrete counts
         }
 
     def test_non_finite_summaries_rejected(self):
@@ -232,13 +267,38 @@ class TestRegressionOnSummaries:
 
 
 class TestBootstrapCounts:
+    """`_resample`: one resample of n rows, as counts of draws per design row
+    and sums of y over them."""
+
     def test_counts_sum_to_n(self):
         gen = SeedSpec(15).generator()
-        for n in (1, 7, 100_000):
-            counts = oracles._bootstrap_counts(gen, n)
-            assert counts.shape == (n,)
+        for n, n_design in ((1, 1), (7, 3), (100_000, 50), (100_000, 100_000)):
+            inverse = np.random.default_rng(n).permutation(n) % n_design
+            counts, sums = _resample(gen, inverse, n_design)
+            assert sums is None
+            assert counts.shape == (n_design,)
             assert counts.sum() == n
             assert counts.min() >= 0
+
+    def test_counts_and_sums_are_those_of_the_draws(self):
+        n, n_design = 5000, 40
+        inverse = np.arange(n) % n_design
+        y = np.random.default_rng(1).normal(size=n)
+        counts, sums = _resample(SeedSpec(16).generator(), inverse, n_design, y)
+        draws = SeedSpec(16).generator().integers(0, n, n)
+        assert np.array_equal(counts, np.bincount(inverse[draws], minlength=n_design))
+        np.testing.assert_allclose(sums, np.bincount(inverse[draws], y[draws], n_design),
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n_bootstrap", [1, 0, -5, 2.0, True, "20"])
+def test_bootstrap_count_must_be_an_integer_of_at_least_two(n_bootstrap):
+    # one replicate used to give a standard error of 0.0, a plausible number
+    model = get_model("beta_binomial")
+    psa = run_psa(model, 2000, SeedSpec(17))
+    with pytest.raises(ValueError, match="n_bootstrap must be an integer >= 2"):
+        regression_on_summaries_evsi(model, get_design(model, "trial"), psa,
+                                     n_bootstrap=n_bootstrap)
 
 
 def _nan_simulator(design: StudyDesign) -> StudyDesign:

@@ -11,7 +11,8 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from evsikit.casemodels import get_model
-from evsikit.model import InbSamples, compute_inb, run_psa, voi, voi_raw
+import evsikit.regression as regression
+from evsikit.model import InbSamples, compute_inb, run_psa, voi
 from evsikit.regression import (
     _DEGREE,
     _KNOTS,
@@ -367,7 +368,6 @@ class TestSortedPasses:
         pinned = design.fit(y, weights=weights, penalty=3.0)
         assert np.array_equal(pinned.coefficients, beta)
         assert np.array_equal(pinned.fitted, fitted[inverse])
-        assert np.array_equal(design.refit(y, weights, 3.0), pinned.fitted)
 
         gen = np.random.default_rng(9)
         lo, hi = phi.min(axis=0), phi.max(axis=0)
@@ -379,16 +379,90 @@ class TestSortedPasses:
             expected += point_values[:, k] * beta[point_first + offsets[k]]
         assert np.array_equal(pinned.evaluate(points), expected)
 
-    @pytest.mark.parametrize("d, kind", [(1, "discrete"), (1, "continuous"),
-                                         (2, "discrete"), (3, "continuous")])
-    def test_pinned_refit_replicate_equals_the_full_fit(self, d, kind):
-        phi, y = _phi_and_response(kind, d, n=8000 if d == 3 else 6000)
+
+
+def _replicates_by_full_fits(design, y, lam, gen, n_replicates):
+    """Reference for `SplineDesign.bootstrap_voi`: each replicate from a full
+    fit at the counts of its resample, `gen.integers(0, n, n)` in turn."""
+    reps = []
+    for _ in range(n_replicates):
+        w = np.bincount(gen.integers(0, y.size, y.size), minlength=y.size).astype(float)
+        reps.append(voi(design.fit(y, weights=w, penalty=lam).fitted).raw)
+    return np.array(reps)
+
+
+def _centred(phi_y):
+    """The response less its mean.  A replicate is mean(max(0, f)) -
+    max(0, mean(f)); with a response far from zero it is a small difference
+    of large means, and summing in another order moves it by their rounding.
+    Centred, the value is of the order of the response's spread."""
+    phi, y = phi_y
+    return phi, y - np.mean(y)
+
+
+class TestBootstrapReplicates:
+    """`SplineDesign.bootstrap_voi` refits blocks of bootstrap resamples at
+    once, from their counts of draws of each design row.  Its sums run in
+    another order than a fit's, so each replicate equals the full fit at its
+    resample's counts up to round-off."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_replicates_equal_full_fits(self, d, kind):
+        phi, y = _centred(_phi_and_response(kind, d, n=8000 if d == 3 else 6000))
+        design = SplineDesign(phi)
+        assert (design._values.shape[0] < y.size) == (kind == "discrete")
+        lam = design.fit(y).penalty_weight
+        got = design.bootstrap_voi(y, lam, np.random.default_rng(d), 5)
+        ref = _replicates_by_full_fits(design, y, lam, np.random.default_rng(d), 5)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d, kind", [(1, "continuous"), (1, "discrete"),
+                                         (2, "continuous"), (2, "discrete")])
+    def test_blocks_and_pieces(self, d, kind, monkeypatch):
+        """Blocks of 3 replicates for 7, and the weighted design formed for a
+        fifth of the design rows at a time, so that pieces cut cells."""
+        phi, y = _centred(_phi_and_response(kind, d, n=20000 if kind == "discrete" else 6000))
         design = SplineDesign(phi)
         lam = design.fit(y).penalty_weight
-        w = np.bincount(np.random.default_rng(d).integers(0, y.size, y.size),
-                        minlength=y.size).astype(float)
-        assert voi_raw(design.refit(y, w, lam)) == voi(
-            design.fit(y, weights=w, penalty=lam).fitted).raw
+        whole = design.bootstrap_voi(y, lam, np.random.default_rng(5), 7)
+
+        n_design, m = design._values.shape
+        p, distinct = design.n_basis, n_design == y.size
+        rows = max(2, n_design // 5)
+        assert n_design > 2 * rows
+        assert any(lo // rows != (hi - 1) // rows for lo, hi in design._cells)
+        per_replicate = 8 * (n_design * (2 - distinct) + len(design._cells) * (m + 1) * m
+                             + 2 * p * p)
+        monkeypatch.setattr(regression, "_BLOCK_BYTES", 3 * per_replicate)
+        monkeypatch.setattr(regression, "_PIECE_BYTES", 8 * 3 * (m + 1) * rows)
+        blocks = []
+        solve = regression._penalized_solve
+
+        def recording_solve(xtx, *args, **kwargs):
+            blocks.append(xtx.shape[0])
+            return solve(xtx, *args, **kwargs)
+
+        monkeypatch.setattr(regression, "_penalized_solve", recording_solve)
+        got = design.bootstrap_voi(y, lam, np.random.default_rng(5), 7)
+        assert blocks == [3, 3, 1]
+        ref = _replicates_by_full_fits(design, y, lam, np.random.default_rng(5), 7)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
+
+    def test_stacked_solve_equals_one_system_at_a_time(self):
+        gen = np.random.default_rng(3)
+        a = gen.normal(size=(5, 9, 9))
+        xtx = a @ a.transpose(0, 2, 1)
+        xty = gen.normal(size=(5, 9))
+        penalty = _tensor_penalty((9,))
+        stacked = _penalized_solve(xtx, xty, 0.5, penalty)
+        for k in range(5):
+            assert np.array_equal(stacked[k], _penalized_solve(xtx[k], xty[k], 0.5, penalty))
+        in_place = xtx.copy()
+        assert np.array_equal(_penalized_solve(in_place, xty, 0.5, penalty, overwrite=True),
+                              stacked)
+        assert not np.array_equal(in_place, xtx)
 
 
 def _plain_penalty(sizes):
