@@ -36,6 +36,19 @@ from .util import ComputationError, ConfigError, EvsiKitError
 _ENV_OUT = "EVSIKIT_OUTPUT_DIR"
 
 
+# The settings each command reads besides master_seed and output_dir, which
+# every command reads; a benchmark reads its experiment's `fields`.  The
+# parser offers a command only these flags, a run refuses any other setting
+# it is given, and a manifest records these.
+_READS = {
+    "psa": ("model", "model_params", "S"),
+    "evppi": ("model", "model_params", "design", "design_n", "S"),
+    "evsi": ("model", "model_params", "design", "design_n", "S", "Q"),
+    "nested": ("model", "model_params", "design", "design_n", "n_outer", "budget_seconds"),
+    "selftest": (),
+}
+
+
 @dataclass
 class RunConfig:
     command: str = ""
@@ -45,7 +58,6 @@ class RunConfig:
     design_n: int | None = None
     S: int = 10000
     Q: int = 30
-    M: int = 10000
     master_seed: int = 0
     output_dir: str = ""
     # command-specific
@@ -57,6 +69,15 @@ class RunConfig:
     n_outer: int = 10000
     budget_seconds: float | None = None
 
+    def reads(self) -> tuple[str, ...]:
+        """The settings the command reads besides master_seed and output_dir."""
+        if self.command != "benchmark":
+            return _READS[self.command]
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"benchmark requires an experiment name, got "
+                              f"{self.experiment!r}; available: {sorted(EXPERIMENTS)}")
+        return ("experiment", *EXPERIMENTS[self.experiment].fields)
+
     def validate(self):
         # names are looked up in the registries, which hash them
         for name in ("model", "design", "experiment"):
@@ -64,9 +85,8 @@ class RunConfig:
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
         # the floors the library enforces: run_psa takes S >= 2, the nested
-        # oracle n_outer >= 100, a seed fits 64 bits; M keeps the floor of the
-        # posterior draws that no design takes any more
-        floors = {"S": 2, "Q": 1, "M": 1000, "n_outer": 100, "master_seed": 0,
+        # oracle n_outer >= 100, a seed fits 64 bits
+        floors = {"S": 2, "Q": 1, "n_outer": 100, "master_seed": 0,
                   "replicates": 1, "design_n": 0}
         for name, least in floors.items():
             value = getattr(self, name)
@@ -79,27 +99,37 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least {least}, got {value}")
         if self.master_seed >= 2**64:
             raise ConfigError(f"master_seed must be below 2**64, got {self.master_seed}")
-        # the quadrature plan takes Q of the S PSA rows, where a command reads Q
-        reads_q = self.command == "evsi" or (
-            self.command == "benchmark" and self.experiment in EXPERIMENTS
-            and "Q" in EXPERIMENTS[self.experiment].fields)
-        if reads_q and self.Q > self.S:
+        # the quadrature plan takes Q of the S PSA rows
+        if "Q" in self.reads() and self.Q > self.S:
             raise ConfigError(f"Q must be at most S={self.S}, got {self.Q}")
-        if self.Q_values is not None:
-            if not isinstance(self.Q_values, list) or any(
-                    isinstance(q, bool) or not isinstance(q, int) for q in self.Q_values):
-                raise ConfigError(f"Q_values must be a list of integers, got {self.Q_values!r}")
-            bad = [q for q in self.Q_values if not 1 <= q <= self.S]
-            if bad:
-                raise ConfigError(f"Q_values entries must be between 1 and S={self.S}, "
-                                  f"got {bad}")
+        # list settings: (entry type, its plural, the bounds of an integer
+        # entry); a sample size may be 0, as design_n may
+        lists = {"Q_values": (int, "integers", 1, self.S),
+                 "N_values": (int, "integers", 0, None),
+                 "studies": (str, "strings", None, None)}
+        for name, (kind, plural, low, high) in lists.items():
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if not isinstance(values, list) or any(
+                    isinstance(v, bool) or not isinstance(v, kind) for v in values):
+                raise ConfigError(f"{name} must be a list of {plural}, got {values!r}")
+            if not values:
+                raise ConfigError(f"{name} must not be empty")
+            if kind is int:
+                bad = [v for v in values if v < low or (high is not None and v > high)]
+                if bad:
+                    bounds = f"at least {low}" if high is None else f"between {low} and S={high}"
+                    raise ConfigError(f"{name} entries must be {bounds}, got {bad}")
         numbers = {"budget_seconds": self.budget_seconds, **(self.model_params or {})}
         for name, value in numbers.items():
             if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The settings a manifest records: those the command reads."""
+        keys = {"command", "master_seed", "output_dir", *self.reads()}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name in keys}
 
 
 _ALLOWED_KEYS = {f.name for f in fields(RunConfig)}
@@ -229,11 +259,7 @@ def cmd_evsi(cfg: RunConfig) -> int:
     seed = SeedSpec(cfg.master_seed)
     psa = run_psa(model, cfg.S, seed.derive(0))
     inb = compute_inb(model, psa)
-    result = estimate_evsi(
-        model, design, psa,
-        EvsiOptions(Q=cfg.Q, M=cfg.M, seed=seed.derive(1)),
-        inb=inb,
-    )
+    result = estimate_evsi(model, design, psa, EvsiOptions(Q=cfg.Q, seed=seed.derive(1)), inb=inb)
     payload = result.to_json_dict()
     payload["evpi"] = evpi(inb)
     _write_json(os.path.join(out, "result.json"), payload)
@@ -282,7 +308,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     kwargs: dict = {"seed": SeedSpec(cfg.master_seed)}
     for key in experiment.fields:
         value = getattr(cfg, key)
-        if value is not None and value != []:
+        if value is not None:
             kwargs[key] = tuple(value) if isinstance(value, list) else value
 
     start = time.perf_counter()
@@ -316,7 +342,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
 
     cases = [("beta_binomial", "trial"), ("exp_gamma", "trial"), ("normal_normal", "trial"),
              ("quadratic_normal", "trial"), ("two_param_linear", "trial"), ("ades", "study1")]
-    S, Q, M = 20000, 10, 2000
+    S, Q = 20000, 10
     for i, (model_name, design_name) in enumerate(cases):
         model = get_model(model_name)
         design = get_design(model, design_name)
@@ -324,11 +350,8 @@ def cmd_selftest(cfg: RunConfig) -> int:
         psa = run_psa(model, S, case_seed.derive(0))
         inb = compute_inb(model, psa)
         evpi_val = evpi(inb)
-        result = estimate_evsi(
-            model, design, psa,
-            EvsiOptions(Q=Q, M=M, seed=case_seed.derive(1)),
-            inb=inb,
-        )
+        result = estimate_evsi(model, design, psa, EvsiOptions(Q=Q, seed=case_seed.derive(1)),
+                               inb=inb)
         # the EVPPI on the parameters g was fitted on; the EVPI when g is the INB
         evppi_val = voi(inb.inb_phi).value
         paired = np.maximum(inb.inb_phi, 0.0) - np.maximum(inb.inb_theta, 0.0)
@@ -365,7 +388,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
         case_seed = seed.derive(100 + toy.N)
         psa = run_psa(model, 50000, case_seed.derive(0))
         result = estimate_evsi(model, design, psa,
-                               EvsiOptions(Q=10, M=2000, seed=case_seed.derive(1)))
+                               EvsiOptions(Q=10, seed=case_seed.derive(1)))
         oracle = analytic_preposterior(toy)
         tol = max(0.04 * oracle.evsi, 4.0 * result.evsi_se)
         agree = abs(result.evsi - oracle.evsi) <= tol
@@ -378,8 +401,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
     dir_a = os.path.join(out, "rerun_a")
     dir_b = os.path.join(out, "rerun_b")
     first = RunConfig(command="evsi", model="normal_normal", design="trial",
-                      S=5000, Q=5, M=1000,
-                      master_seed=cfg.master_seed, output_dir=dir_a)
+                      S=5000, Q=5, master_seed=cfg.master_seed, output_dir=dir_a)
     first.validate()
     cmd_evsi(first)
     rerun_code = main(
@@ -402,13 +424,14 @@ def cmd_selftest(cfg: RunConfig) -> int:
     return 0 if ok else 3
 
 
+# each command's function and help text
 _COMMANDS = {
-    "psa": cmd_psa,
-    "evppi": cmd_evppi,
-    "evsi": cmd_evsi,
-    "nested": cmd_nested,
-    "benchmark": cmd_benchmark,
-    "selftest": cmd_selftest,
+    "psa": (cmd_psa, "generate PSA draws and summarise"),
+    "evppi": (cmd_evppi, "partial perfect information value"),
+    "evsi": (cmd_evsi, "moment-matching EVSI run"),
+    "nested": (cmd_nested, "nested Monte Carlo oracle"),
+    "benchmark": (cmd_benchmark, "run a named experiment"),
+    "selftest": (cmd_selftest, "fast acceptance subset for CI"),
 }
 
 
@@ -433,55 +456,49 @@ def _parse_param(tokens) -> dict:
     return params
 
 
+# each setting's flag and its argparse options
+_FLAGS = {
+    "model": ("--model", {}),
+    "model_params": ("--param", {"action": "append", "metavar": "NAME=VALUE",
+                                 "help": "model parameter override, repeatable"}),
+    "design": ("--design", {}),
+    "design_n": ("--N", {"type": int, "help": "future-study sample size override"}),
+    "S": ("--S", {"type": int}),
+    "Q": ("--Q", {"type": int}),
+    "n_outer": ("--n-outer", {"type": int}),
+    "budget_seconds": ("--budget-seconds", {"type": float}),
+    "replicates": ("--replicates", {"type": int}),
+    "Q_values": ("--Q-values", {"type": _int_list}),
+    "N_values": ("--N-values", {"type": _int_list}),
+    "studies": ("--studies", {"type": lambda s: s.split(",")}),
+    "master_seed": ("--seed", {"type": int}),
+    "output_dir": ("--out", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a flag for each setting it can read."""
     parser = argparse.ArgumentParser(
         prog="evsikit",
         description="Expected value of sample information via moment matching",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_design=True):
-        p.add_argument("--config", help="JSON config file (strict schema)")
-        p.add_argument("--from-manifest", help="re-run the configuration in a manifest")
-        p.add_argument("--model")
-        p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                       help="model parameter override, repeatable")
-        if with_design:
-            p.add_argument("--design")
-            p.add_argument("--N", type=int, dest="design_n",
-                           help="future-study sample size override")
-        p.add_argument("--S", type=int)
-        p.add_argument("--Q", type=int)
-        p.add_argument("--M", type=int,
-                       help="read by no registered design: every posterior is a "
-                            "Gauss-Hermite rule; kept in manifests and result.json")
-        p.add_argument("--seed", type=int, dest="master_seed")
-        p.add_argument("--out", dest="output_dir")
-
-    add_common(sub.add_parser("psa", help="generate PSA draws and summarise"),
-               with_design=False)
-    add_common(sub.add_parser("evppi", help="partial perfect information value"))
-    add_common(sub.add_parser("evsi", help="moment-matching EVSI run"))
-
-    nested = sub.add_parser("nested", help="nested Monte Carlo oracle")
-    add_common(nested)
-    nested.add_argument("--n-outer", type=int, dest="n_outer")
-    nested.add_argument("--budget-seconds", type=float, dest="budget_seconds")
-
-    bench = sub.add_parser("benchmark", help="run a named experiment")
-    bench.add_argument("experiment", nargs="?")
-    add_common(bench)
-    bench.add_argument("--replicates", type=int)
-    bench.add_argument("--Q-values", type=_int_list, dest="Q_values")
-    bench.add_argument("--N-values", type=_int_list, dest="N_values")
-    bench.add_argument("--studies", type=lambda s: s.split(","), dest="studies")
-    bench.add_argument("--n-outer", type=int, dest="n_outer")
-
-    self_p = sub.add_parser("selftest", help="fast acceptance subset for CI")
-    self_p.add_argument("--seed", type=int, dest="master_seed")
-    self_p.add_argument("--out", dest="output_dir")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        # no abbreviations: "--N" would stand for the benchmark's "--N-values"
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        if command == "benchmark":
+            p.add_argument("experiment", nargs="?")
+            # every experiment's fields; the run refuses those its experiment leaves
+            settings = dict.fromkeys(k for e in EXPERIMENTS.values() for k in e.fields)
+        else:
+            settings = _READS[command]
+        if command != "selftest":
+            p.add_argument("--config", help="JSON config file (strict schema)")
+            p.add_argument("--from-manifest", help="re-run the configuration in a manifest")
+        for key in (*settings, "master_seed", "output_dir"):
+            flag, options = _FLAGS[key]
+            p.add_argument(flag, dest=key, **options)
     return parser
 
 
@@ -492,18 +509,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             manifest = json.load(fh)
         data.update(manifest["config"])
         data["command"] = manifest["command"]
-    else:
-        data["command"] = args.command
     if getattr(args, "config", None):
         data.update(load_config_file(args.config))
+    # a manifest or config file of another command would run that command
+    if data.setdefault("command", args.command) != args.command:
+        raise ConfigError(f"the configuration is for {data['command']!r}, not {args.command!r}")
 
     for key in _ALLOWED_KEYS - {"command", "model_params"}:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    if getattr(args, "param", None):
+    if getattr(args, "model_params", None):
         merged = dict(data.get("model_params") or {})
-        merged.update(_parse_param(args.param))
+        merged.update(_parse_param(args.model_params))
         data["model_params"] = merged
 
     unknown = set(data) - _ALLOWED_KEYS
@@ -511,26 +529,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     cfg = RunConfig(**data)
     cfg.validate()
+    # a setting given by flag, config file or manifest that the command leaves unread
+    unread = sorted(set(data) - set(cfg.as_dict()))
+    if unread:
+        who = cfg.experiment if cfg.command == "benchmark" else cfg.command
+        reads = sorted({"master_seed", "output_dir", *cfg.reads()})
+        raise ConfigError(f"{who} does not read {unread}; it reads {reads}")
     return cfg
-
-
-# benchmark settings that every experiment uses
-_BENCHMARK_KEYS = {"command", "experiment", "master_seed", "output_dir"}
-
-
-def _check_benchmark_flags(args: argparse.Namespace, cfg: RunConfig):
-    """Refuse a benchmark flag the chosen experiment would ignore."""
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"benchmark requires an experiment name, got "
-                          f"{cfg.experiment!r}; available: {sorted(EXPERIMENTS)}")
-    taken = _BENCHMARK_KEYS | set(EXPERIMENTS[cfg.experiment].fields)
-    given = {key for key in _ALLOWED_KEYS if getattr(args, key, None) is not None}
-    if getattr(args, "param", None):
-        given.add("model_params")
-    unused = sorted(given - taken)
-    if unused:
-        raise ConfigError(f"experiment {cfg.experiment!r} does not use {unused}; it takes "
-                          f"{list(EXPERIMENTS[cfg.experiment].fields)}")
 
 
 def main(argv=None) -> int:
@@ -538,11 +543,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if cfg.command == "benchmark":
-            _check_benchmark_flags(args, cfg)
-        if cfg.command in ("psa", "evppi", "evsi", "nested") and not cfg.model:
+        if "model" in cfg.reads() and not cfg.model:
             raise ConfigError(f"{cfg.command} requires --model; registered: {list_models()}")
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,7 @@ def _rescaled_evsi(sigma2: float, inb) -> float:
     return voi(a * inb.inb_theta + b).value
 
 
-def _quadratic_sweep(Q_values, replicates: int, seed: SeedSpec, S: int, M: int):
+def _quadratic_sweep(Q_values, replicates: int, seed: SeedSpec, S: int):
     """Yield (replicate, Q, INB sample, variance estimate) on the quadratic-INB model.
 
     Per replicate one PSA sample is drawn and reused across all Q values.
@@ -64,7 +64,7 @@ def _quadratic_sweep(Q_values, replicates: int, seed: SeedSpec, S: int, M: int):
         inb = compute_inb(model, psa)
         for qi, Q in enumerate(Q_values):
             plan = build_plan(psa, design.informed_params, Q, rep_seed.derive(1 + qi))
-            yield r, Q, inb, expected_posterior_variance(plan, design, model, M, inb=inb)
+            yield r, Q, inb, expected_posterior_variance(plan, design, model, inb=inb)
 
 
 def replicate_table1(
@@ -72,7 +72,6 @@ def replicate_table1(
     replicates: int = 50,
     seed: SeedSpec = SeedSpec(0),
     S: int = 10000,
-    M: int = 1000,
 ) -> dict:
     """Quadrature-count bias table on the quadratic-INB model.
 
@@ -81,7 +80,7 @@ def replicate_table1(
     model = build_quadratic_normal()
     exact = quadratic_exact_evsi(model, get_design(model, "trial").sample_size)
     rows = [_row("table1", Q, r, _rescaled_evsi(ve.sigma2, inb), exact, 0.0)
-            for r, Q, inb, ve in _quadratic_sweep(Q_values, replicates, seed, S, M)]
+            for r, Q, inb, ve in _quadratic_sweep(Q_values, replicates, seed, S)]
     summary = []
     for Q in Q_values:
         mean, sd = _mean_sd([row["estimate"] for row in rows if row["parameter"] == Q])
@@ -126,11 +125,10 @@ def variance_convergence(
     replicates: int = 100,
     seed: SeedSpec = SeedSpec(0),
     S: int = 10000,
-    M: int = 1000,
 ) -> dict:
     """Mean and spread of the preposterior-variance estimate per Q."""
     rows = [_row("variance_convergence", Q, r, ve.sigma2, float("nan"), 0.0)
-            for r, Q, _, ve in _quadratic_sweep(Q_values, replicates, seed, S, M)]
+            for r, Q, _, ve in _quadratic_sweep(Q_values, replicates, seed, S)]
     summary = []
     for Q in Q_values:
         mean, sd = _mean_sd([row["estimate"] for row in rows if row["parameter"] == Q])
@@ -142,7 +140,6 @@ def ades_crosscheck(
     studies=("study1", "study2", "study3", "study4"),
     S: int = 100000,
     Q: int = 30,
-    M: int = 10000,
     n_outer: int = 5000,
     seed: SeedSpec = SeedSpec(0),
 ) -> dict:
@@ -154,10 +151,7 @@ def ades_crosscheck(
     for si, study in enumerate(studies):
         design = get_design(model, study)
         run_seed = seed.derive(10 + si)
-        mm = estimate_evsi(
-            model, design, psa,
-            EvsiOptions(Q=Q, M=M, seed=run_seed.derive(0)),
-        )
+        mm = estimate_evsi(model, design, psa, EvsiOptions(Q=Q, seed=run_seed.derive(0)))
         ros = regression_on_summaries_evsi(model, design, psa, seed=run_seed.derive(1))
         nested = nested_mc_evsi(model, design, n_outer, seed=run_seed.derive(2))
         for method, est, se in (
@@ -191,7 +185,7 @@ class Experiment(NamedTuple):
     fields: tuple[str, ...]
 
 
-_SWEEP_FIELDS = ("S", "M", "Q_values", "replicates")
+_SWEEP_FIELDS = ("S", "Q_values", "replicates")
 _BIAS_FIELDS = ("S", "N_values", "replicates")
 
 EXPERIMENTS = {
@@ -203,6 +197,5 @@ EXPERIMENTS = {
         partial(bias_sweep, ConjugateToy("exp_gamma", 5), N_values=(5, 10, 20, 50)),
         _BIAS_FIELDS),
     "variance_convergence": Experiment(variance_convergence, _SWEEP_FIELDS),
-    "ades_crosscheck": Experiment(
-        ades_crosscheck, ("S", "Q", "M", "n_outer", "studies")),
+    "ades_crosscheck": Experiment(ades_crosscheck, ("S", "Q", "n_outer", "studies")),
 }

@@ -225,7 +225,7 @@ def voi(x) -> Voi:
     raw, grand, positive = _voi_terms(x)
     raw, grand = float(raw), float(grand)
     integrand = positive - x if grand > 0 else positive
-    se = float(np.std(integrand, ddof=1)) / np.sqrt(x.size) if x.size > 1 else float("nan")
+    se = float(np.std(integrand, ddof=1) / np.sqrt(x.size)) if x.size > 1 else float("nan")
     return Voi(max(0.0, raw), se, raw)
 
 

@@ -33,8 +33,12 @@ _PLAN_SUB = 11
 class EvsiOptions:
     Q: int = 30
     # M and burn_in are read by nothing: every design's posterior is a
-    # quadrature rule; M is still recorded in result.json's config, and the
-    # benchmark's workloads still pass both
+    # quadrature rule.  They stay while the benchmark uses them, as do
+    # nested_mc_evsi's n_inner and inner_burn_in, MomentMatchResult.a_clamped,
+    # posterior.metropolis_ensemble and the four conjugate `draw` methods:
+    # evsibench/workloads.py:25-27 (M, burn_in) and :203 (n_inner,
+    # inner_burn_in), evsibench/checks.py:58 (a_clamped) and the TARGETS of
+    # evsibench/tracing.py (the sampler and the draws)
     M: int = 10000
     burn_in: int = 1000
     seed: SeedSpec = SeedSpec(0)
@@ -205,8 +209,7 @@ def estimate_evsi(
 
     try:
         plan = build_plan(psa, design.informed_params, opts.Q, seed.derive(_PLAN_SUB))
-        ve = expected_posterior_variance(plan, design, model, opts.M, inb=inb,
-                                         fit=inb.phi_fit)
+        ve = expected_posterior_variance(plan, design, model, inb=inb, fit=inb.phi_fit)
     except ComputationError:
         raise
     except Exception as exc:
@@ -237,7 +240,6 @@ def estimate_evsi(
             "design": design.name,
             "S": psa.n_draws,
             "Q": opts.Q,
-            "M": opts.M,
             "seed": seed.as_dict(),
             "psa_seed": psa.seed.as_dict(),
             "quadrature_spacing": plan.spacing,

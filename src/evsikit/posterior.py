@@ -206,10 +206,6 @@ class NullUpdate:
     prior: object
     nodes: int = RULE_NODES
 
-    def exact_means(self, dataset) -> np.ndarray:
-        k = len(next(iter(dataset.values())))
-        return np.full(k, self.prior.mean())
-
     def nodes_and_weights(self, dataset, stage: str):
         """The rule of the prior's family, the same for every dataset; a
         uniform prior is lo + (hi - lo) Beta(1, 1)."""

@@ -23,7 +23,7 @@ Gauss-Hermite rule (Naylor & Smith, Applied Statistics 1982): 24 nodes on
 the exact posterior of a conjugate design, in its logit, log or plain frame,
 and 24 x 24 nodes on the ades two-arm trial's posterior.  All Q rules run at
 once, g is evaluated once at every node, and each point's variance of g is a
-weighted sum, with no draws, M or posterior seed.  A point's result equals
+weighted sum, with no draws and no posterior seed.  A point's result equals
 that of `run_posterior` called point by point.
 """
 
@@ -167,13 +167,13 @@ def _stable_order_at(scores: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return rows
 
 
-def run_posterior(design, dataset, model: DecisionModel, M: int, seed: SeedSpec,
+def run_posterior(design, dataset, model: DecisionModel,
                   fit: RegressionFit | None = None) -> PosteriorRun:
     """One posterior for one simulated dataset, plus the variance of g under it.
 
     This is the one-dataset case of the batch that `expected_posterior_variance`
     runs over all quadrature points, and gives the same result as that batch
-    gives for this dataset and `fit`.  No recipe reads `M` or `seed`.
+    gives for this dataset and `fit`.
     """
     return _run_posteriors(design, [dataset], model, fit)[0]
 
@@ -233,15 +233,14 @@ def expected_posterior_variance(
     plan: QuadraturePlan,
     design,
     model: DecisionModel,
-    M: int,
     inb: InbSamples | None = None,
     fit: RegressionFit | None = None,
 ) -> VarianceEstimate:
     """Average the posterior variance of g over the quadrature plan.
 
     g is `fit`, the fitted conditional mean of the INB on the design's
-    informed parameters, or the INB itself when `fit` is None.  No recipe
-    reads `M`; `posterior_method` records the rule and its node count.
+    informed parameters, or the INB itself when `fit` is None.
+    `posterior_method` records the rule and its node count.
     """
     if fit is not None:
         prior_var = float(np.var(fit.fitted, ddof=1))

@@ -48,7 +48,7 @@ def test_criterion_1_normal_normal_exactness():
                 seed = SeedSpec(1).derive(i0 * 100 + i1 * 10 + i2)
                 psa = run_psa(model, 100000, seed.derive(0))
                 result = estimate_evsi(model, design, psa,
-                                       EvsiOptions(Q=10, M=10000, seed=seed.derive(1)))
+                                       EvsiOptions(Q=10, seed=seed.derive(1)))
                 oracle = analytic_preposterior(
                     ConjugateToy("normal_normal", n,
                                  params={"theta0": theta0, "k": k, "c": c})
@@ -122,7 +122,7 @@ def test_criterion_4_table1_replication():
     """
     start = time.perf_counter()
     table = replicate_table1(Q_values=(1, 10, 30, 100), replicates=50,
-                             seed=SeedSpec(1), S=10000, M=1000)
+                             seed=SeedSpec(1), S=10000)
     exact = quadratic_exact_evsi(get_model("quadratic_normal"), 10)
     by_q = {row["Q"]: row for row in table["summary"]}
     bias = {q: by_q[q]["bias"] for q in (1, 10, 30, 100)}
@@ -159,7 +159,7 @@ def test_criterion_5_variance_convergence():
     """Mean preposterior-variance estimate at Q=50 brackets the reference."""
     start = time.perf_counter()
     result = variance_convergence(Q_values=(50,), replicates=100,
-                                  seed=SeedSpec(5), S=10000, M=1000)
+                                  seed=SeedSpec(5), S=10000)
     row = result["summary"][0]
     reference = 35.20
     within = abs(row["mean_sigma2"] - reference) <= row["sd_sigma2"]
@@ -175,7 +175,7 @@ def test_criterion_5_variance_convergence():
 def test_criterion_6_ades_crosscheck():
     """Three estimators agree on every study of the decision-tree model."""
     start = time.perf_counter()
-    result = ades_crosscheck(S=100000, Q=30, M=10000, n_outer=5000, seed=SeedSpec(6))
+    result = ades_crosscheck(S=100000, Q=30, n_outer=5000, seed=SeedSpec(6))
     failures = []
     details = []
     for row in result["summary"]:

@@ -1,5 +1,6 @@
 """Command-line interface: file outputs, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -9,7 +10,7 @@ import pytest
 
 import evsikit.cli as cli
 from evsikit import casemodels
-from evsikit.cli import RunConfig, _write_csv, _write_json, main
+from evsikit.cli import RunConfig, _write_csv, _write_json, build_parser, main
 from evsikit.experiments import EXPERIMENTS
 from evsikit.casemodels import ConjugateToy, PreposteriorSummary, analytic_preposterior
 from evsikit.posterior import NormalNormalUpdate
@@ -51,8 +52,7 @@ class TestEvsiCommand:
     def test_ades_study1_outputs(self, tmp_path):
         out = tmp_path / "run"
         code = main(["evsi", "--model", "ades", "--design", "study1",
-                     "--S", "20000", "--Q", "10", "--M", "2000",
-                     "--seed", "1", "--out", str(out)])
+                     "--S", "20000", "--Q", "10", "--seed", "1", "--out", str(out)])
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["evsi"] >= 0.0
@@ -61,7 +61,7 @@ class TestEvsiCommand:
         assert per_point[0] == "q,Pse,dataset,posterior_variance"
         assert len(per_point) == 11
         assert all(len(line.split(",")) == 4 for line in per_point[1:])
-        # a conjugate design takes a Gauss-Hermite rule too, and reads no M
+        # a conjugate design takes a Gauss-Hermite rule too
         assert result["posterior_method"] == {"method": "gauss_hermite", "k": 24}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evsi"
@@ -82,7 +82,7 @@ class TestEvsiCommand:
         out = tmp_path / "run"
         code = main(["evsi", "--model", "normal_normal", "--N", "9",
                      "--param", "k=10000", "--S", "50000", "--Q", "10",
-                     "--M", "5000", "--seed", "2", "--out", str(out)])
+                     "--seed", "2", "--out", str(out)])
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         oracle = analytic_preposterior(ConjugateToy("normal_normal", 9)).evsi
@@ -97,7 +97,7 @@ class TestEvsiCommand:
     def test_empty_study_of_a_mean_summary_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(["evsi", "--model", "normal_normal", "--N", "0", "--S", "2000",
-                     "--Q", "5", "--M", "1000", "--out", str(out)])
+                     "--Q", "5", "--out", str(out)])
         assert code == 2
         assert "sample size of at least 1, got 0" in capsys.readouterr().err
         assert not (out / "per_point.csv").exists()
@@ -113,18 +113,17 @@ class TestEvsiCommand:
 
         monkeypatch.setattr(NormalNormalUpdate, "nodes_and_weights", nodes_and_weights)
         code = main(["evsi", "--model", "normal_normal", "--S", "2000", "--Q", "5",
-                     "--M", "1000", "--out", str(tmp_path / "x")])
+                     "--out", str(tmp_path / "x")])
         assert code == 3
         assert "[posterior] 1 non-finite value(s) of effect at quadrature point 1/5" \
             in capsys.readouterr().err
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         for name, args in [
-            ("normal_normal", ["--model", "normal_normal", "--S", "5000", "--Q", "5",
-                               "--M", "1000"]),
+            ("normal_normal", ["--model", "normal_normal", "--S", "5000", "--Q", "5"]),
             # the two-arm trial's quadrature path
             ("ades_study4", ["--model", "ades", "--design", "study4", "--S", "20000",
-                             "--Q", "5", "--M", "1500"]),
+                             "--Q", "5"]),
         ]:
             a, b = tmp_path / name / "a", tmp_path / name / "b"
             assert main(["evsi", *args, "--seed", "3", "--out", str(a)]) == 0
@@ -139,7 +138,7 @@ class TestEvsiCommand:
         # conditional-INB variance and exited 3 with a [constants] error
         out = tmp_path / "run"
         code = main(["evsi", "--model", "ades", "--design", "study2", "--S", "100000",
-                     "--Q", "30", "--M", "10000", "--seed", str(seed), "--out", str(out)])
+                     "--Q", "30", "--seed", str(seed), "--out", str(out)])
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["sigma2_from"] == "fitted_mean"
@@ -179,7 +178,7 @@ class TestEvppiCommand:
         assert main(["evppi", "--model", "two_param_linear", "--S", "5000",
                      "--seed", "4", "--out", str(tmp_path / "a")]) == 0
         assert main(["evsi", "--model", "two_param_linear", "--S", "5000", "--Q", "5",
-                     "--M", "1000", "--seed", "4", "--out", str(tmp_path / "b")]) == 0
+                     "--seed", "4", "--out", str(tmp_path / "b")]) == 0
         for path in (tmp_path / "a" / "evppi.json", tmp_path / "b" / "result.json"):
             fit = json.loads(path.read_text())["fit"]
             assert 2.0 < fit["edf"] < 14.0
@@ -258,7 +257,7 @@ class TestBenchmarkCommand:
 
     def test_variance_convergence_rerun_identical(self, tmp_path):
         args = ["benchmark", "variance_convergence", "--replicates", "3",
-                "--Q-values", "1,5", "--S", "2000", "--M", "1000", "--seed", "6"]
+                "--Q-values", "1,5", "--S", "2000", "--seed", "6"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
@@ -271,8 +270,8 @@ class TestBenchmarkCommand:
     def test_crosscheck_single_study_smoke(self, tmp_path):
         out = tmp_path / "run"
         code = main(["benchmark", "ades_crosscheck", "--studies", "study1",
-                     "--S", "4000", "--Q", "5", "--M", "2000",
-                     "--n-outer", "500", "--seed", "8", "--out", str(out)])
+                     "--S", "4000", "--Q", "5", "--n-outer", "500", "--seed", "8",
+                     "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "ades_crosscheck_summary.json").read_text())
         assert summary[0]["study"] == "study1"
@@ -281,8 +280,7 @@ class TestBenchmarkCommand:
     def test_table1_column_set(self, tmp_path):
         out = tmp_path / "run"
         code = main(["benchmark", "table1", "--replicates", "2",
-                     "--Q-values", "1,3", "--S", "2000", "--M", "1000",
-                     "--seed", "7", "--out", str(out)])
+                     "--Q-values", "1,3", "--S", "2000", "--seed", "7", "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "table1_summary.json").read_text())
         assert [row["Q"] for row in summary] == [1, 3]
@@ -318,15 +316,26 @@ class TestBenchmarkCommand:
 
     def test_flag_the_experiment_takes_runs(self, tmp_path):
         out = tmp_path / "run"
-        code = main(["benchmark", "table1", "--M", "1000", "--replicates", "1",
+        code = main(["benchmark", "table1", "--replicates", "1",
                      "--Q-values", "1", "--S", "2000", "--seed", "7", "--out", str(out)])
         assert code == 0
-        assert json.loads((out / "manifest.json").read_text())["config"]["M"] == 1000
+        # the manifest records the settings the experiment reads, and no M
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["S"] == 2000 and "M" not in config
+        assert set(config) == {"command", "experiment", "S", "Q_values", "replicates",
+                               "master_seed", "output_dir"}
+
+    def test_retired_m_flag_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "table1", "--M", "1000", "--replicates", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --M 1000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_with_a_dropped_key_rejected(self, tmp_path, capsys):
         # manifests of older versions can still carry these keys
-        study2 = {"model": "ades", "design": "study2", "S": 5000, "Q": 5, "M": 1000,
-                  "master_seed": 1}
+        study2 = {"model": "ades", "design": "study2", "S": 5000, "Q": 5, "master_seed": 1}
         nested = {"model": "ades", "design": "study3", "n_outer": 2000, "master_seed": 0}
         for command, config, key in (
                 ("benchmark", {"experiment": "table1", "oracle_n_outer": 100000},
@@ -334,6 +343,8 @@ class TestBenchmarkCommand:
                 ("evsi", {**study2, "obs_var": 2.0}, "obs_var"),
                 ("psa", {"model": "ades", "S": 100, "workers": 2}, "workers"),
                 ("evsi", {**study2, "burn_in": 0}, "burn_in"),
+                ("evsi", {**study2, "M": 1000}, "M"),
+                ("benchmark", {"experiment": "table1", "M": 1000}, "M"),
                 ("nested", {**nested, "n_inner": 2000}, "n_inner"),
                 ("nested", {**nested, "inner_burn_in": 500}, "inner_burn_in")):
             manifest = tmp_path / f"{command}_manifest.json"
@@ -342,6 +353,23 @@ class TestBenchmarkCommand:
                          "--out", str(tmp_path / "x")])
             assert code == 2
             assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_flag_is_a_setting_the_command_reads(command):
+    flags = {a.dest for a in _subparsers()[command]._actions
+             if a.dest not in ("help", "config", "from_manifest", "experiment")}
+    if command == "benchmark":
+        reads = {k for e in EXPERIMENTS.values() for k in e.fields}
+    else:
+        reads = set(RunConfig(command=command).reads())
+    assert flags == reads | {"master_seed", "output_dir"}
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -397,9 +425,8 @@ class TestConfigHandling:
         (["psa", "--S", "1"], None, "S must be at least 2, got 1"),
         (["psa"], {"model": "beta_binomial", "S": None}, "S must be an integer, got None"),
         (["psa", "--seed", str(2**64)], None, f"master_seed must be below 2**64, got {2**64}"),
-        (["evsi", "--S", "5000", "--M", "500"], None, "M must be at least 1000, got 500"),
         (["evsi", "--S", "50", "--Q", "60"], None, "Q must be at most S=50, got 60"),
-    ], ids=["S=1", "S=null", "seed=2**64", "M=500", "Q>S"])
+    ], ids=["S=1", "S=null", "seed=2**64", "Q>S"])
     def test_counts_the_library_refuses_are_config_errors(self, tmp_path, capsys, argv,
                                                           config, message):
         # each used to end in a traceback (exit 1) or a computation error (exit 3)
@@ -451,7 +478,9 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command, flag", [("psa", "--burn-in"), ("evsi", "--burn-in"),
                                                ("nested", "--n-inner"),
-                                               ("nested", "--inner-burn-in")])
+                                               ("nested", "--inner-burn-in"),
+                                               ("psa", "--M"), ("evsi", "--M"),
+                                               ("nested", "--M")])
     def test_retired_chain_flags_are_refused(self, tmp_path, capsys, command, flag):
         out = tmp_path / "x"
         with pytest.raises(SystemExit) as exc:
@@ -475,6 +504,104 @@ class TestConfigHandling:
         assert code == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["benchmark", "beta_binomial_bias", "--N-values=-1"], None,
+         "N_values entries must be at least 0, got [-1]"),
+        (["benchmark", "beta_binomial_bias"], {"N_values": [2.5]},
+         "N_values must be a list of integers, got [2.5]"),
+        (["benchmark", "ades_crosscheck"], {"studies": "study1"},
+         "studies must be a list of strings, got 'study1'"),
+        (["benchmark", "ades_crosscheck"], {"studies": ["study1", 3]},
+         "studies must be a list of strings, got ['study1', 3]"),
+        (["benchmark", "table1", "--Q-values", ","], None, "Q_values must not be empty"),
+        (["benchmark", "exp_gamma_bias"], {"N_values": []}, "N_values must not be empty"),
+    ], ids=["N-negative", "N-float", "studies-string", "studies-int", "Q-empty", "N-empty"])
+    def test_list_settings_are_checked(self, tmp_path, capsys, argv, config, message):
+        # a negative N ended in a ValueError traceback (exit 1), N=2.5 ran to a
+        # fractional-sample "oracle", a string was iterated one letter at a
+        # time, and an empty list ran the experiment's defaults
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "x"
+        code = main([*argv, "--replicates", "1", "--S", "200", "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_sample_size_in_a_bias_sweep_runs(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["benchmark", "beta_binomial_bias", "--N-values", "0,5", "--replicates", "1",
+                     "--S", "200", "--out", str(out)]) == 0
+        summary = json.loads((out / "beta_binomial_bias_summary.json").read_text())
+        assert [row["N"] for row in summary] == [0, 5]
+        assert summary[0]["oracle"] == 0.0
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["nested", "--model", "beta_binomial", "--n-outer", "200", "--S", "7", "--Q", "3"],
+         "--S 7 --Q 3"),
+        (["psa", "--model", "beta_binomial", "--Q", "3"], "--Q 3"),
+        (["evppi", "--model", "beta_binomial", "--Q", "3"], "--Q 3"),
+        (["benchmark", "exp_gamma_bias", "--N", "5"], "--N 5"),
+    ], ids=["nested-S-Q", "psa-Q", "evppi-Q", "benchmark-N"])
+    def test_flags_the_command_does_not_read_are_refused(self, tmp_path, capsys, argv, unread):
+        # the first three ran and recorded the unread values in their manifests
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, unread", [
+        (["nested"], {"model": "beta_binomial", "n_outer": 200, "S": 7, "Q": 3}, ["Q", "S"]),
+        (["psa"], {"model": "beta_binomial", "design": "trial"}, ["design"]),
+        (["benchmark", "table1"], {"Q": 5, "replicates": 1}, ["Q"]),
+    ], ids=["nested", "psa", "benchmark"])
+    def test_config_keys_the_command_does_not_read_are_refused(self, tmp_path, capsys,
+                                                                command, config, unread):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"does not read {unread}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["psa", "--model", "ades", "--S", "100"],
+        ["evppi", "--model", "beta_binomial", "--S", "500"],
+        ["nested", "--model", "beta_binomial", "--n-outer", "200"],
+        ["benchmark", "exp_gamma_bias", "--N-values", "5", "--replicates", "1", "--S", "200"],
+    ], ids=["psa", "evppi", "nested", "benchmark"])
+    def test_manifest_records_the_settings_the_command_reads(self, tmp_path, argv):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--seed", "2", "--out", str(a)]) == 0
+        manifest = json.loads((a / "manifest.json").read_text())
+        cfg = RunConfig(**manifest["config"])
+        assert set(manifest["config"]) == {"command", "master_seed", "output_dir", *cfg.reads()}
+        # and reruns
+        assert main([argv[0], "--from-manifest", str(a / "manifest.json"),
+                     "--out", str(b)]) == 0
+
+    @pytest.mark.parametrize("flag, text, other", [
+        ("--from-manifest", {"command": "nested", "config": {"model": "beta_binomial"}},
+         "nested"),
+        ("--from-manifest", {"command": "foo", "config": {}}, "foo"),
+        ("--config", {"command": "nested", "model": "beta_binomial"}, "nested"),
+    ], ids=["manifest", "manifest-unknown", "config"])
+    def test_configuration_of_another_command_rejected(self, tmp_path, capsys, flag, text,
+                                                       other):
+        # psa ran the nested oracle, or ended in a KeyError traceback (exit 1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(text))
+        out = tmp_path / "x"
+        code = main(["psa", flag, str(path), "--out", str(out)])
+        assert code == 2
+        assert f"error: the configuration is for {other!r}, not 'psa'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EVSIKIT_OUTPUT_DIR", str(tmp_path / "envout"))
         code = main(["psa", "--model", "beta_binomial", "--S", "10", "--seed", "1"])
@@ -483,7 +610,7 @@ class TestConfigHandling:
 
 
 class TestNumericInputs:
-    _EVSI = ["evsi", "--S", "5000", "--Q", "5", "--M", "1000", "--seed", "3"]
+    _EVSI = ["evsi", "--S", "5000", "--Q", "5", "--seed", "3"]
 
     def test_obs_var_on_a_design_without_one_is_config_error(self, tmp_path, capsys):
         code = main([*self._EVSI, "--model", "normal_normal", "--param", "logit_qe_obs_var=50",

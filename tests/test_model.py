@@ -206,6 +206,12 @@ class TestVoiKernel:
         integrand = np.maximum(x, 0.0) - x if float(np.mean(x)) > 0 else np.maximum(x, 0.0)
         assert voi(x).se == float(np.std(integrand, ddof=1)) / np.sqrt(x.size)
 
+    @pytest.mark.parametrize("x", [[1.0, -2.0, 3.0], [-4.0, 1.0], [2.0],
+                                   np.array([0.5, -1.5], dtype=np.float32)])
+    def test_fields_are_python_floats(self, x):
+        # se was a numpy scalar, which reprs as np.float64(...)
+        assert [type(v) for v in voi(x)] == [float, float, float]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             voi(np.array([]))

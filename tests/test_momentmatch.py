@@ -130,8 +130,7 @@ class TestEstimateEvsi:
         model = get_model("normal_normal", k=10000.0)
         design = get_design(model, "trial", n=9)
         psa = run_psa(model, 100000, SeedSpec(20))
-        result = estimate_evsi(model, design, psa, EvsiOptions(Q=10, M=10000,
-                                                               seed=SeedSpec(21)))
+        result = estimate_evsi(model, design, psa, EvsiOptions(Q=10, seed=SeedSpec(21)))
         oracle = analytic_preposterior(ConjugateToy("normal_normal", 9))
         tol = max(0.01 * oracle.evsi, 3 * result.evsi_se)
         assert abs(result.evsi - oracle.evsi) <= tol
@@ -143,7 +142,7 @@ class TestEstimateEvsi:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # small discrete study advisory
             result = estimate_evsi(model, design, psa,
-                                   EvsiOptions(Q=30, M=5000, seed=SeedSpec(23)))
+                                   EvsiOptions(Q=30, seed=SeedSpec(23)))
         oracle = analytic_preposterior(ConjugateToy("beta_binomial_uniform", 10))
         assert abs(result.evsi - oracle.evsi) <= 0.02 * oracle.evsi
 
@@ -152,7 +151,7 @@ class TestEstimateEvsi:
         design = get_design(model, "trial")
         psa = run_psa(model, 10000, SeedSpec(24))
         result = estimate_evsi(model, design, psa,
-                               EvsiOptions(Q=30, M=1000, seed=SeedSpec(25)))
+                               EvsiOptions(Q=30, seed=SeedSpec(25)))
         assert 1.9 <= result.evsi <= 2.25
         assert result.evsi >= 0.9 * quadratic_exact_evsi(model, 10)
 
@@ -161,7 +160,7 @@ class TestEstimateEvsi:
         design = get_design(model, "trial", n=5)
         psa = run_psa(model, 5000, SeedSpec(26))
         with pytest.warns(UserWarning, match="discrete"):
-            estimate_evsi(model, design, psa, EvsiOptions(Q=5, M=1000, seed=SeedSpec(27)))
+            estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(27)))
 
     def test_tiny_budget_keeps_a_within_unit_interval(self):
         # data depend only on the focal input here, so sigma2 comes from the
@@ -170,7 +169,7 @@ class TestEstimateEvsi:
         model = get_model("two_param_linear")
         design = get_design(model, "trial")
         psa = run_psa(model, 3000, SeedSpec(501))
-        result = estimate_evsi(model, design, psa, EvsiOptions(Q=3, M=1000, seed=SeedSpec(601)))
+        result = estimate_evsi(model, design, psa, EvsiOptions(Q=3, seed=SeedSpec(601)))
         assert result.variance_estimate.sigma2_from == "fitted_mean"
         assert 0.0 < result.a <= 1.0 and not result.a_clamped
         assert result.to_json_dict()["sigma2_from"] == "fitted_mean"
@@ -190,7 +189,7 @@ class TestEstimateEvsi:
         psa.columns["x"] = psa.columns.pop("p_success")
         psa.param_names = ("x",)
         with pytest.raises(ComputationError, match="net_benefit"):
-            estimate_evsi(model, design, psa, EvsiOptions(Q=2, M=1000, seed=SeedSpec(29)))
+            estimate_evsi(model, design, psa, EvsiOptions(Q=2, seed=SeedSpec(29)))
 
     def test_nonfinite_net_benefit_fails_loudly(self):
         # max(0, nan) is 0, so NaN net benefits used to read as evsi=0.0
@@ -200,7 +199,7 @@ class TestEstimateEvsi:
         with pytest.raises(SchemaError, match="non-finite"):
             compute_inb(model, psa)
         with pytest.raises(ComputationError, match=r"\[net_benefit\].*non-finite"):
-            estimate_evsi(model, design, psa, EvsiOptions(Q=10, M=2000, seed=SeedSpec(31)))
+            estimate_evsi(model, design, psa, EvsiOptions(Q=10, seed=SeedSpec(31)))
 
     def test_study3_sigma2_noise_reaches_se(self):
         # study3 reports its EVPPI on log_or, but its trial informs Pc too:
@@ -214,7 +213,7 @@ class TestEstimateEvsi:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = estimate_evsi(model, design, psa,
-                                   EvsiOptions(Q=10, M=1500, seed=SeedSpec(103)),
+                                   EvsiOptions(Q=10, seed=SeedSpec(103)),
                                    inb=inb)
         assert result.variance_estimate.sigma2_from == "fitted_mean"
         assert inb.phi_names == ("Pc", "Pt")
@@ -228,7 +227,7 @@ class TestEstimateEvsi:
         dataset = {"obs_total": np.zeros(1)}
         with pytest.raises(ComputationError, match=r"^\[posterior_variance\] 1 non-finite "
                            r"value\(s\) of g at quadrature point 1/1$"):
-            run_posterior(design, dataset, model, 2000, SeedSpec(32))
+            run_posterior(design, dataset, model)
 
 
 class TestInvariance:
@@ -239,7 +238,7 @@ class TestInvariance:
         design = get_design(model, "trial", n=9) if model.name == "normal_normal" else design
         psa = run_psa(model, 30000, SeedSpec(seed))
         return estimate_evsi(model, design, psa,
-                             EvsiOptions(Q=10, M=5000, seed=SeedSpec(seed + 1)))
+                             EvsiOptions(Q=10, seed=SeedSpec(seed + 1)))
 
     def test_common_offset_leaves_evsi_unchanged(self):
         base = get_model("normal_normal", k=10000.0, c=2000.0)
@@ -286,7 +285,7 @@ class TestInvariance:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # small discrete studies, sigma2 floored at 0
             result = estimate_evsi(model, design, psa,
-                                   EvsiOptions(Q=10, M=1500, seed=SeedSpec(seed)))
+                                   EvsiOptions(Q=10, seed=SeedSpec(seed)))
         assert 0.0 <= result.a <= 1.0
         assert not result.a_clamped
 
@@ -299,7 +298,7 @@ class TestInvariance:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = estimate_evsi(model, design, psa,
-                                    EvsiOptions(Q=20, M=2000, seed=SeedSpec(34 + i)))
+                                    EvsiOptions(Q=20, seed=SeedSpec(34 + i)))
             estimates.append(res.evsi)
             ses.append(res.evsi_se)
         for i in range(3):
@@ -311,7 +310,7 @@ class TestInvariance:
         design = get_design(model, "trial", n=10)
         psa = run_psa(model, 20000, SeedSpec(38))
         result = estimate_evsi(model, design, psa,
-                               EvsiOptions(Q=10, M=2000, seed=SeedSpec(39)))
+                               EvsiOptions(Q=10, seed=SeedSpec(39)))
         inb = compute_inb(model, psa)
         m = np.mean(inb.inb_theta)
         assert abs(np.mean(result.rescaled) - m) <= 1e-6 * (1 + abs(m))
@@ -351,7 +350,7 @@ def test_evsi_within_evppi_within_evpi(model_params, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = estimate_evsi(model, design, psa,
-                               EvsiOptions(Q=10, M=2000, seed=SeedSpec(seed).derive(1)),
+                               EvsiOptions(Q=10, seed=SeedSpec(seed).derive(1)),
                                inb=inb)
 
     evpi_val = voi(inb.inb_theta).value

@@ -337,7 +337,7 @@ class TestNonFiniteSimulator:
     def test_quadrature_points(self, nan_case):
         model, design, psa = nan_case
         with pytest.raises(ComputationError, match=r"\[simulate\].*1 non-finite"):
-            estimate_evsi(model, design, psa, EvsiOptions(Q=5, M=1000, seed=SeedSpec(19)))
+            estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(19)))
 
 
 def _scaled_values(scale):
@@ -349,7 +349,7 @@ def _scaled_values(scale):
     psa = run_psa(model, 5000, SeedSpec(12))
     ros = regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(13), n_bootstrap=5)
     inb = compute_inb(model, psa)
-    mm = estimate_evsi(model, design, psa, EvsiOptions(Q=5, M=1000, seed=SeedSpec(14)), inb=inb)
+    mm = estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(14)), inb=inb)
     return np.array([ros.evsi, ros.standard_error, mm.evsi, voi(inb.inb_phi).value, evpi(inb)])
 
 
@@ -371,3 +371,16 @@ class TestOracleResult:
     def test_negative_se_rejected(self):
         with pytest.raises(ValueError):
             OracleResult(method="nested_mc", evsi=1.0, standard_error=-0.1)
+
+
+@pytest.mark.parametrize("model_name, design_name", [("beta_binomial", "trial"),
+                                                     ("ades", "study1"), ("ades", "study3")])
+def test_standard_errors_are_python_floats(model_name, design_name):
+    # the nested oracle's SE came from voi as a numpy scalar, np.float64(...)
+    model = get_model(model_name)
+    design = get_design(model, design_name)
+    psa = run_psa(model, 2000, SeedSpec(3))
+    ses = [nested_mc_evsi(model, design, 500, seed=SeedSpec(1)).standard_error,
+           regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(2)).standard_error,
+           estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(4))).evsi_se]
+    assert [type(se) for se in ses] == [float, float, float]

@@ -154,7 +154,7 @@ class TestRunPosterior:
         model = get_model("beta_binomial")
         design = get_design(model, "trial", n=10)
         dataset = {"x": np.array([3.0])}
-        run = run_posterior(design, dataset, model, 100000, SeedSpec(11))
+        run = run_posterior(design, dataset, model)
         nodes = run.draws["p_success"]
         assert nodes.shape == run.weights.shape == (24,)
         assert run.weights.sum() == pytest.approx(1.0, rel=1e-12)
@@ -169,19 +169,19 @@ class TestRunPosterior:
     ])
     def test_conjugate_batch_equals_point_by_point_runs(self, model_name, design_name):
         # one rule over all points gives each point exactly what
-        # run_posterior gives it alone, whatever M and seed it is handed
+        # run_posterior gives it alone
         model = get_model(model_name)
         design = get_design(model, design_name)
         psa = run_psa(model, 5000, SeedSpec(24))
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(25))
-        ve = expected_posterior_variance(plan, design, model, 1000, inb=inb, fit=fit)
+        ve = expected_posterior_variance(plan, design, model, inb=inb, fit=fit)
         rows = plan.rows()
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in rows.items()}
             dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
-            run = run_posterior(design, dataset, model, 1 + q, SeedSpec(q), fit)
+            run = run_posterior(design, dataset, model, fit)
             assert run.inb_posterior_variance == ve.per_point[q]
             assert run.weights.shape == (24,)
             assert set(run.draws) == set(design.informed_params)
@@ -205,7 +205,7 @@ class TestExpectedPosteriorVariance:
         psa = run_psa(model, 20000, SeedSpec(14))
         inb = compute_inb(model, psa)
         plan = build_plan(psa, design.informed_params, 10, SeedSpec(15))
-        ve = expected_posterior_variance(plan, design, model, 5000, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb=inb)
         exact = 10000.0**2 * 0.1
         assert np.all(np.abs(ve.per_point / exact - 1.0) <= 0.06)
         assert np.std(ve.per_point) / np.mean(ve.per_point) <= 0.05
@@ -225,7 +225,7 @@ class TestExpectedPosteriorVariance:
             psa = run_psa(model, 10000, seed.derive(0))
             inb = compute_inb(model, psa)
             plan = build_plan(psa, design.informed_params, 50, seed.derive(1))
-            ve = expected_posterior_variance(plan, design, model, 1000, inb=inb)
+            ve = expected_posterior_variance(plan, design, model, inb=inb)
             values.append(ve.sigma2)
         assert truth - 2.5 <= np.mean(values) <= truth * 1.06 + 2.5
         assert not ve.clamped
@@ -238,7 +238,7 @@ class TestExpectedPosteriorVariance:
         psa = run_psa(model, 20000, SeedSpec(17))
         inb = compute_inb(model, psa)
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(170))
-        ve = expected_posterior_variance(plan, design, model, 2000, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb=inb)
         prior = np.var(inb.inb_theta, ddof=1)
         mc_se = ve.per_point * np.sqrt(2.0 / 1999)
         assert np.all(ve.per_point <= prior + 4 * mc_se)
@@ -246,7 +246,7 @@ class TestExpectedPosteriorVariance:
     def test_sigma2_bounded_by_conditional_variance(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(18))
-        ve = expected_posterior_variance(plan, design, model, 2000, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb=inb)
         # single-parameter model: the conditional INB is the INB itself
         assert ve.sigma2 <= np.var(inb.inb_theta, ddof=1) * 1.05
 
@@ -262,7 +262,7 @@ class TestExpectedPosteriorVariance:
             inb = compute_inb(model, psa)
             for Q in (10, 100):
                 plan = build_plan(psa, design.informed_params, Q, seed.derive(Q))
-                ve = expected_posterior_variance(plan, design, model, 1000, inb=inb)
+                ve = expected_posterior_variance(plan, design, model, inb=inb)
                 errs[Q].append(abs(ve.sigma2 - reference))
         assert np.mean(errs[100]) < np.mean(errs[10])
 
@@ -275,13 +275,13 @@ class TestExpectedPosteriorVariance:
         inb = compute_inb(model, psa)
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(1004))
         with pytest.warns(UserWarning, match="clamped"):
-            ve = expected_posterior_variance(plan, design, model, 2000, inb=inb)
+            ve = expected_posterior_variance(plan, design, model, inb=inb)
         assert ve.clamped and ve.sigma2 == 0.0
 
     def test_metadata_for_reporting(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(19))
-        ve = expected_posterior_variance(plan, design, model, 1000, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb=inb)
         assert len(ve.dataset_summaries) == 5
         assert ve.phi_points.shape == (5, 1)
         assert ve.phi_names == ("effect",)
@@ -296,13 +296,13 @@ class TestExpectedPosteriorVariance:
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(21))
-        ve = expected_posterior_variance(plan, design, model, 1500, inb=inb, fit=fit)
+        ve = expected_posterior_variance(plan, design, model, inb=inb, fit=fit)
         rows = plan.rows()
         runs = []
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in rows.items()}
             dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
-            runs.append(run_posterior(design, dataset, model, 1500, plan.seeds[q], fit))
+            runs.append(run_posterior(design, dataset, model, fit))
         assert np.array_equal(ve.per_point, [r.inb_posterior_variance for r in runs])
         for run in runs:
             assert run.weights.shape == (24 * 24,)
@@ -318,7 +318,7 @@ class TestExpectedPosteriorVariance:
         psa = run_psa(model, 5000, SeedSpec(20))
         plan = build_plan(psa, design.informed_params, 2, SeedSpec(21))
         with pytest.raises(ComputationError, match=r"no posterior draws of \['Pse', 'logit_qe'\]"):
-            expected_posterior_variance(plan, design, model, 1500)
+            expected_posterior_variance(plan, design, model)
 
 
 class TestConjugateNodeCount:
@@ -333,7 +333,7 @@ class TestConjugateNodeCount:
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(seed).derive(1))
-        got, want = (expected_posterior_variance(plan, d, model, 1000, inb=inb, fit=fit)
+        got, want = (expected_posterior_variance(plan, d, model, inb=inb, fit=fit)
                      for d in (design, finer))
         assert got.posterior_method == {"method": "gauss_hermite", "k": 24}
         assert want.posterior_method == {"method": "gauss_hermite", "k": 128}
@@ -367,7 +367,7 @@ class TestNonFinitePosteriorDraws:
         _nan_draw_at_point(monkeypatch, recipe_cls, 3)
         with pytest.raises(ComputationError,
                            match=r"^\[posterior\] 1 non-finite value\(s\) of .* point 3/4$"):
-            expected_posterior_variance(plan, design, model, 1500)
+            expected_posterior_variance(plan, design, model)
 
 
 class _TrialMean:
@@ -421,8 +421,7 @@ class TestTwoArmPosteriorVariance:
         ds = design.simulate(psa.columns, SeedSpec(52))
         pairs = list(zip(ds["dc"], ds["dt"])) + [(0.0, 0.0), (0.0, n), (n, 0.0), (n, n)]
         for dc, dt in pairs:
-            run = run_posterior(design, {"dc": np.array([dc]), "dt": np.array([dt])}, model,
-                                1000, SeedSpec(0), g)
+            run = run_posterior(design, {"dc": np.array([dc]), "dt": np.array([dt])}, model, g)
             want = self._grid_variance(model, design, g, dc, dt)
             assert run.inb_posterior_variance == pytest.approx(want, rel=1e-6), (dc, dt)
 
@@ -435,7 +434,7 @@ class TestTwoArmPosteriorVariance:
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(seed).derive(1))
-        got, want = (expected_posterior_variance(plan, d, model, 1000, inb=inb, fit=fit)
+        got, want = (expected_posterior_variance(plan, d, model, inb=inb, fit=fit)
                      for d in (design, finer))
         assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-3)
         assert not np.array_equal(got.per_point, want.per_point)
@@ -451,9 +450,7 @@ class TestTwoArmPosteriorVariance:
         def run(M, burn_in):
             result = estimate_evsi(model, design, psa,
                                    EvsiOptions(Q=5, M=M, burn_in=burn_in, seed=SeedSpec(54)))
-            out = result.to_json_dict()
-            del out["config"]
-            return out, result.rescaled
+            return result.to_json_dict(), result.rescaled
 
         want, rescaled = run(1500, 500)
         assert want["posterior_method"] == {"method": "gauss_hermite", "k": 24}
