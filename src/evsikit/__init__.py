@@ -23,7 +23,6 @@ from .regression import (  # noqa: F401
     fit_conditional_mean,
 )
 from .preposterior import (  # noqa: F401
-    PosteriorRun,
     QuadraturePlan,
     VarianceEstimate,
     build_plan,

@@ -451,11 +451,6 @@ def _ades_trial(name: str) -> Callable[[DecisionModel, int], StudyDesign]:
     return build
 
 
-def _ades_prior_mean_inb(model: DecisionModel) -> float:
-    m = _ades_prior_means(model.params)
-    return float(_ades_inb_at_means(m["Pc"], m["Pse"], m["Pt"], m["Qe"], model.params))
-
-
 # ---------------------------------------------------------------------------
 # conjugate toys
 
@@ -550,15 +545,16 @@ def build_exp_gamma(alpha=5.0, beta=1.0, k=200.0, c0=900.0, c1=100.0) -> Decisio
 
 
 def _exp_gamma_exact(p: dict, N: int) -> PreposteriorSummary:
-    """Exact EVSI via the Beta(alpha, N) law of the inverse posterior scale."""
+    """Exact EVSI via the Beta(alpha, N) law of the inverse posterior scale; k > 0."""
     a, b, k = p["alpha"], p["beta"], p["k"]
+    if not k > 0:
+        raise ConfigError(f"the exp_gamma closed form needs k > 0, got {k}")
     c_total = p["c0"] + p["c1"]
     g = k * (a + N) / b
     prior_term = max(0.0, k * a / b - c_total)
-    if N == 0:
+    if N == 0 or c_total <= 0:
+        # with c0 + c1 <= 0 and k > 0 the INB is positive on every draw
         evsi = 0.0
-    elif c_total <= 0:
-        evsi = g * a / (a + N) - c_total - prior_term
     elif c_total / g >= 1.0:
         evsi = 0.0
     else:
@@ -798,8 +794,8 @@ class ModelEntry:
     """
 
     build: Callable[..., DecisionModel]
-    prior_mean_inb: Callable[[DecisionModel], float]
     designs: dict[str, DesignEntry]
+    prior_mean_inb: Callable[[DecisionModel], float] | None = None  # for a null design
     toy_variant: str | None = None
     exact: Callable[[dict, int], PreposteriorSummary] | None = None
 
@@ -809,28 +805,30 @@ def _toy_designs(trial, n: int) -> dict[str, DesignEntry]:
 
 
 _REGISTRY = {
-    "ades": ModelEntry(build_ades, _ades_prior_mean_inb, {
+    "ades": ModelEntry(build_ades, {
         "study1": DesignEntry(_ades_study1, 60),
         "study2": DesignEntry(_ades_study2, 100),
         "study3": DesignEntry(_ades_trial("study3"), 200),
         "study4": DesignEntry(_ades_trial("study4"), 200),
     }),
     "beta_binomial": ModelEntry(
-        build_beta_binomial, lambda m: m.params["k"] / 2.0 - m.params["c"],
-        _toy_designs(_beta_binomial_trial, 10), "beta_binomial_uniform", _beta_binomial_exact),
+        build_beta_binomial, _toy_designs(_beta_binomial_trial, 10),
+        lambda m: m.params["k"] / 2.0 - m.params["c"],
+        "beta_binomial_uniform", _beta_binomial_exact),
     "exp_gamma": ModelEntry(
-        build_exp_gamma,
+        build_exp_gamma, _toy_designs(_exp_gamma_trial, 10),
         lambda m: (m.params["k"] * m.params["alpha"] / m.params["beta"]
                    - m.params["c0"] - m.params["c1"]),
-        _toy_designs(_exp_gamma_trial, 10), "exp_gamma", _exp_gamma_exact),
+        "exp_gamma", _exp_gamma_exact),
     "normal_normal": ModelEntry(
-        build_normal_normal, lambda m: m.params["k"] * m.params["theta0"] - m.params["c"],
-        _toy_designs(_normal_normal_trial, 9), "normal_normal", _normal_normal_exact),
+        build_normal_normal, _toy_designs(_normal_normal_trial, 9),
+        lambda m: m.params["k"] * m.params["theta0"] - m.params["c"],
+        "normal_normal", _normal_normal_exact),
     "quadratic_normal": ModelEntry(
-        build_quadratic_normal, lambda m: 0.0, _toy_designs(_quadratic_normal_trial, 10),
+        build_quadratic_normal, _toy_designs(_quadratic_normal_trial, 10), lambda m: 0.0,
         "quadratic_normal", _quadratic_normal_exact),
     "two_param_linear": ModelEntry(
-        build_two_param_linear, _two_param_prior_mean_inb, _toy_designs(_two_param_trial, 30)),
+        build_two_param_linear, _toy_designs(_two_param_trial, 30), _two_param_prior_mean_inb),
 }
 
 

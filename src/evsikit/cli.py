@@ -121,9 +121,13 @@ class RunConfig:
                 if bad:
                     bounds = f"at least {low}" if high is None else f"between {low} and S={high}"
                     raise ConfigError(f"{name} entries must be {bounds}, got {bad}")
-        numbers = {"budget_seconds": self.budget_seconds, **(self.model_params or {})}
+        # budget_seconds may be null (no budget); a model parameter may not
+        numbers = dict(self.model_params or {})
+        if self.budget_seconds is not None:
+            numbers["budget_seconds"] = self.budget_seconds
         for name, value in numbers.items():
-            if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
     def as_dict(self) -> dict:
@@ -237,7 +241,8 @@ def cmd_evppi(cfg: RunConfig) -> int:
     model, design = _model_and_design(cfg)
     psa = run_psa(model, cfg.S, SeedSpec(cfg.master_seed).derive(0))
     inb = compute_inb(model, psa)
-    diagnostics = conditional_inb(model, psa, inb, design.informed_params)
+    g, fit = conditional_inb(model, psa, inb, design.informed_params)
+    diagnostics = None if fit is None else fit.diagnostics()
     _write_json(
         os.path.join(out, "evppi.json"),
         {
@@ -245,7 +250,7 @@ def cmd_evppi(cfg: RunConfig) -> int:
             "design": design.name,
             "informed_params": list(design.informed_params),
             "evpi": evpi(inb),
-            "evppi": voi(inb.inb_phi).value,
+            "evppi": voi(g).value,
             "fit": diagnostics,
         },
     )
@@ -353,8 +358,9 @@ def cmd_selftest(cfg: RunConfig) -> int:
         result = estimate_evsi(model, design, psa, EvsiOptions(Q=Q, seed=case_seed.derive(1)),
                                inb=inb)
         # the EVPPI on the parameters g was fitted on; the EVPI when g is the INB
-        evppi_val = voi(inb.inb_phi).value
-        paired = np.maximum(inb.inb_phi, 0.0) - np.maximum(inb.inb_theta, 0.0)
+        g = result.conditional_mean
+        evppi_val = voi(g).value
+        paired = np.maximum(g, 0.0) - np.maximum(inb.inb_theta, 0.0)
         diff_se = float(np.std(paired, ddof=1)) / np.sqrt(paired.size)
 
         label = f"{model_name}/{design_name}"

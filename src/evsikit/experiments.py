@@ -64,7 +64,7 @@ def _quadratic_sweep(Q_values, replicates: int, seed: SeedSpec, S: int):
         inb = compute_inb(model, psa)
         for qi, Q in enumerate(Q_values):
             plan = build_plan(psa, design.informed_params, Q, rep_seed.derive(1 + qi))
-            yield r, Q, inb, expected_posterior_variance(plan, design, model, inb=inb)
+            yield r, Q, inb, expected_posterior_variance(plan, design, model, inb.inb_theta)
 
 
 def replicate_table1(

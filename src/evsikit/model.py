@@ -89,31 +89,10 @@ class PsaSamples:
 
 @dataclass
 class InbSamples:
-    """Per-draw incremental net benefit, optionally with fitted conditional values."""
+    """Per-draw incremental net benefit, and the net benefits it came from."""
 
     inb_theta: np.ndarray
-    inb_phi: np.ndarray | None = None
     net_benefits: np.ndarray | None = None
-    phi_names: tuple | None = None
-    phi_fit: object = None      # the RegressionFit that gave inb_phi, if any
-
-    def attach_phi(self, fitted: np.ndarray, names=None, fit=None):
-        """Attach regression-fitted conditional INB values, with sanity checks.
-
-        `fit` is the regression fit they come from, kept so that the fitted
-        mean can be evaluated at other points.
-        """
-        fitted = np.asarray(fitted, dtype=float)
-        if fitted.shape != self.inb_theta.shape:
-            raise SchemaError("fitted values must match inb_theta length")
-        m_theta = float(np.mean(self.inb_theta))
-        if abs(float(np.mean(fitted)) - m_theta) > 1e-6 * (1.0 + abs(m_theta)):
-            raise SchemaError("fitted values do not preserve the INB mean")
-        if np.var(fitted, ddof=1) > np.var(self.inb_theta, ddof=1) * (1.0 + 1e-6):
-            raise SchemaError("fitted values exceed the INB variance")
-        self.inb_phi = fitted
-        self.phi_names = None if names is None else tuple(names)
-        self.phi_fit = fit
 
     @classmethod
     def from_values(cls, values) -> "InbSamples":

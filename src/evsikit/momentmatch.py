@@ -11,6 +11,9 @@ inform, and sigma2, the variance of the preposterior mean, comes from
 by construction.  An approximate Monte Carlo standard error is attached,
 combining the sampling noise of the rescaled average with the uncertainty
 of sigma2 propagated through `a` and the noise of the fit itself.
+
+g is passed as a value: `conditional_inb` returns it with its fit, and the
+result keeps it as `conditional_mean`.  No step modifies the caller's INB.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, voi
 from .preposterior import VarianceEstimate, build_plan, expected_posterior_variance
-from .regression import fit_conditional_mean
+from .regression import RegressionFit, fit_conditional_mean
 from .rng import SeedSpec
 from .util import ComputationError, DegenerateModelError
 
@@ -55,6 +58,7 @@ class MomentMatchResult:
     a: float
     b: float
     rescaled: np.ndarray = field(repr=False)
+    conditional_mean: np.ndarray = field(repr=False)   # g on the PSA draws
     evsi: float
     variance_estimate: VarianceEstimate
     config: dict
@@ -86,26 +90,25 @@ class MomentMatchResult:
 
 
 def compute_constants(sigma2: float, inb: InbSamples,
-                      var_phi: float | None = None) -> tuple[float, float]:
+                      var_g: float | None = None) -> tuple[float, float]:
     """Rescaling constants a = sqrt(sigma2 / Var(g)), b = mean(INB) (1 - a).
 
-    `var_phi`, Var(g), is computed from `inb` unless the caller already
-    holds it.
+    `var_g`, Var(g), is the INB's own variance unless the caller holds that
+    of a fitted g.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    if var_phi is None:
-        phi = inb.inb_phi if inb.inb_phi is not None else inb.inb_theta
-        var_phi = float(np.var(phi, ddof=1))
-    if var_phi == 0.0:
+    if var_g is None:
+        var_g = float(np.var(inb.inb_theta, ddof=1))
+    if var_g == 0.0:
         raise DegenerateModelError("conditional INB variance is zero; nothing to rescale")
-    a = float(np.sqrt(sigma2 / var_phi))
+    a = float(np.sqrt(sigma2 / var_g))
     b = float(np.mean(inb.inb_theta)) * (1.0 - a)
     return a, b
 
 
-def _sigma2_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
-                           ve: VarianceEstimate, var_phi: float) -> float:
+def _sigma2_standard_error(a: float, inb: InbSamples, g: np.ndarray, rescaled: np.ndarray,
+                           ve: VarianceEstimate, var_g: float) -> float:
     """The part of the EVSI's MC standard error that sigma2 noise adds via `a`.
 
     sigma2 is the prior variance of g minus the mean of the Q posterior
@@ -122,24 +125,23 @@ def _sigma2_standard_error(a: float, inb: InbSamples, rescaled: np.ndarray,
     """
     if not (a > 0.0 and ve.sigma2 > 0):
         return 0.0
-    x = inb.inb_phi
-    c = x - np.mean(x)
+    c = g - np.mean(g)
     d_evsi_da = float(np.mean(c * (rescaled > 0)))
     np.square(c, out=c)
-    r = inb.inb_theta - x
+    r = inb.inb_theta - g
     np.square(r, out=r)
-    var_sigma2 = 4.0 * a**4 * float(np.dot(r, c)) / x.size**2
+    var_sigma2 = 4.0 * a**4 * float(np.dot(r, c)) / g.size**2
     np.square(c, out=c)
-    var_sigma2 += max(float(np.mean(c)) - ve.prior_variance**2, 0.0) / x.size
+    var_sigma2 += max(float(np.mean(c)) - ve.prior_variance**2, 0.0) / g.size
     if ve.per_point.size > 1:
         var_sigma2 += float(np.var(ve.per_point, ddof=1)) / ve.per_point.size
     else:
-        var_sigma2 += 2.0 * float(ve.per_point[0]) ** 2 / max(x.size - 1, 1)
-    var_a = var_sigma2 / (4.0 * ve.sigma2 * var_phi)
+        var_sigma2 += 2.0 * float(ve.per_point[0]) ** 2 / max(g.size - 1, 1)
+    var_a = var_sigma2 / (4.0 * ve.sigma2 * var_g)
     return abs(d_evsi_da) * np.sqrt(var_a)
 
 
-def _location_standard_error(inb: InbSamples, rescaled: np.ndarray) -> float:
+def _location_standard_error(inb: InbSamples, g: np.ndarray, rescaled: np.ndarray) -> float:
     """The EVSI noise that the fit's mean error adds, 0 when g is the INB.
 
     The fitted values keep the sample mean of the INB, so the residuals'
@@ -147,29 +149,23 @@ def _location_standard_error(inb: InbSamples, rescaled: np.ndarray) -> float:
     grand mean alike; the EVSI moves by P(rescaled > 0) - [mean > 0] per unit
     of shift.  The parameters the data leave untouched make up this noise.
     """
-    if inb.inb_phi is inb.inb_theta:
+    if g is inb.inb_theta:
         return 0.0
-    residual_var = float(np.var(inb.inb_theta - inb.inb_phi, ddof=1))
+    residual_var = float(np.var(inb.inb_theta - g, ddof=1))
     slope = float(np.mean(rescaled > 0)) - float(np.mean(inb.inb_theta) > 0)
     return abs(slope) * np.sqrt(residual_var / rescaled.size)
 
 
 def conditional_inb(model: DecisionModel, psa: PsaSamples, inb: InbSamples,
-                    params) -> dict | None:
-    """Set `inb.inb_phi` to g, the conditional mean of the INB given `params`.
-
-    g is the INB itself when `params` covers every model parameter, and
-    otherwise the GCV spline fit on those PSA columns, which is reused when
-    `inb` already holds one on them.  Returns the fit's diagnostics, or None
-    when g is the INB.
-    """
+                    params) -> tuple[np.ndarray, RegressionFit | None]:
+    """(g, its fit), g the conditional mean of the INB given `params` on the
+    PSA draws: the INB itself, with no fit, when `params` covers every model
+    parameter, and otherwise the GCV spline fit on those columns."""
     params = tuple(params)
     if set(model.param_names) <= set(params):
-        inb.inb_phi, inb.phi_names, inb.phi_fit = inb.inb_theta, params, None
-        return None
-    if inb.phi_fit is None or inb.phi_names != params:
-        fit_conditional_mean(inb, psa.matrix(params), names=params)
-    return inb.phi_fit.diagnostics()
+        return inb.inb_theta, None
+    fit = fit_conditional_mean(inb, psa.matrix(params), names=params)
+    return fit.fitted, fit
 
 
 def estimate_evsi(
@@ -182,9 +178,8 @@ def estimate_evsi(
     """Full pipeline: conditional fit, quadrature variance, rescale, read EVSI.
 
     g is fitted on the design's informed parameters and the quadrature
-    points are spaced over them.  Passing a precomputed `inb` reuses a fit it
-    already holds on those columns; its `inb_phi` is set to g as a side
-    effect.
+    points are spaced over them; the result keeps it as `conditional_mean`.
+    A precomputed `inb` saves computing the INB again, and is not modified.
     """
     opts = options or EvsiOptions()
     seed = opts.seed
@@ -203,36 +198,38 @@ def estimate_evsi(
             raise ComputationError("net_benefit", str(exc)) from exc
 
     try:
-        fit_diag = conditional_inb(model, psa, inb, design.informed_params)
+        g, fit = conditional_inb(model, psa, inb, design.informed_params)
+        fit_diag = None if fit is None else fit.diagnostics()
     except Exception as exc:
         raise ComputationError("regression", str(exc)) from exc
 
     try:
         plan = build_plan(psa, design.informed_params, opts.Q, seed.derive(_PLAN_SUB))
-        ve = expected_posterior_variance(plan, design, model, inb=inb, fit=inb.phi_fit)
+        ve = expected_posterior_variance(plan, design, model, g, fit)
     except ComputationError:
         raise
     except Exception as exc:
         raise ComputationError("posterior_variance", str(exc)) from exc
 
     # Var(g), the same array and operation whether g is the fit or the INB
-    var_phi = ve.prior_variance
+    var_g = ve.prior_variance
     try:
-        a, b = compute_constants(ve.sigma2, inb, var_phi)
+        a, b = compute_constants(ve.sigma2, inb, var_g)
     except DegenerateModelError:
         raise
     except Exception as exc:
         raise ComputationError("constants", str(exc)) from exc
 
-    rescaled = a * inb.inb_phi + b
+    rescaled = a * g + b
     evsi, se_psa, raw = voi(rescaled)
-    evsi_se = float(np.hypot(se_psa, _sigma2_standard_error(a, inb, rescaled, ve, var_phi)))
-    evsi_se = float(np.hypot(evsi_se, _location_standard_error(inb, rescaled)))
+    evsi_se = float(np.hypot(se_psa, _sigma2_standard_error(a, inb, g, rescaled, ve, var_g)))
+    evsi_se = float(np.hypot(evsi_se, _location_standard_error(inb, g, rescaled)))
 
     return MomentMatchResult(
         a=a,
         b=b,
         rescaled=rescaled,
+        conditional_mean=g,
         evsi=evsi,
         variance_estimate=ve,
         config={

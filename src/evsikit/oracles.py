@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .casemodels import StudyDesign
-from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, run_psa, voi
-from .regression import SplineDesign
+from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi
+from .regression import SplineDesign, check_fitted
 from .rng import SeedSpec
 from .util import BudgetExceededError
 
@@ -125,8 +125,7 @@ def regression_on_summaries_evsi(
                    dtype=float),
         design.summary_names)
     fit = spline_design.fit(y)
-    # mean and variance checks
-    InbSamples.from_values(y).attach_phi(fit.fitted, names=design.summary_names)
+    check_fitted(y, fit.fitted)
     evsi_val, penalty = voi(fit.fitted).value, fit.penalty_weight
     del fit
 

@@ -16,7 +16,8 @@ parameters the study leaves untouched drop out, and sigma2 <= Var(g).  This
 is the regression-based estimator of Strong, Oakley and Brennan (Med Decis
 Making 2014) applied inside the posterior step.  g is the fitted spline
 (`sigma2_from="fitted_mean"`), or the INB itself when the data inform every
-parameter (`sigma2_from="net_benefit"`).
+parameter (`sigma2_from="net_benefit"`); the caller passes its values on the
+PSA draws, and the fit when there is one.
 
 Every design's recipe gives each point's posterior as an adaptive
 Gauss-Hermite rule (Naylor & Smith, Applied Statistics 1982): 24 nodes on
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DecisionModel, InbSamples, PsaSamples, compute_inb
+from .model import DecisionModel, PsaSamples
 from .regression import RegressionFit
 from .rng import SeedSpec
 from .util import ComputationError, SchemaError, require_finite, round_half_up
@@ -55,17 +56,6 @@ class QuadraturePlan:
     def rows(self) -> dict[str, np.ndarray]:
         """All model columns at the selected rows (needed by data simulators)."""
         return {k: v[self.row_indices] for k, v in self.psa.columns.items()}
-
-
-@dataclass
-class PosteriorRun:
-    """One point's posterior rule: its nodes (`draws`, by column) and their
-    normalised `weights`; `inb_posterior_variance` is the posterior variance
-    of g, the fitted conditional mean or the INB."""
-
-    draws: dict[str, np.ndarray]
-    inb_posterior_variance: float
-    weights: np.ndarray
 
 
 @dataclass
@@ -168,19 +158,20 @@ def _stable_order_at(scores: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def run_posterior(design, dataset, model: DecisionModel,
-                  fit: RegressionFit | None = None) -> PosteriorRun:
-    """One posterior for one simulated dataset, plus the variance of g under it.
+                  fit: RegressionFit | None = None) -> float:
+    """The posterior variance of g given one simulated dataset.
 
     This is the one-dataset case of the batch that `expected_posterior_variance`
     runs over all quadrature points, and gives the same result as that batch
     gives for this dataset and `fit`.
     """
-    return _run_posteriors(design, [dataset], model, fit)[0]
+    return float(_run_posteriors(design, [dataset], model, fit)[0])
 
 
 def _run_posteriors(design, datasets: list[dict], model: DecisionModel,
-                    fit: RegressionFit | None = None) -> list[PosteriorRun]:
-    """Posteriors for several simulated datasets, one per quadrature point.
+                    fit: RegressionFit | None = None) -> np.ndarray:
+    """The posterior variances of g given several simulated datasets, one
+    per quadrature point.
 
     The design's recipe runs its rule over every dataset at once, g is
     evaluated once at all the nodes, and each point's variance is the
@@ -195,18 +186,16 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel,
     where = [f" at quadrature point {q + 1}/{len(datasets)}" for q in range(len(datasets))]
     stacked = {k: np.concatenate([ds[k] for ds in datasets]) for k in datasets[0]}
     nodes, weights = design.recipe.nodes_and_weights(stacked, "posterior_variance")
-    points = [{k: v[q] for k, v in nodes.items()} for q in range(len(datasets))]
-    for point, w, at in zip(points, weights, where):
-        require_finite("posterior", {**point, "weights": w}, at)
+    for q, at in enumerate(where):
+        point = {k: v[q] for k, v in nodes.items()}
+        require_finite("posterior", {**point, "weights": weights[q]}, at)
     weights = weights / weights.sum(axis=1, keepdims=True)
     values = _g(design, model, {k: v.ravel() for k, v in nodes.items()}, fit)
     values = values.reshape(weights.shape)
     for row, at in zip(values, where):
         require_finite("posterior_variance", {"g": row}, at)
     mean = (weights * values).sum(axis=1, keepdims=True)
-    variances = (weights * (values - mean) ** 2).sum(axis=1)
-    return [PosteriorRun(point, float(v), weights=w)
-            for point, v, w in zip(points, variances, weights)]
+    return (weights * (values - mean) ** 2).sum(axis=1)
 
 
 def _g(design, model: DecisionModel, columns: dict, fit: RegressionFit | None) -> np.ndarray:
@@ -233,21 +222,17 @@ def expected_posterior_variance(
     plan: QuadraturePlan,
     design,
     model: DecisionModel,
-    inb: InbSamples | None = None,
+    g: np.ndarray,
     fit: RegressionFit | None = None,
 ) -> VarianceEstimate:
     """Average the posterior variance of g over the quadrature plan.
 
-    g is `fit`, the fitted conditional mean of the INB on the design's
-    informed parameters, or the INB itself when `fit` is None.
+    `g` holds the values of g on the PSA draws, whose variance is the prior
+    one: `fit.fitted`, the fitted conditional mean of the INB on the
+    design's informed parameters, or the INB itself when `fit` is None.
     `posterior_method` records the rule and its node count.
     """
-    if fit is not None:
-        prior_var = float(np.var(fit.fitted, ddof=1))
-    else:
-        if inb is None:
-            inb = compute_inb(model, plan.psa)
-        prior_var = float(np.var(inb.inb_theta, ddof=1))
+    prior_var = float(np.var(g, ddof=1))
 
     row_cols = plan.rows()
     datasets = []
@@ -255,7 +240,7 @@ def expected_posterior_variance(
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in row_cols.items()}
             datasets.append(design.simulate(point, plan.seeds[q].derive(_DATASET_SUB)))
-        runs = _run_posteriors(design, datasets, model, fit)
+        per_point = _run_posteriors(design, datasets, model, fit)
     except ComputationError:
         raise
     except Exception as exc:
@@ -263,7 +248,6 @@ def expected_posterior_variance(
         where = (f"quadrature point {len(datasets) + 1}/{plan.Q}" if len(datasets) < plan.Q
                  else f"the posteriors of the {plan.Q} quadrature points")
         raise ComputationError("posterior_variance", f"{where} failed: {exc}") from exc
-    per_point = np.array([run.inb_posterior_variance for run in runs])
     summaries = [design.describe_dataset(ds) for ds in datasets]
 
     expected = float(np.mean(per_point))

@@ -604,15 +604,25 @@ def _solve_gcv(xtx, xty, yty, n, penalty, lambda_grid):
     return _penalized_solve(xtx, xty, lam_s, penalty), lam_s, edf, k in (0, len(lambda_grid) - 1)
 
 
+def check_fitted(y: np.ndarray, fitted: np.ndarray):
+    """Refuse fitted values of `y` that lose its mean or exceed its variance,
+    as no penalized spline fit's do beyond round-off."""
+    m_y = float(np.mean(y))
+    if abs(float(np.mean(fitted)) - m_y) > 1e-6 * (1.0 + abs(m_y)):
+        raise SchemaError("fitted values do not preserve the INB mean")
+    if np.var(fitted, ddof=1) > np.var(y, ddof=1) * (1.0 + 1e-6):
+        raise SchemaError("fitted values exceed the INB variance")
+
+
 def fit_conditional_mean(
     inb: InbSamples,
     phi_columns: np.ndarray,
     names=None,
 ) -> RegressionFit:
-    """Fit E[INB | phi] by penalized splines and attach the fitted values.
+    """Fit E[INB | phi] by penalized splines; `inb` is left as it is.
 
-    `phi_columns` is (S,) or (S, d) with d <= 3.  Populates `inb.inb_phi`
-    and `inb.phi_fit`.
+    `phi_columns` is (S,) or (S, d) with d <= 3.  `fitted` holds g on the
+    draws, checked by `check_fitted`, and `evaluate` gives g elsewhere.
     Refits of one design under other weights or a pinned penalty go through
     `SplineDesign.fit`.
     """
@@ -622,7 +632,6 @@ def fit_conditional_mean(
         raise SchemaError(f"INB has {bad} non-finite values")
     if np.shape(phi_columns)[0] != y.shape[0]:
         raise SchemaError("phi rows must match INB samples")
-    design = SplineDesign(phi_columns, names)
-    fit = design.fit(y)
-    inb.attach_phi(fit.fitted, names=design.names, fit=fit)
+    fit = SplineDesign(phi_columns, names).fit(y)
+    check_fitted(y, fit.fitted)
     return fit

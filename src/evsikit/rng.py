@@ -123,6 +123,3 @@ class DistSpec:
         if f is Family.GAMMA:
             return 0.0, np.inf
         return -np.inf, np.inf
-
-    def as_dict(self) -> dict:
-        return {"family": self.family.value, "params": list(self.params)}

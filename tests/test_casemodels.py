@@ -147,6 +147,24 @@ class TestAnalyticPreposterior:
             expected, _ = integrate.quad(integrand, 0, 1, limit=200)
             assert analytic_preposterior(toy).evsi == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("k", [-200.0, 0.0])
+    def test_exp_gamma_closed_form_refuses_k_at_most_0(self, k):
+        # it returned EVSI -100 at k=-200, c0=-1000, N=10 (nested MC reads
+        # about 96), and divided by zero at k=0
+        for c0 in (-1000.0, 900.0):
+            with pytest.raises(ConfigError, match="closed form needs k > 0"):
+                analytic_preposterior(ConjugateToy("exp_gamma", 10, params={"k": k, "c0": c0}))
+
+    def test_exp_gamma_certain_adoption_is_exactly_0(self):
+        # c0 + c1 <= 0 with k > 0: the INB is positive on every draw; the
+        # closed form used to return round-off such as -2.3e-13
+        toy = ConjugateToy("exp_gamma", 7, params={"alpha": 1.3, "beta": 0.3, "c0": -900.0})
+        assert analytic_preposterior(toy).evsi == 0.0
+        for alpha, beta, c0, N in itertools.product((0.5, 1.3, 5.0), (0.3, 1.0, 3.0),
+                                                    (-1500.0, -900.0, -100.0), (1, 7, 50)):
+            params = {"alpha": alpha, "beta": beta, "c0": c0}
+            assert analytic_preposterior(ConjugateToy("exp_gamma", N, params=params)).evsi == 0.0
+
     def test_exp_gamma_variance_against_beta_moments(self):
         toy = ConjugateToy("exp_gamma", 10)
         g = 200.0 * 15.0
@@ -238,10 +256,9 @@ class TestClosedFormsWithoutScipyStats:
             c_total = p["c0"] + p["c1"]
             g = p["k"] * (a + N) / b
             prior_term = max(0.0, p["k"] * a / b - c_total)
-            if N == 0:
+            if N == 0 or c_total <= 0:
+                # the INB is positive on every draw when c0 + c1 <= 0: exactly 0
                 old = 0.0
-            elif c_total <= 0:
-                old = g * a / (a + N) - c_total - prior_term
             elif c_total / g >= 1.0:
                 old = 0.0
             else:

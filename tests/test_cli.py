@@ -421,6 +421,26 @@ class TestConfigHandling:
         assert f"{next(iter(entry))} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, entry, message", [
+        (["psa", "--model", "exp_gamma"], {"model_params": {"k": True}},
+         "k must be a finite number, got True"),
+        (["nested", "--model", "normal_normal", "--n-outer", "100"], {"budget_seconds": True},
+         "budget_seconds must be a finite number, got True"),
+        (["psa", "--model", "exp_gamma"], {"model_params": {"k": None}},
+         "k must be a finite number, got None"),
+    ], ids=["true-parameter", "true-budget", "null-parameter"])
+    def test_booleans_and_nulls_are_not_numbers_in_config(self, tmp_path, capsys, command,
+                                                          entry, message):
+        # true ran as 1, exited 0 and left true in the manifest; a null
+        # parameter ended in a TypeError traceback (exit 1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "x"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, config, message", [
         (["psa", "--S", "1"], None, "S must be at least 2, got 1"),
         (["psa"], {"model": "beta_binomial", "S": None}, "S must be an integer, got None"),

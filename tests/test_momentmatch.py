@@ -19,6 +19,7 @@ from evsikit.casemodels import (
 from evsikit.model import DecisionModel, InbSamples, compute_inb, run_psa, voi
 from evsikit.momentmatch import EvsiOptions, compute_constants, conditional_inb, estimate_evsi
 from evsikit.preposterior import run_posterior
+from evsikit.regression import fit_conditional_mean
 from evsikit.rng import DistSpec, SeedSpec
 from evsikit.util import ComputationError, DegenerateModelError, SchemaError
 
@@ -74,23 +75,46 @@ class TestComputeConstants:
             compute_constants(1.0, InbSamples.from_values([2.0, 2.0, 2.0]))
 
 
+def _copy_fields(inb):
+    return {k: None if v is None else np.array(v) for k, v in vars(inb).items()}
+
+
+def _assert_fields_unchanged(inb, before):
+    after = vars(inb)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert after[key] is None if value is None else np.array_equal(after[key], value), key
+
+
 class TestConditionalInb:
     def test_inb_itself_when_every_parameter_is_informed(self):
         model = get_model("exp_gamma")
         psa = run_psa(model, 2000, SeedSpec(40))
         inb = compute_inb(model, psa)
-        assert conditional_inb(model, psa, inb, ("event_rate",)) is None
-        assert inb.inb_phi is inb.inb_theta and inb.phi_fit is None
+        g, fit = conditional_inb(model, psa, inb, ("event_rate",))
+        assert g is inb.inb_theta and fit is None
 
-    def test_fit_on_a_subset_is_reused(self):
+    def test_fit_on_a_subset_gives_its_values(self):
         model = get_model("ades")
         psa = run_psa(model, 2000, SeedSpec(41))
         inb = compute_inb(model, psa)
-        diagnostics = conditional_inb(model, psa, inb, ("Pc", "Pt"))
-        fit = inb.phi_fit
-        assert diagnostics == fit.diagnostics() and inb.phi_names == ("Pc", "Pt")
-        assert conditional_inb(model, psa, inb, ("Pc", "Pt")) == diagnostics
-        assert inb.phi_fit is fit
+        g, fit = conditional_inb(model, psa, inb, ("Pc", "Pt"))
+        assert g is fit.fitted
+        assert np.array_equal(g, fit_conditional_mean(inb, psa.matrix(("Pc", "Pt"))).fitted)
+
+
+@pytest.mark.parametrize("model_name, design_name", [("exp_gamma", "trial"), ("ades", "study1")])
+def test_the_callers_inb_is_left_unchanged(model_name, design_name):
+    model = get_model(model_name)
+    design = get_design(model, design_name)
+    psa = run_psa(model, 5000, SeedSpec(49))
+    inb = compute_inb(model, psa)
+    before = _copy_fields(inb)
+    g, _ = conditional_inb(model, psa, inb, design.informed_params)
+    _assert_fields_unchanged(inb, before)
+    result = estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(50)), inb=inb)
+    _assert_fields_unchanged(inb, before)
+    assert np.array_equal(result.conditional_mean, g)
 
 
 @pytest.mark.parametrize("model_name, design_name, sigma2_from", [
@@ -100,14 +124,14 @@ class TestConditionalInb:
 ])
 def test_var_g_is_the_prior_variance(model_name, design_name, sigma2_from):
     # estimate_evsi reads Var(g) for a and the SE from the variance estimate;
-    # it is the variance of inb_phi, whether g is the INB or the fit
+    # it is the variance of g, whether g is the INB or the fit
     model = get_model(model_name)
     psa = run_psa(model, 5000, SeedSpec(47))
-    inb = compute_inb(model, psa)
-    ve = estimate_evsi(model, get_design(model, design_name), psa,
-                       EvsiOptions(Q=5, seed=SeedSpec(48)), inb=inb).variance_estimate
+    result = estimate_evsi(model, get_design(model, design_name), psa,
+                           EvsiOptions(Q=5, seed=SeedSpec(48)))
+    ve = result.variance_estimate
     assert ve.sigma2_from == sigma2_from
-    assert ve.prior_variance == float(np.var(inb.inb_phi, ddof=1))
+    assert ve.prior_variance == float(np.var(result.conditional_mean, ddof=1))
 
 
 class TestEvsiFromRescaled:
@@ -216,7 +240,6 @@ class TestEstimateEvsi:
                                    EvsiOptions(Q=10, seed=SeedSpec(103)),
                                    inb=inb)
         assert result.variance_estimate.sigma2_from == "fitted_mean"
-        assert inb.phi_names == ("Pc", "Pt")
         assert result.to_json_dict()["informed_params"] == ["Pc", "Pt"]
         assert result.evsi_se > 2.0 * voi(result.rescaled).se
 
@@ -354,8 +377,9 @@ def test_evsi_within_evppi_within_evpi(model_params, seed):
                                inb=inb)
 
     evpi_val = voi(inb.inb_theta).value
-    evppi_val = voi(inb.inb_phi).value
-    paired = np.maximum(inb.inb_phi, 0.0) - np.maximum(inb.inb_theta, 0.0)
+    g = result.conditional_mean
+    evppi_val = voi(g).value
+    paired = np.maximum(g, 0.0) - np.maximum(inb.inb_theta, 0.0)
     diff_se = float(np.std(paired, ddof=1)) / np.sqrt(paired.size)
     assert evppi_val <= evpi_val + 3.0 * diff_se + 1e-9 * (1.0 + evpi_val)
     assert result.evsi >= 0.0

@@ -22,7 +22,7 @@ from evsikit.oracles import (
     nested_mc_evsi,
     regression_on_summaries_evsi,
 )
-from evsikit.regression import _resample
+from evsikit.regression import SplineDesign, _resample
 from evsikit.rng import SeedSpec
 from evsikit.util import (
     BudgetExceededError,
@@ -340,6 +340,22 @@ class TestNonFiniteSimulator:
             estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(19)))
 
 
+def test_regression_on_summaries_refuses_a_bad_fit(monkeypatch):
+    # a fit whose values lose the INB mean, as no spline fit's do
+    fitted = SplineDesign._fitted
+
+    def shifted(self, beta):
+        values = fitted(self, beta)
+        return values + 1.0 + abs(values.mean())
+
+    monkeypatch.setattr(SplineDesign, "_fitted", shifted)
+    model = get_model("beta_binomial")
+    design = get_design(model, "trial", n=20)
+    psa = run_psa(model, 2000, SeedSpec(20))
+    with pytest.raises(SchemaError, match="do not preserve the INB mean"):
+        regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(21), n_bootstrap=2)
+
+
 def _scaled_values(scale):
     """ROS estimate and SE, and moment-matching EVSI, EVPPI and EVPI, for the
     beta-binomial model with k and c multiplied by `scale`; draws fixed."""
@@ -350,7 +366,8 @@ def _scaled_values(scale):
     ros = regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(13), n_bootstrap=5)
     inb = compute_inb(model, psa)
     mm = estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(14)), inb=inb)
-    return np.array([ros.evsi, ros.standard_error, mm.evsi, voi(inb.inb_phi).value, evpi(inb)])
+    return np.array([ros.evsi, ros.standard_error, mm.evsi, voi(mm.conditional_mean).value,
+                     evpi(inb)])
 
 
 @pytest.fixture(scope="module")

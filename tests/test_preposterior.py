@@ -154,14 +154,14 @@ class TestRunPosterior:
         model = get_model("beta_binomial")
         design = get_design(model, "trial", n=10)
         dataset = {"x": np.array([3.0])}
-        run = run_posterior(design, dataset, model)
-        nodes = run.draws["p_success"]
-        assert nodes.shape == run.weights.shape == (24,)
-        assert run.weights.sum() == pytest.approx(1.0, rel=1e-12)
-        assert run.weights @ nodes == pytest.approx(1 / 3, rel=1e-8)
+        nodes, weights = design.recipe.nodes_and_weights(dataset, "posterior")
+        nodes = nodes["p_success"]
+        assert nodes.shape == weights.shape == (1, 24)
+        assert weights @ nodes[0] / weights.sum() == pytest.approx(1 / 3, rel=1e-8)
         # INB = 20000 p - 10000, so the posterior INB variance is 4e8 Var(p);
         # the rule's Var(p) is about 1e-8 off here
-        assert run.inb_posterior_variance == pytest.approx(4e8 * 32.0 / 1872.0, rel=1e-7)
+        variance = run_posterior(design, dataset, model)
+        assert variance == pytest.approx(4e8 * 32.0 / 1872.0, rel=1e-7)
 
     @pytest.mark.parametrize("model_name, design_name", [
         ("ades", "study1"), ("ades", "study2"), ("exp_gamma", "trial"),
@@ -176,15 +176,15 @@ class TestRunPosterior:
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(25))
-        ve = expected_posterior_variance(plan, design, model, inb=inb, fit=fit)
+        ve = expected_posterior_variance(plan, design, model, fit.fitted, fit)
         rows = plan.rows()
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in rows.items()}
             dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
-            run = run_posterior(design, dataset, model, fit)
-            assert run.inb_posterior_variance == ve.per_point[q]
-            assert run.weights.shape == (24,)
-            assert set(run.draws) == set(design.informed_params)
+            assert run_posterior(design, dataset, model, fit) == ve.per_point[q]
+            nodes, weights = design.recipe.nodes_and_weights(dataset, "posterior")
+            assert weights.shape == (1, 24)
+            assert set(nodes) == set(design.informed_params)
         assert ve.posterior_method == {"method": "gauss_hermite", "k": 24}
 
 
@@ -205,7 +205,7 @@ class TestExpectedPosteriorVariance:
         psa = run_psa(model, 20000, SeedSpec(14))
         inb = compute_inb(model, psa)
         plan = build_plan(psa, design.informed_params, 10, SeedSpec(15))
-        ve = expected_posterior_variance(plan, design, model, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         exact = 10000.0**2 * 0.1
         assert np.all(np.abs(ve.per_point / exact - 1.0) <= 0.06)
         assert np.std(ve.per_point) / np.mean(ve.per_point) <= 0.05
@@ -225,7 +225,7 @@ class TestExpectedPosteriorVariance:
             psa = run_psa(model, 10000, seed.derive(0))
             inb = compute_inb(model, psa)
             plan = build_plan(psa, design.informed_params, 50, seed.derive(1))
-            ve = expected_posterior_variance(plan, design, model, inb=inb)
+            ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
             values.append(ve.sigma2)
         assert truth - 2.5 <= np.mean(values) <= truth * 1.06 + 2.5
         assert not ve.clamped
@@ -238,7 +238,7 @@ class TestExpectedPosteriorVariance:
         psa = run_psa(model, 20000, SeedSpec(17))
         inb = compute_inb(model, psa)
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(170))
-        ve = expected_posterior_variance(plan, design, model, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         prior = np.var(inb.inb_theta, ddof=1)
         mc_se = ve.per_point * np.sqrt(2.0 / 1999)
         assert np.all(ve.per_point <= prior + 4 * mc_se)
@@ -246,7 +246,7 @@ class TestExpectedPosteriorVariance:
     def test_sigma2_bounded_by_conditional_variance(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(18))
-        ve = expected_posterior_variance(plan, design, model, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         # single-parameter model: the conditional INB is the INB itself
         assert ve.sigma2 <= np.var(inb.inb_theta, ddof=1) * 1.05
 
@@ -262,7 +262,7 @@ class TestExpectedPosteriorVariance:
             inb = compute_inb(model, psa)
             for Q in (10, 100):
                 plan = build_plan(psa, design.informed_params, Q, seed.derive(Q))
-                ve = expected_posterior_variance(plan, design, model, inb=inb)
+                ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
                 errs[Q].append(abs(ve.sigma2 - reference))
         assert np.mean(errs[100]) < np.mean(errs[10])
 
@@ -275,13 +275,13 @@ class TestExpectedPosteriorVariance:
         inb = compute_inb(model, psa)
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(1004))
         with pytest.warns(UserWarning, match="clamped"):
-            ve = expected_posterior_variance(plan, design, model, inb=inb)
+            ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         assert ve.clamped and ve.sigma2 == 0.0
 
     def test_metadata_for_reporting(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(19))
-        ve = expected_posterior_variance(plan, design, model, inb=inb)
+        ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         assert len(ve.dataset_summaries) == 5
         assert ve.phi_points.shape == (5, 1)
         assert ve.phi_names == ("effect",)
@@ -296,18 +296,17 @@ class TestExpectedPosteriorVariance:
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(21))
-        ve = expected_posterior_variance(plan, design, model, inb=inb, fit=fit)
+        ve = expected_posterior_variance(plan, design, model, fit.fitted, fit)
         rows = plan.rows()
-        runs = []
+        variances = []
         for q in range(plan.Q):
             point = {k: v[q : q + 1] for k, v in rows.items()}
             dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
-            runs.append(run_posterior(design, dataset, model, fit))
-        assert np.array_equal(ve.per_point, [r.inb_posterior_variance for r in runs])
-        for run in runs:
-            assert run.weights.shape == (24 * 24,)
-            assert run.weights.sum() == pytest.approx(1.0, rel=1e-12)
-            assert set(run.draws) == {"Pc", "log_or", "Pt"}
+            variances.append(run_posterior(design, dataset, model, fit))
+            nodes, weights = design.recipe.nodes_and_weights(dataset, "posterior")
+            assert weights.shape == (1, 24 * 24)
+            assert set(nodes) == {"Pc", "log_or", "Pt"}
+        assert np.array_equal(ve.per_point, variances)
         assert ve.posterior_method == {"method": "gauss_hermite", "k": 24}
 
     def test_inb_needs_draws_of_every_parameter(self):
@@ -318,7 +317,7 @@ class TestExpectedPosteriorVariance:
         psa = run_psa(model, 5000, SeedSpec(20))
         plan = build_plan(psa, design.informed_params, 2, SeedSpec(21))
         with pytest.raises(ComputationError, match=r"no posterior draws of \['Pse', 'logit_qe'\]"):
-            expected_posterior_variance(plan, design, model)
+            expected_posterior_variance(plan, design, model, compute_inb(model, psa).inb_theta)
 
 
 class TestConjugateNodeCount:
@@ -333,7 +332,7 @@ class TestConjugateNodeCount:
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(seed).derive(1))
-        got, want = (expected_posterior_variance(plan, d, model, inb=inb, fit=fit)
+        got, want = (expected_posterior_variance(plan, d, model, fit.fitted, fit)
                      for d in (design, finer))
         assert got.posterior_method == {"method": "gauss_hermite", "k": 24}
         assert want.posterior_method == {"method": "gauss_hermite", "k": 128}
@@ -367,7 +366,7 @@ class TestNonFinitePosteriorDraws:
         _nan_draw_at_point(monkeypatch, recipe_cls, 3)
         with pytest.raises(ComputationError,
                            match=r"^\[posterior\] 1 non-finite value\(s\) of .* point 3/4$"):
-            expected_posterior_variance(plan, design, model)
+            expected_posterior_variance(plan, design, model, compute_inb(model, psa).inb_theta)
 
 
 class _TrialMean:
@@ -421,9 +420,9 @@ class TestTwoArmPosteriorVariance:
         ds = design.simulate(psa.columns, SeedSpec(52))
         pairs = list(zip(ds["dc"], ds["dt"])) + [(0.0, 0.0), (0.0, n), (n, 0.0), (n, n)]
         for dc, dt in pairs:
-            run = run_posterior(design, {"dc": np.array([dc]), "dt": np.array([dt])}, model, g)
+            got = run_posterior(design, {"dc": np.array([dc]), "dt": np.array([dt])}, model, g)
             want = self._grid_variance(model, design, g, dc, dt)
-            assert run.inb_posterior_variance == pytest.approx(want, rel=1e-6), (dc, dt)
+            assert got == pytest.approx(want, rel=1e-6), (dc, dt)
 
     @pytest.mark.parametrize("seed", [3, 9, 15])
     def test_24_nodes_agree_with_48_on_sigma2(self, seed):
@@ -434,7 +433,7 @@ class TestTwoArmPosteriorVariance:
         inb = compute_inb(model, psa)
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 30, SeedSpec(seed).derive(1))
-        got, want = (expected_posterior_variance(plan, d, model, inb=inb, fit=fit)
+        got, want = (expected_posterior_variance(plan, d, model, fit.fitted, fit)
                      for d in (design, finer))
         assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-3)
         assert not np.array_equal(got.per_point, want.per_point)

@@ -30,6 +30,7 @@ from evsikit.regression import (
     _penalized_solve,
     _solve_gcv,
     _tensor_penalty,
+    check_fitted,
     fit_conditional_mean,
 )
 from evsikit.rng import SeedSpec
@@ -91,9 +92,14 @@ class TestEvaluate:
         edges = fit.evaluate([x.min(), x.max(), x.max()])
         assert np.array_equal(beyond, edges)
 
-    def test_fit_conditional_mean_keeps_the_fit(self, two_param):
-        _, _, inb, fit = two_param
-        assert inb.phi_fit is fit and inb.inb_phi is fit.fitted
+    def test_fit_conditional_mean_leaves_inb_unchanged(self, two_param):
+        model, psa, _, fit = two_param
+        inb = compute_inb(model, psa)
+        theta = inb.inb_theta.copy()
+        again = fit_conditional_mean(inb, psa.column("response_rate"))
+        assert set(vars(inb)) == {"inb_theta", "net_benefits"}
+        assert np.array_equal(inb.inb_theta, theta)
+        assert np.array_equal(again.fitted, fit.fitted)
 
     def test_dimension_mismatch_rejected(self, two_param):
         with pytest.raises(SchemaError):
@@ -134,10 +140,41 @@ class TestConditionalMean:
         fit = fit_conditional_mean(inb, phi)
         assert np.var(fit.fitted) / np.var(y) <= 0.01
 
-    def test_populates_inb_phi(self, two_param):
+    def test_fitted_values_pass_the_checks(self, two_param):
         _, _, inb, fit = two_param
-        assert inb.inb_phi is not None
-        assert np.array_equal(inb.inb_phi, fit.fitted)
+        check_fitted(inb.inb_theta, fit.fitted)
+
+
+class TestCheckFitted:
+    """The fitted values of a spline fit keep the response's mean and do not
+    exceed its variance; values that break either are refused."""
+
+    y = np.random.default_rng(80).normal(3.0, 2.0, 2000)
+
+    def test_lost_mean_refused(self):
+        with pytest.raises(SchemaError, match="do not preserve the INB mean"):
+            check_fitted(self.y, self.y + 1e-3)
+
+    def test_excess_variance_refused(self):
+        with pytest.raises(SchemaError, match="exceed the INB variance"):
+            check_fitted(self.y, 1.01 * (self.y - self.y.mean()) + self.y.mean())
+
+    def test_the_inb_itself_and_its_mean_pass(self):
+        check_fitted(self.y, self.y)
+        check_fitted(self.y, np.full_like(self.y, self.y.mean()))
+
+    def test_fit_conditional_mean_refuses_a_bad_fit(self, monkeypatch):
+        # a fit that doubles the spread of its values about their mean
+        fitted = SplineDesign._fitted
+
+        def doubled(self, beta):
+            values = fitted(self, beta)
+            return 2.0 * values - values.mean()
+
+        monkeypatch.setattr(SplineDesign, "_fitted", doubled)
+        phi = np.random.default_rng(81).uniform(size=2000)
+        with pytest.raises(SchemaError, match="exceed the INB variance"):
+            fit_conditional_mean(InbSamples.from_values(np.sin(3.0 * phi)), phi)
 
 
 class TestFitInvariants:
