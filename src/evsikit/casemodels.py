@@ -1,34 +1,37 @@
 """Built-in decision models and study designs.
 
-* The Ades decision tree: two treatments, four uncertain inputs, four future
+* The Ades decision tree: four uncertain inputs, four future
   data-collection designs (side-effect rate, quality of life after the event,
   odds-ratio trial, and the same trial analysed as two event probabilities).
 * Conjugate toys with analytic preposterior moments and exact EVSI values:
   Beta-Binomial with a flat prior, Exponential-Gamma, Normal-Normal, and a
   quadratic-INB Normal model used for variance-convergence experiments.
 
-Each model is registered by name with everything the engine needs beyond the
-`DecisionModel` itself: its prior-mean INB, its study-design factories with
-their default sample sizes and, for a conjugate toy, its variant name and
-closed forms.  Designs are looked up by `model.name`, so a model rebuilt by
-hand under a registered name gets the registered designs.  Every model
-parameter, a design's observation variance included, can be overridden per
-run.
+Every model compares two options: its net benefit has the comparator's column
+first, then the new treatment's.  Each model is registered by name with
+everything the engine needs beyond the `DecisionModel` itself: its prior-mean
+INB, its study-design factories with their default sample sizes, integers of
+at least 0, and, for a conjugate toy, its variant name and closed forms.
+Designs are looked up by `model.name`, so a model rebuilt by hand under a
+registered name gets the registered designs.  Every model parameter, a
+design's observation variance included, can be overridden per run.
 
 A simulated dataset holds one sufficient statistic per PSA row, never the
 single observations: a count for binomial data, and for n normal or
 exponential observations their total, drawn from its exact law and stored
-under a `*_total` key.  The posterior recipes read that total, with n taken
-from the design, and every summary is the total divided by n.
+under a `*_total` key.  Each design's posterior is a recipe of `posterior`,
+which reads that total with n taken from the design; every summary is the
+total divided by n.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincc, betaln, expit, log_expit, logit, ndtr, xlog1py, xlogy
+from scipy.special import betaincc, betaln, expit, logit, ndtr, xlog1py, xlogy
 
 from .model import DecisionModel
 from .posterior import (
@@ -36,12 +39,10 @@ from .posterior import (
     GammaExponentialUpdate,
     NormalNormalUpdate,
     NullUpdate,
-    QuadratureUpdate,
-    RULE_NODES,
+    TwoArmTrialUpdate,
 )
 from .rng import DistSpec, SeedSpec
-from .util import (ComputationError, ConfigError, gauss_hermite_expectation, hermite_nodes,
-                   require_finite)
+from .util import ConfigError, gauss_hermite_expectation, require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +203,16 @@ def build_ades(**overrides) -> DecisionModel:
     return DecisionModel(
         name="ades",
         priors=priors,
-        n_treatments=2,
         net_benefit=net_benefit,
-        comparison=(1, 0),
         derived=derived,
         params=p,
     )
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _unit_leggauss(n=200):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = ((x + 1) / 2, w / 2)
-    return _GL_CACHE[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1) / 2, w / 2
 
 
 def _ades_prior_means(p) -> dict:
@@ -267,182 +262,21 @@ def _ades_study2(model: DecisionModel, n: int) -> StudyDesign:
     )
 
 
-# The two-arm trial's posterior: a k x k Gauss-Hermite rule per dataset, with
-# 12 nodes a side for the nested oracle's inner means (in blocks of distinct
-# datasets) and RULE_NODES for the estimator's posterior variances of g, and
-# the Newton search for each posterior mode.
-_NESTED_NODES = 12
-_TWO_ARM_BLOCK = 4096
-_NEWTON_STEPS = 50
-_NEWTON_HALVINGS = 40
-# below this squared Newton decrement (about the squared distance to the mode
-# in posterior standard deviations) a full step is taken without a line
-# search, whose comparison of log densities would be lost in their rounding
-_NEWTON_FULL_STEP = 1e-8
-_NEWTON_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class _TwoArmPosterior:
-    """Posterior of x = (logit Pc, log OR) given dc and dt events out of n per
-    arm: a Beta(a_pc, b_pc) prior on Pc = expit(x0), a normal prior on x1 with
-    precision or_prec, and binomial counts of Pc and Pt = expit(x0 + x1).
-
-    The log density is concave, so Newton steps reach its mode, and the
-    posterior is near normal there: Naylor & Smith's (Applied Statistics
-    1982) adaptive Gauss-Hermite rule, centred at the mode and scaled by the
-    inverse Hessian, takes its means to 1e-7 with 12 x 12 nodes; with 24 x
-    24 nodes the estimator's sigma2 is within about 5e-4 of an 80 x 80 rule.
-    """
-
-    n: int
-    a_pc: float
-    b_pc: float
-    or_mean: float
-    or_prec: float
-
-    def log_density(self, x0, x1, dc, dt):
-        # log_expit(-x) = log_expit(x) - x folds each arm's failure terms
-        # into its success term
-        n = self.n
-        xt = x0 + x1
-        lp = (self.a_pc + self.b_pc + n) * log_expit(x0) - (self.b_pc + n - dc) * x0
-        lp += n * log_expit(xt) - (n - dt) * xt
-        lp -= 0.5 * self.or_prec * (x1 - self.or_mean) ** 2
-        return lp
-
-    def derivatives(self, x0, x1, dc, dt):
-        """The gradient (g0, g1) and Hessian (h00, h01, h11) of `log_density`."""
-        total = self.a_pc + self.b_pc + self.n
-        xt = x0 + x1
-        pc, pt = expit(x0), expit(xt)
-        resid_t = dt - self.n * pt
-        curv_c = total * pc * expit(-x0)
-        curv_t = self.n * pt * expit(-xt)
-        g0 = self.a_pc + dc - total * pc + resid_t
-        g1 = resid_t - self.or_prec * (x1 - self.or_mean)
-        return g0, g1, -(curv_c + curv_t), -curv_t, -(curv_t + self.or_prec)
-
-    def mode(self, dc, dt, rows, stage):
-        """Each dataset's posterior mode, by Newton steps from the empirical
-        logits, halved until the density does not fall.
-
-        A dataset converges on its own, so its mode does not depend on the
-        others.  A failure raises `ComputationError(stage)` naming the
-        dataset's index in `rows`.
-        """
-        n = self.n
-        x0 = logit((self.a_pc + dc) / (self.a_pc + self.b_pc + n))
-        x1 = logit((dt + 0.5) / (n + 1.0)) - x0
-        active = np.arange(len(dc))
-        for _ in range(_NEWTON_STEPS):
-            if active.size == 0:
-                return x0, x1
-            a0, a1, c, t = x0[active], x1[active], dc[active], dt[active]
-            g0, g1, h00, h01, h11 = self.derivatives(a0, a1, c, t)
-            det = h00 * h11 - h01 * h01
-            d0 = (h01 * g1 - h11 * g0) / det
-            d1 = (h01 * g0 - h00 * g1) / det
-            decrement = g0 * d0 + g1 * d1
-            bad = ~np.isfinite(decrement)
-            if np.any(bad):
-                raise ComputationError(
-                    stage, f"non-finite Newton step to the two-arm posterior mode of "
-                    f"dataset {rows[active[bad][0]]}")
-            new0, new1 = a0 + d0, a1 + d1
-            lp = self.log_density(a0, a1, c, t)
-            short = np.flatnonzero((decrement >= _NEWTON_FULL_STEP)
-                                   & ~(self.log_density(new0, new1, c, t) >= lp))
-            step = 1.0
-            for _ in range(_NEWTON_HALVINGS):
-                if short.size == 0:
-                    break
-                step *= 0.5
-                new0[short] = a0[short] + step * d0[short]
-                new1[short] = a1[short] + step * d1[short]
-                rises = self.log_density(new0[short], new1[short], c[short], t[short]) >= lp[short]
-                short = short[~rises]
-            x0[active], x1[active] = new0, new1
-            active = active[decrement >= _NEWTON_TOL]
-        if active.size:
-            raise ComputationError(
-                stage, f"Newton steps to the two-arm posterior mode did not converge in "
-                f"{_NEWTON_STEPS} steps for dataset {rows[active[0]]}")
-        return x0, x1
-
-    def rule(self, dc, dt, rows, k, stage):
-        """(x0, x1, weights), each (datasets, k * k): a k x k Gauss-Hermite
-        rule in the frame of the mode and the Cholesky factor of the inverse
-        negative Hessian, each node weighted by exp(log density - Laplace log
-        density).  A dataset's weights are scaled so that the largest is 1,
-        not normalised, so that `means` can keep dividing by their sum after
-        summing, and with it the rounding of the nested oracle's outputs."""
-        x0, x1 = self.mode(dc, dt, rows, stage)
-        _, _, h00, h01, h11 = self.derivatives(x0, x1, dc, dt)
-        det = h00 * h11 - h01 * h01
-        l00 = np.sqrt(-h11 / det)
-        l10 = (h01 / det) / l00
-        l11 = np.sqrt(-h00 / det - l10 * l10)
-        u, w = hermite_nodes(k)
-        z0, z1 = (np.sqrt(2.0) * v.ravel() for v in np.meshgrid(u, u, indexing="ij"))
-        log_w = np.log(np.outer(w, w).ravel()) + 0.5 * (z0 * z0 + z1 * z1)
-        p0 = x0[:, None] + l00[:, None] * z0
-        p1 = x1[:, None] + l10[:, None] * z0 + l11[:, None] * z1
-        lw = self.log_density(p0, p1, dc[:, None], dt[:, None]) + log_w
-        return p0, p1, np.exp(lw - lw.max(axis=1, keepdims=True))
-
-    def means(self, dc, dt, rows, k=_NESTED_NODES):
-        """E[Pc] and E[Pt] per dataset by the k x k `rule`."""
-        p0, p1, weights = self.rule(dc, dt, rows, k, "nested")
-        total = weights.sum(axis=1)
-        return ((weights * expit(p0)).sum(axis=1) / total,
-                (weights * expit(p0 + p1)).sum(axis=1) / total)
-
-
-def _two_arm_posterior(model: DecisionModel, n: int) -> _TwoArmPosterior:
-    p = model.params
-    return _TwoArmPosterior(n, p["pc_alpha"], p["pc_beta"], p["log_or_mean"],
-                            1.0 / p["log_or_var"])
-
-
-def _ades_two_arm_machinery(model: DecisionModel, n: int):
-    """Shared posterior for the two-arm trial, by the adaptive rule of
-    `_TwoArmPosterior`: a quadrature recipe for the estimator's posterior
-    variances of g, and the nested oracle's inner means."""
-    p = model.params
-    means = _ades_prior_means(p)
-    posterior = _two_arm_posterior(model, n)
-
-    def rule(ds, k, stage):
-        dc, dt = ds["dc"], ds["dt"]
-        x0, x1, weights = posterior.rule(dc, dt, np.arange(len(dc)), k, stage)
-        # the derived Pt is handed in for the fit on (Pc, Pt); the
-        # net benefit recomputes it from Pc and log_or
-        return {"Pc": expit(x0), "log_or": x1, "Pt": expit(x0 + x1)}, weights
-
-    def inner_means(ds):
-        # one quadrature per distinct (dc, dt) pair; the complex keys sort
-        # by dc, then dt
-        dc = np.asarray(ds["dc"], dtype=float)
-        dt = np.asarray(ds["dt"], dtype=float)
-        keys, first, inverse = np.unique(dc + 1j * dt, return_index=True, return_inverse=True)
-        e_pc, e_pt = np.empty(len(keys)), np.empty(len(keys))
-        for lo in range(0, len(keys), _TWO_ARM_BLOCK):
-            block = slice(lo, lo + _TWO_ARM_BLOCK)
-            e_pc[block], e_pt[block] = posterior.means(keys[block].real, keys[block].imag,
-                                                       first[block])
-        return _ades_inb_at_means(e_pc[inverse], means["Pse"], e_pt[inverse], means["Qe"], p)
-
-    return QuadratureUpdate(rule, RULE_NODES), inner_means
-
-
 def _ades_trial(name: str) -> Callable[[DecisionModel, int], StudyDesign]:
     """The two-arm trial under the design name `name`.  study3, the
     odds-ratio trial of the source paper's example, and study4 are the same
     trial: it informs both arms, so both names fit g on (Pc, Pt)."""
 
     def build(model: DecisionModel, n: int) -> StudyDesign:
-        recipe, inner_means = _ades_two_arm_machinery(model, n)
+        p = model.params
+        means = _ades_prior_means(p)
+        recipe = TwoArmTrialUpdate(n, p["pc_alpha"], p["pc_beta"], p["log_or_mean"],
+                                   1.0 / p["log_or_var"])
+
+        def inner_means(ds):
+            e_pc, e_pt = recipe.exact_means(ds)
+            return _ades_inb_at_means(e_pc, means["Pse"], e_pt, means["Qe"], p)
+
         return StudyDesign(
             name=name, sample_size=n, recipe=recipe,
             batch_inner_means=inner_means, **_binomial_counts(n, dc="Pc", dt="Pt"),
@@ -469,8 +303,7 @@ class ConjugateToy:
 
     def __post_init__(self):
         model = get_model(self.model_name, **self.params)
-        if self.N < 0:
-            raise ValueError("future sample size must be >= 0")
+        _check_sample_size(self.N)
         object.__setattr__(self, "params", model.params)
 
     @property
@@ -510,9 +343,7 @@ def build_beta_binomial(k=20000.0, c=10000.0) -> DecisionModel:
     return DecisionModel(
         name="beta_binomial",
         priors={"p_success": DistSpec("uniform", 0.0, 1.0)},
-        n_treatments=2,
         net_benefit=net_benefit,
-        comparison=(1, 0),
         params={"k": k, "c": c},
     )
 
@@ -537,9 +368,7 @@ def build_exp_gamma(alpha=5.0, beta=1.0, k=200.0, c0=900.0, c1=100.0) -> Decisio
     return DecisionModel(
         name="exp_gamma",
         priors={"event_rate": DistSpec("gamma", alpha, beta)},
-        n_treatments=2,
         net_benefit=net_benefit,
-        comparison=(1, 0),
         params={"alpha": alpha, "beta": beta, "k": k, "c0": c0, "c1": c1},
     )
 
@@ -577,9 +406,7 @@ def build_normal_normal(theta0=0.0, prior_var=1.0, obs_var=1.0, k=10000.0, c=0.0
     return DecisionModel(
         name="normal_normal",
         priors={"effect": DistSpec("normal", theta0, prior_var)},
-        n_treatments=2,
         net_benefit=net_benefit,
-        comparison=(1, 0),
         params={"theta0": theta0, "prior_var": prior_var, "obs_var": obs_var, "k": k, "c": c},
     )
 
@@ -618,9 +445,7 @@ def build_quadratic_normal(prior_var=5.0, obs_var=10.0) -> DecisionModel:
     return DecisionModel(
         name="quadratic_normal",
         priors={"effect": DistSpec("normal", 0.0, prior_var)},
-        n_treatments=2,
         net_benefit=net_benefit,
-        comparison=(1, 0),
         params={"prior_var": prior_var, "obs_var": obs_var},
     )
 
@@ -655,9 +480,7 @@ def build_two_param_linear(k=10000.0) -> DecisionModel:
             "response_rate": DistSpec("beta", 1.0, 4.0),
             "background": DistSpec("normal", -0.5, 1.0),
         },
-        n_treatments=2,
         net_benefit=net_benefit,
-        comparison=(1, 0),
         params={"k": k},
     )
 
@@ -869,5 +692,14 @@ def get_design(model: DecisionModel, name: str | None = None,
         raise ConfigError(
             f"unknown design {name!r} for model {model.name!r}; available: {list(designs)}"
         )
+    if n is not None:
+        _check_sample_size(n)
     entry = designs[name]
     return entry.build(model, entry.size if n is None else n)
+
+
+def _check_sample_size(n):
+    """Refuse a sample size that is not an integer >= 0: binomial draws
+    truncate 2.5 to 2, while posteriors and closed forms update with 2.5."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ConfigError(f"a future sample size must be an integer >= 0, got {n!r}")

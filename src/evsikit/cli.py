@@ -139,11 +139,29 @@ class RunConfig:
 _ALLOWED_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+def load_config_file(path: str, manifest: bool = False) -> dict:
+    """The settings in a JSON config file or, with `manifest`, a manifest's
+    `config` and its `command`.  A file that cannot be read or does not
+    hold settings is a configuration error that names it."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    what = "manifest" if manifest else "config file"
+    if manifest:
+        if not (isinstance(data, dict) and isinstance(data.get("config"), dict)
+                and "command" in data):
+            raise ConfigError(f"manifest {path} must hold a command and a config object")
+        data = {**data["config"], "command": data["command"]}
+    elif not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    params = data.get("model_params")
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError(f"model_params in {what} {path} must be an object of "
+                          f"name: number, got {params!r}")
     unknown = set(data) - _ALLOWED_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
@@ -511,10 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "from_manifest", None):
-        with open(args.from_manifest) as fh:
-            manifest = json.load(fh)
-        data.update(manifest["config"])
-        data["command"] = manifest["command"]
+        data.update(load_config_file(args.from_manifest, manifest=True))
     if getattr(args, "config", None):
         data.update(load_config_file(args.config))
     # a manifest or config file of another command would run that command
@@ -530,9 +545,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         merged.update(_parse_param(args.model_params))
         data["model_params"] = merged
 
-    unknown = set(data) - _ALLOWED_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     cfg = RunConfig(**data)
     cfg.validate()
     # a setting given by flag, config file or manifest that the command leaves unread

@@ -25,25 +25,16 @@ class DecisionModel:
     """Priors plus a pure net-benefit map.
 
     `net_benefit` takes a dict of named columns (prior draws plus any derived
-    columns) and returns an (S, n_treatments) array.  `comparison` is the
-    (r, s) treatment pair defining INB = NB_r - NB_s, with the new treatment
-    first so that positive INB favours adoption.
+    columns) and returns an (S, 2) array: the comparator's net benefit, then
+    the new treatment's, so that INB = NB[:, 1] - NB[:, 0] is positive when
+    the new treatment pays.
     """
 
     name: str
     priors: dict[str, DistSpec]
-    n_treatments: int
     net_benefit: Callable[[dict[str, np.ndarray]], np.ndarray]
-    comparison: tuple[int, int] = (1, 0)
     derived: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]] | None = None
     params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        r, s = self.comparison
-        if r == s:
-            raise ValueError("comparison treatments must differ")
-        if not (0 <= r < self.n_treatments and 0 <= s < self.n_treatments):
-            raise ValueError("comparison indices out of range")
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -137,21 +128,18 @@ def _check_support(model: DecisionModel, psa: PsaSamples):
 
 
 def compute_inb(model: DecisionModel, psa: PsaSamples) -> InbSamples:
-    """INB per draw for the model's comparison pair; deterministic given psa."""
+    """INB per draw, the new treatment's net benefit less the comparator's;
+    deterministic given psa."""
     missing = [n for n in model.param_names if n not in psa.columns]
     if missing:
         raise SchemaError(f"psa columns missing parameters {missing}")
     nb = np.asarray(model.net_benefit(psa.columns), dtype=float)
-    if nb.shape != (psa.n_draws, model.n_treatments):
-        raise SchemaError(
-            f"net_benefit returned shape {nb.shape}, "
-            f"expected {(psa.n_draws, model.n_treatments)}"
-        )
+    if nb.shape != (psa.n_draws, 2):
+        raise SchemaError(f"net_benefit returned shape {nb.shape}, expected {(psa.n_draws, 2)}")
     finite = np.isfinite(nb)
     if not np.all(finite):
         raise SchemaError(f"net_benefit returned {int(nb.size - finite.sum())} non-finite value(s)")
-    r, s = model.comparison
-    return InbSamples(inb_theta=nb[:, r] - nb[:, s], net_benefits=nb)
+    return InbSamples(inb_theta=nb[:, 1] - nb[:, 0], net_benefits=nb)
 
 
 class Voi(NamedTuple):

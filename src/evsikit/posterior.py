@@ -1,21 +1,21 @@
-"""Posterior updaters for future datasets: conjugate closed forms, a
-quadrature recipe, and a self-contained random-walk Metropolis sampler.
+"""Posterior updaters for future datasets, one recipe per likelihood, and a
+self-contained random-walk Metropolis sampler.
 
 Every recipe the estimator runs gives each dataset's posterior as a weighted
 quadrature rule: `nodes_and_weights(dataset, stage)` returns the recipe's
 parameter columns at the nodes and the nodes' weights, each (datasets,
-nodes), with `nodes` points per coordinate.  A conjugate recipe takes Naylor
-& Smith's (Applied Statistics 1982) adaptive Gauss-Hermite rule on its exact
-posterior, in the frame where that posterior is near normal: the logit of a
-Beta, the log of a Gamma, a Normal as it is.  The rule is centred at the
-frame's mode and scaled by its curvature there, and each node is weighted by
-exp(log density - Laplace log density).  The ades two-arm trial, whose
-posterior has no closed form, supplies its own rule to `QuadratureUpdate`.
+nodes), with `nodes` points per coordinate.  It is Naylor & Smith's (Applied
+Statistics 1982) adaptive Gauss-Hermite rule, centred at the posterior mode
+and scaled by the curvature there, in a frame where the posterior is near
+normal: the logit of a Beta, the log of a Gamma, a Normal as it is, and
+(logit Pc, log OR) for the two-arm trial, whose posterior has no closed
+form.  Each node is weighted by exp(log density - Laplace log density).
 
-Conjugate recipes also read the dataset's sufficient statistic in closed
-form: a count for binomial data and, for normal or exponential observations,
-the total of the n observations, with n fixed by the design.  Their `draw`
-methods return exact-posterior draws; the estimator no longer calls them.
+A recipe reads the dataset's sufficient statistic: a count for binomial data,
+two for the two-arm trial and, for normal or exponential observations, the
+total of the n observations, with n fixed by the design.  The conjugate
+`draw` methods return exact-posterior draws; the estimator no longer calls
+them.
 
 The Metropolis sampler, which no registered design runs, takes many chains
 at once, one chain per dataset, with per-chain randomness pre-derived from
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, log_expit
+from scipy.special import expit, log_expit, logit
 
 from .rng import Family, SeedSpec
 from .util import ComputationError, hermite_nodes
@@ -225,21 +225,158 @@ class NullUpdate:
         return {self.param: self.prior.sample_with(gen, k * M).reshape(k, M)}
 
 
-@dataclass(frozen=True)
-class QuadratureUpdate:
-    """Generic recipe: a weighted quadrature rule over each dataset's posterior.
+# The two-arm trial's rule: 12 nodes a side for the nested oracle's inner
+# means, taken in blocks of distinct datasets, and the Newton search for each
+# posterior mode.
+_NESTED_NODES = 12
+_TWO_ARM_BLOCK = 4096
+_NEWTON_STEPS = 50
+_NEWTON_HALVINGS = 40
+# below this squared Newton decrement (about the squared distance to the mode
+# in posterior standard deviations) a full step is taken without a line
+# search, whose comparison of log densities would be lost in their rounding
+_NEWTON_FULL_STEP = 1e-8
+_NEWTON_TOL = 1e-14
 
-    `rule(dataset, k, stage)` returns the model columns at the rule's nodes
-    and the nodes' weights, each (n, K) for n dataset rows, with k nodes per
-    coordinate; the weights need not sum to 1.  A failed rule raises
-    `ComputationError(stage)`.
+
+@dataclass(frozen=True)
+class TwoArmTrialUpdate:
+    """Beta(a_pc, b_pc) prior on Pc, Normal(or_mean, 1 / or_prec) prior on the
+    log odds ratio + dc and dt events out of n per arm -> the posterior of
+    x = (logit Pc, log OR), with Pc = expit(x0) and Pt = expit(x0 + x1).
+
+    The posterior has no closed form.  Its log density is concave, so Newton
+    steps reach its mode, and it is near normal there: the adaptive rule,
+    centred at the mode and scaled by the inverse Hessian, takes its means to
+    1e-7 with 12 x 12 nodes; with 24 x 24 nodes the estimator's sigma2 is
+    within about 5e-4 of an 80 x 80 rule.  A dataset holds the counts under
+    `dc` and `dt`; the parameter columns are `Pc`, `log_or` and `Pt`.
     """
 
-    rule: Callable
-    nodes: int
+    n: int
+    a_pc: float
+    b_pc: float
+    or_mean: float
+    or_prec: float
+    nodes: int = RULE_NODES
+
+    def log_density(self, x0, x1, dc, dt):
+        # log_expit(-x) = log_expit(x) - x folds each arm's failure terms
+        # into its success term
+        n = self.n
+        xt = x0 + x1
+        lp = (self.a_pc + self.b_pc + n) * log_expit(x0) - (self.b_pc + n - dc) * x0
+        lp += n * log_expit(xt) - (n - dt) * xt
+        lp -= 0.5 * self.or_prec * (x1 - self.or_mean) ** 2
+        return lp
+
+    def derivatives(self, x0, x1, dc, dt):
+        """The gradient (g0, g1) and Hessian (h00, h01, h11) of `log_density`."""
+        total = self.a_pc + self.b_pc + self.n
+        xt = x0 + x1
+        pc, pt = expit(x0), expit(xt)
+        resid_t = dt - self.n * pt
+        curv_c = total * pc * expit(-x0)
+        curv_t = self.n * pt * expit(-xt)
+        g0 = self.a_pc + dc - total * pc + resid_t
+        g1 = resid_t - self.or_prec * (x1 - self.or_mean)
+        return g0, g1, -(curv_c + curv_t), -curv_t, -(curv_t + self.or_prec)
+
+    def mode(self, dc, dt, rows, stage):
+        """Each dataset's posterior mode, by Newton steps from the empirical
+        logits, halved until the density does not fall.
+
+        A dataset converges on its own, so its mode does not depend on the
+        others.  A failure raises `ComputationError(stage)` naming the
+        dataset's index in `rows`.
+        """
+        n = self.n
+        x0 = logit((self.a_pc + dc) / (self.a_pc + self.b_pc + n))
+        x1 = logit((dt + 0.5) / (n + 1.0)) - x0
+        active = np.arange(len(dc))
+        for _ in range(_NEWTON_STEPS):
+            if active.size == 0:
+                return x0, x1
+            a0, a1, c, t = x0[active], x1[active], dc[active], dt[active]
+            g0, g1, h00, h01, h11 = self.derivatives(a0, a1, c, t)
+            det = h00 * h11 - h01 * h01
+            d0 = (h01 * g1 - h11 * g0) / det
+            d1 = (h01 * g0 - h00 * g1) / det
+            decrement = g0 * d0 + g1 * d1
+            bad = ~np.isfinite(decrement)
+            if np.any(bad):
+                raise ComputationError(
+                    stage, f"non-finite Newton step to the two-arm posterior mode of "
+                    f"dataset {rows[active[bad][0]]}")
+            new0, new1 = a0 + d0, a1 + d1
+            lp = self.log_density(a0, a1, c, t)
+            short = np.flatnonzero((decrement >= _NEWTON_FULL_STEP)
+                                   & ~(self.log_density(new0, new1, c, t) >= lp))
+            step = 1.0
+            for _ in range(_NEWTON_HALVINGS):
+                if short.size == 0:
+                    break
+                step *= 0.5
+                new0[short] = a0[short] + step * d0[short]
+                new1[short] = a1[short] + step * d1[short]
+                rises = self.log_density(new0[short], new1[short], c[short], t[short]) >= lp[short]
+                short = short[~rises]
+            x0[active], x1[active] = new0, new1
+            active = active[decrement >= _NEWTON_TOL]
+        if active.size:
+            raise ComputationError(
+                stage, f"Newton steps to the two-arm posterior mode did not converge in "
+                f"{_NEWTON_STEPS} steps for dataset {rows[active[0]]}")
+        return x0, x1
+
+    def rule(self, dc, dt, rows, k, stage):
+        """(x0, x1, weights), each (datasets, k * k): a k x k Gauss-Hermite
+        rule in the frame of the mode and the Cholesky factor of the inverse
+        negative Hessian, each node weighted by exp(log density - Laplace log
+        density).  A dataset's weights are scaled so that the largest is 1,
+        not normalised, so that `means` can keep dividing by their sum after
+        summing, and with it the rounding of the nested oracle's outputs."""
+        x0, x1 = self.mode(dc, dt, rows, stage)
+        _, _, h00, h01, h11 = self.derivatives(x0, x1, dc, dt)
+        det = h00 * h11 - h01 * h01
+        l00 = np.sqrt(-h11 / det)
+        l10 = (h01 / det) / l00
+        l11 = np.sqrt(-h00 / det - l10 * l10)
+        u, w = hermite_nodes(k)
+        z0, z1 = (np.sqrt(2.0) * v.ravel() for v in np.meshgrid(u, u, indexing="ij"))
+        log_w = np.log(np.outer(w, w).ravel()) + 0.5 * (z0 * z0 + z1 * z1)
+        p0 = x0[:, None] + l00[:, None] * z0
+        p1 = x1[:, None] + l10[:, None] * z0 + l11[:, None] * z1
+        lw = self.log_density(p0, p1, dc[:, None], dt[:, None]) + log_w
+        return p0, p1, np.exp(lw - lw.max(axis=1, keepdims=True))
+
+    def means(self, dc, dt, rows, k=_NESTED_NODES):
+        """E[Pc] and E[Pt] per dataset by the k x k `rule`."""
+        p0, p1, weights = self.rule(dc, dt, rows, k, "nested")
+        total = weights.sum(axis=1)
+        return ((weights * expit(p0)).sum(axis=1) / total,
+                (weights * expit(p0 + p1)).sum(axis=1) / total)
 
     def nodes_and_weights(self, dataset, stage: str):
-        return self.rule(dataset, self.nodes, stage)
+        dc, dt = dataset["dc"], dataset["dt"]
+        x0, x1, weights = self.rule(dc, dt, np.arange(len(dc)), self.nodes, stage)
+        # the derived Pt is handed in for the fit on (Pc, Pt); the net
+        # benefit recomputes it from Pc and log_or
+        return {"Pc": expit(x0), "log_or": x1, "Pt": expit(x0 + x1)}, weights
+
+    def exact_means(self, dataset) -> tuple[np.ndarray, np.ndarray]:
+        """(E[Pc], E[Pt]) per dataset, by one `means` per distinct (dc, dt)
+        pair, in blocks of _TWO_ARM_BLOCK pairs; the complex keys sort by
+        dc, then dt."""
+        dc = np.asarray(dataset["dc"], dtype=float)
+        dt = np.asarray(dataset["dt"], dtype=float)
+        keys, first, inverse = np.unique(dc + 1j * dt, return_index=True, return_inverse=True)
+        e_pc, e_pt = np.empty(len(keys)), np.empty(len(keys))
+        for lo in range(0, len(keys), _TWO_ARM_BLOCK):
+            block = slice(lo, lo + _TWO_ARM_BLOCK)
+            e_pc[block], e_pt[block] = self.means(keys[block].real, keys[block].imag,
+                                                  first[block])
+        return e_pc[inverse], e_pt[inverse]
 
 
 def _split_variance_ratio(draws: np.ndarray) -> np.ndarray:

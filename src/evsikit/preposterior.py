@@ -214,8 +214,7 @@ def _inb_on(model: DecisionModel, posterior_draws: dict[str, np.ndarray]) -> np.
                           "parameter, so pass the fitted conditional mean")
     cols = {name: posterior_draws[name] for name in model.param_names}
     nb = np.asarray(model.net_benefit(model.all_columns(cols)), dtype=float)
-    r, s = model.comparison
-    return nb[:, r] - nb[:, s]
+    return nb[:, 1] - nb[:, 0]
 
 
 def expected_posterior_variance(

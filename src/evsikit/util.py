@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -51,17 +53,13 @@ def require_finite(stage: str, arrays: dict, where: str = "") -> None:
             raise ComputationError(stage, f"{bad} non-finite value(s) of {name}{where}")
 
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n Gauss-Hermite nodes x for the weight exp(-x^2), and their
     weights divided by sqrt(pi), so that they sum to 1; built on first use
     and cached.  E[f(Z)] for Z ~ Normal(0, 1) is sum(w f(sqrt(2) x))."""
-    if n not in _GH_CACHE:
-        x, w = np.polynomial.hermite.hermgauss(n)
-        _GH_CACHE[n] = (x, w / np.sqrt(np.pi))
-    return _GH_CACHE[n]
+    x, w = np.polynomial.hermite.hermgauss(n)
+    return x, w / np.sqrt(np.pi)
 
 
 def gauss_hermite_expectation(f, mean, var, n: int = 64):

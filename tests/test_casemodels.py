@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import expit, logit
 
-from evsikit import casemodels
 from evsikit.casemodels import (
     _REGISTRY,
     _ades_inb_at_means,
@@ -16,7 +15,6 @@ from evsikit.casemodels import (
     _exp_gamma_exact,
     _normal_normal_exact,
     _quadratic_normal_exact,
-    _two_arm_posterior,
     _unit_leggauss,
     ConjugateToy,
     ades_net_benefit,
@@ -329,7 +327,8 @@ class TestTwoArmInnerMeans:
     @pytest.fixture(scope="class")
     def trial(self):
         model = get_model("ades")
-        return model, get_design(model, "study3"), _two_arm_posterior(model, self.N)
+        design = get_design(model, "study3", n=self.N)
+        return model, design, design.recipe
 
     @staticmethod
     def _seeded_pairs(model, design, k=4):
@@ -417,14 +416,14 @@ class TestTwoArmInnerMeans:
         ds = design.simulate(psa.columns, SeedSpec(47))
         want = design.batch_inner_means(ds)
         # each distinct dataset is solved on its own, whatever else shares its block
-        monkeypatch.setattr(casemodels, "_TWO_ARM_BLOCK", 7)
+        monkeypatch.setattr("evsikit.posterior._TWO_ARM_BLOCK", 7)
         assert np.array_equal(design.batch_inner_means(ds), want)
         one = {k: v[:1] for k, v in ds.items()}
         assert np.array_equal(design.batch_inner_means(one), want[:1])
 
     def test_unconverged_newton_search_names_the_dataset(self, trial, monkeypatch):
         _, design, _ = trial
-        monkeypatch.setattr(casemodels, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr("evsikit.posterior._NEWTON_STEPS", 1)
         ds = {"dc": np.array([50.0, 40.0, 10.0, 30.0]), "dt": np.full(4, 12.0)}
         with pytest.raises(ComputationError, match=r"^\[nested\] .*not converge.* dataset 2$"):
             design.batch_inner_means(ds)
@@ -474,7 +473,7 @@ class TestRegistry:
     def test_designs_follow_the_model_name(self):
         # a model rebuilt by hand under a registered name gets that name's designs
         base = get_model("two_param_linear")
-        rebuilt = DecisionModel(name="two_param_linear", priors=base.priors, n_treatments=2,
+        rebuilt = DecisionModel(name="two_param_linear", priors=base.priors,
                                 net_benefit=base.net_benefit, params=base.params)
         assert list_designs("two_param_linear") == ["trial", "null"]
         null = get_design(rebuilt, "null")
@@ -482,9 +481,22 @@ class TestRegistry:
         # prior-mean INB: k * (E[response_rate] - E[background]) - 2500
         assert null.batch_inner_means({"x": np.zeros(2)}) == pytest.approx([4500.0, 4500.0])
         with pytest.raises(ConfigError, match="unknown model"):
-            get_design(DecisionModel(name="nosuch", priors=base.priors, n_treatments=2,
+            get_design(DecisionModel(name="nosuch", priors=base.priors,
                                      net_benefit=base.net_benefit), "trial")
 
     def test_sample_size_override(self):
         design = get_design(get_model("ades"), "study1", n=120)
         assert design.sample_size == 120
+        # numpy integers are sample sizes too
+        assert get_design(get_model("ades"), "study3", n=np.int64(40)).sample_size == 40
+        assert (analytic_preposterior(ConjugateToy("beta_binomial_uniform", np.int64(3)))
+                == analytic_preposterior(ConjugateToy("beta_binomial_uniform", 3)))
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, -5, np.float64(10.0)])
+    def test_sample_size_must_be_an_integer_of_at_least_0(self, n):
+        # 2.5 drew binomial counts of 2 trials and updated the posterior
+        # with 2.5, and -5 failed later as a computation error
+        with pytest.raises(ConfigError, match="sample size must be an integer >= 0"):
+            get_design(get_model("beta_binomial"), "trial", n=n)
+        with pytest.raises(ConfigError, match="sample size must be an integer >= 0"):
+            ConjugateToy("beta_binomial_uniform", n)

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import evsikit.cli as cli
-from evsikit import casemodels
 from evsikit.cli import RunConfig, _write_csv, _write_json, build_parser, main
 from evsikit.experiments import EXPERIMENTS
 from evsikit.casemodels import ConjugateToy, PreposteriorSummary, analytic_preposterior
-from evsikit.posterior import NormalNormalUpdate
+from evsikit.posterior import NormalNormalUpdate, TwoArmTrialUpdate
 from evsikit.util import ComputationError
 
 
@@ -410,6 +409,34 @@ class TestConfigHandling:
         assert code == 2
         assert "banana" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--config", '{"model": ', "is not valid JSON"),
+        ("--config", '{"model": "beta_binomial", "model_params": [1, 2]}',
+         "model_params in config file"),
+        ("--config", '{"model": "beta_binomial", "model_params": "abc"}',
+         "model_params in config file"),
+        ("--from-manifest", '{"command": "psa"}', "must hold a command and a config object"),
+        ("--from-manifest", '{"command": "psa", "config": []}',
+         "must hold a command and a config object"),
+        ("--from-manifest", '{"command": "psa", "config": {"model_params": [1]}}',
+         "model_params in manifest"),
+        ("--config", None, "cannot read"),
+    ], ids=["invalid-json", "params-list", "params-string", "manifest-without-config",
+            "manifest-config-list", "manifest-params-list", "missing-file"])
+    def test_malformed_config_file_is_a_config_error(self, tmp_path, capsys, flag, text,
+                                                     message):
+        # each ended in a traceback (exit 1), ran as an empty configuration,
+        # or, for a missing file, exited 3 as a computation error
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "x"
+        code = main(["psa", flag, str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", [{"S": float("nan")}, {"S": 1.5}, {"S": 1e5},
                                        {"S": True}, {"n_outer": 0.5},
                                        {"master_seed": float("nan")}, {"design_n": 2.5}])
@@ -660,13 +687,13 @@ class TestNumericInputs:
 def test_non_finite_newton_step_carries_its_stage(tmp_path, capsys, monkeypatch, argv, stage):
     # the two-arm rule serves the estimator and the nested oracle; a failed
     # mode search names the stage of the caller
-    original = casemodels._TwoArmPosterior.derivatives
+    original = TwoArmTrialUpdate.derivatives
 
     def derivatives(self, *args):
         g0, *rest = original(self, *args)
         return (g0 * np.nan, *rest)
 
-    monkeypatch.setattr(casemodels._TwoArmPosterior, "derivatives", derivatives)
+    monkeypatch.setattr(TwoArmTrialUpdate, "derivatives", derivatives)
     code = main([*argv, "--model", "ades", "--design", "study3", "--seed", "3",
                  "--out", str(tmp_path / "x")])
     assert code == 3

@@ -1,5 +1,8 @@
 """PSA generation, INB computation, and EVPI tests."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +31,6 @@ def _uniform_threshold_model(k=20000.0, c=10000.0):
     return DecisionModel(
         name="threshold",
         priors={"p_success": DistSpec("uniform", 0, 1)},
-        n_treatments=2,
         net_benefit=net_benefit,
     )
 
@@ -133,6 +135,14 @@ class TestComputeInb:
         )
         with pytest.raises(SchemaError):
             compute_inb(model, psa)
+
+    @pytest.mark.parametrize("shape", [(10, 1), (10, 3), (10,)])
+    def test_net_benefit_must_have_two_columns(self, shape):
+        # comparator first, then the new treatment: nothing else is an INB
+        model = dataclasses.replace(_uniform_threshold_model(),
+                                    net_benefit=lambda cols: np.zeros(shape))
+        with pytest.raises(SchemaError, match=re.escape(f"shape {shape}, expected (10, 2)")):
+            compute_inb(model, run_psa(model, 10, SeedSpec(6)))
 
     def test_permutation_equivariance(self):
         model = _uniform_threshold_model()

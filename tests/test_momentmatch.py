@@ -205,8 +205,7 @@ class TestEstimateEvsi:
         model = DecisionModel(
             name="broken",
             priors={"x": DistSpec("uniform", 0, 1)},
-            n_treatments=2,
-            net_benefit=broken,
+                net_benefit=broken,
         )
         design = get_design(get_model("beta_binomial"), "trial", n=25)
         psa = run_psa(get_model("beta_binomial"), 1000, SeedSpec(28))
@@ -271,9 +270,7 @@ class TestInvariance:
         shifted = DecisionModel(
             name="normal_normal",
             priors=base.priors,
-            n_treatments=2,
-            net_benefit=lambda cols: base.net_benefit(cols) + offset,
-            comparison=base.comparison,
+                net_benefit=lambda cols: base.net_benefit(cols) + offset,
             params=base.params,
         )
         result_shifted = self._run(shifted)
@@ -288,9 +285,7 @@ class TestInvariance:
         scaled = DecisionModel(
             name="normal_normal",
             priors=base.priors,
-            n_treatments=2,
-            net_benefit=lambda cols: base.net_benefit(cols) * factor,
-            comparison=base.comparison,
+                net_benefit=lambda cols: base.net_benefit(cols) * factor,
             params=base.params,
         )
         result_scaled = self._run(scaled)

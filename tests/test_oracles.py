@@ -126,6 +126,8 @@ class TestNestedMc:
         ("ades", "study2", 20_000, (1852.4486735014116, 25.995318067240664)),
         ("two_param_linear", "trial", 20_000, (0.0, 0.0)),
         ("beta_binomial", "trial", 20_000, (2275.1666666666665, 20.917362216108458)),
+        # the two-arm trial's inner means, by its adaptive rule
+        ("ades", "study3", 20_000, (4102.197885057108, 59.64965509790636)),
     ])
     def test_fixed_seed_values_are_pinned(self, model_name, design_name, n_outer, expected):
         # values of a build that drew every prior column: these designs'

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import log_expit, logit
 
-from evsikit.casemodels import _two_arm_posterior, get_design, get_model
+from evsikit.casemodels import get_design, get_model
 from evsikit.model import run_psa
 from evsikit.posterior import (
     BetaBinomialUpdate,
@@ -382,7 +382,7 @@ class TestAdesKernelMatchesReference:
     def trial(self):
         model = get_model("ades")
         design = get_design(model, "study3")
-        posterior = _two_arm_posterior(model, design.sample_size)
+        posterior = design.recipe
 
         def log_posterior(states, dataset, idx):
             return posterior.log_density(states[:, 0], states[:, 1], dataset["dc"][idx],

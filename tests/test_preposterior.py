@@ -10,7 +10,6 @@ from evsikit.casemodels import (
     ConjugateToy,
     _ades_inb_at_means,
     _ades_prior_means,
-    _two_arm_posterior,
     analytic_preposterior,
     build_quadratic_normal,
     get_design,
@@ -18,7 +17,7 @@ from evsikit.casemodels import (
 )
 from evsikit.model import PsaSamples, compute_inb, run_psa
 from evsikit.momentmatch import EvsiOptions, estimate_evsi
-from evsikit.posterior import NormalNormalUpdate, QuadratureUpdate
+from evsikit.posterior import NormalNormalUpdate, TwoArmTrialUpdate
 from evsikit.preposterior import (
     _DATASET_SUB,
     _plan_scores,
@@ -356,7 +355,7 @@ def _nan_draw_at_point(monkeypatch, recipe_cls, point):
 class TestNonFinitePosteriorDraws:
     @pytest.mark.parametrize("model_name, design_name, recipe_cls", [
         ("normal_normal", "trial", NormalNormalUpdate),
-        ("ades", "study3", QuadratureUpdate),
+        ("ades", "study3", TwoArmTrialUpdate),
     ])
     def test_nan_draw_names_the_point(self, monkeypatch, model_name, design_name, recipe_cls):
         model = get_model(model_name)
@@ -391,7 +390,7 @@ class TestTwoArmPosteriorVariance:
         """Var(g | dc, dt) on a 601 x 601 grid over the posterior mean +- 14 sd
         of (logit Pc, log OR), both read off a coarse grid first: no mode,
         Hessian or node rule."""
-        posterior = _two_arm_posterior(model, design.sample_size)
+        posterior = design.recipe
 
         def weights(x0, x1):
             lp = posterior.log_density(x0.ravel(), x1.ravel(), dc, dt)
