@@ -42,7 +42,8 @@ from .posterior import (
     TwoArmTrialUpdate,
 )
 from .rng import DistSpec, SeedSpec
-from .util import ConfigError, gauss_hermite_expectation, require_finite
+from .util import (ConfigError, gauss_hermite_expectation, require_count, require_finite,
+                   require_number)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +75,6 @@ class StudyDesign:
         datasets = self.simulate_batch(cols, seed)
         require_finite("simulate", datasets, f" simulated by design {self.name!r}")
         return datasets
-
-    def describe_dataset(self, dataset) -> str:
-        values = self.summarize_batch(dataset)[0]
-        return " ".join(f"{n}={v:g}" for n, v in zip(self.summary_names, values))
 
 
 def _binomial_counts(n: int, **params) -> dict:
@@ -303,7 +300,7 @@ class ConjugateToy:
 
     def __post_init__(self):
         model = get_model(self.model_name, **self.params)
-        _check_sample_size(self.N)
+        require_count("a future sample size", self.N, 0, ConfigError)
         object.__setattr__(self, "params", model.params)
 
     @property
@@ -672,6 +669,8 @@ def get_model(name: str, **overrides) -> DecisionModel:
     unknown = set(overrides) - set(build().params)
     if unknown:
         raise ConfigError(f"unknown {name} parameters {sorted(unknown)}")
+    for key, value in overrides.items():
+        require_number(key, value)
     try:
         return build(**overrides)
     except ValueError as exc:
@@ -693,13 +692,6 @@ def get_design(model: DecisionModel, name: str | None = None,
             f"unknown design {name!r} for model {model.name!r}; available: {list(designs)}"
         )
     if n is not None:
-        _check_sample_size(n)
+        require_count("a future sample size", n, 0, ConfigError)
     entry = designs[name]
     return entry.build(model, entry.size if n is None else n)
-
-
-def _check_sample_size(n):
-    """Refuse a sample size that is not an integer >= 0: binomial draws
-    truncate 2.5 to 2, while posteriors and closed forms update with 2.5."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ConfigError(f"a future sample size must be an integer >= 0, got {n!r}")

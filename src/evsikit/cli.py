@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -31,7 +30,7 @@ from .momentmatch import EvsiOptions, conditional_inb, estimate_evsi
 from .oracles import nested_mc_evsi
 from .experiments import EXPERIMENTS, ROW_FIELDS
 from .rng import SeedSpec
-from .util import ComputationError, ConfigError, EvsiKitError
+from .util import ComputationError, ConfigError, EvsiKitError, require_number
 
 _ENV_OUT = "EVSIKIT_OUTPUT_DIR"
 
@@ -122,13 +121,10 @@ class RunConfig:
                     bounds = f"at least {low}" if high is None else f"between {low} and S={high}"
                     raise ConfigError(f"{name} entries must be {bounds}, got {bad}")
         # budget_seconds may be null (no budget); a model parameter may not
-        numbers = dict(self.model_params or {})
+        for name, value in (self.model_params or {}).items():
+            require_number(name, value)
         if self.budget_seconds is not None:
-            numbers["budget_seconds"] = self.budget_seconds
-        for name, value in numbers.items():
-            if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                               and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            require_number("budget_seconds", self.budget_seconds)
 
     def as_dict(self) -> dict:
         """The settings a manifest records: those the command reads."""

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .rng import DistSpec, SeedSpec
-from .util import SchemaError, require_finite
+from .util import SchemaError, require_count, require_finite
 
 _CHUNK = 1 << 16
 
@@ -99,8 +99,7 @@ def run_psa(model: DecisionModel, S: int, seed: SeedSpec, columns=None) -> PsaSa
     they equal the full draw's columns; the derived columns need every
     prior, and are left out.
     """
-    if S < 2:
-        raise ValueError("S must be >= 2")
+    require_count("S", S, 2)
     names = model.param_names if columns is None else tuple(columns)
     unknown = [name for name in names if name not in model.priors]
     if unknown:

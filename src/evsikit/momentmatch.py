@@ -27,7 +27,7 @@ from .model import DecisionModel, InbSamples, PsaSamples, compute_inb, voi
 from .preposterior import VarianceEstimate, build_plan, expected_posterior_variance
 from .regression import RegressionFit, fit_conditional_mean
 from .rng import SeedSpec
-from .util import ComputationError, DegenerateModelError
+from .util import ComputationError, DegenerateModelError, require_count
 
 _PLAN_SUB = 11
 
@@ -47,10 +47,8 @@ class EvsiOptions:
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self):
-        if self.Q < 1:
-            raise ValueError("Q must be >= 1")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
+        require_count("Q", self.Q, 1)
+        require_count("M", self.M, 1)
 
 
 @dataclass
@@ -236,7 +234,7 @@ def estimate_evsi(
             "model": model.name,
             "design": design.name,
             "S": psa.n_draws,
-            "Q": opts.Q,
+            "Q": int(opts.Q),
             "seed": seed.as_dict(),
             "psa_seed": psa.seed.as_dict(),
             "quadrature_spacing": plan.spacing,

@@ -29,7 +29,7 @@ from .casemodels import StudyDesign
 from .model import DecisionModel, PsaSamples, compute_inb, run_psa, voi
 from .regression import SplineDesign, check_fitted
 from .rng import SeedSpec
-from .util import BudgetExceededError
+from .util import BudgetExceededError, require_count
 
 _OUTER_CHUNK = 50000
 
@@ -64,8 +64,7 @@ def nested_mc_evsi(
     nothing; they go with the benchmark's workloads, which still pass them.
     A wall-time budget, when set, aborts with the completed outer count.
     """
-    if n_outer < 100:
-        raise ValueError("n_outer must be >= 100")
+    require_count("n_outer", n_outer, 100)
     start = time.perf_counter()
     # a design's data are simulated from its informed parameters alone; when
     # they are all priors, only their columns are drawn (a derived column
@@ -113,9 +112,7 @@ def regression_on_summaries_evsi(
     `n_bootstrap` replicates, an integer of at least 2, refitted under
     bootstrap resampling counts at the selected penalty.
     """
-    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, (int, np.integer)) \
-            or n_bootstrap < 2:
-        raise ValueError(f"n_bootstrap must be an integer >= 2, got {n_bootstrap!r}")
+    require_count("n_bootstrap", n_bootstrap, 2)
     start = time.perf_counter()
     # the bootstrap's blocks take the memory of what is not kept: the net
     # benefits, the datasets, the summaries and the fitted values

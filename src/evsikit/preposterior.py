@@ -7,17 +7,18 @@ The plan reads only the columns it needs: each one's mean and SD come from
 cumulative sums, which add in the order of axis-0 reductions over the
 matrix of the columns and give their bits in a quarter of the time, and the
 points are the selected rows of each column.
-One future dataset is simulated at each point and its posterior is
-computed.  The engine's sigma-squared, the variance of the preposterior
-mean, is Var(g) minus the average of the Q posterior variances of g, where g
-is the conditional mean of the INB given the parameters the data inform,
-evaluated at each point's posterior quadrature nodes of them.  The
-parameters the study leaves untouched drop out, and sigma2 <= Var(g).  This
-is the regression-based estimator of Strong, Oakley and Brennan (Med Decis
-Making 2014) applied inside the posterior step.  g is the fitted spline
-(`sigma2_from="fitted_mean"`), or the INB itself when the data inform every
-parameter (`sigma2_from="net_benefit"`); the caller passes its values on the
-PSA draws, and the fit when there is one.
+One future dataset is simulated at each point, all Q in one call from the
+plan's seed, and each posterior is computed.  The engine's sigma-squared,
+the variance of the preposterior mean, is Var(g) minus the average of the Q
+posterior variances of g, where g is the conditional mean of the INB given
+the parameters the data inform, evaluated at each point's posterior
+quadrature nodes of them.  The parameters the study leaves untouched drop
+out, and sigma2 <= Var(g).  This is the regression-based estimator of
+Strong, Oakley and Brennan (Med Decis Making 2014) applied inside the
+posterior step.  g is the fitted spline (`sigma2_from="fitted_mean"`), or
+the INB itself when the data inform every parameter
+(`sigma2_from="net_benefit"`); the caller passes its values on the PSA
+draws, and the fit when there is one.
 
 Every design's recipe gives each point's posterior as an adaptive
 Gauss-Hermite rule (Naylor & Smith, Applied Statistics 1982): 24 nodes on
@@ -25,7 +26,7 @@ the exact posterior of a conjugate design, in its logit, log or plain frame,
 and 24 x 24 nodes on the ades two-arm trial's posterior.  All Q rules run at
 once, g is evaluated once at every node, and each point's variance of g is a
 weighted sum, with no draws and no posterior seed.  A point's result equals
-that of `run_posterior` called point by point.
+that of `run_posterior` called on its row of the batch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .model import DecisionModel, PsaSamples
 from .regression import RegressionFit
 from .rng import SeedSpec
-from .util import ComputationError, SchemaError, require_finite, round_half_up
+from .util import ComputationError, SchemaError, require_count, require_finite, round_half_up
 
 _DATASET_SUB = 0
 
@@ -49,7 +50,7 @@ class QuadraturePlan:
     phi_names: tuple[str, ...]
     row_indices: np.ndarray
     phi_points: np.ndarray
-    seeds: tuple[SeedSpec, ...]
+    seed: SeedSpec
     psa: PsaSamples
     spacing: str
 
@@ -79,10 +80,10 @@ class VarianceEstimate:
 
 
 def build_plan(psa: PsaSamples, phi_names, Q: int, seed: SeedSpec) -> QuadraturePlan:
-    """Select Q rows of the PSA spanning the distribution of `phi_names`."""
+    """Select Q rows of the PSA spanning the distribution of `phi_names`;
+    the datasets of all Q are drawn in one batch from `seed`."""
     names = tuple(phi_names)
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
+    require_count("Q", Q, 1)
     if Q > psa.n_draws:
         raise ValueError(f"Q={Q} exceeds the {psa.n_draws} available draws")
     scores, spacing = _plan_scores(psa, names)
@@ -94,7 +95,7 @@ def build_plan(psa: PsaSamples, phi_names, Q: int, seed: SeedSpec) -> Quadrature
         phi_names=names,
         row_indices=rows,
         phi_points=np.column_stack([psa.column(n)[rows] for n in names]),
-        seeds=tuple(seed.derive(q) for q in range(Q)),
+        seed=seed,
         psa=psa,
         spacing=spacing,
     )
@@ -157,23 +158,23 @@ def _stable_order_at(scores: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return rows
 
 
-def run_posterior(design, dataset, model: DecisionModel,
+def run_posterior(design, dataset: dict, model: DecisionModel,
                   fit: RegressionFit | None = None) -> float:
-    """The posterior variance of g given one simulated dataset.
+    """The posterior variance of g given one simulated dataset, a batch of one row.
 
     This is the one-dataset case of the batch that `expected_posterior_variance`
     runs over all quadrature points, and gives the same result as that batch
     gives for this dataset and `fit`.
     """
-    return float(_run_posteriors(design, [dataset], model, fit)[0])
+    return float(_run_posteriors(design, dataset, model, fit)[0])
 
 
-def _run_posteriors(design, datasets: list[dict], model: DecisionModel,
+def _run_posteriors(design, datasets: dict, model: DecisionModel,
                     fit: RegressionFit | None = None) -> np.ndarray:
-    """The posterior variances of g given several simulated datasets, one
-    per quadrature point.
+    """The posterior variances of g given a batch of simulated datasets, one
+    row per quadrature point.
 
-    The design's recipe runs its rule over every dataset at once, g is
+    The design's recipe runs its rule over the whole batch at once, g is
     evaluated once at all the nodes, and each point's variance is the
     weighted one.  A dataset's result does not depend on which others share
     the batch.  Non-finite nodes or weights raise `[posterior]`, and
@@ -183,26 +184,29 @@ def _run_posteriors(design, datasets: list[dict], model: DecisionModel,
     design's informed parameters.  Without one, it is the INB, which needs
     nodes of every parameter.
     """
-    where = [f" at quadrature point {q + 1}/{len(datasets)}" for q in range(len(datasets))]
-    stacked = {k: np.concatenate([ds[k] for ds in datasets]) for k in datasets[0]}
-    nodes, weights = design.recipe.nodes_and_weights(stacked, "posterior_variance")
-    for q, at in enumerate(where):
-        point = {k: v[q] for k, v in nodes.items()}
-        require_finite("posterior", {**point, "weights": weights[q]}, at)
+    nodes, weights = design.recipe.nodes_and_weights(datasets, "posterior_variance")
+    _require_finite_by_point("posterior", {**nodes, "weights": weights})
     weights = weights / weights.sum(axis=1, keepdims=True)
-    values = _g(design, model, {k: v.ravel() for k, v in nodes.items()}, fit)
+    columns = {k: v.ravel() for k, v in nodes.items()}
+    if fit is None:
+        values = _inb_on(model, columns)
+    else:
+        values = fit.evaluate(np.column_stack([columns[n] for n in design.informed_params]))
     values = values.reshape(weights.shape)
-    for row, at in zip(values, where):
-        require_finite("posterior_variance", {"g": row}, at)
+    _require_finite_by_point("posterior_variance", {"g": values})
     mean = (weights * values).sum(axis=1, keepdims=True)
     return (weights * (values - mean) ** 2).sum(axis=1)
 
 
-def _g(design, model: DecisionModel, columns: dict, fit: RegressionFit | None) -> np.ndarray:
-    """g at posterior nodes: `fit` at the informed parameters, or the INB."""
-    if fit is None:
-        return _inb_on(model, columns)
-    return fit.evaluate(np.column_stack([columns[n] for n in design.informed_params]))
+def _require_finite_by_point(stage: str, arrays: dict) -> None:
+    """`require_finite` on arrays of one row per quadrature point, walking the
+    points only when the whole batch holds a non-finite value, to name one."""
+    if all(np.isfinite(v).all() for v in arrays.values()):
+        return
+    Q = len(next(iter(arrays.values())))
+    for q in range(Q):
+        require_finite(stage, {k: v[q] for k, v in arrays.items()},
+                       f" at quadrature point {q + 1}/{Q}")
 
 
 def _inb_on(model: DecisionModel, posterior_draws: dict[str, np.ndarray]) -> np.ndarray:
@@ -224,7 +228,8 @@ def expected_posterior_variance(
     g: np.ndarray,
     fit: RegressionFit | None = None,
 ) -> VarianceEstimate:
-    """Average the posterior variance of g over the quadrature plan.
+    """Average the posterior variance of g over the quadrature plan, whose Q
+    datasets are simulated in one call, one row per point, from its seed.
 
     `g` holds the values of g on the PSA draws, whose variance is the prior
     one: `fit.fitted`, the fitted conditional mean of the INB on the
@@ -233,21 +238,17 @@ def expected_posterior_variance(
     """
     prior_var = float(np.var(g, ddof=1))
 
-    row_cols = plan.rows()
-    datasets = []
+    where = f"the datasets of the {plan.Q} quadrature points"
     try:
-        for q in range(plan.Q):
-            point = {k: v[q : q + 1] for k, v in row_cols.items()}
-            datasets.append(design.simulate(point, plan.seeds[q].derive(_DATASET_SUB)))
+        datasets = design.simulate(plan.rows(), plan.seed.derive(_DATASET_SUB))
+        where = f"the posteriors of the {plan.Q} quadrature points"
         per_point = _run_posteriors(design, datasets, model, fit)
     except ComputationError:
         raise
     except Exception as exc:
-        # every dataset was simulated when the batched posterior step fails
-        where = (f"quadrature point {len(datasets) + 1}/{plan.Q}" if len(datasets) < plan.Q
-                 else f"the posteriors of the {plan.Q} quadrature points")
         raise ComputationError("posterior_variance", f"{where} failed: {exc}") from exc
-    summaries = [design.describe_dataset(ds) for ds in datasets]
+    summaries = [" ".join(f"{n}={v:g}" for n, v in zip(design.summary_names, row))
+                 for row in design.summarize_batch(datasets)]
 
     expected = float(np.mean(per_point))
     raw = prior_var - expected

@@ -3,8 +3,8 @@
 Every stochastic routine in the package draws from a stream identified by a
 (master_seed, stream_id) pair.  Streams derived with :meth:`SeedSpec.derive`
 are statistically independent and bit-reproducible regardless of execution
-order, which is what makes chunked PSA sampling and per-quadrature-point
-posterior runs deterministic.
+order, which is what makes chunked PSA sampling deterministic.  The
+datasets of all the points of a quadrature plan are one batch from one stream.
 """
 
 from __future__ import annotations

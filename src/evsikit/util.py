@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 
 import numpy as np
 
@@ -51,6 +53,20 @@ def require_finite(stage: str, arrays: dict, where: str = "") -> None:
         bad = int(np.count_nonzero(~np.isfinite(values)))
         if bad:
             raise ComputationError(stage, f"{bad} non-finite value(s) of {name}{where}")
+
+
+def require_count(name: str, value, least: int, error: type = ValueError) -> None:
+    """Raise `error` naming a count that is a bool, not an integer or below
+    `least`, numpy integers passing: a bool runs as 0 or 1, and a float fails
+    late in numpy or, as a sample size, updates posteriors but not draws."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_number(name: str, value) -> None:
+    """Raise a `ConfigError` naming a setting that is a bool or not a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @functools.cache

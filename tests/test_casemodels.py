@@ -492,6 +492,21 @@ class TestRegistry:
         assert (analytic_preposterior(ConjugateToy("beta_binomial_uniform", np.int64(3)))
                 == analytic_preposterior(ConjugateToy("beta_binomial_uniform", 3)))
 
+    @pytest.mark.parametrize("value", [True, "1", None, np.nan, np.inf])
+    def test_model_parameters_must_be_finite_numbers(self, value):
+        # lam=True built a model whose lam is True, and k=True gave the
+        # exact EVSI of k=1
+        with pytest.raises(ConfigError, match="lam must be a finite number"):
+            get_model("ades", lam=value)
+        with pytest.raises(ConfigError, match="k must be a finite number"):
+            ConjugateToy("beta_binomial_uniform", 3, params={"k": value, "c": 0.5})
+
+    def test_numpy_model_parameters_are_accepted(self):
+        assert get_model("ades", lam=np.float64(2.0)).params["lam"] == 2.0
+        toys = [ConjugateToy("beta_binomial_uniform", 3, params={"k": k, "c": 0.5})
+                for k in (np.float64(2.0), 2.0)]
+        assert analytic_preposterior(toys[0]) == analytic_preposterior(toys[1])
+
     @pytest.mark.parametrize("n", [2.5, 3.0, True, -5, np.float64(10.0)])
     def test_sample_size_must_be_an_integer_of_at_least_0(self, n):
         # 2.5 drew binomial counts of 2 trials and updated the posterior

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +292,41 @@ class TestBootstrapCounts:
         assert np.array_equal(counts, np.bincount(inverse[draws], minlength=n_design))
         np.testing.assert_allclose(sums, np.bincount(inverse[draws], y[draws], n_design),
                                    rtol=1e-12, atol=0)
+
+
+def _nested_toy(n_outer):
+    model = get_model("beta_binomial")
+    return nested_mc_evsi(model, get_design(model, "trial"), n_outer)
+
+
+# name: (its floor, a call that takes it)
+_COUNTS = {
+    "Q": (1, lambda Q: EvsiOptions(Q=Q)),
+    "S": (2, lambda S: run_psa(get_model("beta_binomial"), S, SeedSpec(18))),
+    "n_outer": (100, _nested_toy),
+}
+
+
+@pytest.mark.parametrize("value", [True, 3.0, np.float64(2000.0), "3", None, 0])
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_counts_must_be_integers_of_at_least_their_floor(name, value):
+    # Q=True ran as Q=1 and Q=3.0 failed late in the posterior step; a
+    # float S or n_outer ended in numpy's TypeError
+    least, call = _COUNTS[name]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {least}, "
+                                                   f"got {value!r}")):
+        call(value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    model = get_model("beta_binomial")
+    psa = run_psa(model, np.int64(200), SeedSpec(18))
+    assert psa.n_draws == 200
+    assert _nested_toy(np.int64(200)).n_outer == 200
+    # the result's config records Q as a Python int, so it can be written as JSON
+    result = estimate_evsi(model, get_design(model, "trial", n=30), psa,
+                           EvsiOptions(Q=np.int64(3)))
+    assert json.loads(json.dumps(result.to_json_dict()))["config"]["Q"] == 3
 
 
 @pytest.mark.parametrize("n_bootstrap", [1, 0, -5, 2.0, True, "20"])

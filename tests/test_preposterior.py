@@ -176,10 +176,9 @@ class TestRunPosterior:
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(25))
         ve = expected_posterior_variance(plan, design, model, fit.fitted, fit)
-        rows = plan.rows()
+        batch = design.simulate_batch(plan.rows(), plan.seed.derive(_DATASET_SUB))
         for q in range(plan.Q):
-            point = {k: v[q : q + 1] for k, v in rows.items()}
-            dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
+            dataset = {k: v[q : q + 1] for k, v in batch.items()}
             assert run_posterior(design, dataset, model, fit) == ve.per_point[q]
             nodes, weights = design.recipe.nodes_and_weights(dataset, "posterior")
             assert weights.shape == (1, 24)
@@ -296,17 +295,53 @@ class TestExpectedPosteriorVariance:
         fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
         plan = build_plan(psa, design.informed_params, 5, SeedSpec(21))
         ve = expected_posterior_variance(plan, design, model, fit.fitted, fit)
-        rows = plan.rows()
+        batch = design.simulate_batch(plan.rows(), plan.seed.derive(_DATASET_SUB))
         variances = []
         for q in range(plan.Q):
-            point = {k: v[q : q + 1] for k, v in rows.items()}
-            dataset = design.simulate_batch(point, plan.seeds[q].derive(_DATASET_SUB))
+            dataset = {k: v[q : q + 1] for k, v in batch.items()}
             variances.append(run_posterior(design, dataset, model, fit))
             nodes, weights = design.recipe.nodes_and_weights(dataset, "posterior")
             assert weights.shape == (1, 24 * 24)
             assert set(nodes) == {"Pc", "log_or", "Pt"}
         assert np.array_equal(ve.per_point, variances)
         assert ve.posterior_method == {"method": "gauss_hermite", "k": 24}
+
+    def test_datasets_are_one_batch_from_one_stream(self, monkeypatch):
+        # the Q datasets are the rows of one simulate call on the plan's seed
+        model = get_model("ades")
+        design = get_design(model, "study3")
+        psa = run_psa(model, 5000, SeedSpec(26))
+        fit = fit_conditional_mean(compute_inb(model, psa), psa.matrix(design.informed_params))
+        plan = build_plan(psa, design.informed_params, 30, SeedSpec(27))
+        seeds = []
+        generator = SeedSpec.generator
+
+        def counted(self):
+            seeds.append(self)
+            return generator(self)
+
+        monkeypatch.setattr(SeedSpec, "generator", counted)
+        ve = expected_posterior_variance(plan, design, model, fit.fitted, fit)
+        assert seeds == [plan.seed.derive(_DATASET_SUB)]
+        batch = design.simulate_batch(plan.rows(), plan.seed.derive(_DATASET_SUB))
+        assert ve.dataset_summaries == [f"dc={dc:g} dt={dt:g}"
+                                        for dc, dt in zip(batch["dc"], batch["dt"])]
+
+    def test_a_failed_batch_is_named(self):
+        # no single point can be named when the one simulate call fails
+        model = get_model("normal_normal")
+        design = get_design(model, "trial")
+        psa = run_psa(model, 2000, SeedSpec(28))
+        plan = build_plan(psa, design.informed_params, 4, SeedSpec(29))
+
+        def fail(*args):
+            raise RuntimeError("boom")
+
+        for broken, what in ((dataclasses.replace(design, simulate_batch=fail), "datasets"),
+                             (dataclasses.replace(design, recipe=None), "posteriors")):
+            with pytest.raises(ComputationError, match=rf"^\[posterior_variance\] the {what} "
+                                                       r"of the 4 quadrature points failed: "):
+                expected_posterior_variance(plan, broken, model, compute_inb(model, psa).inb_theta)
 
     def test_inb_needs_draws_of_every_parameter(self):
         # without a fit, g is the INB, and study3's posterior leaves Pse and
