@@ -16,12 +16,10 @@ Designs are looked up by `model.name`, so a model rebuilt by hand under a
 registered name gets the registered designs.  Every model parameter, a
 design's observation variance included, can be overridden per run.
 
-A simulated dataset holds one sufficient statistic per PSA row, never the
-single observations: a count for binomial data, and for n normal or
-exponential observations their total, drawn from its exact law and stored
-under a `*_total` key.  Each design's posterior is a recipe of `posterior`,
-which reads that total with n taken from the design; every summary is the
-total divided by n.
+Each design's likelihood is a recipe of `posterior`, written once: the
+recipe draws each PSA row's sufficient statistic, never the single
+observations, summarises it, names the parameters it informs and updates on
+it.  A design adds its name and the exact inner means of the nested oracle.
 """
 
 from __future__ import annotations
@@ -54,72 +52,30 @@ from .util import (ConfigError, gauss_hermite_expectation, require_count, requir
 class StudyDesign:
     """A future data-collection exercise attached to a decision model.
 
-    `informed_params` are the parameters the future data are simulated from.
-    The estimator fits the conditional INB mean g on them and spaces its
-    quadrature points over them, so sigma2 cannot exceed Var(g); the EVPPI
-    is reported on them too, so that it bounds the EVSI.
+    `recipe` is the study's likelihood (see `posterior`): it simulates and
+    summarises the data, names their `informed_params` and gives each
+    dataset's posterior.  The estimator fits the conditional INB mean g on
+    the informed parameters and spaces its quadrature points over them, so
+    sigma2 cannot exceed Var(g); the EVPPI is reported on them too, so that
+    it bounds the EVSI.  `batch_inner_means` gives the posterior mean of the
+    INB per dataset.  `simulate_batch` is the recipe's `simulate` unless a
+    caller replaces it.
     """
 
     name: str
-    sample_size: int
     recipe: object
-    simulate_batch: Callable[[dict, SeedSpec], dict]
-    summary_names: tuple[str, ...]
-    summarize_batch: Callable[[dict], np.ndarray]
     batch_inner_means: Callable[[dict], np.ndarray]
-    informed_params: tuple[str, ...]
-    is_discrete_data: bool = False
+    simulate_batch: Callable[[dict, SeedSpec], dict] | None = None
+
+    def __post_init__(self):
+        if self.simulate_batch is None:
+            object.__setattr__(self, "simulate_batch", self.recipe.simulate)
 
     def simulate(self, cols: dict, seed: SeedSpec) -> dict:
         """`simulate_batch`, refusing a dataset that holds a non-finite value."""
         datasets = self.simulate_batch(cols, seed)
         require_finite("simulate", datasets, f" simulated by design {self.name!r}")
         return datasets
-
-
-def _binomial_counts(n: int, **params) -> dict:
-    """StudyDesign data fields for Binomial(n, p) counts, one key per parameter.
-
-    The counts are drawn in keyword order from one generator.
-    """
-    keys = tuple(params)
-
-    def simulate(cols, seed):
-        gen = seed.generator()
-        return {key: gen.binomial(n, cols[param]).astype(float) for key, param in params.items()}
-
-    return dict(simulate_batch=simulate, summary_names=keys, is_discrete_data=True,
-                summarize_batch=lambda ds: np.column_stack([ds[key] for key in keys]),
-                informed_params=tuple(params.values()))
-
-
-def _observation_totals(n: int, param: str, draw_total: Callable, key: str,
-                        summary: str) -> dict:
-    """StudyDesign data fields for the total of n observations of `param`,
-    summarised by their mean.
-
-    `draw_total(gen, cols)` draws each row's total from its exact law, so the
-    single observations are never simulated.
-    """
-    if n < 1:
-        raise ConfigError(f"{summary} needs a sample size of at least 1, got {n}")
-
-    def simulate(cols, seed):
-        return {key: draw_total(seed.generator(), cols)}
-
-    return dict(simulate_batch=simulate, summary_names=(summary,),
-                summarize_batch=lambda ds: (ds[key] / n)[:, None], informed_params=(param,))
-
-
-def _normal_observations(n: int, param: str, obs_var: float, key: str = "obs_total",
-                         summary: str = "mean_obs") -> dict:
-    """StudyDesign data fields for n Normal(param, obs_var) observations: their
-    total is Normal(n param, n obs_var)."""
-
-    def draw_total(gen, cols):
-        return gen.normal(n * np.asarray(cols[param], dtype=float), np.sqrt(n * obs_var))
-
-    return _observation_totals(n, param, draw_total, key, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +184,27 @@ def _ades_prior_means(p) -> dict:
 def _ades_study1(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
     means = _ades_prior_means(p)
-    recipe = BetaBinomialUpdate("Pse", p["pse_alpha"], p["pse_beta"], n, "x")
+    recipe = BetaBinomialUpdate("Pse", p["pse_alpha"], p["pse_beta"], n)
 
     def inner_means(ds):
         pse_post = recipe.exact_means(ds)
         return _ades_inb_at_means(means["Pc"], pse_post, means["Pt"], means["Qe"], p)
 
-    return StudyDesign(
-        name="study1", sample_size=n, recipe=recipe,
-        batch_inner_means=inner_means, **_binomial_counts(n, x="Pse"),
-    )
+    return StudyDesign("study1", recipe, inner_means)
 
 
 def _ades_study2(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
     means = _ades_prior_means(p)
     recipe = NormalNormalUpdate("logit_qe", p["logit_qe_mean"], p["logit_qe_var"],
-                                p["logit_qe_obs_var"], n, "response_total")
+                                p["logit_qe_obs_var"], n)
 
     def inner_means(ds):
         mean, var = recipe.posterior_params(ds)
         e_qe = gauss_hermite_expectation(expit, np.atleast_1d(mean), np.full_like(np.atleast_1d(mean), var))
         return _ades_inb_at_means(means["Pc"], means["Pse"], means["Pt"], e_qe, p)
 
-    return StudyDesign(
-        name="study2", sample_size=n, recipe=recipe,
-        batch_inner_means=inner_means,
-        **_normal_observations(n, "logit_qe", p["logit_qe_obs_var"], key="response_total",
-                               summary="mean_response"),
-    )
+    return StudyDesign("study2", recipe, inner_means)
 
 
 def _ades_trial(name: str) -> Callable[[DecisionModel, int], StudyDesign]:
@@ -274,10 +222,7 @@ def _ades_trial(name: str) -> Callable[[DecisionModel, int], StudyDesign]:
             e_pc, e_pt = recipe.exact_means(ds)
             return _ades_inb_at_means(e_pc, means["Pse"], e_pt, means["Qe"], p)
 
-        return StudyDesign(
-            name=name, sample_size=n, recipe=recipe,
-            batch_inner_means=inner_means, **_binomial_counts(n, dc="Pc", dt="Pt"),
-        )
+        return StudyDesign(name, recipe, inner_means)
 
     return build
 
@@ -492,68 +437,49 @@ def _two_param_prior_mean_inb(model: DecisionModel) -> float:
 
 
 def _beta_binomial_trial(model: DecisionModel, n: int) -> StudyDesign:
-    recipe = BetaBinomialUpdate("p_success", 1.0, 1.0, n, "x")
+    recipe = BetaBinomialUpdate("p_success", 1.0, 1.0, n)
     k, c = model.params["k"], model.params["c"]
 
     def inner(ds):
         return k * recipe.exact_means(ds) - c
 
-    return StudyDesign(
-        name="trial", sample_size=n, recipe=recipe,
-        batch_inner_means=inner, **_binomial_counts(n, x="p_success"),
-    )
+    return StudyDesign("trial", recipe, inner)
 
 
 def _exp_gamma_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
-    recipe = GammaExponentialUpdate("event_rate", p["alpha"], p["beta"], n, "obs_total")
-
-    def draw_total(gen, cols):
-        # the total of n Exponential(rate) observations is Gamma(n, rate)
-        rate = np.asarray(cols["event_rate"], dtype=float)
-        return gen.gamma(n, 1.0, rate.shape) / rate
+    recipe = GammaExponentialUpdate("event_rate", p["alpha"], p["beta"], n)
 
     def inner(ds):
         return p["k"] * recipe.exact_means(ds) - p["c1"] - p["c0"]
 
-    return StudyDesign(
-        name="trial", sample_size=n, recipe=recipe,
-        batch_inner_means=inner,
-        **_observation_totals(n, "event_rate", draw_total, "obs_total", "mean_obs"),
-    )
+    return StudyDesign("trial", recipe, inner)
 
 
 def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
-    recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], n,
-                                "obs_total")
+    recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], n)
 
     def inner(ds):
         return p["k"] * recipe.exact_means(ds) - p["c"]
 
-    return StudyDesign(
-        name="trial", sample_size=n, recipe=recipe,
-        batch_inner_means=inner, **_normal_observations(n, "effect", p["obs_var"]),
-    )
+    return StudyDesign("trial", recipe, inner)
 
 
 def _quadratic_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
     p = model.params
-    recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], n, "obs_total")
+    recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], n)
 
     def inner(ds):
         mean, post_var = recipe.posterior_params(ds)
         return np.atleast_1d(mean) ** 2 + post_var - p["prior_var"]
 
-    return StudyDesign(
-        name="trial", sample_size=n, recipe=recipe,
-        batch_inner_means=inner, **_normal_observations(n, "effect", p["obs_var"]),
-    )
+    return StudyDesign("trial", recipe, inner)
 
 
 def _two_param_trial(model: DecisionModel, n: int) -> StudyDesign:
     k = model.params["k"]
-    recipe = BetaBinomialUpdate("response_rate", *model.priors["response_rate"].params, n, "x")
+    recipe = BetaBinomialUpdate("response_rate", *model.priors["response_rate"].params, n)
     e_background = model.priors["background"].mean()
 
     def inner(ds):
@@ -561,10 +487,7 @@ def _two_param_trial(model: DecisionModel, n: int) -> StudyDesign:
         return (k * recipe.exact_means(ds) - _TWO_PARAM_COSTS[1]
                 - (k * e_background - _TWO_PARAM_COSTS[0]))
 
-    return StudyDesign(
-        name="trial", sample_size=n, recipe=recipe,
-        batch_inner_means=inner, **_binomial_counts(n, x="response_rate"),
-    )
+    return StudyDesign("trial", recipe, inner)
 
 
 def _null_design(model: DecisionModel, n: int) -> StudyDesign:
@@ -574,22 +497,12 @@ def _null_design(model: DecisionModel, n: int) -> StudyDesign:
     re-draws, and its prior and posterior variances agree up to noise.
     """
     first = model.param_names[0]
-    recipe = NullUpdate(first, model.priors[first])
     prior_mean_inb = _entry(model.name).prior_mean_inb(model)
 
-    def simulate(cols, seed):
-        k = len(next(iter(cols.values())))
-        return {"x": seed.generator().binomial(n, 0.5, k).astype(float)}
-
     def inner(ds):
-        return np.full(len(ds["x"]), prior_mean_inb)
+        return np.full(len(next(iter(ds.values()))), prior_mean_inb)
 
-    return StudyDesign(
-        name="null", sample_size=n,
-        recipe=recipe, simulate_batch=simulate, summary_names=("x",),
-        summarize_batch=lambda ds: ds["x"][:, None], batch_inner_means=inner,
-        informed_params=(first,), is_discrete_data=True,
-    )
+    return StudyDesign("null", NullUpdate(first, model.priors[first], n), inner)
 
 
 # ---------------------------------------------------------------------------

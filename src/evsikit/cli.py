@@ -255,14 +255,14 @@ def cmd_evppi(cfg: RunConfig) -> int:
     model, design = _model_and_design(cfg)
     psa = run_psa(model, cfg.S, SeedSpec(cfg.master_seed).derive(0))
     inb = compute_inb(model, psa)
-    g, fit = conditional_inb(model, psa, inb, design.informed_params)
+    g, fit = conditional_inb(model, psa, inb, design.recipe.informed_params)
     diagnostics = None if fit is None else fit.diagnostics()
     _write_json(
         os.path.join(out, "evppi.json"),
         {
             "model": model.name,
             "design": design.name,
-            "informed_params": list(design.informed_params),
+            "informed_params": list(design.recipe.informed_params),
             "evpi": evpi(inb),
             "evppi": voi(g).value,
             "fit": diagnostics,
@@ -284,15 +284,9 @@ def cmd_evsi(cfg: RunConfig) -> int:
     _write_json(os.path.join(out, "result.json"), payload)
 
     ve = result.variance_estimate
-    rows = []
-    for q in range(len(ve.per_point)):
-        row = {"q": q + 1}
-        if ve.phi_points is not None:
-            for j, name in enumerate(ve.phi_names):
-                row[name] = float(ve.phi_points[q, j])
-        row["dataset"] = ve.dataset_summaries[q]
-        row["posterior_variance"] = float(ve.per_point[q])
-        rows.append(row)
+    rows = [{"q": q + 1, **dict(zip(ve.phi_names, map(float, ve.phi_points[q]))),
+             "dataset": ve.dataset_summaries[q], "posterior_variance": float(ve.per_point[q])}
+            for q in range(len(ve.per_point))]
     fieldnames = ["q", *ve.phi_names, "dataset", "posterior_variance"]
     _write_csv(os.path.join(out, "per_point.csv"), fieldnames, rows)
     _write_manifest(out, cfg, fit=result.fit_diagnostics)

@@ -63,7 +63,7 @@ def _quadratic_sweep(Q_values, replicates: int, seed: SeedSpec, S: int):
         psa = run_psa(model, S, rep_seed.derive(0))
         inb = compute_inb(model, psa)
         for qi, Q in enumerate(Q_values):
-            plan = build_plan(psa, design.informed_params, Q, rep_seed.derive(1 + qi))
+            plan = build_plan(psa, design.recipe.informed_params, Q, rep_seed.derive(1 + qi))
             yield r, Q, inb, expected_posterior_variance(plan, design, model, inb.inb_theta)
 
 
@@ -78,7 +78,7 @@ def replicate_table1(
     Bias is measured against the model's exact EVSI.
     """
     model = build_quadratic_normal()
-    exact = quadratic_exact_evsi(model, get_design(model, "trial").sample_size)
+    exact = quadratic_exact_evsi(model, get_design(model, "trial").recipe.n)
     rows = [_row("table1", Q, r, _rescaled_evsi(ve.sigma2, inb), exact, 0.0)
             for r, Q, inb, ve in _quadratic_sweep(Q_values, replicates, seed, S)]
     summary = []

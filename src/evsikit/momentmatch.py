@@ -182,9 +182,10 @@ def estimate_evsi(
     opts = options or EvsiOptions()
     seed = opts.seed
 
-    if design.is_discrete_data and design.sample_size < 20:
+    recipe = design.recipe
+    if recipe.is_discrete_data and recipe.n < 20:
         warnings.warn(
-            f"future sample size {design.sample_size} < 20 with discrete data; "
+            f"future sample size {recipe.n} < 20 with discrete data; "
             "the rescaling approximation degrades for very small studies",
             stacklevel=2,
         )
@@ -196,13 +197,15 @@ def estimate_evsi(
             raise ComputationError("net_benefit", str(exc)) from exc
 
     try:
-        g, fit = conditional_inb(model, psa, inb, design.informed_params)
+        g, fit = conditional_inb(model, psa, inb, recipe.informed_params)
         fit_diag = None if fit is None else fit.diagnostics()
+    except DegenerateModelError:
+        raise
     except Exception as exc:
         raise ComputationError("regression", str(exc)) from exc
 
     try:
-        plan = build_plan(psa, design.informed_params, opts.Q, seed.derive(_PLAN_SUB))
+        plan = build_plan(psa, recipe.informed_params, opts.Q, seed.derive(_PLAN_SUB))
         ve = expected_posterior_variance(plan, design, model, g, fit)
     except ComputationError:
         raise

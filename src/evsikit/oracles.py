@@ -69,7 +69,7 @@ def nested_mc_evsi(
     # a design's data are simulated from its informed parameters alone; when
     # they are all priors, only their columns are drawn (a derived column
     # needs every prior)
-    informed = design.informed_params
+    informed = design.recipe.informed_params
     columns = informed if all(name in model.priors for name in informed) else None
 
     mus = []
@@ -117,10 +117,10 @@ def regression_on_summaries_evsi(
     # the bootstrap's blocks take the memory of what is not kept: the net
     # benefits, the datasets, the summaries and the fitted values
     y = compute_inb(model, psa).inb_theta
+    recipe = design.recipe
     spline_design = SplineDesign(
-        np.asarray(design.summarize_batch(design.simulate(psa.columns, seed.derive(0))),
-                   dtype=float),
-        design.summary_names)
+        np.asarray(recipe.summarize(design.simulate(psa.columns, seed.derive(0))), dtype=float),
+        recipe.summary_names)
     fit = spline_design.fit(y)
     check_fitted(y, fit.fitted)
     evsi_val, penalty = voi(fit.fitted).value, fit.penalty_weight

@@ -11,11 +11,15 @@ normal: the logit of a Beta, the log of a Gamma, a Normal as it is, and
 (logit Pc, log OR) for the two-arm trial, whose posterior has no closed
 form.  Each node is weighted by exp(log density - Laplace log density).
 
-A recipe reads the dataset's sufficient statistic: a count for binomial data,
-two for the two-arm trial and, for normal or exponential observations, the
-total of the n observations, with n fixed by the design.  The conjugate
-`draw` methods return exact-posterior draws; the estimator no longer calls
-them.
+A recipe also holds its likelihood's data contract, so the likelihood is
+written once: `simulate(cols, seed)` draws each dataset's sufficient
+statistic from one generator, `summarize` gives the summaries named by
+`summary_names`, and `informed_params` names the parameters the data are
+drawn from.  A dataset holds a count under `x` for binomial data, the two
+arms' counts under `dc` and `dt` for the two-arm trial and, for n normal or
+exponential observations, their total under `obs_total`, drawn from its
+exact law and summarised by their mean.  The conjugate `draw` methods
+return exact-posterior draws; the estimator no longer calls them.
 
 The Metropolis sampler, which no registered design runs, takes many chains
 at once, one chain per dataset, with per-chain randomness pre-derived from
@@ -46,7 +50,7 @@ import numpy as np
 from scipy.special import expit, log_expit, logit
 
 from .rng import Family, SeedSpec
-from .util import ComputationError, hermite_nodes
+from .util import ComputationError, ConfigError, hermite_nodes
 
 _ADAPT_WINDOW = 50
 _ACCEPT_TARGET = 0.3
@@ -106,20 +110,56 @@ def _normal_rule(mean, var, k: int):
     return x, np.broadcast_to(w, x.shape)
 
 
+class _Count:
+    """Data of one Binomial(n, ·) count per dataset under `x`, summarised as
+    itself; the data inform `param`."""
+
+    summary_names = ("x",)
+    is_discrete_data = True
+
+    @property
+    def informed_params(self) -> tuple[str, ...]:
+        return (self.param,)
+
+    def summarize(self, dataset) -> np.ndarray:
+        return dataset["x"][:, None]
+
+
+class _Total:
+    """Data of n observations of `param` per dataset, held as their total
+    under `obs_total` and summarised by their mean."""
+
+    summary_names = ("mean_obs",)
+    is_discrete_data = False
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError(f"mean_obs needs a sample size of at least 1, got {self.n}")
+
+    @property
+    def informed_params(self) -> tuple[str, ...]:
+        return (self.param,)
+
+    def summarize(self, dataset) -> np.ndarray:
+        return (dataset["obs_total"] / self.n)[:, None]
+
+
 @dataclass(frozen=True)
-class BetaBinomialUpdate:
-    """Beta(alpha, beta) prior + Binomial(n, p) count data -> Beta posterior."""
+class BetaBinomialUpdate(_Count):
+    """Beta(alpha, beta) prior + a Binomial(n, p) count -> Beta posterior."""
 
     param: str
     alpha: float
     beta: float
-    trials: int
-    count_key: str
+    n: int
     nodes: int = RULE_NODES
 
+    def simulate(self, cols, seed: SeedSpec) -> dict:
+        return {"x": seed.generator().binomial(self.n, cols[self.param]).astype(float)}
+
     def posterior_params(self, dataset):
-        x = np.asarray(dataset[self.count_key], dtype=float)
-        return self.alpha + x, self.beta + self.trials - x
+        x = np.asarray(dataset["x"], dtype=float)
+        return self.alpha + x, self.beta + self.n - x
 
     def nodes_and_weights(self, dataset, stage: str):
         p, weights = _beta_rule(*self.posterior_params(dataset), self.nodes)
@@ -135,7 +175,7 @@ class BetaBinomialUpdate:
 
 
 @dataclass(frozen=True)
-class NormalNormalUpdate:
+class NormalNormalUpdate(_Total):
     """Normal prior with known observation variance + the total of n
     observations -> Normal posterior."""
 
@@ -144,11 +184,16 @@ class NormalNormalUpdate:
     prior_var: float
     obs_var: float
     n: int
-    total_key: str
     nodes: int = RULE_NODES
 
+    def simulate(self, cols, seed: SeedSpec) -> dict:
+        # the total of n Normal(param, obs_var) observations is
+        # Normal(n param, n obs_var)
+        mean = self.n * np.asarray(cols[self.param], dtype=float)
+        return {"obs_total": seed.generator().normal(mean, np.sqrt(self.n * self.obs_var))}
+
     def posterior_params(self, dataset):
-        total = np.asarray(dataset[self.total_key], dtype=float)
+        total = np.asarray(dataset["obs_total"], dtype=float)
         prec = 1.0 / self.prior_var + self.n / self.obs_var
         mean = (self.prior_mean / self.prior_var + total / self.obs_var) / prec
         return mean, 1.0 / prec
@@ -169,7 +214,7 @@ class NormalNormalUpdate:
 
 
 @dataclass(frozen=True)
-class GammaExponentialUpdate:
+class GammaExponentialUpdate(_Total):
     """Gamma(shape, rate) prior + the total of n exponential observations
     -> Gamma posterior."""
 
@@ -177,11 +222,15 @@ class GammaExponentialUpdate:
     shape: float
     rate: float
     n: int
-    total_key: str
     nodes: int = RULE_NODES
 
+    def simulate(self, cols, seed: SeedSpec) -> dict:
+        # the total of n Exponential(rate) observations is Gamma(n, rate)
+        rate = np.asarray(cols[self.param], dtype=float)
+        return {"obs_total": seed.generator().gamma(self.n, 1.0, rate.shape) / rate}
+
     def posterior_params(self, dataset):
-        total = np.asarray(dataset[self.total_key], dtype=float)
+        total = np.asarray(dataset["obs_total"], dtype=float)
         return self.shape + self.n, self.rate + total
 
     def nodes_and_weights(self, dataset, stage: str):
@@ -199,12 +248,18 @@ class GammaExponentialUpdate:
 
 
 @dataclass(frozen=True)
-class NullUpdate:
-    """Data carry no information; the posterior is the prior itself."""
+class NullUpdate(_Count):
+    """Binomial(n, 1/2) counts that carry no information; the posterior is
+    the prior of `param` itself."""
 
     param: str
     prior: object
+    n: int
     nodes: int = RULE_NODES
+
+    def simulate(self, cols, seed: SeedSpec) -> dict:
+        rows = len(next(iter(cols.values())))
+        return {"x": seed.generator().binomial(self.n, 0.5, rows).astype(float)}
 
     def nodes_and_weights(self, dataset, stage: str):
         """The rule of the prior's family, the same for every dataset; a
@@ -250,7 +305,8 @@ class TwoArmTrialUpdate:
     centred at the mode and scaled by the inverse Hessian, takes its means to
     1e-7 with 12 x 12 nodes; with 24 x 24 nodes the estimator's sigma2 is
     within about 5e-4 of an 80 x 80 rule.  A dataset holds the counts under
-    `dc` and `dt`; the parameter columns are `Pc`, `log_or` and `Pt`.
+    `dc` and `dt`, drawn from Pc and Pt; the parameter columns are `Pc`,
+    `log_or` and `Pt`.
     """
 
     n: int
@@ -259,6 +315,18 @@ class TwoArmTrialUpdate:
     or_mean: float
     or_prec: float
     nodes: int = RULE_NODES
+
+    summary_names = ("dc", "dt")
+    informed_params = ("Pc", "Pt")
+    is_discrete_data = True
+
+    def simulate(self, cols, seed: SeedSpec) -> dict:
+        gen = seed.generator()
+        return {"dc": gen.binomial(self.n, cols["Pc"]).astype(float),
+                "dt": gen.binomial(self.n, cols["Pt"]).astype(float)}
+
+    def summarize(self, dataset) -> np.ndarray:
+        return np.column_stack([dataset["dc"], dataset["dt"]])
 
     def log_density(self, x0, x1, dc, dt):
         # log_expit(-x) = log_expit(x) - x folds each arm's failure terms

@@ -32,7 +32,7 @@ that of `run_posterior` called on its row of the batch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,11 +72,11 @@ class VarianceEstimate:
     sigma2: float
     per_point: np.ndarray
     clamped: bool
-    dataset_summaries: list = field(default_factory=list)
-    phi_names: tuple = ()
-    phi_points: np.ndarray | None = None
-    sigma2_from: str = "net_benefit"
-    posterior_method: dict = field(default_factory=dict)
+    dataset_summaries: list
+    phi_names: tuple
+    phi_points: np.ndarray
+    sigma2_from: str
+    posterior_method: dict
 
 
 def build_plan(psa: PsaSamples, phi_names, Q: int, seed: SeedSpec) -> QuadraturePlan:
@@ -184,14 +184,15 @@ def _run_posteriors(design, datasets: dict, model: DecisionModel,
     design's informed parameters.  Without one, it is the INB, which needs
     nodes of every parameter.
     """
-    nodes, weights = design.recipe.nodes_and_weights(datasets, "posterior_variance")
+    recipe = design.recipe
+    nodes, weights = recipe.nodes_and_weights(datasets, "posterior_variance")
     _require_finite_by_point("posterior", {**nodes, "weights": weights})
     weights = weights / weights.sum(axis=1, keepdims=True)
     columns = {k: v.ravel() for k, v in nodes.items()}
     if fit is None:
         values = _inb_on(model, columns)
     else:
-        values = fit.evaluate(np.column_stack([columns[n] for n in design.informed_params]))
+        values = fit.evaluate(np.column_stack([columns[n] for n in recipe.informed_params]))
     values = values.reshape(weights.shape)
     _require_finite_by_point("posterior_variance", {"g": values})
     mean = (weights * values).sum(axis=1, keepdims=True)
@@ -247,8 +248,9 @@ def expected_posterior_variance(
         raise
     except Exception as exc:
         raise ComputationError("posterior_variance", f"{where} failed: {exc}") from exc
-    summaries = [" ".join(f"{n}={v:g}" for n, v in zip(design.summary_names, row))
-                 for row in design.summarize_batch(datasets)]
+    recipe = design.recipe
+    summaries = [" ".join(f"{n}={v:g}" for n, v in zip(recipe.summary_names, row))
+                 for row in recipe.summarize(datasets)]
 
     expected = float(np.mean(per_point))
     raw = prior_var - expected
@@ -269,5 +271,5 @@ def expected_posterior_variance(
         phi_names=plan.phi_names,
         phi_points=plan.phi_points,
         sigma2_from="net_benefit" if fit is None else "fitted_mean",
-        posterior_method={"method": "gauss_hermite", "k": design.recipe.nodes},
+        posterior_method={"method": "gauss_hermite", "k": recipe.nodes},
     )

@@ -60,7 +60,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .model import InbSamples, voi_stack
-from .util import SchemaError, UnsupportedDimensionError
+from .util import DegenerateModelError, SchemaError, UnsupportedDimensionError
 
 
 _DEGREE = 3
@@ -624,7 +624,8 @@ def fit_conditional_mean(
     `phi_columns` is (S,) or (S, d) with d <= 3.  `fitted` holds g on the
     draws, checked by `check_fitted`, and `evaluate` gives g elsewhere.
     Refits of one design under other weights or a pinned penalty go through
-    `SplineDesign.fit`.
+    `SplineDesign.fit`.  A constant INB raises `DegenerateModelError`: its
+    variance bound, 0, leaves no room for the fit's round-off.
     """
     y = np.asarray(inb.inb_theta, dtype=float)
     bad = int(np.count_nonzero(~np.isfinite(y)))
@@ -632,6 +633,9 @@ def fit_conditional_mean(
         raise SchemaError(f"INB has {bad} non-finite values")
     if np.shape(phi_columns)[0] != y.shape[0]:
         raise SchemaError("phi rows must match INB samples")
-    fit = SplineDesign(phi_columns, names).fit(y)
+    spline = SplineDesign(phi_columns, names)
+    if y.min() == y.max():
+        raise DegenerateModelError(f"the INB is constant ({y[0]:g} on every draw); nothing to fit")
+    fit = spline.fit(y)
     check_fitted(y, fit.fitted)
     return fit

@@ -13,9 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evsikit.casemodels import StudyDesign, get_design, get_model
+from evsikit.casemodels import StudyDesign, get_design, get_model, list_designs, list_models
 from evsikit.model import run_psa
 from evsikit.momentmatch import EvsiOptions, estimate_evsi
 from evsikit.oracles import nested_mc_evsi
@@ -56,6 +57,36 @@ def test_traced_attribute_exists(module_name, attr, cls_name):
 def test_traced_design_fields_exist():
     fields = {f.name for f in dataclasses.fields(StudyDesign)}
     assert {field for field, _ in _tracing.DESIGN_TARGETS} <= fields
+
+
+def _counting(fn, calls, key):
+    """`fn`, counting its calls in `calls[key]`."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.filterwarnings("ignore:future sample size", "ignore:negative preposterior variance")
+@pytest.mark.parametrize("model_name, design_name", [
+    (m, d) for m in list_models() for d in list_designs(m)])
+def test_a_design_with_wrapped_callables_gives_the_same_bits(model_name, design_name):
+    # Tracer.trace_design replaces the DESIGN_TARGETS fields of a design with
+    # pass-through wrappers; the engine must call them and give the same bits
+    model = get_model(model_name)
+    design = get_design(model, design_name)
+    calls = dict.fromkeys((field for field, _ in _tracing.DESIGN_TARGETS), 0)
+    wrapped = dataclasses.replace(
+        design, **{field: _counting(getattr(design, field), calls, field) for field in calls})
+    psa = run_psa(model, 2000, SeedSpec(5).derive(0))
+    options = EvsiOptions(Q=5, seed=SeedSpec(5).derive(1))
+    plain, traced = (estimate_evsi(model, d, psa, options) for d in (design, wrapped))
+    assert traced.to_json_dict() == plain.to_json_dict()
+    assert np.array_equal(traced.rescaled, plain.rescaled)
+    assert calls["simulate_batch"] == 1 and calls["batch_inner_means"] == 0
+    plain, traced = (nested_mc_evsi(model, d, 200, seed=SeedSpec(6)) for d in (design, wrapped))
+    assert (traced.evsi, traced.standard_error) == (plain.evsi, plain.standard_error)
+    assert calls == {"simulate_batch": 2, "batch_inner_means": 1}
 
 
 @pytest.mark.parametrize("name", ["ADES_FULL", "ADES_MCMC", "TOY"])

@@ -80,16 +80,16 @@ class TestFutureData:
         # one total of the 100 responses per row, not a (1, 100) array
         design = get_design(get_model("ades"), "study2")
         ds = design.simulate_batch({"logit_qe": np.array([0.6])}, SeedSpec(4))
-        assert ds["response_total"].shape == (1,)
+        assert ds["obs_total"].shape == (1,)
         assert design.recipe.n == 100
-        assert design.summarize_batch(ds)[0, 0] == pytest.approx(ds["response_total"][0] / 100)
+        assert design.recipe.summarize(ds)[0, 0] == pytest.approx(ds["obs_total"][0] / 100)
 
     def test_normal_total_law(self):
         # total of n Normal(mu, obs_var) observations: mean n*mu, variance n*obs_var
         n, mu, obs_var, rows = 100, 0.6, 2.0, 100_000
         design = get_design(get_model("ades", logit_qe_obs_var=obs_var), "study2", n=n)
         cols = {"logit_qe": np.full(rows, mu)}
-        total = design.simulate_batch(cols, SeedSpec(5))["response_total"]
+        total = design.simulate_batch(cols, SeedSpec(5))["obs_total"]
         var = n * obs_var
         assert abs(total.mean() - n * mu) <= 4 * np.sqrt(var / rows)
         # Var of the sample variance of normals is 2 var^2 / (rows - 1)
@@ -102,6 +102,104 @@ class TestFutureData:
         total = design.simulate_batch(cols, SeedSpec(6))["obs_total"]
         assert total.shape == (rows,)
         assert stats.kstest(total, stats.gamma(n, scale=1.0 / rate).cdf).pvalue > 1e-3
+
+
+_PAIRS = [(m, d) for m in list_models() for d in list_designs(m)]
+
+# each registered design's datasets at its default sample size, drawn with
+# SeedSpec(2027) from the first 8 rows of the model's PSA of 100 rows with
+# SeedSpec(2026)
+_DATASET_PINS = {
+    ("ades", "study1"): {
+        "x": [30.0, 16.0, 2.0, 13.0, 19.0, 5.0, 20.0, 33.0],
+    },
+    ("ades", "study2"): {
+        "obs_total": [45.21856862438704, 61.7732807234397, 113.36895445657116,
+            57.31614260763885, 87.35209817950036, 13.644344325274082, 111.95231087388302,
+            137.72234314340443],
+    },
+    ("ades", "study3"): {
+        "dc": [29.0, 34.0, 19.0, 18.0, 16.0, 25.0, 44.0, 38.0],
+        "dt": [0.0, 8.0, 12.0, 23.0, 7.0, 4.0, 6.0, 11.0],
+    },
+    ("ades", "study4"): {
+        "dc": [29.0, 34.0, 19.0, 18.0, 16.0, 25.0, 44.0, 38.0],
+        "dt": [0.0, 8.0, 12.0, 23.0, 7.0, 4.0, 6.0, 11.0],
+    },
+    ("beta_binomial", "trial"): {
+        "x": [8.0, 3.0, 7.0, 4.0, 0.0, 10.0, 6.0, 4.0],
+    },
+    ("beta_binomial", "null"): {
+        "x": [6.0, 6.0, 4.0, 5.0, 1.0, 2.0, 6.0, 7.0],
+    },
+    ("exp_gamma", "trial"): {
+        "obs_total": [4.578594383120691, 3.6877683278132736, 1.8665202530340994,
+            1.9643044269772483, 4.541295128641948, 1.5326076905840116, 1.2316867659103927,
+            8.477774004971575],
+    },
+    ("exp_gamma", "null"): {
+        "x": [6.0, 6.0, 4.0, 5.0, 1.0, 2.0, 6.0, 7.0],
+    },
+    ("normal_normal", "trial"): {
+        "obs_total": [-3.8628543494649255, 9.370273010375213, 4.2123056301649395,
+            8.165455048891882, 0.8153317608960691, -3.253066195196578, -0.9360625532601525,
+            -0.4240413729673884],
+    },
+    ("normal_normal", "null"): {
+        "x": [6.0, 5.0, 4.0, 4.0, 1.0, 2.0, 5.0, 6.0],
+    },
+    ("quadratic_normal", "trial"): {
+        "obs_total": [-6.434833025353974, 25.81279928681867, 14.96394885997472,
+            19.83027672163291, 1.6909772466012112, -10.365087720611795, -2.8634103625088905,
+            5.157861373132139],
+    },
+    ("quadratic_normal", "null"): {
+        "x": [6.0, 6.0, 4.0, 5.0, 1.0, 2.0, 6.0, 7.0],
+    },
+    ("two_param_linear", "trial"): {
+        "x": [10.0, 9.0, 5.0, 4.0, 1.0, 0.0, 9.0, 3.0],
+    },
+    ("two_param_linear", "null"): {
+        "x": [17.0, 16.0, 14.0, 14.0, 9.0, 10.0, 16.0, 18.0],
+    },
+}
+
+
+
+class TestDatasetPins:
+    def test_every_registered_design_is_pinned(self):
+        assert sorted(_DATASET_PINS) == sorted(_PAIRS)
+
+    @pytest.mark.parametrize("model_name, design_name", _PAIRS)
+    def test_datasets_are_the_pinned_draws(self, model_name, design_name):
+        model = get_model(model_name)
+        psa = run_psa(model, 100, SeedSpec(2026))
+        cols = {k: v[:8] for k, v in psa.columns.items()}
+        datasets = get_design(model, design_name).simulate(cols, SeedSpec(2027))
+        assert {k: v.tolist() for k, v in datasets.items()} == _DATASET_PINS[
+            (model_name, design_name)]
+
+    @pytest.mark.parametrize("model_name, design_name", _PAIRS)
+    def test_the_recipe_summarises_its_own_data(self, model_name, design_name):
+        model = get_model(model_name)
+        recipe = get_design(model, design_name).recipe
+        psa = run_psa(model, 50, SeedSpec(2028))
+        datasets = recipe.simulate(psa.columns, SeedSpec(2029))
+        summaries = recipe.summarize(datasets)
+        assert summaries.shape == (50, len(recipe.summary_names))
+        assert set(recipe.informed_params) <= set(psa.columns)
+        # counts are whole numbers, and a total's summary is its mean
+        if recipe.is_discrete_data:
+            assert np.array_equal(summaries, np.round(summaries))
+        else:
+            assert np.array_equal(summaries[:, 0], datasets["obs_total"] / recipe.n)
+
+    @pytest.mark.parametrize("model_name, design_name", [
+        ("ades", "study2"), ("exp_gamma", "trial"), ("normal_normal", "trial"),
+        ("quadratic_normal", "trial")])
+    def test_a_mean_of_observations_needs_one(self, model_name, design_name):
+        with pytest.raises(ConfigError, match="mean_obs needs a sample size of at least 1, got 0"):
+            get_design(get_model(model_name), design_name, n=0)
 
 
 class TestAnalyticPreposterior:
@@ -477,7 +575,7 @@ class TestRegistry:
                                 net_benefit=base.net_benefit, params=base.params)
         assert list_designs("two_param_linear") == ["trial", "null"]
         null = get_design(rebuilt, "null")
-        assert null.sample_size == 30
+        assert null.recipe.n == 30
         # prior-mean INB: k * (E[response_rate] - E[background]) - 2500
         assert null.batch_inner_means({"x": np.zeros(2)}) == pytest.approx([4500.0, 4500.0])
         with pytest.raises(ConfigError, match="unknown model"):
@@ -486,9 +584,9 @@ class TestRegistry:
 
     def test_sample_size_override(self):
         design = get_design(get_model("ades"), "study1", n=120)
-        assert design.sample_size == 120
+        assert design.recipe.n == 120
         # numpy integers are sample sizes too
-        assert get_design(get_model("ades"), "study3", n=np.int64(40)).sample_size == 40
+        assert get_design(get_model("ades"), "study3", n=np.int64(40)).recipe.n == 40
         assert (analytic_preposterior(ConjugateToy("beta_binomial_uniform", np.int64(3)))
                 == analytic_preposterior(ConjugateToy("beta_binomial_uniform", 3)))
 

@@ -101,6 +101,14 @@ class TestEvsiCommand:
         assert "sample size of at least 1, got 0" in capsys.readouterr().err
         assert not (out / "per_point.csv").exists()
 
+    @pytest.mark.parametrize("command", [["evsi", "--Q", "5"], ["evppi"]])
+    def test_constant_inb_is_named(self, tmp_path, capsys, command):
+        # k=0 leaves the INB at -2500 on every draw
+        code = main([*command, "--model", "two_param_linear", "--param", "k=0",
+                     "--S", "2000", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "the INB is constant (-2500 on every draw)" in capsys.readouterr().err
+
     def test_nan_posterior_draw_is_computation_error(self, tmp_path, capsys, monkeypatch):
         # a non-finite node of the first point's rule
         original = NormalNormalUpdate.nodes_and_weights

@@ -110,7 +110,7 @@ def test_the_callers_inb_is_left_unchanged(model_name, design_name):
     psa = run_psa(model, 5000, SeedSpec(49))
     inb = compute_inb(model, psa)
     before = _copy_fields(inb)
-    g, _ = conditional_inb(model, psa, inb, design.informed_params)
+    g, _ = conditional_inb(model, psa, inb, design.recipe.informed_params)
     _assert_fields_unchanged(inb, before)
     result = estimate_evsi(model, design, psa, EvsiOptions(Q=5, seed=SeedSpec(50)), inb=inb)
     _assert_fields_unchanged(inb, before)

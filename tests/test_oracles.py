@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,13 +245,15 @@ class TestRegressionOnSummaries:
         trial = get_design(model, "trial", n=20)
 
         def summarize_with_nan(datasets):
-            summaries = np.array(trial.summarize_batch(datasets), dtype=float)
+            summaries = np.array(trial.recipe.summarize(datasets), dtype=float)
             summaries[::500] = np.nan
             return summaries
 
-        design = dataclasses.replace(trial, summarize_batch=summarize_with_nan)
+        # the copy keeps the trial's simulator; only its summaries change
+        name = trial.recipe.summary_names[0]
+        design = dataclasses.replace(trial, recipe=SimpleNamespace(
+            summarize=summarize_with_nan, summary_names=(name,)))
         psa = run_psa(model, 5000, SeedSpec(10))
-        name = trial.summary_names[0]
         with pytest.raises(SchemaError, match=f"{name} has 10 non-finite values"):
             regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(11))
 
@@ -259,11 +262,11 @@ class TestRegressionOnSummaries:
         study1 = get_design(model, "study1")
 
         def four_summaries(datasets):
-            column = np.asarray(study1.summarize_batch(datasets), dtype=float)[:, :1]
+            column = np.asarray(study1.recipe.summarize(datasets), dtype=float)[:, :1]
             return np.hstack([column, column + 1, column + 2, column + 3])
 
-        design = dataclasses.replace(study1, summary_names=("s1", "s2", "s3", "s4"),
-                                     summarize_batch=four_summaries)
+        design = dataclasses.replace(study1, recipe=SimpleNamespace(
+            summarize=four_summaries, summary_names=("s1", "s2", "s3", "s4")))
         psa = run_psa(model, 2000, SeedSpec(12))
         with pytest.raises(UnsupportedDimensionError, match="focal dimension 4 unsupported"):
             regression_on_summaries_evsi(model, design, psa, seed=SeedSpec(13))

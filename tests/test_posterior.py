@@ -22,7 +22,7 @@ from evsikit.rng import DistSpec, SeedSpec
 
 class TestConjugates:
     def test_beta_binomial_update(self):
-        recipe = BetaBinomialUpdate("p", 1.0, 1.0, 10, "x")
+        recipe = BetaBinomialUpdate("p", 1.0, 1.0, 10)
         ds = {"x": np.array([3.0])}
         assert recipe.posterior_params(ds) == (pytest.approx(4.0), pytest.approx(8.0))
         assert recipe.exact_means(ds)[0] == pytest.approx(1 / 3)
@@ -33,7 +33,7 @@ class TestConjugates:
         assert np.var(draws) == pytest.approx(var, rel=0.05)
 
     def test_normal_normal_posterior_variance_exact(self):
-        recipe = NormalNormalUpdate("mu", 0.0, 1.0, 1.0, 9, "obs_total")
+        recipe = NormalNormalUpdate("mu", 0.0, 1.0, 1.0, 9)
         ds = {"obs_total": np.zeros(1)}
         mean, var = recipe.posterior_params(ds)
         assert var == pytest.approx(0.1)
@@ -43,7 +43,7 @@ class TestConjugates:
 
     def test_gamma_exponential_update(self):
         # three observations 0.5, 1.5 and 1.0
-        recipe = GammaExponentialUpdate("rate", 5.0, 1.0, 3, "obs_total")
+        recipe = GammaExponentialUpdate("rate", 5.0, 1.0, 3)
         ds = {"obs_total": np.array([3.0])}
         a, b = recipe.posterior_params(ds)
         assert a == pytest.approx(8.0)
@@ -53,7 +53,7 @@ class TestConjugates:
         assert draws.mean() == pytest.approx(2.0, rel=0.02)
 
     def test_null_update_returns_prior(self):
-        recipe = NullUpdate("p", DistSpec("beta", 15, 85))
+        recipe = NullUpdate("p", DistSpec("beta", 15, 85), 10)
         ds = {"x": np.array([1.0])}
         draws = recipe.draw(ds, 100000, SeedSpec(4).generator())["p"]
         assert draws.mean() == pytest.approx(0.15, abs=0.001)
@@ -78,14 +78,14 @@ def _rule_cases():
     cases = []
     for label, alpha, beta, n in (("ades_study1", 3.0, 9.0, 60), ("uniform_prior", 1.0, 1.0, 10),
                                   ("two_param", 1.0, 4.0, 30)):
-        recipe = BetaBinomialUpdate("p", alpha, beta, n, "x")
+        recipe = BetaBinomialUpdate("p", alpha, beta, n)
         ds = {"x": np.array([0.0, 1.0, n // 2, n - 1.0, n])}
         cases.append((f"beta-{label}", recipe, ds, *_beta_moments(*recipe.posterior_params(ds))))
-    recipe = GammaExponentialUpdate("rate", 5.0, 1.0, 10, "obs_total")
+    recipe = GammaExponentialUpdate("rate", 5.0, 1.0, 10)
     ds = {"obs_total": np.array([1e-12, 0.5, 10.0, 1e3])}
     shape, rate = recipe.posterior_params(ds)
     cases.append(("gamma-exp_gamma", recipe, ds, shape / rate, shape / rate**2))
-    recipe = NormalNormalUpdate("mu", 0.3, 2.0, 4.0, 9, "obs_total")
+    recipe = NormalNormalUpdate("mu", 0.3, 2.0, 4.0, 9)
     ds = {"obs_total": np.array([-50.0, 0.0, 12.0])}
     mean, var = recipe.posterior_params(ds)
     cases.append(("normal-normal_normal", recipe, ds, mean, np.full(3, var)))
@@ -94,7 +94,7 @@ def _rule_cases():
                   DistSpec("gamma", 5.0, 1.0), DistSpec("normal", 0.3, 2.0)):
         mean, var = _prior_moments(prior)
         cases.append((f"null-{prior.family.value}-{prior.params[0]:g}-{prior.params[1]:g}",
-                      NullUpdate("p", prior), {"x": np.zeros(2)}, np.full(2, mean),
+                      NullUpdate("p", prior, 10), {"x": np.zeros(2)}, np.full(2, mean),
                       np.full(2, var)))
     return cases
 
@@ -132,13 +132,13 @@ class TestConjugateRules:
         assert var == pytest.approx(want_var, rel=rel)
 
     def test_near_normal_posteriors_reach_1e_8_at_the_shipped_nodes(self):
-        recipe = BetaBinomialUpdate("p", 3.0, 9.0, 60, "x")
+        recipe = BetaBinomialUpdate("p", 3.0, 9.0, 60)
         ds = {"x": np.arange(5.0, 56.0)}
         mean, var = self._moments(recipe, ds, RULE_NODES)
         want_mean, want_var = _beta_moments(*recipe.posterior_params(ds))
         assert mean == pytest.approx(want_mean, rel=1e-8)
         assert var == pytest.approx(want_var, rel=1e-8)
-        recipe = GammaExponentialUpdate("rate", 5.0, 1.0, 10, "obs_total")
+        recipe = GammaExponentialUpdate("rate", 5.0, 1.0, 10)
         ds = {"obs_total": np.geomspace(1e-12, 1e4, 30)}
         shape, rate = recipe.posterior_params(ds)
         mean, var = self._moments(recipe, ds, RULE_NODES)
@@ -146,7 +146,7 @@ class TestConjugateRules:
         assert var == pytest.approx(shape / rate**2, rel=1e-8)
 
     def test_a_row_does_not_depend_on_its_batch(self):
-        recipe = BetaBinomialUpdate("p", 1.0, 1.0, 10, "x")
+        recipe = BetaBinomialUpdate("p", 1.0, 1.0, 10)
         batch, batch_w = recipe.nodes_and_weights({"x": np.arange(11.0)}, "test")
         for x in range(11):
             alone, alone_w = recipe.nodes_and_weights({"x": np.array([float(x)])}, "test")
@@ -388,7 +388,7 @@ class TestAdesKernelMatchesReference:
             return posterior.log_density(states[:, 0], states[:, 1], dataset["dc"][idx],
                                          dataset["dt"][idx])
 
-        return model, design, log_posterior, _four_term_ades_logpost(model, design.sample_size)
+        return model, design, log_posterior, _four_term_ades_logpost(model, design.recipe.n)
 
     @staticmethod
     def _start(model):
@@ -408,7 +408,7 @@ class TestAdesKernelMatchesReference:
 
     def test_two_term_density_matches_four_term(self, trial):
         model, design, two_term, four_term = trial
-        n = design.sample_size
+        n = design.recipe.n
         x0, x1 = np.meshgrid(np.linspace(-40, 40, 161), np.linspace(-40, 40, 161))
         states = np.column_stack([x0.ravel(), x1.ravel()])
         for dc in (0.0, 7.0, float(n)):

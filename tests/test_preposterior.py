@@ -173,8 +173,8 @@ class TestRunPosterior:
         design = get_design(model, design_name)
         psa = run_psa(model, 5000, SeedSpec(24))
         inb = compute_inb(model, psa)
-        fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
-        plan = build_plan(psa, design.informed_params, 5, SeedSpec(25))
+        fit = fit_conditional_mean(inb, psa.matrix(design.recipe.informed_params))
+        plan = build_plan(psa, design.recipe.informed_params, 5, SeedSpec(25))
         ve = expected_posterior_variance(plan, design, model, fit.fitted, fit)
         batch = design.simulate_batch(plan.rows(), plan.seed.derive(_DATASET_SUB))
         for q in range(plan.Q):
@@ -182,7 +182,7 @@ class TestRunPosterior:
             assert run_posterior(design, dataset, model, fit) == ve.per_point[q]
             nodes, weights = design.recipe.nodes_and_weights(dataset, "posterior")
             assert weights.shape == (1, 24)
-            assert set(nodes) == set(design.informed_params)
+            assert set(nodes) == set(design.recipe.informed_params)
         assert ve.posterior_method == {"method": "gauss_hermite", "k": 24}
 
 
@@ -202,7 +202,7 @@ class TestExpectedPosteriorVariance:
         design = get_design(model, "trial", n=9)
         psa = run_psa(model, 20000, SeedSpec(14))
         inb = compute_inb(model, psa)
-        plan = build_plan(psa, design.informed_params, 10, SeedSpec(15))
+        plan = build_plan(psa, design.recipe.informed_params, 10, SeedSpec(15))
         ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         exact = 10000.0**2 * 0.1
         assert np.all(np.abs(ve.per_point / exact - 1.0) <= 0.06)
@@ -222,7 +222,7 @@ class TestExpectedPosteriorVariance:
             seed = SeedSpec(160 + r)
             psa = run_psa(model, 10000, seed.derive(0))
             inb = compute_inb(model, psa)
-            plan = build_plan(psa, design.informed_params, 50, seed.derive(1))
+            plan = build_plan(psa, design.recipe.informed_params, 50, seed.derive(1))
             ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
             values.append(ve.sigma2)
         assert truth - 2.5 <= np.mean(values) <= truth * 1.06 + 2.5
@@ -235,7 +235,7 @@ class TestExpectedPosteriorVariance:
         design = get_design(model, "trial", n=9)
         psa = run_psa(model, 20000, SeedSpec(17))
         inb = compute_inb(model, psa)
-        plan = build_plan(psa, design.informed_params, 30, SeedSpec(170))
+        plan = build_plan(psa, design.recipe.informed_params, 30, SeedSpec(170))
         ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         prior = np.var(inb.inb_theta, ddof=1)
         mc_se = ve.per_point * np.sqrt(2.0 / 1999)
@@ -243,7 +243,7 @@ class TestExpectedPosteriorVariance:
 
     def test_sigma2_bounded_by_conditional_variance(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
-        plan = build_plan(psa, design.informed_params, 30, SeedSpec(18))
+        plan = build_plan(psa, design.recipe.informed_params, 30, SeedSpec(18))
         ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         # single-parameter model: the conditional INB is the INB itself
         assert ve.sigma2 <= np.var(inb.inb_theta, ddof=1) * 1.05
@@ -259,7 +259,7 @@ class TestExpectedPosteriorVariance:
             psa = run_psa(model, 10000, seed.derive(0))
             inb = compute_inb(model, psa)
             for Q in (10, 100):
-                plan = build_plan(psa, design.informed_params, Q, seed.derive(Q))
+                plan = build_plan(psa, design.recipe.informed_params, Q, seed.derive(Q))
                 ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
                 errs[Q].append(abs(ve.sigma2 - reference))
         assert np.mean(errs[100]) < np.mean(errs[10])
@@ -271,14 +271,14 @@ class TestExpectedPosteriorVariance:
         design = get_design(model, "null")
         psa = run_psa(model, 2000, SeedSpec(4))
         inb = compute_inb(model, psa)
-        plan = build_plan(psa, design.informed_params, 5, SeedSpec(1004))
+        plan = build_plan(psa, design.recipe.informed_params, 5, SeedSpec(1004))
         with pytest.warns(UserWarning, match="clamped"):
             ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         assert ve.clamped and ve.sigma2 == 0.0
 
     def test_metadata_for_reporting(self, quadratic_setup):
         model, design, psa, inb = quadratic_setup
-        plan = build_plan(psa, design.informed_params, 5, SeedSpec(19))
+        plan = build_plan(psa, design.recipe.informed_params, 5, SeedSpec(19))
         ve = expected_posterior_variance(plan, design, model, inb.inb_theta)
         assert len(ve.dataset_summaries) == 5
         assert ve.phi_points.shape == (5, 1)
@@ -292,8 +292,8 @@ class TestExpectedPosteriorVariance:
         design = get_design(model, design_name)
         psa = run_psa(model, 5000, SeedSpec(20))
         inb = compute_inb(model, psa)
-        fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
-        plan = build_plan(psa, design.informed_params, 5, SeedSpec(21))
+        fit = fit_conditional_mean(inb, psa.matrix(design.recipe.informed_params))
+        plan = build_plan(psa, design.recipe.informed_params, 5, SeedSpec(21))
         ve = expected_posterior_variance(plan, design, model, fit.fitted, fit)
         batch = design.simulate_batch(plan.rows(), plan.seed.derive(_DATASET_SUB))
         variances = []
@@ -311,8 +311,8 @@ class TestExpectedPosteriorVariance:
         model = get_model("ades")
         design = get_design(model, "study3")
         psa = run_psa(model, 5000, SeedSpec(26))
-        fit = fit_conditional_mean(compute_inb(model, psa), psa.matrix(design.informed_params))
-        plan = build_plan(psa, design.informed_params, 30, SeedSpec(27))
+        fit = fit_conditional_mean(compute_inb(model, psa), psa.matrix(design.recipe.informed_params))
+        plan = build_plan(psa, design.recipe.informed_params, 30, SeedSpec(27))
         seeds = []
         generator = SeedSpec.generator
 
@@ -332,7 +332,7 @@ class TestExpectedPosteriorVariance:
         model = get_model("normal_normal")
         design = get_design(model, "trial")
         psa = run_psa(model, 2000, SeedSpec(28))
-        plan = build_plan(psa, design.informed_params, 4, SeedSpec(29))
+        plan = build_plan(psa, design.recipe.informed_params, 4, SeedSpec(29))
 
         def fail(*args):
             raise RuntimeError("boom")
@@ -349,7 +349,7 @@ class TestExpectedPosteriorVariance:
         model = get_model("ades")
         design = get_design(model, "study3")
         psa = run_psa(model, 5000, SeedSpec(20))
-        plan = build_plan(psa, design.informed_params, 2, SeedSpec(21))
+        plan = build_plan(psa, design.recipe.informed_params, 2, SeedSpec(21))
         with pytest.raises(ComputationError, match=r"no posterior draws of \['Pse', 'logit_qe'\]"):
             expected_posterior_variance(plan, design, model, compute_inb(model, psa).inb_theta)
 
@@ -364,8 +364,8 @@ class TestConjugateNodeCount:
         finer = dataclasses.replace(design, recipe=dataclasses.replace(design.recipe, nodes=128))
         psa = run_psa(model, 20000, SeedSpec(seed))
         inb = compute_inb(model, psa)
-        fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
-        plan = build_plan(psa, design.informed_params, 30, SeedSpec(seed).derive(1))
+        fit = fit_conditional_mean(inb, psa.matrix(design.recipe.informed_params))
+        plan = build_plan(psa, design.recipe.informed_params, 30, SeedSpec(seed).derive(1))
         got, want = (expected_posterior_variance(plan, d, model, fit.fitted, fit)
                      for d in (design, finer))
         assert got.posterior_method == {"method": "gauss_hermite", "k": 24}
@@ -396,7 +396,7 @@ class TestNonFinitePosteriorDraws:
         model = get_model(model_name)
         design = get_design(model, design_name)
         psa = run_psa(model, 5000, SeedSpec(22))
-        plan = build_plan(psa, design.informed_params, 4, SeedSpec(23))
+        plan = build_plan(psa, design.recipe.informed_params, 4, SeedSpec(23))
         _nan_draw_at_point(monkeypatch, recipe_cls, 3)
         with pytest.raises(ComputationError,
                            match=r"^\[posterior\] 1 non-finite value\(s\) of .* point 3/4$"):
@@ -449,7 +449,7 @@ class TestTwoArmPosteriorVariance:
         model = get_model("ades")
         design = get_design(model, "study3")
         g = _TrialMean(model)
-        n = float(design.sample_size)
+        n = float(design.recipe.n)
         psa = run_psa(model, 4, SeedSpec(51))
         ds = design.simulate(psa.columns, SeedSpec(52))
         pairs = list(zip(ds["dc"], ds["dt"])) + [(0.0, 0.0), (0.0, n), (n, 0.0), (n, n)]
@@ -465,8 +465,8 @@ class TestTwoArmPosteriorVariance:
         finer = dataclasses.replace(design, recipe=dataclasses.replace(design.recipe, nodes=48))
         psa = run_psa(model, 20000, SeedSpec(seed))
         inb = compute_inb(model, psa)
-        fit = fit_conditional_mean(inb, psa.matrix(design.informed_params))
-        plan = build_plan(psa, design.informed_params, 30, SeedSpec(seed).derive(1))
+        fit = fit_conditional_mean(inb, psa.matrix(design.recipe.informed_params))
+        plan = build_plan(psa, design.recipe.informed_params, 30, SeedSpec(seed).derive(1))
         got, want = (expected_posterior_variance(plan, d, model, fit.fitted, fit)
                      for d in (design, finer))
         assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-3)

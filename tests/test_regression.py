@@ -34,7 +34,7 @@ from evsikit.regression import (
     fit_conditional_mean,
 )
 from evsikit.rng import SeedSpec
-from evsikit.util import SchemaError, UnsupportedDimensionError
+from evsikit.util import DegenerateModelError, SchemaError, UnsupportedDimensionError
 
 S = 20000
 
@@ -617,6 +617,13 @@ class TestEvppi:
 
 
 class TestErrors:
+    def test_constant_inb_is_degenerate(self):
+        # var(y) is 0, so any round-off in the fitted values would exceed it
+        y = InbSamples.from_values(np.full(2000, -2500.0))
+        phi = np.random.default_rng(4).uniform(size=2000)
+        with pytest.raises(DegenerateModelError, match="the INB is constant"):
+            fit_conditional_mean(y, phi)
+
     def test_dimension_cap(self):
         y = InbSamples.from_values(np.zeros(50000))
         with pytest.raises(UnsupportedDimensionError):
