@@ -2,24 +2,28 @@
 
 * The Ades decision tree: four uncertain inputs, four future
   data-collection designs (side-effect rate, quality of life after the event,
-  odds-ratio trial, and the same trial analysed as two event probabilities).
+  and the odds-ratio trial, registered as both study3 and study4).
 * Conjugate toys with analytic preposterior moments and exact EVSI values:
   Beta-Binomial with a flat prior, Exponential-Gamma, Normal-Normal, and a
   quadratic-INB Normal model used for variance-convergence experiments.
 
 Every model compares two options: its net benefit has the comparator's column
 first, then the new treatment's.  Each model is registered by name with
-everything the engine needs beyond the `DecisionModel` itself: its prior-mean
-INB, its study-design factories with their default sample sizes, integers of
-at least 0, and, for a conjugate toy, its variant name and closed forms.
-Designs are looked up by `model.name`, so a model rebuilt by hand under a
-registered name gets the registered designs.  Every model parameter, a
-design's observation variance included, can be overridden per run.
+everything the engine needs beyond the `DecisionModel` itself: the prior
+means of its net benefit's inputs, its study designs with their default
+sample sizes, integers of at least 0, and, for a conjugate toy, its variant
+name and closed forms.  Designs are looked up by `model.name`, so a model
+rebuilt by hand under a registered name gets the registered designs, built
+from its own priors and net benefit.  Every model parameter, a design's
+observation variance included, can be overridden per run.
 
-Each design's likelihood is a recipe of `posterior`, written once: the
-recipe draws each PSA row's sufficient statistic, never the single
-observations, summarises it, names the parameters it informs and updates on
-it.  A design adds its name and the exact inner means of the nested oracle.
+Each design's likelihood is a recipe of `posterior`, written once, with the
+model's priors as its hyperparameters: the recipe draws each PSA row's
+sufficient statistic, never the single observations, summarises it, names
+the parameters it informs and updates on it.  The nested oracle's inner
+means are the net benefit at the recipe's `exact_means`, except in ades
+study2 and the quadratic_normal designs, whose INB is not linear in what
+their data inform.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ from .posterior import (
     TwoArmTrialUpdate,
 )
 from .rng import DistSpec, SeedSpec
-from .util import (ConfigError, gauss_hermite_expectation, require_count, require_finite,
-                   require_number)
+from .util import (ConfigError, SchemaError, gauss_hermite_expectation, require_count,
+                   require_finite, require_number)
 
 
 # ---------------------------------------------------------------------------
-# study-design container
+# study designs: the container, and what designs read of their model
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ class StudyDesign:
     the informed parameters and spaces its quadrature points over them, so
     sigma2 cannot exceed Var(g); the EVPPI is reported on them too, so that
     it bounds the EVSI.  `batch_inner_means` gives the posterior mean of the
-    INB per dataset.  `simulate_batch` is the recipe's `simulate` unless a
-    caller replaces it.
+    INB per dataset, read off the model's net benefit (see `_inb_at_means`).
+    `simulate_batch` is the recipe's `simulate` unless a caller replaces it.
     """
 
     name: str
@@ -76,6 +80,46 @@ class StudyDesign:
         datasets = self.simulate_batch(cols, seed)
         require_finite("simulate", datasets, f" simulated by design {self.name!r}")
         return datasets
+
+
+def _conjugate(recipe, param: str, obs_var: str | None = None):
+    """`build(model, n)`: the conjugate `recipe` for data on `param`, with its
+    prior's hyperparameters and, if named, the known variance `obs_var`."""
+
+    def build(model: DecisionModel, n: int):
+        known = () if obs_var is None else (model.params[obs_var],)
+        return recipe(param, *model.priors[param].params, *known, n)
+
+    return build
+
+
+def _prior_means(model: DecisionModel) -> dict:
+    return {name: spec.mean() for name, spec in model.priors.items()}
+
+
+def _inb_at_means(model: DecisionModel, recipe, posterior_means=None):
+    """Inner means: `model.net_benefit` at `posterior_means(datasets)`, by
+    default the recipe's `exact_means`, and every other input at its
+    `input_means`, which is the INB's posterior mean when it is multilinear
+    and no monomial mixes inputs the posterior leaves dependent.  The
+    default refuses informed parameters that are not among `input_means`."""
+    input_means = _entry(model.name).input_means(model)
+    if posterior_means is None:
+        missing = [n for n in recipe.informed_params if n not in input_means]
+        if missing:
+            raise SchemaError(f"the {model.name} net benefit is not read at the means of "
+                              f"{missing}; the design needs inner means of its own")
+        posterior_means = recipe.exact_means
+
+    def inner(ds):
+        post = posterior_means(ds)
+        rows = len(next(iter(post.values())))
+        prior = {name: np.full(rows, mean) for name, mean in input_means.items()
+                 if name not in post}
+        nb = np.asarray(model.net_benefit(prior | post), dtype=float)
+        return nb[:, 1] - nb[:, 0]
+
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +167,6 @@ def ades_net_benefit(pc, pse, pt, qe, params=None):
     return nb1, nb2
 
 
-def _ades_inb_at_means(pc, pse, pt, qe, params):
-    # The INB is multilinear in (pc, pse, pt, qe) and no monomial mixes pc or
-    # pse with pt under the posterior factorisation, so plugging component
-    # means into the formula gives the exact conditional mean.
-    nb1, nb2 = ades_net_benefit(pc, pse, pt, qe, params)
-    return nb2 - nb1
-
-
 def build_ades(**overrides) -> DecisionModel:
     p = {**ADES_DEFAULTS, **overrides}
     if not p["logit_qe_obs_var"] > 0:
@@ -168,63 +204,36 @@ def _unit_leggauss(n=200):
     return (x + 1) / 2, w / 2
 
 
-def _ades_prior_means(p) -> dict:
-    """Exact prior means of the tree inputs, by quadrature (no Monte Carlo)."""
-    e_pc = p["pc_alpha"] / (p["pc_alpha"] + p["pc_beta"])
-    e_pse = p["pse_alpha"] / (p["pse_alpha"] + p["pse_beta"])
-    e_qe = float(gauss_hermite_expectation(expit, p["logit_qe_mean"], p["logit_qe_var"]))
+def _ades_input_means(model: DecisionModel) -> dict:
+    """The prior means of the tree's inputs Pc, Pse, Pt and Qe, by quadrature;
+    the INB is multilinear in them, and no monomial mixes Pc or Pse with Pt."""
+    pc, log_or, logit_qe = (model.priors[n] for n in ("Pc", "log_or", "logit_qe"))
+    e_qe = float(gauss_hermite_expectation(expit, *logit_qe.params))
     nodes, weights = _unit_leggauss()
-    a, b = p["pc_alpha"], p["pc_beta"]  # the Beta(a, b) density of Pc
+    a, b = pc.params  # the Beta(a, b) density of Pc
     dens = np.exp(xlogy(a - 1.0, nodes) + xlog1py(b - 1.0, -nodes) - betaln(a, b))
-    inner = gauss_hermite_expectation(expit, logit(nodes) + p["log_or_mean"], p["log_or_var"])
+    inner = gauss_hermite_expectation(expit, logit(nodes) + log_or.params[0], log_or.params[1])
     e_pt = float(np.sum(weights * dens * inner))
-    return {"Pc": e_pc, "Pse": e_pse, "Qe": e_qe, "Pt": e_pt}
+    return {"Pc": pc.mean(), "Pse": model.priors["Pse"].mean(), "Qe": e_qe, "Pt": e_pt}
 
 
-def _ades_study1(model: DecisionModel, n: int) -> StudyDesign:
-    p = model.params
-    means = _ades_prior_means(p)
-    recipe = BetaBinomialUpdate("Pse", p["pse_alpha"], p["pse_beta"], n)
+def _ades_study2_inner_means(model: DecisionModel, recipe: NormalNormalUpdate):
+    """The INB at E[Qe], by quadrature over the posterior of logit_qe: it is
+    linear in Qe = expit(logit_qe), not in the logit_qe that study2 informs."""
 
-    def inner_means(ds):
-        pse_post = recipe.exact_means(ds)
-        return _ades_inb_at_means(means["Pc"], pse_post, means["Pt"], means["Qe"], p)
-
-    return StudyDesign("study1", recipe, inner_means)
-
-
-def _ades_study2(model: DecisionModel, n: int) -> StudyDesign:
-    p = model.params
-    means = _ades_prior_means(p)
-    recipe = NormalNormalUpdate("logit_qe", p["logit_qe_mean"], p["logit_qe_var"],
-                                p["logit_qe_obs_var"], n)
-
-    def inner_means(ds):
+    def qe_means(ds):
         mean, var = recipe.posterior_params(ds)
-        e_qe = gauss_hermite_expectation(expit, np.atleast_1d(mean), np.full_like(np.atleast_1d(mean), var))
-        return _ades_inb_at_means(means["Pc"], means["Pse"], means["Pt"], e_qe, p)
+        mean = np.atleast_1d(mean)
+        return {"Qe": gauss_hermite_expectation(expit, mean, np.full_like(mean, var))}
 
-    return StudyDesign("study2", recipe, inner_means)
+    return _inb_at_means(model, recipe, qe_means)
 
 
-def _ades_trial(name: str) -> Callable[[DecisionModel, int], StudyDesign]:
-    """The two-arm trial under the design name `name`.  study3, the
-    odds-ratio trial of the source paper's example, and study4 are the same
-    trial: it informs both arms, so both names fit g on (Pc, Pt)."""
-
-    def build(model: DecisionModel, n: int) -> StudyDesign:
-        p = model.params
-        means = _ades_prior_means(p)
-        recipe = TwoArmTrialUpdate(n, p["pc_alpha"], p["pc_beta"], p["log_or_mean"],
-                                   1.0 / p["log_or_var"])
-
-        def inner_means(ds):
-            e_pc, e_pt = recipe.exact_means(ds)
-            return _ades_inb_at_means(e_pc, means["Pse"], e_pt, means["Qe"], p)
-
-        return StudyDesign(name, recipe, inner_means)
-
-    return build
+def _ades_two_arm_trial(model: DecisionModel, n: int) -> TwoArmTrialUpdate:
+    """The two-arm trial of study3, the source paper's odds-ratio trial, and
+    study4: it informs both arms, so g is fitted on (Pc, Pt)."""
+    or_mean, or_var = model.priors["log_or"].params
+    return TwoArmTrialUpdate(n, *model.priors["Pc"].params, or_mean, 1.0 / or_var)
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +413,13 @@ def quadratic_exact_evsi(model: DecisionModel, N: int) -> float:
     return _quadratic_normal_exact(model.params, N).evsi
 
 
-# per-patient costs of the comparator and of the new treatment
-_TWO_PARAM_COSTS = (4000.0, 6500.0)
-
-
 def build_two_param_linear(k=10000.0) -> DecisionModel:
     """Two-parameter model whose conditional INB is linear in the focal input."""
 
     def net_benefit(cols):
-        nb0 = k * cols["background"] - _TWO_PARAM_COSTS[0]
-        nb1 = k * cols["response_rate"] - _TWO_PARAM_COSTS[1]
+        # per-patient costs of 4000 for the comparator and 6500 for the new treatment
+        nb0 = k * cols["background"] - 4000.0
+        nb1 = k * cols["response_rate"] - 6500.0
         return np.column_stack([nb0, nb1])
 
     return DecisionModel(
@@ -427,82 +433,37 @@ def build_two_param_linear(k=10000.0) -> DecisionModel:
     )
 
 
-def _two_param_prior_mean_inb(model: DecisionModel) -> float:
-    e_response, e_background = (model.priors[n].mean() for n in ("response_rate", "background"))
-    return model.params["k"] * (e_response - e_background) - (
-        _TWO_PARAM_COSTS[1] - _TWO_PARAM_COSTS[0])
-
-
 # -- toy study designs ---------------------------------------------------------
 
 
-def _beta_binomial_trial(model: DecisionModel, n: int) -> StudyDesign:
-    recipe = BetaBinomialUpdate("p_success", 1.0, 1.0, n)
-    k, c = model.params["k"], model.params["c"]
-
-    def inner(ds):
-        return k * recipe.exact_means(ds) - c
-
-    return StudyDesign("trial", recipe, inner)
+def _beta_binomial_trial(model: DecisionModel, n: int) -> BetaBinomialUpdate:
+    # the flat prior, Uniform(0, 1), is Beta(1, 1)
+    return BetaBinomialUpdate("p_success", 1.0, 1.0, n)
 
 
-def _exp_gamma_trial(model: DecisionModel, n: int) -> StudyDesign:
-    p = model.params
-    recipe = GammaExponentialUpdate("event_rate", p["alpha"], p["beta"], n)
-
-    def inner(ds):
-        return p["k"] * recipe.exact_means(ds) - p["c1"] - p["c0"]
-
-    return StudyDesign("trial", recipe, inner)
+_normal_effect_trial = _conjugate(NormalNormalUpdate, "effect", "obs_var")
 
 
-def _normal_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
-    p = model.params
-    recipe = NormalNormalUpdate("effect", p["theta0"], p["prior_var"], p["obs_var"], n)
-
-    def inner(ds):
-        return p["k"] * recipe.exact_means(ds) - p["c"]
-
-    return StudyDesign("trial", recipe, inner)
-
-
-def _quadratic_normal_trial(model: DecisionModel, n: int) -> StudyDesign:
-    p = model.params
-    recipe = NormalNormalUpdate("effect", 0.0, p["prior_var"], p["obs_var"], n)
-
-    def inner(ds):
-        mean, post_var = recipe.posterior_params(ds)
-        return np.atleast_1d(mean) ** 2 + post_var - p["prior_var"]
-
-    return StudyDesign("trial", recipe, inner)
-
-
-def _two_param_trial(model: DecisionModel, n: int) -> StudyDesign:
-    k = model.params["k"]
-    recipe = BetaBinomialUpdate("response_rate", *model.priors["response_rate"].params, n)
-    e_background = model.priors["background"].mean()
-
-    def inner(ds):
-        # the data leave the background input at its prior mean
-        return (k * recipe.exact_means(ds) - _TWO_PARAM_COSTS[1]
-                - (k * e_background - _TWO_PARAM_COSTS[0]))
-
-    return StudyDesign("trial", recipe, inner)
-
-
-def _null_design(model: DecisionModel, n: int) -> StudyDesign:
+def _null_design(model: DecisionModel, n: int) -> NullUpdate:
     """Data independent of every parameter; the posterior equals the prior.
 
     The data inform nothing, so g is taken on the parameter the posterior
     re-draws, and its prior and posterior variances agree up to noise.
     """
     first = model.param_names[0]
-    prior_mean_inb = _entry(model.name).prior_mean_inb(model)
+    return NullUpdate(first, model.priors[first], n)
+
+
+def _quadratic_normal_inner_means(model: DecisionModel, recipe):
+    """E[effect^2] - prior_var, from the posterior's mean and variance (the
+    prior's, for the null design): the INB is not linear in the effect."""
+    prior_var = model.params["prior_var"]
 
     def inner(ds):
-        return np.full(len(next(iter(ds.values()))), prior_mean_inb)
+        mean, var = recipe.posterior_params(ds)
+        return np.atleast_1d(mean) ** 2 + var - prior_var
 
-    return StudyDesign("null", NullUpdate(first, model.priors[first], n), inner)
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -511,57 +472,57 @@ def _null_design(model: DecisionModel, n: int) -> StudyDesign:
 
 @dataclass(frozen=True)
 class DesignEntry:
-    """A study-design factory `build(model, n)` and its default future sample size."""
+    """A design's likelihood `recipe(model, n)` for a future study of size n,
+    its default n and its nested inner means `inner_means(model, recipe)`."""
 
-    build: Callable[[DecisionModel, int], StudyDesign]
+    recipe: Callable[[DecisionModel, int], object]
     size: int
+    inner_means: Callable[[DecisionModel, object], Callable[[dict], np.ndarray]] = _inb_at_means
 
 
 @dataclass(frozen=True)
 class ModelEntry:
     """What is registered under a model name; the first design is the default.
 
-    `build`'s keyword arguments are the model's parameters.  A conjugate toy
+    `build`'s keyword arguments are the model's parameters; `input_means`
+    gives the prior mean of each input of its net benefit.  A conjugate toy
     also has the `ConjugateToy` variant name `toy_variant` and its closed
     forms `exact(params, N)` for a future study of size N.
     """
 
     build: Callable[..., DecisionModel]
     designs: dict[str, DesignEntry]
-    prior_mean_inb: Callable[[DecisionModel], float] | None = None  # for a null design
     toy_variant: str | None = None
     exact: Callable[[dict, int], PreposteriorSummary] | None = None
+    input_means: Callable[[DecisionModel], dict] = _prior_means
 
 
-def _toy_designs(trial, n: int) -> dict[str, DesignEntry]:
-    return {"trial": DesignEntry(trial, n), "null": DesignEntry(_null_design, n)}
+def _toy_designs(trial, n: int, inner_means=_inb_at_means) -> dict[str, DesignEntry]:
+    return {"trial": DesignEntry(trial, n, inner_means),
+            "null": DesignEntry(_null_design, n, inner_means)}
 
 
 _REGISTRY = {
     "ades": ModelEntry(build_ades, {
-        "study1": DesignEntry(_ades_study1, 60),
-        "study2": DesignEntry(_ades_study2, 100),
-        "study3": DesignEntry(_ades_trial("study3"), 200),
-        "study4": DesignEntry(_ades_trial("study4"), 200),
-    }),
-    "beta_binomial": ModelEntry(
-        build_beta_binomial, _toy_designs(_beta_binomial_trial, 10),
-        lambda m: m.params["k"] / 2.0 - m.params["c"],
-        "beta_binomial_uniform", _beta_binomial_exact),
+        "study1": DesignEntry(_conjugate(BetaBinomialUpdate, "Pse"), 60),
+        "study2": DesignEntry(_conjugate(NormalNormalUpdate, "logit_qe", "logit_qe_obs_var"),
+                              100, _ades_study2_inner_means),
+        "study3": DesignEntry(_ades_two_arm_trial, 200),
+        "study4": DesignEntry(_ades_two_arm_trial, 200),
+    }, input_means=_ades_input_means),
+    "beta_binomial": ModelEntry(build_beta_binomial, _toy_designs(_beta_binomial_trial, 10),
+                                "beta_binomial_uniform", _beta_binomial_exact),
     "exp_gamma": ModelEntry(
-        build_exp_gamma, _toy_designs(_exp_gamma_trial, 10),
-        lambda m: (m.params["k"] * m.params["alpha"] / m.params["beta"]
-                   - m.params["c0"] - m.params["c1"]),
+        build_exp_gamma, _toy_designs(_conjugate(GammaExponentialUpdate, "event_rate"), 10),
         "exp_gamma", _exp_gamma_exact),
-    "normal_normal": ModelEntry(
-        build_normal_normal, _toy_designs(_normal_normal_trial, 9),
-        lambda m: m.params["k"] * m.params["theta0"] - m.params["c"],
-        "normal_normal", _normal_normal_exact),
+    "normal_normal": ModelEntry(build_normal_normal, _toy_designs(_normal_effect_trial, 9),
+                                "normal_normal", _normal_normal_exact),
     "quadratic_normal": ModelEntry(
-        build_quadratic_normal, _toy_designs(_quadratic_normal_trial, 10), lambda m: 0.0,
+        build_quadratic_normal,
+        _toy_designs(_normal_effect_trial, 10, _quadratic_normal_inner_means),
         "quadratic_normal", _quadratic_normal_exact),
     "two_param_linear": ModelEntry(
-        build_two_param_linear, _toy_designs(_two_param_trial, 30), _two_param_prior_mean_inb),
+        build_two_param_linear, _toy_designs(_conjugate(BetaBinomialUpdate, "response_rate"), 30)),
 }
 
 
@@ -607,4 +568,5 @@ def get_design(model: DecisionModel, name: str | None = None,
     if n is not None:
         require_count("a future sample size", n, 0, ConfigError)
     entry = designs[name]
-    return entry.build(model, entry.size if n is None else n)
+    recipe = entry.recipe(model, entry.size if n is None else n)
+    return StudyDesign(name, recipe, entry.inner_means(model, recipe))

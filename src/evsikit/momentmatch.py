@@ -158,10 +158,12 @@ def conditional_inb(model: DecisionModel, psa: PsaSamples, inb: InbSamples,
                     params) -> tuple[np.ndarray, RegressionFit | None]:
     """(g, its fit), g the conditional mean of the INB given `params` on the
     PSA draws: the INB itself, with no fit, when `params` covers every model
-    parameter, and otherwise the GCV spline fit on those columns."""
+    parameter or the INB is constant, and otherwise the GCV spline fit on
+    those columns."""
     params = tuple(params)
-    if set(model.param_names) <= set(params):
-        return inb.inb_theta, None
+    y = inb.inb_theta
+    if set(model.param_names) <= set(params) or y.min() == y.max():
+        return y, None
     fit = fit_conditional_mean(inb, psa.matrix(params), names=params)
     return fit.fitted, fit
 
@@ -199,10 +201,11 @@ def estimate_evsi(
     try:
         g, fit = conditional_inb(model, psa, inb, recipe.informed_params)
         fit_diag = None if fit is None else fit.diagnostics()
-    except DegenerateModelError:
-        raise
     except Exception as exc:
         raise ComputationError("regression", str(exc)) from exc
+    if g.min() == g.max():  # `or 0.0` prints a -0.0 as 0
+        raise DegenerateModelError(f"g, the INB's conditional mean, is constant ({g[0] or 0.0:g} "
+                                   "on every draw); the rescaling divides by its variance")
 
     try:
         plan = build_plan(psa, recipe.informed_params, opts.Q, seed.derive(_PLAN_SUB))
@@ -216,8 +219,6 @@ def estimate_evsi(
     var_g = ve.prior_variance
     try:
         a, b = compute_constants(ve.sigma2, inb, var_g)
-    except DegenerateModelError:
-        raise
     except Exception as exc:
         raise ComputationError("constants", str(exc)) from exc
 

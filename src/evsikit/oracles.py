@@ -2,11 +2,12 @@
 
 * Nested Monte Carlo: outer draws of parameters and future data, an inner
   posterior mean of the INB per dataset from the design's
-  `batch_inner_means`: closed forms where the update is conjugate, and for
-  the ades two-arm trial an adaptive Gauss-Hermite rule over its 2-D
-  posterior.  No design draws inner posterior samples.  When a design's
-  informed parameters are all priors, only their columns are drawn, from
-  the streams of the full draw.
+  `batch_inner_means`, the model's net benefit at the posterior means:
+  closed forms where the update is conjugate, and for the ades two-arm
+  trial an adaptive Gauss-Hermite rule over its 2-D posterior.  No design
+  draws inner posterior samples.  When a design's informed parameters are
+  all priors, only their columns are drawn, from the streams of the full
+  draw.
 * Regression on data summaries: simulate one dataset per PSA draw, as its
   sufficient statistics (a count, or the total of n observations), and smooth
   the INB against the dataset's low-dimensional summaries.  One spline
@@ -58,10 +59,9 @@ def nested_mc_evsi(
 ) -> OracleResult:
     """Two-level EVSI: average the positive part of the preposterior mean.
 
-    Inner posterior means come from the design's own strategy: exact
-    conjugate means where available, and quadrature over the 2-D posterior
-    of the ades two-arm trial.  `n_inner` and `inner_burn_in` are read by
-    nothing; they go with the benchmark's workloads, which still pass them.
+    Inner posterior means are the design's `batch_inner_means`.  `n_inner`
+    and `inner_burn_in` are read by nothing; they go with the benchmark's
+    workloads, which still pass them.
     A wall-time budget, when set, aborts with the completed outer count.
     """
     require_count("n_outer", n_outer, 100)

@@ -14,11 +14,12 @@ form.  Each node is weighted by exp(log density - Laplace log density).
 A recipe also holds its likelihood's data contract, so the likelihood is
 written once: `simulate(cols, seed)` draws each dataset's sufficient
 statistic from one generator, `summarize` gives the summaries named by
-`summary_names`, and `informed_params` names the parameters the data are
-drawn from.  A dataset holds a count under `x` for binomial data, the two
-arms' counts under `dc` and `dt` for the two-arm trial and, for n normal or
-exponential observations, their total under `obs_total`, drawn from its
-exact law and summarised by their mean.  The conjugate `draw` methods
+`summary_names`, `informed_params` names the parameters the data are drawn
+from, and `exact_means` gives {informed parameter: posterior means}.  A
+dataset holds a count under `x` for binomial data, the two arms' counts
+under `dc` and `dt` for the two-arm trial and, for n normal or exponential
+observations, their total under `obs_total`, drawn from its exact law and
+summarised by their mean.  The conjugate `draw` methods
 return exact-posterior draws; the estimator no longer calls them.
 
 The Metropolis sampler, which no registered design runs, takes many chains
@@ -165,9 +166,9 @@ class BetaBinomialUpdate(_Count):
         p, weights = _beta_rule(*self.posterior_params(dataset), self.nodes)
         return {self.param: p}, weights
 
-    def exact_means(self, dataset) -> np.ndarray:
+    def exact_means(self, dataset) -> dict[str, np.ndarray]:
         a, b = self.posterior_params(dataset)
-        return a / (a + b)
+        return {self.param: a / (a + b)}
 
     def draw(self, dataset, M, gen) -> dict[str, np.ndarray]:
         a, b = self.posterior_params(dataset)
@@ -202,9 +203,9 @@ class NormalNormalUpdate(_Total):
         x, weights = _normal_rule(*self.posterior_params(dataset), self.nodes)
         return {self.param: x}, weights
 
-    def exact_means(self, dataset) -> np.ndarray:
+    def exact_means(self, dataset) -> dict[str, np.ndarray]:
         mean, _ = self.posterior_params(dataset)
-        return np.atleast_1d(mean)
+        return {self.param: np.atleast_1d(mean)}
 
     def draw(self, dataset, M, gen) -> dict[str, np.ndarray]:
         mean, var = self.posterior_params(dataset)
@@ -237,9 +238,9 @@ class GammaExponentialUpdate(_Total):
         x, weights = _gamma_rule(*self.posterior_params(dataset), self.nodes)
         return {self.param: x}, weights
 
-    def exact_means(self, dataset) -> np.ndarray:
+    def exact_means(self, dataset) -> dict[str, np.ndarray]:
         a, b = self.posterior_params(dataset)
-        return np.atleast_1d(a / b)
+        return {self.param: np.atleast_1d(a / b)}
 
     def draw(self, dataset, M, gen) -> dict[str, np.ndarray]:
         a, b = self.posterior_params(dataset)
@@ -261,6 +262,10 @@ class NullUpdate(_Count):
         rows = len(next(iter(cols.values())))
         return {"x": seed.generator().binomial(self.n, 0.5, rows).astype(float)}
 
+    def posterior_params(self, dataset):
+        rows = len(next(iter(dataset.values())))
+        return tuple(np.full(rows, p) for p in self.prior.params)
+
     def nodes_and_weights(self, dataset, stage: str):
         """The rule of the prior's family, the same for every dataset; a
         uniform prior is lo + (hi - lo) Beta(1, 1)."""
@@ -274,6 +279,9 @@ class NullUpdate(_Count):
                     Family.NORMAL: _normal_rule}[family]
             x, weights = rule(np.full(rows, p0), p1, self.nodes)
         return {self.param: x}, weights
+
+    def exact_means(self, dataset) -> dict[str, np.ndarray]:
+        return {self.param: np.full(len(next(iter(dataset.values()))), self.prior.mean())}
 
     def draw(self, dataset, M, gen) -> dict[str, np.ndarray]:
         k = len(next(iter(dataset.values())))
@@ -432,8 +440,8 @@ class TwoArmTrialUpdate:
         # benefit recomputes it from Pc and log_or
         return {"Pc": expit(x0), "log_or": x1, "Pt": expit(x0 + x1)}, weights
 
-    def exact_means(self, dataset) -> tuple[np.ndarray, np.ndarray]:
-        """(E[Pc], E[Pt]) per dataset, by one `means` per distinct (dc, dt)
+    def exact_means(self, dataset) -> dict[str, np.ndarray]:
+        """E[Pc] and E[Pt] per dataset, by one `means` per distinct (dc, dt)
         pair, in blocks of _TWO_ARM_BLOCK pairs; the complex keys sort by
         dc, then dt."""
         dc = np.asarray(dataset["dc"], dtype=float)
@@ -444,7 +452,7 @@ class TwoArmTrialUpdate:
             block = slice(lo, lo + _TWO_ARM_BLOCK)
             e_pc[block], e_pt[block] = self.means(keys[block].real, keys[block].imag,
                                                   first[block])
-        return e_pc[inverse], e_pt[inverse]
+        return {"Pc": e_pc[inverse], "Pt": e_pt[inverse]}
 
 
 def _split_variance_ratio(draws: np.ndarray) -> np.ndarray:

@@ -10,13 +10,13 @@ from scipy.special import expit, logit
 
 from evsikit.casemodels import (
     _REGISTRY,
-    _ades_inb_at_means,
-    _ades_prior_means,
     _exp_gamma_exact,
     _normal_normal_exact,
     _quadratic_normal_exact,
     _unit_leggauss,
     ConjugateToy,
+    DesignEntry,
+    ModelEntry,
     ades_net_benefit,
     analytic_preposterior,
     build_ades,
@@ -31,7 +31,7 @@ from evsikit.casemodels import (
 )
 from evsikit.model import DecisionModel, compute_inb, run_psa
 from evsikit.rng import SeedSpec
-from evsikit.util import ComputationError, ConfigError, gauss_hermite_expectation
+from evsikit.util import ComputationError, ConfigError, SchemaError, gauss_hermite_expectation
 
 
 class TestAdesNetBenefit:
@@ -164,19 +164,67 @@ _DATASET_PINS = {
     },
 }
 
+# each registered design's nested inner means on the pinned datasets above
+_INNER_MEAN_PINS = {
+    ("ades", "study1"): [
+        -31159.724730535876, 2868.0530472421087, 36895.83082501963, 10159.71971390862,
+        -4423.613619424868, 29604.16415835265, -6854.169174980372, -38451.39139720239],
+    ("ades", "study2"): [
+        8402.328892725054, 4321.516882670112, -7162.190501194913, 5404.463299807627,
+        -1631.5942472438328, 16537.169721505605, -6875.848694093525, -11805.710881364532],
+    ("ades", "study3"): [
+        15382.135177943856, 14974.422801141627, -17977.122850037646, -43238.49591215188,
+        -14513.391203988343, 4884.49562439695, 35989.22257273039, 16651.434359909967],
+    ("ades", "study4"): [
+        15382.135177943856, 14974.422801141627, -17977.122850037646, -43238.49591215188,
+        -14513.391203988343, 4884.49562439695, 35989.22257273039, 16651.434359909967],
+    ("beta_binomial", "trial"): [
+        5000.0, -3333.333333333334, 3333.333333333332, -1666.666666666666, -8333.333333333334,
+        8333.333333333332, 1666.6666666666679, -1666.666666666666],
+    ("beta_binomial", "null"): [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ("exp_gamma", "trial"): [
+        -462.23012573253504, -360.0366335937457, 46.565080719251, 12.041804039388467,
+        -458.6103193649541, 184.5498263128975, 344.2746741280164, -683.469979509287],
+    ("exp_gamma", "null"): [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ("normal_normal", "trial"): [
+        -3862.8543494649252, 9370.273010375213, 4212.305630164939, 8165.455048891882,
+        815.331760896069, -3253.0661951965776, -936.0625532601525, -424.04137296738844],
+    ("normal_normal", "null"): [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ("quadratic_normal", "trial"): [
+        -3.87911752733204, 0.4604208820943496, -2.6116682952504253, -1.4358342023851658,
+        -4.146809694107479, -3.420589976000157, -4.1097283409435885, -3.9819199031635515],
+    ("quadratic_normal", "null"): [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ("two_param_linear", "trial"): [
+        5642.857142857143, 5357.142857142857, 4214.285714285714, 3928.5714285714284,
+        3071.4285714285716, 2785.7142857142853, 5357.142857142857, 3642.857142857143],
+    ("two_param_linear", "null"): [4500.0, 4500.0, 4500.0, 4500.0, 4500.0, 4500.0, 4500.0, 4500.0],
+}
+
+
+def _pinned_datasets(model_name, design_name):
+    """(the design, its datasets of `_DATASET_PINS`)."""
+    model = get_model(model_name)
+    psa = run_psa(model, 100, SeedSpec(2026))
+    cols = {k: v[:8] for k, v in psa.columns.items()}
+    design = get_design(model, design_name)
+    return design, design.simulate(cols, SeedSpec(2027))
 
 
 class TestDatasetPins:
     def test_every_registered_design_is_pinned(self):
         assert sorted(_DATASET_PINS) == sorted(_PAIRS)
+        assert sorted(_INNER_MEAN_PINS) == sorted(_PAIRS)
 
     @pytest.mark.parametrize("model_name, design_name", _PAIRS)
     def test_datasets_are_the_pinned_draws(self, model_name, design_name):
-        model = get_model(model_name)
-        psa = run_psa(model, 100, SeedSpec(2026))
-        cols = {k: v[:8] for k, v in psa.columns.items()}
-        datasets = get_design(model, design_name).simulate(cols, SeedSpec(2027))
+        _, datasets = _pinned_datasets(model_name, design_name)
         assert {k: v.tolist() for k, v in datasets.items()} == _DATASET_PINS[
+            (model_name, design_name)]
+
+    @pytest.mark.parametrize("model_name, design_name", _PAIRS)
+    def test_inner_means_are_the_pinned_values(self, model_name, design_name):
+        design, datasets = _pinned_datasets(model_name, design_name)
+        assert design.batch_inner_means(datasets).tolist() == _INNER_MEAN_PINS[
             (model_name, design_name)]
 
     @pytest.mark.parametrize("model_name, design_name", _PAIRS)
@@ -378,7 +426,8 @@ class TestClosedFormsWithoutScipyStats:
         dens = stats.beta.pdf(nodes, p["pc_alpha"], p["pc_beta"])
         inner = gauss_hermite_expectation(expit, logit(nodes) + p["log_or_mean"], p["log_or_var"])
         old_pt = float(np.sum(weights * dens * inner))
-        assert _ades_prior_means(p)["Pt"] == pytest.approx(old_pt, rel=rel, abs=0.0)
+        pt = _REGISTRY["ades"].input_means(build_ades(**overrides))["Pt"]
+        assert pt == pytest.approx(old_pt, rel=rel, abs=0.0)
 
 
 class TestQuadraticModel:
@@ -472,9 +521,11 @@ class TestTwoArmInnerMeans:
         model, design, posterior = trial
         dc, dt = (np.array(v) for v in zip(*self.CORNERS, (30.0, 10.0)))
         e_pc, e_pt = posterior.means(dc, dt, np.arange(len(dc)))
-        prior = _ades_prior_means(model.params)
-        want = _ades_inb_at_means(e_pc, prior["Pse"], e_pt, prior["Qe"], model.params)
-        assert np.array_equal(design.batch_inner_means({"dc": dc, "dt": dt}), want)
+        p = model.params
+        e_pse = p["pse_alpha"] / (p["pse_alpha"] + p["pse_beta"])
+        e_qe = float(gauss_hermite_expectation(expit, p["logit_qe_mean"], p["logit_qe_var"]))
+        nb1, nb2 = ades_net_benefit(e_pc, e_pse, e_pt, e_qe, p)
+        assert np.array_equal(design.batch_inner_means({"dc": dc, "dt": dt}), nb2 - nb1)
 
     def test_derivatives_match_central_differences(self, trial):
         _, _, posterior = trial
@@ -576,11 +627,40 @@ class TestRegistry:
         assert list_designs("two_param_linear") == ["trial", "null"]
         null = get_design(rebuilt, "null")
         assert null.recipe.n == 30
-        # prior-mean INB: k * (E[response_rate] - E[background]) - 2500
+        # the net benefit at the prior means:
+        # k E[response_rate] - 6500 - (k E[background] - 4000)
         assert null.batch_inner_means({"x": np.zeros(2)}) == pytest.approx([4500.0, 4500.0])
         with pytest.raises(ConfigError, match="unknown model"):
             get_design(DecisionModel(name="nosuch", priors=base.priors,
                                      net_benefit=base.net_benefit), "trial")
+
+    def test_inner_means_follow_a_rebuilt_models_net_benefit(self):
+        # normal_normal rebuilt by hand with k doubled in its net benefit
+        # but not in its params: the trial's inner means read the net benefit
+        base = get_model("normal_normal")
+
+        def doubled(cols):
+            return 2.0 * base.net_benefit(cols)
+
+        rebuilt = DecisionModel(name="normal_normal", priors=base.priors,
+                                net_benefit=doubled, params=base.params)
+        ds = {"obs_total": np.array([-3.0, 0.0, 4.5])}
+        posterior_mean = get_design(base, "trial").recipe.exact_means(ds)["effect"]
+        np.testing.assert_array_equal(get_design(base, "trial").batch_inner_means(ds),
+                                      10000.0 * posterior_mean)
+        np.testing.assert_array_equal(get_design(rebuilt, "trial").batch_inner_means(ds),
+                                      20000.0 * posterior_mean)
+
+    def test_default_inner_means_refuse_an_uninformed_input(self, monkeypatch):
+        # study2 informs logit_qe, and the net benefit reads Qe = expit(logit_qe):
+        # without its own inner means it cannot fall back to the INB at E[logit_qe]
+        ades = _REGISTRY["ades"]
+        study2 = ades.designs["study2"]
+        monkeypatch.setitem(_REGISTRY, "ades", ModelEntry(
+            ades.build, {"study2": DesignEntry(study2.recipe, study2.size)},
+            input_means=ades.input_means))
+        with pytest.raises(SchemaError, match=r"not read at the means of \['logit_qe'\]"):
+            get_design(get_model("ades"), "study2")
 
     def test_sample_size_override(self):
         design = get_design(get_model("ades"), "study1", n=120)

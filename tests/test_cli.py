@@ -47,6 +47,11 @@ class TestPsaCommand:
         assert "ades" in err and "beta_binomial" in err
 
 
+# k=0 leaves the INB constant: -2500 on every draw of two_param_linear, and
+# 0 on every draw of normal_normal
+_CONSTANT_INB = [("two_param_linear", "-2500"), ("normal_normal", "0")]
+
+
 class TestEvsiCommand:
     def test_ades_study1_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -101,13 +106,26 @@ class TestEvsiCommand:
         assert "sample size of at least 1, got 0" in capsys.readouterr().err
         assert not (out / "per_point.csv").exists()
 
-    @pytest.mark.parametrize("command", [["evsi", "--Q", "5"], ["evppi"]])
-    def test_constant_inb_is_named(self, tmp_path, capsys, command):
-        # k=0 leaves the INB at -2500 on every draw
-        code = main([*command, "--model", "two_param_linear", "--param", "k=0",
-                     "--S", "2000", "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("model, value", _CONSTANT_INB)
+    def test_constant_inb_is_named(self, tmp_path, capsys, model, value):
+        # the rescaling divides by Var(g), so every model is refused alike,
+        # before the quadrature plan
+        out = tmp_path / "x"
+        code = main(["evsi", "--model", model, "--param", "k=0", "--S", "2000", "--Q", "5",
+                     "--out", str(out)])
         assert code == 3
-        assert "the INB is constant (-2500 on every draw)" in capsys.readouterr().err
+        assert (f"error: g, the INB's conditional mean, is constant ({value} on every "
+                "draw); the rescaling divides by its variance") in capsys.readouterr().err
+        assert not (out / "per_point.csv").exists()
+
+    @pytest.mark.parametrize("model, value", _CONSTANT_INB)
+    @pytest.mark.parametrize("command, filename, key", [
+        ("psa", "summary.json", "evpi"), ("evppi", "evppi.json", "evppi"),
+        ("nested", "nested.json", "evsi")])
+    def test_constant_inb_has_no_value(self, tmp_path, model, value, command, filename, key):
+        out = tmp_path / "x"
+        assert main([command, "--model", model, "--param", "k=0", "--out", str(out)]) == 0
+        assert json.loads((out / filename).read_text())[key] == 0.0
 
     def test_nan_posterior_draw_is_computation_error(self, tmp_path, capsys, monkeypatch):
         # a non-finite node of the first point's rule

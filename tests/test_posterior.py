@@ -14,6 +14,7 @@ from evsikit.posterior import (
     NormalNormalUpdate,
     NullUpdate,
     RULE_NODES,
+    TwoArmTrialUpdate,
     _split_variance_ratio,
     metropolis_ensemble,
 )
@@ -25,7 +26,7 @@ class TestConjugates:
         recipe = BetaBinomialUpdate("p", 1.0, 1.0, 10)
         ds = {"x": np.array([3.0])}
         assert recipe.posterior_params(ds) == (pytest.approx(4.0), pytest.approx(8.0))
-        assert recipe.exact_means(ds)[0] == pytest.approx(1 / 3)
+        assert recipe.exact_means(ds)["p"][0] == pytest.approx(1 / 3)
         draws = recipe.draw(ds, 200000, SeedSpec(1).generator())["p"]
         # Beta(4, 8): mean 1/3, variance 32/1872
         var = 32.0 / 1872.0
@@ -48,7 +49,7 @@ class TestConjugates:
         a, b = recipe.posterior_params(ds)
         assert a == pytest.approx(8.0)
         assert np.atleast_1d(b)[0] == pytest.approx(4.0)
-        assert recipe.exact_means(ds)[0] == pytest.approx(2.0)
+        assert recipe.exact_means(ds)["rate"][0] == pytest.approx(2.0)
         draws = recipe.draw(ds, 100000, SeedSpec(3).generator())["rate"]
         assert draws.mean() == pytest.approx(2.0, rel=0.02)
 
@@ -57,6 +58,22 @@ class TestConjugates:
         ds = {"x": np.array([1.0])}
         draws = recipe.draw(ds, 100000, SeedSpec(4).generator())["p"]
         assert draws.mean() == pytest.approx(0.15, abs=0.001)
+        # the posterior is the prior, whatever the data
+        ds = {"x": np.array([0.0, 10.0])}
+        assert recipe.exact_means(ds)["p"].tolist() == [0.15, 0.15]
+        assert [v.tolist() for v in recipe.posterior_params(ds)] == [[15.0, 15.0], [85.0, 85.0]]
+
+    def test_exact_means_name_the_informed_params(self):
+        ds = {"x": np.array([3.0]), "obs_total": np.array([3.0]),
+              "dc": np.array([30.0]), "dt": np.array([10.0])}
+        for recipe in (BetaBinomialUpdate("p", 1.0, 1.0, 10),
+                       NormalNormalUpdate("mu", 0.0, 1.0, 1.0, 9),
+                       GammaExponentialUpdate("rate", 5.0, 1.0, 3),
+                       NullUpdate("p", DistSpec("normal", 0.0, 1.0), 10),
+                       TwoArmTrialUpdate(200, 15.0, 85.0, -1.5, 3.0)):
+            means = recipe.exact_means(ds)
+            assert list(means) == list(recipe.informed_params)
+            assert all(v.shape == (1,) for v in means.values())
 
 
 def _beta_moments(a, b):

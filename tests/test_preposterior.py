@@ -8,8 +8,7 @@ from scipy.special import expit
 
 from evsikit.casemodels import (
     ConjugateToy,
-    _ades_inb_at_means,
-    _ades_prior_means,
+    ades_net_benefit,
     analytic_preposterior,
     build_quadratic_normal,
     get_design,
@@ -27,7 +26,7 @@ from evsikit.preposterior import (
 )
 from evsikit.regression import fit_conditional_mean
 from evsikit.rng import SeedSpec
-from evsikit.util import ComputationError
+from evsikit.util import ComputationError, gauss_hermite_expectation
 
 
 def _axis_0_plan_scores(psa, names):
@@ -408,12 +407,15 @@ class _TrialMean:
     linear in them, in the place of a fit."""
 
     def __init__(self, model):
-        self.params = model.params
-        self.prior = _ades_prior_means(model.params)
+        p = self.params = model.params
+        self.e_pse = p["pse_alpha"] / (p["pse_alpha"] + p["pse_beta"])
+        self.e_qe = float(gauss_hermite_expectation(expit, p["logit_qe_mean"],
+                                                    p["logit_qe_var"]))
 
     def evaluate(self, points):
-        return _ades_inb_at_means(points[:, 0], self.prior["Pse"], points[:, 1],
-                                  self.prior["Qe"], self.params)
+        nb1, nb2 = ades_net_benefit(points[:, 0], self.e_pse, points[:, 1], self.e_qe,
+                                    self.params)
+        return nb2 - nb1
 
 
 class TestTwoArmPosteriorVariance:
