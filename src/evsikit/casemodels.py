@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincc, betaln, expit, logit, ndtr, xlog1py, xlogy
 
-from .model import DecisionModel
+from .model import DecisionModel, two_options
 from .posterior import (
     BetaBinomialUpdate,
     GammaExponentialUpdate,
@@ -100,9 +100,9 @@ def _prior_means(model: DecisionModel) -> dict:
 def _inb_at_means(model: DecisionModel, recipe, posterior_means=None):
     """Inner means: `model.net_benefit` at `posterior_means(datasets)`, by
     default the recipe's `exact_means`, and every other input at its
-    `input_means`, which is the INB's posterior mean when it is multilinear
-    and no monomial mixes inputs the posterior leaves dependent.  The
-    default refuses informed parameters that are not among `input_means`."""
+    `input_means`, a scalar, which is the INB's posterior mean when it is
+    multilinear and no monomial mixes inputs the posterior leaves dependent.
+    The default refuses informed parameters that are not among `input_means`."""
     input_means = _entry(model.name).input_means(model)
     if posterior_means is None:
         missing = [n for n in recipe.informed_params if n not in input_means]
@@ -112,12 +112,7 @@ def _inb_at_means(model: DecisionModel, recipe, posterior_means=None):
         posterior_means = recipe.exact_means
 
     def inner(ds):
-        post = posterior_means(ds)
-        rows = len(next(iter(post.values())))
-        prior = {name: np.full(rows, mean) for name, mean in input_means.items()
-                 if name not in post}
-        nb = np.asarray(model.net_benefit(prior | post), dtype=float)
-        return nb[:, 1] - nb[:, 0]
+        return model.inb(input_means | posterior_means(ds))
 
     return inner
 
@@ -186,8 +181,7 @@ def build_ades(**overrides) -> DecisionModel:
         }
 
     def net_benefit(cols):
-        nb1, nb2 = ades_net_benefit(cols["Pc"], cols["Pse"], cols["Pt"], cols["Qe"], p)
-        return np.column_stack([nb1, nb2])
+        return two_options(*ades_net_benefit(cols["Pc"], cols["Pse"], cols["Pt"], cols["Qe"], p))
 
     return DecisionModel(
         name="ades",
@@ -288,8 +282,7 @@ def analytic_preposterior(toy: ConjugateToy) -> PreposteriorSummary:
 
 def build_beta_binomial(k=20000.0, c=10000.0) -> DecisionModel:
     def net_benefit(cols):
-        nb2 = k * cols["p_success"] - c
-        return np.column_stack([np.zeros_like(nb2), nb2])
+        return two_options(0.0, k * cols["p_success"] - c)
 
     return DecisionModel(
         name="beta_binomial",
@@ -313,8 +306,7 @@ def _beta_binomial_exact(p: dict, N: int) -> PreposteriorSummary:
 
 def build_exp_gamma(alpha=5.0, beta=1.0, k=200.0, c0=900.0, c1=100.0) -> DecisionModel:
     def net_benefit(cols):
-        nb1 = k * cols["event_rate"] - c1
-        return np.column_stack([np.full_like(nb1, c0), nb1])
+        return two_options(c0, k * cols["event_rate"] - c1)
 
     return DecisionModel(
         name="exp_gamma",
@@ -351,8 +343,7 @@ def build_normal_normal(theta0=0.0, prior_var=1.0, obs_var=1.0, k=10000.0, c=0.0
         raise ValueError("obs_var must be > 0")
 
     def net_benefit(cols):
-        nb1 = k * cols["effect"] - c
-        return np.column_stack([np.zeros_like(nb1), nb1])
+        return two_options(0.0, k * cols["effect"] - c)
 
     return DecisionModel(
         name="normal_normal",
@@ -390,8 +381,7 @@ def build_quadratic_normal(prior_var=5.0, obs_var=10.0) -> DecisionModel:
         raise ValueError("obs_var must be > 0")
 
     def net_benefit(cols):
-        nb2 = cols["effect"] ** 2 - prior_var
-        return np.column_stack([np.zeros_like(nb2), nb2])
+        return two_options(0.0, cols["effect"] ** 2 - prior_var)
 
     return DecisionModel(
         name="quadratic_normal",
@@ -418,9 +408,7 @@ def build_two_param_linear(k=10000.0) -> DecisionModel:
 
     def net_benefit(cols):
         # per-patient costs of 4000 for the comparator and 6500 for the new treatment
-        nb0 = k * cols["background"] - 4000.0
-        nb1 = k * cols["response_rate"] - 6500.0
-        return np.column_stack([nb0, nb1])
+        return two_options(k * cols["background"] - 4000.0, k * cols["response_rate"] - 6500.0)
 
     return DecisionModel(
         name="two_param_linear",

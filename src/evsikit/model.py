@@ -27,7 +27,9 @@ class DecisionModel:
     `net_benefit` takes a dict of named columns (prior draws plus any derived
     columns) and returns an (S, 2) array: the comparator's net benefit, then
     the new treatment's, so that INB = NB[:, 1] - NB[:, 0] is positive when
-    the new treatment pays.
+    the new treatment pays.  A column may be a scalar that stands for S equal
+    values, as in the nested oracle's inner means, so the built-in models
+    assemble their result with `two_options`.
     """
 
     name: str
@@ -40,6 +42,11 @@ class DecisionModel:
     def param_names(self) -> tuple[str, ...]:
         return tuple(self.priors)
 
+    def inb(self, cols: dict) -> np.ndarray:
+        """The INB at the named columns, unchecked."""
+        nb = np.asarray(self.net_benefit(cols), dtype=float)
+        return nb[:, 1] - nb[:, 0]
+
     def all_columns(self, prior_cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Input columns plus any derived columns not already supplied."""
         cols = dict(prior_cols)
@@ -47,6 +54,15 @@ class DecisionModel:
             for key, value in self.derived(cols).items():
                 cols.setdefault(key, value)
         return cols
+
+
+def two_options(comparator, treatment) -> np.ndarray:
+    """The (S, 2) net benefits of the two options, either of which may be a
+    scalar; each option's column is contiguous, so the INB is one pass."""
+    comparator, treatment = np.asarray(comparator), np.asarray(treatment)
+    nb = np.empty((2, max(comparator.size, treatment.size)))
+    nb[0], nb[1] = comparator, treatment
+    return nb.T
 
 
 @dataclass

@@ -78,9 +78,9 @@ def nested_mc_evsi(
     while done < n_outer:
         take = min(_OUTER_CHUNK, n_outer - done)
         chunk_seed = seed.derive(chunk_index)
-        psa = run_psa(model, max(take, 2), chunk_seed.derive(0), columns=columns)
-        cols = {k: v[:take] for k, v in psa.columns.items()}
-        datasets = design.simulate(cols, chunk_seed.derive(1))
+        cols = run_psa(model, max(take, 2), chunk_seed.derive(0), columns=columns).columns
+        datasets = design.simulate({k: v[:take] for k, v in cols.items()}, chunk_seed.derive(1))
+        del cols  # the draws are freed before the inner means take their memory
         mus.append(np.asarray(design.batch_inner_means(datasets), dtype=float))
         done += take
         chunk_index += 1
@@ -88,7 +88,7 @@ def nested_mc_evsi(
             if done < n_outer:
                 raise BudgetExceededError(completed=done, total=n_outer)
 
-    value, se, _ = voi(np.concatenate(mus))
+    value, se, _ = voi(mus[0] if len(mus) == 1 else np.concatenate(mus))
     return OracleResult(
         method="nested_mc",
         evsi=value,

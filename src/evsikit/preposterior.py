@@ -218,8 +218,7 @@ def _inb_on(model: DecisionModel, posterior_draws: dict[str, np.ndarray]) -> np.
         raise SchemaError(f"no posterior draws of {missing}: the INB needs every "
                           "parameter, so pass the fitted conditional mean")
     cols = {name: posterior_draws[name] for name in model.param_names}
-    nb = np.asarray(model.net_benefit(model.all_columns(cols)), dtype=float)
-    return nb[:, 1] - nb[:, 0]
+    return model.inb(model.all_columns(cols))
 
 
 def expected_posterior_variance(

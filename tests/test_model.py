@@ -14,6 +14,7 @@ from evsikit.model import (
     compute_inb,
     evpi,
     run_psa,
+    two_options,
     voi,
     voi_stack,
     write_psa_csv,
@@ -85,6 +86,24 @@ def _manual_ades_psa(rows: dict) -> PsaSamples:
 
 
 class TestComputeInb:
+    def test_two_options_broadcasts_a_scalar_option(self):
+        treatment = np.array([1.5, -2.0, 4.0])
+        nb = two_options(0.5, treatment)
+        assert np.array_equal(nb, np.column_stack([np.full(3, 0.5), treatment]))
+        assert nb.flags.f_contiguous
+        assert np.array_equal(two_options(treatment, 2.0)[:, 1], np.full(3, 2.0))
+
+    def test_inb_reads_scalar_columns(self):
+        # what the nested oracle's default inner means pass: a posterior mean
+        # per dataset, every other input of the net benefit a scalar
+        model = get_model("two_param_linear")
+        rate = np.array([0.1, 0.4, 0.9])
+        inb = model.inb({"response_rate": rate, "background": -0.5})
+        full = compute_inb(model, PsaSamples(
+            columns={"response_rate": rate, "background": np.full(3, -0.5)},
+            param_names=("response_rate", "background"), seed=SeedSpec(0)))
+        assert np.array_equal(inb, full.inb_theta)
+
     def test_threshold_model_breakeven(self):
         model = _uniform_threshold_model()
         psa = PsaSamples(
