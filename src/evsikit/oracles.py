@@ -110,13 +110,17 @@ def regression_on_summaries_evsi(
     One future dataset is simulated for every PSA row; the fitted surface is
     the preposterior-mean estimate.  The standard error is the spread of
     `n_bootstrap` replicates, an integer of at least 2, refitted under
-    bootstrap resampling counts at the selected penalty.
+    bootstrap resampling counts at the selected penalty.  A constant INB
+    reads 0.0 with standard error 0.0, and no dataset is simulated.
     """
     require_count("n_bootstrap", n_bootstrap, 2)
     start = time.perf_counter()
     # the bootstrap's blocks take the memory of what is not kept: the net
     # benefits, the datasets, the summaries and the fitted values
     y = compute_inb(model, psa).inb_theta
+    if y.min() == y.max():  # no dataset changes the decision
+        return OracleResult(method="regression_on_summaries", evsi=0.0, standard_error=0.0,
+                            n_outer=psa.n_draws, wall_time=time.perf_counter() - start)
     recipe = design.recipe
     spline_design = SplineDesign(
         np.asarray(recipe.summarize(design.simulate(psa.columns, seed.derive(0))), dtype=float),

@@ -11,44 +11,36 @@ values preserve the response mean (the constant function lies in the basis
 span and in the penalty nullspace) and never exceed the response variance.
 
 `SplineDesign` builds the design once, over the distinct rows of the focal
-or summary matrix, and fits it any number of times: data summaries are often
-discrete (50 distinct values in 1e5 draws for a binomial count), and the
-regression-on-summaries oracle refits one design for 20 bootstrap
-resamples.  A row's nonzero B-splines are the (degree+1)^d consecutive ones of
-its knot interval in each dimension, so the design is stored dense, sorted by
-that cell of intervals, and X'WX takes one small matrix product per
-non-empty cell (at most 11, 121 and 216 at the default knots).  The sums
-equal the row-by-row ones up to summation order.
+or summary matrix (a binomial count takes 50 distinct values in 1e5 draws),
+and fits it any number of times.  A row's nonzero B-splines are the
+(degree+1)^d consecutive ones of its knot interval in each dimension, so the
+design is stored dense and sorted by that cell of intervals (at most 11, 121
+and 216 non-empty cells at the default knots).
 
-Every pass over rows is bounded, and none computes what its caller does not
-read:
+The design and its evaluation are bit-identical to the straightforward
+whole-array code, as each pass runs the same operations on the same operands:
 
 * each column is sorted once, and its knots are read off the sorted copy
   by numpy's linear quantile rule, without partitioning it again;
 * the design finds each distinct row's cell by counting the knots at or
   below it, sorts the rows by cell, and only then runs the basis recursion,
-  8192 rows at a time into one contiguous row per basis function,
-  transposed into the row-major values that the per-cell products read.
-  In cell order the first dimension's knot interval is constant over runs
-  of rows, so its recursion runs once per run with scalar knots; the other
-  dimensions' intervals change from row to row, and gather their knots;
+  8192 rows at a time.  In cell order the first dimension's knot interval
+  is constant over runs of rows, so its recursion runs once per run with
+  scalar knots; the other dimensions' gather their knots;
 * the penalty matrix is built once per basis size and shared, read-only;
-* a fit forms [W X | W y] over runs of whole cells of at least 8192 rows,
-  not over the whole design;
 * `RegressionFit.evaluate` runs the same recursion on new points, 8192 at a
-  time, and contracts the per-basis rows with the coefficients;
+  time, and contracts the per-basis rows with the coefficients.
 
-Each of these computes every value with the same operations on the same
-operands as the straightforward whole-array code, so the results are
-bit-identical to it.
-
-The bootstrap replicates (`SplineDesign.bootstrap_voi`) are not: they refit
-blocks of resamples at once, from each resample's counts of draws of each
-design row, with one matrix product per cell for the whole block, and solve
-a block's systems as one stack.  Their sums run in another order than a
-fit's, so a replicate equals the full fit at its counts to round-off.  A
-block and its weighted design are bounded in bytes (_BLOCK_BYTES,
-_PIECE_BYTES), so that they take about the memory one refit at a time took.
+The sums are not.  X'WX, X'Wy and the fitted values have one
+implementation, for a block of b sets of design-row weights: a fit is a
+block of one, and the bootstrap replicates (`SplineDesign.bootstrap_voi`)
+are refitted in blocks of several resamples.  Over each piece of design
+rows the block's weighted design [W X | W y]' is formed once, and one
+matrix product per cell gives the cell's sums for the whole block.  A
+piece holds at most _PIECE_BYTES and may cut a cell, whose sums then add up
+over the pieces, so the order of summation depends on the block size: a
+replicate equals the fit at its counts, and a fit the row-by-row sums, to
+round-off.  A block's temporaries take at most _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -67,11 +59,10 @@ _DEGREE = 3
 _KNOTS = {1: 10, 2: 10, 3: 5}  # interior knots per dimension, by focal dimension
 _LAMBDA_GRID = tuple(np.logspace(-6.0, 9.0, 46))
 # rows per pass of the basis recursion, so that its temporaries stay in
-# cache (whole-array passes over 1e5 rows take about twice as long), and the
-# least rows per [W X | W y] buffer of a fit
+# cache (whole-array passes over 1e5 rows take about twice as long)
 _ROWS_PER_PASS = 8192
-# bytes of the temporaries of one block of bootstrap refits, and of its
-# weighted design over one piece of rows, which stays in cache
+# bytes of the temporaries of one block of bootstrap refits, and of a
+# block's weighted design over one piece of rows, which stays in cache
 _BLOCK_BYTES = 1 << 22
 _PIECE_BYTES = 1 << 20
 
@@ -294,16 +285,15 @@ def _group_rows(phi: np.ndarray, sorted_columns):
 class SplineDesign:
     """Tensor-product B-spline design over the distinct rows of `phi_columns`.
 
-    `phi_columns` is (S,) or (S, d) with d <= 3.  Knots are placed at
-    quantiles of all S rows.  The design is built once and `fit` can be
-    called any number of times, with other weights or a pinned penalty:
-    the regression-on-summaries oracle runs its GCV fit and its bootstrap
-    replicates (`bootstrap_voi`, refitted in blocks) from one design.
+    `phi_columns` is (S,) or (S, d) with d <= 3, and `names`, if given, has
+    one name per column.  Knots are placed at quantiles of all S rows.  The
+    design is built once; `fit`, with any weights or a pinned penalty, and
+    `bootstrap_voi` run from it any number of times.
 
-    Rows with equal values share one design row, which enters the normal
-    equations through per-group sums of the weights and weighted responses.
-    The design keeps each design row's (degree+1)^d local basis values,
-    sorted by cell, and each cell's global coefficient indices.
+    Rows with equal values share one design row, which enters the sums
+    through its weight and weighted response.  The design keeps each design
+    row's (degree+1)^d local basis values, sorted by cell, each cell's
+    global coefficient indices, and their places in a normal system.
     """
 
     def __init__(self, phi_columns: np.ndarray, names=None):
@@ -313,9 +303,9 @@ class SplineDesign:
         d = phi.shape[1]
         if not 1 <= d <= 3:
             raise UnsupportedDimensionError(f"focal dimension {d} unsupported (1..3)")
-        if names is None:
-            names = [f"phi{j + 1}" for j in range(d)]
-        self.names = tuple(names)
+        self.names = tuple(f"phi{j + 1}" for j in range(d)) if names is None else tuple(names)
+        if len(self.names) != d:
+            raise SchemaError(f"{len(self.names)} names for {d} focal columns")
         for name, col in zip(self.names, phi.T):
             bad = int(np.count_nonzero(~np.isfinite(col)))
             if bad:
@@ -371,19 +361,11 @@ class SplineDesign:
         starts = np.flatnonzero(np.r_[True, first[1:] != first[:-1]])
         self._cells = list(zip(starts.tolist(), np.r_[starts[1:], n_design].tolist()))
         self._cell_coefs = first[starts][:, None] + offsets
-        # flat positions in the p x (p+1) matrix [X'WX | X'Wy] of each cell's block
+        # flat places of each cell's (m + 1) x m sums [X'WX ; X'Wy'] in a
+        # (p + 1) x p normal system
         p = self.n_basis
-        columns = np.c_[self._cell_coefs, np.full(len(starts), p)]
-        self._scatter = (self._cell_coefs[:, :, None] * (p + 1) + columns[:, None, :]).ravel()
-        # (rows lo:hi, cells c0:c1): runs of whole cells of at least
-        # _ROWS_PER_PASS rows, over which a fit forms [W X | W y]
-        self._spans = []
-        lo = c0 = 0
-        for c, (_, hi) in enumerate(self._cells):
-            if hi - lo >= _ROWS_PER_PASS or c == len(self._cells) - 1:
-                self._spans.append((lo, hi, c0, c + 1))
-                lo, c0 = hi, c + 1
-        self._span_rows = max(hi - lo for lo, hi, _, _ in self._spans)
+        self._places = (np.c_[self._cell_coefs, np.full(len(starts), p)][:, :, None] * p
+                        + self._cell_coefs[:, None, :]).ravel()
 
     def _response(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -391,46 +373,77 @@ class SplineDesign:
             raise SchemaError("phi rows must match INB samples")
         return y
 
-    def _normal_equations(self, wy: np.ndarray, weights: np.ndarray | None):
-        """(X'WX, X'Wy) from one matrix product per cell."""
+    def _buffers(self, block: int):
+        """(a piece of the weighted design, each cell's sums) for `block` systems."""
         n_design, m = self._values.shape
-        row_w = np.bincount(self._inverse, weights, n_design).astype(float)
-        row_y = np.bincount(self._inverse, wy, n_design)
-        rhs = np.empty((self._span_rows, m + 1))
-        blocks = np.empty((len(self._cells), m, m + 1))
-        for lo, hi, c0, c1 in self._spans:
-            # [W X | W y] over the span: each cell's product with it gives the
-            # cell's blocks of X'WX and X'Wy
-            if m == _DEGREE + 1:
-                # in 1-D, column by column: numpy's loop over rows of 4 values
-                # takes twice as long
-                for k in range(m):
-                    np.multiply(self._values[lo:hi, k], row_w[lo:hi], out=rhs[:hi - lo, k])
-            else:
-                np.multiply(self._values[lo:hi], row_w[lo:hi, None], out=rhs[:hi - lo, :m])
-            rhs[:hi - lo, m] = row_y[lo:hi]
-            for (clo, chi), block in zip(self._cells[c0:c1], blocks[c0:c1]):
-                np.matmul(self._values[clo:chi].T, rhs[clo - lo:chi - lo], out=block)
-        p = self.n_basis
-        sums = np.bincount(self._scatter, blocks.ravel(), p * (p + 1)).reshape(p, p + 1)
-        return sums[:, :p], sums[:, p]
+        rows = max(1, min(n_design, _PIECE_BYTES // (8 * block * (m + 1))))
+        return np.empty(block * (m + 1) * rows), np.empty((len(self._cells), block, m + 1, m))
 
-    def _fitted(self, beta: np.ndarray) -> np.ndarray:
-        fitted = np.empty(self._values.shape[0])
-        for (lo, hi), coef in zip(self._cells, beta[self._cell_coefs]):
-            np.matmul(self._values[lo:hi], coef, out=fitted[lo:hi])
-        return fitted[self._inverse]
+    def _normal_systems(self, weights: np.ndarray, response: np.ndarray,
+                        buffers=None) -> np.ndarray:
+        """(b, p + 1, p): the normal system [X'WX ; X'Wy'] of each row of
+        `weights`, (b, n_design), the weight of each design row.  `response`
+        is the (b, n_design) sums of weighted responses over each design row,
+        or the (n_design,) response at each, which the weights multiply.
+        `buffers` from `_buffers` are reused; else they are allocated.  Each
+        piece of design rows forms [W X | W y]' once, and one product per
+        cell, or per part of a cell that the piece cuts, adds up its sums.
+        """
+        n_design, m = self._values.shape
+        size, p = weights.shape[0], self.n_basis
+        wx_buffer, cell_sums = buffers or self._buffers(size)
+        rows = wx_buffer.size // (cell_sums.shape[1] * (m + 1))
+        c = 0  # the first cell that ends after the piece's first row
+        for lo in range(0, n_design, rows):
+            hi = min(lo + rows, n_design)
+            wx = wx_buffer[:size * (m + 1) * (hi - lo)].reshape(size, m + 1, hi - lo)
+            np.multiply(weights[:, None, lo:hi], self._values[lo:hi].T, out=wx[:, :m])
+            if response.ndim == 1:
+                np.multiply(weights[:, lo:hi], response[lo:hi], out=wx[:, m])
+            else:
+                wx[:, m] = response[:, lo:hi]
+            wx = wx.reshape(-1, hi - lo)
+            while c < len(self._cells) and self._cells[c][0] < hi:
+                a, z = self._cells[c]
+                start, stop = max(a, lo), min(z, hi)
+                part = np.matmul(wx[:, start - lo:stop - lo], self._values[start:stop],
+                                 out=cell_sums[c, :size].reshape(-1, m) if a >= lo else None)
+                if a < lo:  # the rest of a cell cut by a piece
+                    cell_sums[c, :size] += part.reshape(size, m + 1, m)
+                if z > hi:  # the cell goes on in the next piece
+                    break
+                c += 1
+        normal = np.empty((size, p + 1, p))
+        for b in range(size):
+            normal[b].flat = np.bincount(self._places, cell_sums[:, b].ravel(), (p + 1) * p)
+        return normal
+
+    def _fitted_rows(self, beta: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(b, n_design): the fitted values at the design rows of each row of `beta`, in `out`."""
+        cell_beta = beta[:, self._cell_coefs]
+        for c, (lo, hi) in enumerate(self._cells):
+            np.matmul(cell_beta[:, c], self._values[lo:hi].T, out=out[:, lo:hi])
+        return out
 
     def fit(self, y: np.ndarray, weights: np.ndarray | None = None,
             penalty: float | None = None) -> RegressionFit:
         """Fit E[y | phi]; `y` has one value per row of `phi_columns`.
 
         `weights` are per-row sample weights (bootstrap counts); `penalty`
-        pins the penalty weight instead of running the GCV search.
+        pins the penalty weight instead of running the GCV search.  The
+        normal equations and the fitted values are a block of one of
+        `_normal_systems` and `_fitted_rows`.
         """
         y = self._response(y)
+        n_design, p = self._values.shape[0], self.n_basis
         wy = y if weights is None else weights * y
-        xtx, xty = self._normal_equations(wy, weights)
+        # the design-row sums are freed before the fitted values, which outlive
+        # the fit, are allocated; allocated while the sums were held, they made
+        # glibc trim more heap after each ades estimate, faulted back in the next
+        normal = self._normal_systems(
+            np.bincount(self._inverse, weights, n_design).astype(float)[None],
+            np.bincount(self._inverse, wy, n_design)[None])[0]
+        xtx, xty = normal[:p], normal[p]
         if penalty is None:
             yty = float(np.dot(wy, y))
             n_eff = self.n_rows if weights is None else float(np.sum(weights))
@@ -439,7 +452,7 @@ class SplineDesign:
         else:
             lam, edf, at_edge = float(penalty), None, None
             beta = _penalized_solve(xtx, xty, lam, self.penalty)
-        fitted = self._fitted(beta)
+        fitted = self._fitted_rows(beta[None], np.empty((1, n_design)))[0][self._inverse]
 
         tss = float(np.sum((y - np.mean(y)) ** 2))
         rss = float(np.sum((y - fitted) ** 2))
@@ -463,16 +476,13 @@ class SplineDesign:
         of `n_replicates` bootstrap resamples, drawn in turn from `gen`, where
         `w` counts how often each row is drawn (`_resample`).
 
-        The replicates are refitted in blocks.  Over each piece of design
-        rows, the block's weighted design [W X | W y]', m + 1 rows per
-        replicate from its counts of draws of each design row (and, for
-        grouped designs, its sums of y over them), is formed once; one
-        matrix product per cell, of all of the block's rows of it with the
-        cell's basis values, gives the cell's blocks of X'WX and X'Wy for
-        every replicate, and the block's systems are solved as one stack.
-        Each replicate is `voi_stack` of its fitted values at the design
-        rows, weighted by group size.  Sums are taken in another order than
-        `fit`'s, so a replicate equals it up to rounding.
+        The replicates are refitted in blocks, from their counts of draws of
+        each design row (and, for grouped designs, their sums of y over
+        them): `_normal_systems` for the block, its systems solved as one
+        stack, and `_fitted_rows`.  Each replicate is `voi_stack` of its
+        fitted values at the design rows, weighted by group size.  Summed
+        over shorter pieces in wider products than a fit's, a replicate
+        equals the fit at its counts to round-off.
         """
         y = self._response(y)
         n_design, m = self._values.shape
@@ -483,30 +493,17 @@ class SplineDesign:
             y_rows[self._inverse] = y
         else:
             y_rows, sizes = None, np.bincount(self._inverse, minlength=n_design).astype(float)
-        # flat places of each cell's (m + 1) x m sums [X'WX ; X'Wy'] in a
-        # replicate's (p + 1) x p matrix
-        places = (np.c_[self._cell_coefs, np.full(n_cells, p)][:, :, None] * p
-                  + self._cell_coefs[:, None, :]).ravel()
         # per replicate: the counts, then the fitted values and their positive
         # parts in their place; the sums of y of a grouped design; the cell
         # sums; and the system and its copy in the solve
         per_replicate = 8 * (n_design * (2 - distinct) + n_cells * (m + 1) * m + 2 * p * p)
         block = max(1, min(n_replicates, _BLOCK_BYTES // per_replicate))
-        rows = max(1, min(n_design, _PIECE_BYTES // (8 * block * (m + 1))))
-        # pieces of at most `rows` design rows, and the cells in each, or the
-        # parts of them that are: (cell, rows a:z, whether the cell starts there)
-        pieces = []
-        for lo in range(0, n_design, rows):
-            hi = min(lo + rows, n_design)
-            pieces.append((lo, hi, [(c, max(a, lo), min(z, hi), a >= lo)
-                                    for c, (a, z) in enumerate(self._cells) if a < hi and z > lo]))
         # buffers reused by every block: arrays this large are mapped afresh
         # at each allocation, and the page faults would cost more than the sums
         counts = np.empty((block, n_design))
         row_y = None if distinct else np.empty((block, n_design))
         drawn = np.empty(self.n_rows, dtype=np.intp)
-        wx_buffer = np.empty(block * (m + 1) * rows)
-        cell_sums = np.empty((n_cells, block, m + 1, m))
+        buffers = self._buffers(block)
         out = np.empty(n_replicates)
         for b0 in range(0, n_replicates, block):
             size = min(block, n_replicates - b0)
@@ -515,28 +512,12 @@ class SplineDesign:
                                               None if distinct else y, drawn)
                 if row_y is not None:
                     row_y[b] = y_sums
-            for lo, hi, segments in pieces:
-                wx = wx_buffer[:size * (m + 1) * (hi - lo)].reshape(size, m + 1, hi - lo)
-                np.multiply(counts[:size, None, lo:hi], self._values[lo:hi].T, out=wx[:, :m])
-                if distinct:
-                    np.multiply(counts[:size, lo:hi], y_rows[lo:hi], out=wx[:, m])
-                else:
-                    wx[:, m] = row_y[:size, lo:hi]
-                wx = wx.reshape(-1, hi - lo)
-                for c, a, z, starts in segments:
-                    part = np.matmul(wx[:, a - lo:z - lo], self._values[a:z],
-                                     out=cell_sums[c, :size].reshape(-1, m) if starts else None)
-                    if not starts:  # the rest of a cell cut by a piece
-                        cell_sums[c, :size] += part.reshape(size, m + 1, m)
-            normal = np.empty((size, p + 1, p))
-            for b in range(size):
-                normal[b].flat = np.bincount(places, cell_sums[:, b].ravel(), (p + 1) * p)
+            normal = self._normal_systems(counts[:size], y_rows if distinct else row_y[:size],
+                                          buffers)
             beta = _penalized_solve(normal[:, :p], normal[:, p], float(penalty), self.penalty,
                                     overwrite=True)
-            fitted = counts[:size]  # the counts are read; their buffer takes the fitted values
-            cell_beta = beta[:, self._cell_coefs]
-            for c, (lo, hi) in enumerate(self._cells):
-                np.matmul(cell_beta[:, c], self._values[lo:hi].T, out=fitted[:, lo:hi])
+            # the counts are read; their buffer takes the fitted values
+            fitted = self._fitted_rows(beta, out=counts[:size])
             out[b0:b0 + size] = voi_stack(fitted, sizes, out=fitted)
         return out
 
@@ -622,10 +603,9 @@ def fit_conditional_mean(
     """Fit E[INB | phi] by penalized splines; `inb` is left as it is.
 
     `phi_columns` is (S,) or (S, d) with d <= 3.  `fitted` holds g on the
-    draws, checked by `check_fitted`, and `evaluate` gives g elsewhere.
-    Refits of one design under other weights or a pinned penalty go through
-    `SplineDesign.fit`.  A constant INB raises `DegenerateModelError`: its
-    variance bound, 0, leaves no room for the fit's round-off.
+    draws, checked by `check_fitted`, and `evaluate` gives g elsewhere.  A
+    constant INB raises `DegenerateModelError`: its variance bound, 0,
+    leaves no room for the fit's round-off.
     """
     y = np.asarray(inb.inb_theta, dtype=float)
     bad = int(np.count_nonzero(~np.isfinite(y)))

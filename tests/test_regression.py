@@ -165,13 +165,13 @@ class TestCheckFitted:
 
     def test_fit_conditional_mean_refuses_a_bad_fit(self, monkeypatch):
         # a fit that doubles the spread of its values about their mean
-        fitted = SplineDesign._fitted
+        fitted = SplineDesign._fitted_rows
 
-        def doubled(self, beta):
-            values = fitted(self, beta)
-            return 2.0 * values - values.mean()
+        def doubled(self, beta, out):
+            values = fitted(self, beta, out)
+            return 2.0 * values - values.mean(axis=1, keepdims=True)
 
-        monkeypatch.setattr(SplineDesign, "_fitted", doubled)
+        monkeypatch.setattr(SplineDesign, "_fitted_rows", doubled)
         phi = np.random.default_rng(81).uniform(size=2000)
         with pytest.raises(SchemaError, match="exceed the INB variance"):
             fit_conditional_mean(InbSamples.from_values(np.sin(3.0 * phi)), phi)
@@ -371,40 +371,44 @@ def _pass_case(d, grouped):
 
 
 class TestSortedPasses:
-    """`SplineDesign` evaluates the basis after the sort in passes of rows,
-    and a fit forms [W X | W y] over runs of whole cells; `evaluate` builds
-    coordinate-major values in passes too.  All of it equals a plain build to
-    the bit."""
+    """`SplineDesign` evaluates the basis after the sort in passes of rows;
+    `evaluate` builds coordinate-major values in passes too.  Both equal a
+    plain build to the bit, and so does a fit whose weighted design covers
+    every design row in one piece."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("grouped", [False, True], ids=["continuous", "grouped"])
-    def test_design_fit_and_evaluate_equal_a_plain_build(self, d, grouped):
+    def test_design_fit_and_evaluate_equal_a_plain_build(self, d, grouped, monkeypatch):
         phi, y = _pass_case(d, grouped)
         design = SplineDesign(phi)
         values, cells, inverse, first = _plain_design(phi, design.knot_vectors)
-        n_design = values.shape[0]
+        n_design, m = values.shape
         assert (n_design < phi.shape[0]) == grouped and n_design > _ROWS_PER_PASS
         assert max(hi - lo for lo, hi in cells) > _ROWS_PER_PASS
         assert np.array_equal(design._values, values)
         assert design._cells == cells
         assert np.array_equal(design._inverse, inverse)
 
-        # normal equations from one [W X | W y] of the design's full size
+        # normal equations from one [W X | W y]' of the design's full size:
+        # one product per cell, added into place cell by cell
+        monkeypatch.setattr(regression, "_PIECE_BYTES", 8 * (m + 1) * n_design)
         weights = np.random.default_rng(d).poisson(1.0, y.size).astype(float)
         row_w = np.bincount(inverse, weights, n_design)
         row_y = np.bincount(inverse, weights * y, n_design)
-        rhs = np.c_[values * row_w[:, None], row_y]
-        blocks = np.stack([values[lo:hi].T @ rhs[lo:hi] for lo, hi in cells])
+        wx = np.ascontiguousarray(np.r_[values.T * row_w, row_y[None]])
         p = design.n_basis
-        sums = np.bincount(design._scatter, blocks.ravel(), p * (p + 1)).reshape(p, p + 1)
-        beta = _penalized_solve(sums[:, :p], sums[:, p], 3.0, design.penalty)
         offsets = _plain_offsets(design.knot_vectors)
-        fitted = np.empty(n_design)
+        normal = np.zeros((p + 1, p))
         for lo, hi in cells:
-            fitted[lo:hi] = values[lo:hi] @ beta[first[lo] + offsets]
+            coefs = first[lo] + offsets
+            normal[np.ix_(np.r_[coefs, p], coefs)] += wx[:, lo:hi] @ values[lo:hi]
+        beta = _penalized_solve(normal[:p], normal[p], 3.0, design.penalty)
+        fitted = np.empty((1, n_design))
+        for lo, hi in cells:
+            fitted[:, lo:hi] = beta[None, first[lo] + offsets] @ values[lo:hi].T
         pinned = design.fit(y, weights=weights, penalty=3.0)
         assert np.array_equal(pinned.coefficients, beta)
-        assert np.array_equal(pinned.fitted, fitted[inverse])
+        assert np.array_equal(pinned.fitted, fitted[0, inverse])
 
         gen = np.random.default_rng(9)
         lo, hi = phi.min(axis=0), phi.max(axis=0)
@@ -415,6 +419,30 @@ class TestSortedPasses:
         for k in range(1, offsets.size):
             expected += point_values[:, k] * beta[point_first + offsets[k]]
         assert np.array_equal(pinned.evaluate(points), expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["continuous", "grouped"])
+    def test_pieces_that_cut_cells_give_the_uncut_fit(self, d, grouped, monkeypatch):
+        """A fit's weighted design formed for 37 design rows, or a seventh of
+        them, at a time: the pieces cut cells, whose sums then add up over
+        pieces, and the fit equals one whose single piece cuts none.  The
+        grouped cases take integers with several distinct rows per cell."""
+        phi, y = _phi_and_response("continuous", d, n=8000 if d == 3 else 6000)
+        if grouped:
+            levels = {1: 1500, 2: 40, 3: 12}[d]
+            phi = np.random.default_rng(d).integers(0, levels, phi.shape).astype(float)
+        design = SplineDesign(phi)
+        n_design, m = design._values.shape
+        assert (n_design < y.size) == grouped
+        monkeypatch.setattr(regression, "_PIECE_BYTES", 8 * (m + 1) * n_design)
+        whole = design.fit(y)
+        for rows in (37, n_design // 7):
+            assert any(lo // rows != (hi - 1) // rows for lo, hi in design._cells)
+            monkeypatch.setattr(regression, "_PIECE_BYTES", 8 * (m + 1) * rows)
+            cut = design.fit(y)
+            assert cut.penalty_weight == pytest.approx(whole.penalty_weight, rel=1e-12)
+            for got, ref in ((cut.coefficients, whole.coefficients), (cut.fitted, whole.fitted)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 
@@ -658,6 +686,14 @@ class TestErrors:
         y = InbSamples.from_values(np.zeros(100))
         with pytest.raises(SchemaError):
             fit_conditional_mean(y, np.zeros(99))
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])
+    def test_names_must_match_the_columns(self, names):
+        # a NaN in the second column, which too few names would leave unread
+        phi = np.random.default_rng(5).uniform(size=(1000, 2))
+        phi[3, 1] = np.nan
+        with pytest.raises(SchemaError, match=f"{len(names)} names for 2 focal columns"):
+            SplineDesign(phi, names=names)
 
 
 class TestDesign1d:
