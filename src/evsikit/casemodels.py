@@ -217,8 +217,7 @@ def _ades_study2_inner_means(model: DecisionModel, recipe: NormalNormalUpdate):
 
     def qe_means(ds):
         mean, var = recipe.posterior_params(ds)
-        mean = np.atleast_1d(mean)
-        return {"Qe": gauss_hermite_expectation(expit, mean, np.full_like(mean, var))}
+        return {"Qe": gauss_hermite_expectation(expit, np.atleast_1d(mean), var)}
 
     return _inb_at_means(model, recipe, qe_means)
 

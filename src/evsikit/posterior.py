@@ -7,9 +7,10 @@ parameter columns at the nodes and the nodes' weights, each (datasets,
 nodes), with `nodes` points per coordinate.  It is Naylor & Smith's (Applied
 Statistics 1982) adaptive Gauss-Hermite rule, centred at the posterior mode
 and scaled by the curvature there, in a frame where the posterior is near
-normal: the logit of a Beta, the log of a Gamma, a Normal as it is, and
-(logit Pc, log OR) for the two-arm trial, whose posterior has no closed
-form.  Each node is weighted by exp(log density - Laplace log density).
+normal: the logit of a Beta, the log of a Gamma, a Normal as it is (by
+`util.normal_rule`), and (logit Pc, log OR) for the two-arm trial, whose
+posterior has no closed form.  Each node is weighted by exp(log density -
+Laplace log density), which is 1 for a Normal.
 
 A recipe also holds its likelihood's data contract, so the likelihood is
 written once: `simulate(cols, seed)` draws each dataset's sufficient
@@ -51,7 +52,7 @@ import numpy as np
 from scipy.special import expit, log_expit, logit
 
 from .rng import Family, SeedSpec
-from .util import ComputationError, ConfigError, hermite_nodes
+from .util import ComputationError, ConfigError, hermite_nodes, normal_rule
 
 _ADAPT_WINDOW = 50
 _ACCEPT_TARGET = 0.3
@@ -100,15 +101,6 @@ def _gamma_rule(shape, rate, k: int):
     y, weights = _adaptive_rule(np.log(shape / rate), 1.0 / np.sqrt(shape),
                                 lambda y: shape * y - rate * np.exp(y), k)
     return np.exp(y), weights
-
-
-def _normal_rule(mean, var, k: int):
-    """(x, weights) of the plain k-node Gauss-Hermite rule for
-    Normal(mean, var) per row."""
-    mean, var = _columns(mean, var)
-    u, w = hermite_nodes(k)
-    x = mean + np.sqrt(2.0 * var) * u
-    return x, np.broadcast_to(w, x.shape)
 
 
 class _Count:
@@ -200,7 +192,8 @@ class NormalNormalUpdate(_Total):
         return mean, 1.0 / prec
 
     def nodes_and_weights(self, dataset, stage: str):
-        x, weights = _normal_rule(*self.posterior_params(dataset), self.nodes)
+        mean, var = self.posterior_params(dataset)
+        x, weights = normal_rule(np.atleast_1d(mean), var, self.nodes)
         return {self.param: x}, weights
 
     def exact_means(self, dataset) -> dict[str, np.ndarray]:
@@ -276,7 +269,7 @@ class NullUpdate(_Count):
             x = p0 + (p1 - p0) * u
         else:
             rule = {Family.BETA: _beta_rule, Family.GAMMA: _gamma_rule,
-                    Family.NORMAL: _normal_rule}[family]
+                    Family.NORMAL: normal_rule}[family]
             x, weights = rule(np.full(rows, p0), p1, self.nodes)
         return {self.param: x}, weights
 

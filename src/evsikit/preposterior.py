@@ -3,10 +3,9 @@
 Q values of the parameters the study informs are taken from the existing
 PSA draws at the q/(Q+1) empirical quantiles (for several parameters, at
 quantiles of the first principal direction of their standardized columns).
-The plan reads only the columns it needs: each one's mean and SD come from
-cumulative sums, which add in the order of axis-0 reductions over the
-matrix of the columns and give their bits in a quarter of the time, and the
-points are the selected rows of each column.
+The plan reads only the columns it needs: each one's mean and SD are
+numpy's 1-D reductions over it, and the points are the selected rows of
+each column.
 One future dataset is simulated at each point, all Q in one call from the
 plan's seed, and each posterior is computed.  The engine's sigma-squared,
 the variance of the preposterior mean, is Var(g) minus the average of the Q
@@ -39,7 +38,7 @@ import numpy as np
 from .model import DecisionModel, PsaSamples
 from .regression import RegressionFit
 from .rng import SeedSpec
-from .util import ComputationError, SchemaError, require_count, require_finite, round_half_up
+from .util import ComputationError, SchemaError, require_count, require_finite
 
 _DATASET_SUB = 0
 
@@ -88,8 +87,9 @@ def build_plan(psa: PsaSamples, phi_names, Q: int, seed: SeedSpec) -> Quadrature
         raise ValueError(f"Q={Q} exceeds the {psa.n_draws} available draws")
     scores, spacing = _plan_scores(psa, names)
     S = psa.n_draws
-    ranks = [min(max(round_half_up(S * q / (Q + 1)), 1), S) for q in range(1, Q + 1)]
-    rows = _stable_order_at(scores, np.asarray(ranks) - 1)
+    # nearest ranks of the q/(Q+1) quantiles, halves rounded up
+    ranks = np.clip(np.floor(S * np.arange(1, Q + 1) / (Q + 1) + 0.5), 1, S).astype(np.intp)
+    rows = _stable_order_at(scores, ranks - 1)
     return QuadraturePlan(
         Q=Q,
         phi_names=names,
@@ -106,7 +106,8 @@ def _plan_scores(psa: PsaSamples, names: tuple[str, ...]) -> tuple[np.ndarray, s
     if len(names) == 1:
         return psa.column(names[0]), "quantile"
     columns = [psa.column(n) for n in names]
-    mean, sd = np.array([_column_moments(col) for col in columns]).T
+    mean = np.array([col.mean() for col in columns])
+    sd = np.array([col.std(ddof=1) for col in columns])
     if np.any(sd == 0):
         bad = [names[i] for i in np.flatnonzero(sd == 0)]
         raise SchemaError(f"constant focal column(s) {bad}")
@@ -117,22 +118,6 @@ def _plan_scores(psa: PsaSamples, names: tuple[str, ...]) -> tuple[np.ndarray, s
     if pc1[np.argmax(np.abs(pc1))] < 0:
         pc1 = -pc1
     return z @ pc1, "pca_rank"
-
-
-def _column_moments(col: np.ndarray) -> tuple[float, float]:
-    """(mean, SD with ddof=1) of one column, to the bit those of the axis-0
-    reductions over the (S, d) matrix of the columns.
-
-    Those add the rows one at a time, as a cumulative sum does, where a 1-D
-    reduction sums pairwise and moves the last bits of the scores, and with
-    them the order of ties.  Their d-wide inner loop per row takes about
-    four times as long as the two cumulative sums.
-    """
-    n = col.size
-    mean = np.cumsum(col)[-1] / n
-    dev = col - mean
-    np.multiply(dev, dev, out=dev)
-    return mean, np.sqrt(np.cumsum(dev, out=dev)[-1] / (n - 1))
 
 
 def _stable_order_at(scores: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared error types and small numerical helpers."""
+"""Shared error types and small numerical helpers, the one Normal rule among them."""
 
 from __future__ import annotations
 
@@ -78,19 +78,17 @@ def hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / np.sqrt(np.pi)
 
 
-def gauss_hermite_expectation(f, mean, var, n: int = 64):
-    """E[f(Z)] for Z ~ Normal(mean, var) by Gauss-Hermite quadrature.
-
-    `mean` and `var` may be arrays; they broadcast against the node axis,
-    so vectorised use costs one call. `f` must accept ndarray input.
-    """
+def normal_rule(mean, var, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Hermite rule for Normal(mean, var): nodes mean + sqrt(2 var) x
+    on a trailing axis, and the weights of `hermite_nodes` broadcast to them."""
     x, w = hermite_nodes(n)
-    mean = np.asarray(mean, dtype=float)
-    var = np.asarray(var, dtype=float)
-    z = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x
-    return np.sum(w * f(z), axis=-1)
+    mean, var = (np.asarray(v, dtype=float)[..., None] for v in (mean, var))
+    nodes = mean + np.sqrt(2.0 * var) * x
+    return nodes, np.broadcast_to(w, nodes.shape)
 
 
-def round_half_up(x: float) -> int:
-    """round() with halves always going up, independent of banker's rounding."""
-    return int(np.floor(x + 0.5))
+def gauss_hermite_expectation(f, mean, var, n: int = 64):
+    """E[f(Z)] for Z ~ Normal(mean, var), the weighted sum of f over the nodes
+    of `normal_rule`; `f` must accept arrays, and arrays of moments cost one call."""
+    nodes, weights = normal_rule(mean, var, n)
+    return np.sum(weights * f(nodes), axis=-1)

@@ -1,11 +1,13 @@
 """Pinned outputs of the estimator and the regression-on-summaries oracle.
 
 The values were recorded before the estimator's passes over the PSA were
-reworked to give the same bits with less work (1-D column moments in the
+reworked to give the same bits with less work (column moments in the
 quadrature plan, knots read off the sorted column, the B-spline recursion
 by knot interval, one penalty per basis size).  The outputs should not move
 at all; `rel=1e-12` leaves room only for the BLAS kernel, which can move the
 last bits from one machine to another.  A change that moves them shows here.
+When the plan's moments became numpy's 1-D reductions, which sum in another
+order than the axis-0 reductions they had reproduced, no pin moved.
 
 The estimator pins of every design whose posterior variance depends on the
 data were recorded again when the quadrature plan's datasets became one

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import log_expit, logit
+from scipy.special import expit, log_expit, logit
 
 from evsikit.casemodels import get_design, get_model
 from evsikit.model import run_psa
@@ -19,6 +19,7 @@ from evsikit.posterior import (
     metropolis_ensemble,
 )
 from evsikit.rng import DistSpec, SeedSpec
+from evsikit.util import gauss_hermite_expectation, hermite_nodes, normal_rule
 
 
 class TestConjugates:
@@ -169,6 +170,62 @@ class TestConjugateRules:
             alone, alone_w = recipe.nodes_and_weights({"x": np.array([float(x)])}, "test")
             assert np.array_equal(alone["p"][0], batch["p"][x])
             assert np.array_equal(alone_w[0], batch_w[x])
+
+
+def _separate_normal_rule(mean, var, k):
+    """The Normal recipes' rule as it stood apart from the expectation: the
+    moments as (rows, 1) columns, and the weights broadcast to the nodes."""
+    mean, var = (v.reshape(-1, 1) for v in np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (mean, var))))
+    u, w = hermite_nodes(k)
+    x = mean + np.sqrt(2.0 * var) * u
+    return x, np.broadcast_to(w, x.shape)
+
+
+def _separate_expectation(f, mean, var, n=64):
+    """`gauss_hermite_expectation` as it stood apart from the recipes' rule."""
+    x, w = hermite_nodes(n)
+    mean = np.asarray(mean, dtype=float)
+    var = np.asarray(var, dtype=float)
+    z = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x
+    return np.sum(w * f(z), axis=-1)
+
+
+class TestNormalRule:
+    """The one Normal rule gives the bits of the two it replaced."""
+
+    MOMENTS = {"scalar": (0.3, 2.0),
+               "arrays": (np.linspace(-3.0, 4.0, 7), np.geomspace(0.1, 9.0, 7)),
+               "scalar_var": (np.linspace(-3.0, 4.0, 7), 0.7)}
+
+    @pytest.mark.parametrize("moments", MOMENTS.values(), ids=list(MOMENTS))
+    def test_expectation_equals_the_separate_one(self, moments):
+        for f in (expit, np.square):
+            got = gauss_hermite_expectation(f, *moments)
+            want = _separate_expectation(f, *moments)
+            assert np.array_equal(got, want) and got.shape == want.shape
+        assert gauss_hermite_expectation(expit, 0.3, 2.0).shape == ()
+
+    @pytest.mark.parametrize("moments", list(MOMENTS.values())[1:], ids=list(MOMENTS)[1:])
+    def test_rule_equals_the_separate_one(self, moments):
+        for k in (1, RULE_NODES, 64):
+            (x, w), (want_x, want_w) = normal_rule(*moments, k), _separate_normal_rule(*moments, k)
+            assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+            assert x.shape == w.shape == want_x.shape
+
+    def test_recipes_take_the_separate_rule(self):
+        recipe = NormalNormalUpdate("mu", 0.3, 2.0, 4.0, 9)
+        ds = {"obs_total": np.array([-50.0, 0.0, 12.0])}
+        nodes, weights = recipe.nodes_and_weights(ds, "test")
+        want_x, want_w = _separate_normal_rule(*recipe.posterior_params(ds), RULE_NODES)
+        assert np.array_equal(nodes["mu"], want_x) and np.array_equal(weights, want_w)
+        model = get_model("normal_normal")
+        recipe = get_design(model, "null").recipe
+        assert recipe.prior.family.value == "normal"
+        nodes, weights = recipe.nodes_and_weights({"x": np.zeros(4)}, "test")
+        want_x, want_w = _separate_normal_rule(np.full(4, recipe.prior.params[0]),
+                                               recipe.prior.params[1], RULE_NODES)
+        assert np.array_equal(nodes[recipe.param], want_x) and np.array_equal(weights, want_w)
 
 
 def _beta48_logpost(states, dataset, idx):

@@ -29,13 +29,20 @@ from evsikit.rng import SeedSpec
 from evsikit.util import ComputationError, gauss_hermite_expectation
 
 
-def _axis_0_plan_scores(psa, names):
-    """Reference for `_plan_scores`: the moments by axis-0 reductions over
-    the (S, d) matrix of the columns."""
+def _reference_plan_scores(psa, names, axis_0=False):
+    """Reference for `_plan_scores`: each column's mean and SD by numpy's 1-D
+    reductions over it or, with `axis_0`, by axis-0 reductions over the
+    (S, d) matrix of the columns, which sum in another order."""
     z = psa.matrix(names)
     if len(names) == 1:
         return z[:, 0]
-    z = (z - z.mean(axis=0)) / z.std(axis=0, ddof=1)
+    if axis_0:
+        mean, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
+    else:
+        columns = [psa.column(n) for n in names]
+        mean = np.array([col.mean() for col in columns])
+        sd = np.array([col.std(ddof=1) for col in columns])
+    z = (z - mean) / sd
     _, eigvecs = np.linalg.eigh((z.T @ z) / (z.shape[0] - 1))
     pc1 = eigvecs[:, -1]
     if pc1[np.argmax(np.abs(pc1))] < 0:
@@ -102,9 +109,12 @@ class TestBuildPlan:
 
     @pytest.mark.parametrize("kind", ["continuous", "discrete", "discrete_2d", "pca_2d", "ades"])
     def test_rows_equal_those_of_axis_0_moments(self, kind):
-        # the plan takes each column's mean and SD from cumulative sums, in
-        # place of axis-0 reductions over the (S, d) matrix; discrete columns
-        # tie at most ranks, so a change in the last bits would show
+        # the plan takes each column's mean and SD from numpy's 1-D
+        # reductions; discrete columns tie at most ranks, so a change in the
+        # last bits would show.  The ades (Pc, Pt) plan of the registered
+        # designs keeps the rows of axis-0 reductions over the (S, d) matrix,
+        # which the synthetic discrete 2-D rows do not: their PCA scores can
+        # differ only by rounding, so the two orders of summation swap them
         rng = np.random.default_rng(sum(map(ord, kind)) + 1)
         model = get_model("ades")
         for case in range(50):
@@ -126,7 +136,7 @@ class TestBuildPlan:
                     cols = {"a": a, "b": a + rng.normal(size=S)}
                 psa = PsaSamples(columns=cols, param_names=tuple(cols), seed=SeedSpec(0))
                 names = tuple(cols)
-            scores = _axis_0_plan_scores(psa, names)
+            scores = _reference_plan_scores(psa, names, axis_0=kind == "ades")
             S = psa.n_draws
             for Q in (1, 10, 30, 40):
                 plan = build_plan(psa, names, Q, SeedSpec(1))
@@ -134,6 +144,26 @@ class TestBuildPlan:
                                   for q in range(1, Q + 1)])
                 expected = np.argsort(scores, kind="stable")[ranks - 1]
                 assert np.array_equal(plan.row_indices, expected), (case, S, Q)
+
+    @staticmethod
+    def _ranks(S, Q):
+        """The 1-based ranks a plan of Q points selects from S draws."""
+        column = np.random.default_rng(S).permutation(S) + 1.0
+        psa = PsaSamples(columns={"a": column}, param_names=("a",), seed=SeedSpec(0))
+        return build_plan(psa, ("a",), Q, SeedSpec(1)).phi_points[:, 0].astype(int)
+
+    def test_ranks_round_halves_up(self):
+        # S q / (Q + 1) = 2.5 rounds to rank 3, where np.rint and np.round
+        # give 2; with Q = S two points can share a rank
+        assert self._ranks(5, 1).tolist() == [3]
+        assert self._ranks(5, 3).tolist() == [1, 3, 4]
+        assert self._ranks(5, 5).tolist() == [1, 2, 3, 3, 4]
+        assert self._ranks(2, 2).tolist() == [1, 1]
+        for S in range(2, 41):
+            for Q in range(1, S + 1):
+                want = [min(max(int(np.floor(S * q / (Q + 1) + 0.5)), 1), S)
+                        for q in range(1, Q + 1)]
+                assert self._ranks(S, Q).tolist() == want, (S, Q)
 
     def test_q_exceeding_draws_rejected(self):
         psa = run_psa(get_model("beta_binomial"), 50, SeedSpec(9))
