@@ -24,6 +24,11 @@ the parameters it informs and updates on it.  The nested oracle's inner
 means are the net benefit at the recipe's `exact_means`, except in ades
 study2 and the quadratic_normal designs, whose INB is not linear in what
 their data inform.
+
+The exact EVSIs of normal_normal and exp_gamma import scipy.special (`ndtr`,
+`betaincc`) when they are called, so that importing the package loads
+nothing from scipy; only `analytic_preposterior` reaches them.  Everything
+else here is numpy and `math`, the ADES prior's Beta density included.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincc, betaln, expit, logit, ndtr, xlog1py, xlogy
 
 from .model import DecisionModel, two_options
 from .posterior import (
@@ -44,8 +48,8 @@ from .posterior import (
     TwoArmTrialUpdate,
 )
 from .rng import DistSpec, SeedSpec
-from .util import (ConfigError, SchemaError, gauss_hermite_expectation, require_count,
-                   require_finite, require_number)
+from .util import (ConfigError, SchemaError, expit, gauss_hermite_expectation, log_beta, logit,
+                   require_count, require_finite, require_number)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,7 @@ def _ades_input_means(model: DecisionModel) -> dict:
     e_qe = float(gauss_hermite_expectation(expit, *logit_qe.params))
     nodes, weights = _unit_leggauss()
     a, b = pc.params  # the Beta(a, b) density of Pc
-    dens = np.exp(xlogy(a - 1.0, nodes) + xlog1py(b - 1.0, -nodes) - betaln(a, b))
+    dens = np.exp((a - 1.0) * np.log(nodes) + (b - 1.0) * np.log1p(-nodes) - log_beta(a, b))
     inner = gauss_hermite_expectation(expit, logit(nodes) + log_or.params[0], log_or.params[1])
     e_pt = float(np.sum(weights * dens * inner))
     return {"Pc": pc.mean(), "Pse": model.priors["Pse"].mean(), "Qe": e_qe, "Pt": e_pt}
@@ -317,6 +321,8 @@ def build_exp_gamma(alpha=5.0, beta=1.0, k=200.0, c0=900.0, c1=100.0) -> Decisio
 
 def _exp_gamma_exact(p: dict, N: int) -> PreposteriorSummary:
     """Exact EVSI via the Beta(alpha, N) law of the inverse posterior scale; k > 0."""
+    from scipy.special import betaincc
+
     a, b, k = p["alpha"], p["beta"], p["k"]
     if not k > 0:
         raise ConfigError(f"the exp_gamma closed form needs k > 0, got {k}")
@@ -359,6 +365,8 @@ def _norm_pdf(x):
 
 def _normal_normal_exact(p: dict, N: int) -> PreposteriorSummary:
     """Exact EVSI via the unit normal loss function of the preposterior mean."""
+    from scipy.special import ndtr
+
     m = p["k"] * p["theta0"] - p["c"]
     if N == 0:
         return PreposteriorSummary(mean=m, variance=0.0, evsi=0.0)

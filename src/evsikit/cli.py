@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .casemodels import ConjugateToy, analytic_preposterior, get_design, get_model, list_models
@@ -194,13 +193,15 @@ def _write_csv(path: str, fieldnames, rows):
 
 
 def _write_manifest(outdir: str, cfg: RunConfig, **extra):
+    from importlib import metadata  # read here: importing it costs the CLI ~15 ms
+
     payload = {
         "command": cfg.command,
         "config": cfg.as_dict(),
         "versions": {
             "evsikit": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": metadata.version("scipy"),
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }

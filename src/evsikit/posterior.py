@@ -10,7 +10,9 @@ and scaled by the curvature there, in a frame where the posterior is near
 normal: the logit of a Beta, the log of a Gamma, a Normal as it is (by
 `util.normal_rule`), and (logit Pc, log OR) for the two-arm trial, whose
 posterior has no closed form.  Each node is weighted by exp(log density -
-Laplace log density), which is 1 for a Normal.
+Laplace log density), which is 1 for a Normal.  `expit`, `logit` and
+`log_expit` are `util`'s numpy forms of scipy.special's, so that this module,
+like the rest of the package, imports nothing from scipy.
 
 A recipe also holds its likelihood's data contract, so the likelihood is
 written once: `simulate(cols, seed)` draws each dataset's sufficient
@@ -49,10 +51,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, log_expit, logit
 
 from .rng import Family, SeedSpec
-from .util import ComputationError, ConfigError, hermite_nodes, normal_rule
+from .util import (ComputationError, ConfigError, expit, hermite_nodes, log_expit, logit,
+                   normal_rule)
 
 _ADAPT_WINDOW = 50
 _ACCEPT_TARGET = 0.3

@@ -1,4 +1,11 @@
-"""Shared error types and small numerical helpers, the one Normal rule among them."""
+"""Shared error types and small numerical helpers: the one Normal rule, and
+numpy forms of the logistic functions and the log Beta function.
+
+`expit`, `logit` and `log_expit` evaluate scipy.special's formulas with
+numpy's exp, log and log1p, so they agree with scipy to an ulp or two and,
+like scipy, return infinities at the ends without a RuntimeWarning.  The
+package computes them here so that importing it loads nothing from scipy.
+"""
 
 from __future__ import annotations
 
@@ -92,3 +99,46 @@ def gauss_hermite_expectation(f, mean, var, n: int = 64):
     of `normal_rule`; `f` must accept arrays, and arrays of moments cost one call."""
     nodes, weights = normal_rule(mean, var, n)
     return np.sum(weights * f(nodes), axis=-1)
+
+
+def expit(x):
+    """1 / (1 + exp(-x)), scipy.special.expit's formula, in one output array;
+    a scalar gives a scalar."""
+    out = np.array(x, dtype=float)
+    np.negative(out, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out[()]
+
+
+def log_expit(x):
+    """log(expit(x)), as scipy.special.log_expit: x - log1p(exp(x)) below 0
+    and -log1p(exp(-x)) above, which is -logaddexp(0, -x)."""
+    out = np.array(x, dtype=float)
+    np.negative(out, out=out)
+    np.logaddexp(0.0, out, out=out)
+    np.negative(out, out=out)
+    return out[()]
+
+
+def logit(p):
+    """log(p / (1 - p)), as scipy.special.logit: on [0.3, 0.65], where that
+    loses digits, log1p(s) - log1p(-s) with s = 2 (p - 0.5)."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty(p.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(p / (1.0 - p), out=out)
+    mid = (p >= 0.3) & (p <= 0.65)
+    s = 2.0 * (p[mid] - 0.5)
+    out[mid] = np.log1p(s) - np.log1p(-s)
+    return out[()]
+
+
+def log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0: log(Gamma(a) Gamma(b) / Gamma(a + b)) while
+    a + b < 171, where the gammas are finite, and lgamma above."""
+    if a + b < 171.0:
+        return math.log(math.gamma(a) / math.gamma(a + b) * math.gamma(b))
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 import evsikit.cli as cli
 from evsikit.cli import RunConfig, _write_csv, _write_json, build_parser, main
@@ -69,6 +70,9 @@ class TestEvsiCommand:
         assert result["posterior_method"] == {"method": "gauss_hermite", "k": 24}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evsi"
+        # scipy's version comes from its installed metadata, not from an import
+        assert manifest["versions"]["scipy"] == scipy.__version__
+        assert manifest["versions"]["numpy"] == np.__version__
 
     def test_two_arm_trial_records_its_rule(self, tmp_path):
         out = tmp_path / "run"

@@ -1,9 +1,12 @@
 """Conjugate updaters, their quadrature rules, and the Metropolis ensemble."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.special import expit, log_expit, logit
 
 from evsikit.casemodels import get_design, get_model
@@ -18,6 +21,7 @@ from evsikit.posterior import (
     _split_variance_ratio,
     metropolis_ensemble,
 )
+from evsikit import util
 from evsikit.rng import DistSpec, SeedSpec
 from evsikit.util import gauss_hermite_expectation, hermite_nodes, normal_rule
 
@@ -227,6 +231,49 @@ class TestNormalRule:
                                                recipe.prior.params[1], RULE_NODES)
         assert np.array_equal(nodes[recipe.param], want_x) and np.array_equal(weights, want_w)
 
+
+
+class TestLogisticForms:
+    """util's numpy expit, log_expit and logit against scipy.special's."""
+
+    FORMS = ("expit", "log_expit", "logit")
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        """{form: its inputs}: 1e6 draws of N(0, 9) with the ends +-800, +-inf
+        and 0, and for logit their expit with the ends of its formula's pieces."""
+        x = np.concatenate([np.random.default_rng(0).normal(0.0, 3.0, 1_000_000),
+                            [800.0, -800.0, np.inf, -np.inf, 0.0]])
+        p = np.concatenate([special.expit(x), [0.0, 0.3, 0.65, 1.0]])
+        return {"expit": x, "log_expit": x, "logit": p}
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_equal_scipy_to_an_ulp_or_two(self, inputs, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = getattr(util, form)(inputs[form])
+        want = getattr(special, form)(inputs[form])
+        assert got.shape == want.shape and not np.isnan(got).any()
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        differ = got != want
+        assert np.all(np.abs(got[differ] - want[differ]) <= 1e-15 * np.abs(want[differ]))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_a_scalar_gives_a_scalar(self, form):
+        got = getattr(util, form)(0.4)
+        assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+        assert got == pytest.approx(getattr(special, form)(0.4), rel=1e-15, abs=0.0)
+
+    def test_expit_allocates_only_its_output(self):
+        # nested study2 takes expit of 20,000 x 64 nodes
+        x = np.random.default_rng(1).normal(0.0, 3.0, (20_000, 64))
+        tracemalloc.start()
+        try:
+            out = util.expit(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
 def _beta48_logpost(states, dataset, idx):
     x = states[:, 0]
