@@ -101,6 +101,12 @@ def gauss_hermite_expectation(f, mean, var, n: int = 64):
     return np.sum(weights * f(nodes), axis=-1)
 
 
+def _value(out: np.ndarray):
+    """`out`, or its scalar if it is 0-d.  Not `out[()]` for both: a view
+    keeps numpy from reusing a temporary's buffer, as in weights * expit(y)."""
+    return out if out.ndim else out[()]
+
+
 def expit(x):
     """1 / (1 + exp(-x)), scipy.special.expit's formula, in one output array;
     a scalar gives a scalar."""
@@ -110,7 +116,7 @@ def expit(x):
         np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
-    return out[()]
+    return _value(out)
 
 
 def log_expit(x):
@@ -120,7 +126,7 @@ def log_expit(x):
     np.negative(out, out=out)
     np.logaddexp(0.0, out, out=out)
     np.negative(out, out=out)
-    return out[()]
+    return _value(out)
 
 
 def logit(p):
@@ -133,7 +139,7 @@ def logit(p):
     mid = (p >= 0.3) & (p <= 0.65)
     s = 2.0 * (p[mid] - 0.5)
     out[mid] = np.log1p(s) - np.log1p(-s)
-    return out[()]
+    return _value(out)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -265,7 +265,8 @@ class TestLogisticForms:
         assert got == pytest.approx(getattr(special, form)(0.4), rel=1e-15, abs=0.0)
 
     def test_expit_allocates_only_its_output(self):
-        # nested study2 takes expit of 20,000 x 64 nodes
+        # nested study2 takes expit of 20,000 x 64 nodes.  The result owns
+        # its buffer, so that numpy can write weights * expit(y) into it
         x = np.random.default_rng(1).normal(0.0, 3.0, (20_000, 64))
         tracemalloc.start()
         try:
@@ -274,6 +275,8 @@ class TestLogisticForms:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * out.nbytes
+        for form in self.FORMS:
+            assert getattr(util, form)(x[:2]).flags.owndata
 
 def _beta48_logpost(states, dataset, idx):
     x = states[:, 0]
