@@ -87,11 +87,12 @@ def _adaptive_rule(mode, scale, log_density, k: int):
 
 def _beta_rule(a, b, k: int):
     """(p, weights) of a k-node rule for Beta(a, b) per row, in the logit
-    frame y, where the log density is a log_expit(y) + b log_expit(-y): the
-    mode is log(a / b), and the curvature there ab / (a + b)."""
+    frame y, where the log density is a log_expit(y) + b log_expit(-y), that
+    is a y - (a + b) log(1 + e^y): the mode is log(a / b), and the curvature
+    there ab / (a + b)."""
     a, b = _columns(a, b)
     y, weights = _adaptive_rule(np.log(a / b), np.sqrt((a + b) / (a * b)),
-                                lambda y: a * log_expit(y) + b * log_expit(-y), k)
+                                lambda y: a * y - (a + b) * np.logaddexp(0.0, y), k)
     return expit(y), weights
 
 

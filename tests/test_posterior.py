@@ -9,6 +9,7 @@ import pytest
 from scipy import special
 from scipy.special import expit, log_expit, logit
 
+from evsikit import util
 from evsikit.casemodels import get_design, get_model
 from evsikit.model import run_psa
 from evsikit.posterior import (
@@ -21,7 +22,6 @@ from evsikit.posterior import (
     _split_variance_ratio,
     metropolis_ensemble,
 )
-from evsikit import util
 from evsikit.rng import DistSpec, SeedSpec
 from evsikit.util import gauss_hermite_expectation, hermite_nodes, normal_rule
 
@@ -232,7 +232,6 @@ class TestNormalRule:
         assert np.array_equal(nodes[recipe.param], want_x) and np.array_equal(weights, want_w)
 
 
-
 class TestLogisticForms:
     """util's numpy expit, log_expit and logit against scipy.special's."""
 
@@ -277,6 +276,7 @@ class TestLogisticForms:
         assert peak <= 1.1 * out.nbytes
         for form in self.FORMS:
             assert getattr(util, form)(x[:2]).flags.owndata
+
 
 def _beta48_logpost(states, dataset, idx):
     x = states[:, 0]
