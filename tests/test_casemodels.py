@@ -367,9 +367,9 @@ class TestAnalyticPreposterior:
 
 
 class TestClosedFormsWithoutScipyStats:
-    """The exact EVSIs of normal_normal and exp_gamma call scipy.special, which
-    they import when called, as scipy.stats does, and quadratic_normal's takes
-    the normal density in scipy.stats' operation order, so the three equal
+    """The exact EVSIs of normal_normal and exp_gamma import scipy.special when
+    called and use it as scipy.stats does, and quadratic_normal's takes the
+    normal density in scipy.stats' operation order, so the three equal
     the scipy.stats expressions they replace, restated here, to the bit.  The
     ADES prior mean of Pt takes its Beta density from numpy's logs and
     `util.log_beta`, within round-off of scipy.stats' density."""
